@@ -48,15 +48,20 @@ METRICS_COLUMNS = (
     "pesq", "csig", "cbak", "covl",
 )
 
-_USAGE_ERRORS = (SchemaError, ValueError)
-_DATA_ERRORS = (
-    FormatError, UnsupportedFormatError, DependencyError,
-    StratificationError, FileNotFoundError,
+# Exception classes -> exit code, first match wins. Used by main and, for
+# failed rows, by the metrics and features stages.
+_EXIT_CODES = (
+    ((SchemaError, ValueError), EXIT_USAGE),
+    ((FormatError, UnsupportedFormatError, DependencyError,
+      StratificationError, FileNotFoundError), EXIT_DATA),
+    ((DegenerateInputError, PreconditionError, UnderdeterminedError,
+      AlignmentError, MetricError), EXIT_NUMERIC),
+    ((VdaError,), EXIT_DATA),
 )
-_NUMERIC_ERRORS = (
-    DegenerateInputError, PreconditionError, UnderdeterminedError,
-    AlignmentError, MetricError,
-)
+
+
+def _exit_code(exc: Exception) -> int | None:
+    return next((code for classes, code in _EXIT_CODES if isinstance(exc, classes)), None)
 
 
 def _configure_logging() -> None:
@@ -84,7 +89,20 @@ def _load_pair(entry: corpus.ManifestEntry) -> corpus.AlignedPair:
     return corpus.align(clean, degraded, _max_lag(corpus.CANONICAL_RATE))
 
 
-def _metric_row(args: tuple) -> tuple[dict, str | None]:
+def _row_failure(entry: corpus.ManifestEntry, exc: Exception) -> tuple[int, str]:
+    """Exit code and message for a failed row.
+
+    Arguments are checked before any row runs, so a row never fails as
+    usage: a ValueError inside a row, or an unmapped exception, is numeric.
+    """
+    code = _exit_code(exc)
+    if code in (None, EXIT_USAGE):
+        code = EXIT_NUMERIC
+    label = entry.label
+    return code, f"{entry.utterance_id} G{label.g}C{label.c}D{label.d}: {exc}"
+
+
+def _metric_row(args: tuple) -> tuple[dict, tuple[int, str] | None]:
     entry, selected = args
     base = {
         "utterance_id": entry.utterance_id,
@@ -96,7 +114,7 @@ def _metric_row(args: tuple) -> tuple[dict, str | None]:
         pair = _load_pair(entry)
         rep = metrics.evaluate_pair(pair, entry.external_pesq, selected)
     except Exception as exc:
-        return base, f"{entry.utterance_id} G{entry.label.g}C{entry.label.c}D{entry.label.d}: {exc}"
+        return base, _row_failure(entry, exc)
     high, mid, low = rep.csii
     base.update(
         {
@@ -117,7 +135,7 @@ def _metric_row(args: tuple) -> tuple[dict, str | None]:
     return base, None
 
 
-def _feature_row(entry: corpus.ManifestEntry) -> tuple[dict, dict, dict, str | None]:
+def _feature_row(entry: corpus.ManifestEntry) -> tuple[dict, dict, dict, tuple[int, str] | None]:
     base = {
         "utterance_id": entry.utterance_id,
         "G": entry.label.g,
@@ -130,8 +148,7 @@ def _feature_row(entry: corpus.ManifestEntry) -> tuple[dict, dict, dict, str | N
         fv_degraded = features.extract_features(pair.degraded)
         err = features.feature_error(fv_clean, fv_degraded)
     except Exception as exc:
-        msg = f"{entry.utterance_id} G{entry.label.g}C{entry.label.c}D{entry.label.d}: {exc}"
-        return base, base, base, msg
+        return base, base, base, _row_failure(entry, exc)
     err_row = dict(base, **{f"e{i}": err.e[i] for i in range(features.N_FEATURES)})
     clean_row = dict(base, **{f"x{i}": fv_clean.x[i] for i in range(features.N_FEATURES)})
     deg_row = dict(base, **{f"x{i}": fv_degraded.x[i] for i in range(features.N_FEATURES)})
@@ -201,22 +218,22 @@ def cmd_metrics(args) -> int:
         raise SchemaError(f"unknown metric(s): {sorted(unknown)}")
     entries = _sorted_entries(manifest)
     results = _map_jobs(_metric_row, [(e, selected) for e in entries], args.jobs)
-    failures = [msg for _, msg in results if msg]
-    for msg in failures:
+    failures = [failure for _, failure in results if failure]
+    for _, msg in failures:
         log.error("metrics failed for %s", msg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, [row for row, _ in results])
     print(out_dir / "metrics.csv")
-    return EXIT_NUMERIC if failures else EXIT_OK
+    return failures[0][0] if failures else EXIT_OK
 
 
 def cmd_features(args) -> int:
     manifest = corpus.parse_manifest(args.manifest)
     entries = _sorted_entries(manifest)
     results = _map_jobs(_feature_row, entries, args.jobs)
-    failures = [msg for *_rows, msg in results if msg]
-    for msg in failures:
+    failures = [failure for *_rows, failure in results if failure]
+    for _, msg in failures:
         log.error("features failed for %s", msg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +243,7 @@ def cmd_features(args) -> int:
     _write_csv(out_dir / "features_clean.csv", x_header, [r[1] for r in results])
     _write_csv(out_dir / "features_degraded.csv", x_header, [r[2] for r in results])
     print(out_dir / "errors.csv")
-    return EXIT_NUMERIC if failures else EXIT_OK
+    return failures[0][0] if failures else EXIT_OK
 
 
 def _read_csv_rows(path: Path) -> list[dict]:
@@ -246,7 +263,7 @@ def _observation_rows(out_dir: Path, outcome: str) -> list[model.ObservationRow]
     for mrow in metric_rows:
         key = (mrow["utterance_id"], mrow["G"], mrow["C"], mrow["D"])
         erow = errors_by_key.get(key)
-        if erow is None:
+        if erow is None or not all(erow.get(f"e{i}") for i in range(features.N_FEATURES)):
             log.warning("no feature errors for %s; row skipped", key)
             continue
         if not mrow.get("stoi"):
@@ -272,12 +289,8 @@ def _observation_rows(out_dir: Path, outcome: str) -> list[model.ObservationRow]
 def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     rows = _observation_rows(out_dir, args.outcome)
-    design = model.build_design_matrix(rows)
-    if args.outcome == "pesq":
-        y = np.array([r.y_pesq for r in rows], dtype=np.float64)
-    else:
-        y = np.array([r.y_stoi for r in rows], dtype=np.float64)
-    fit = model.fit_ols(design, y)
+    y = model.outcome_vector(rows, args.outcome)
+    fit = model.fit_ols(model.build_design_matrix(rows), y)
     (out_dir / f"fit_{args.outcome}.json").write_text(
         report.render_regression_table(fit, "json"), encoding="utf-8"
     )
@@ -394,22 +407,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DATA_ERRORS as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except VdaError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return code
 
 
 if __name__ == "__main__":

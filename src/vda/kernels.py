@@ -1,67 +1,33 @@
-"""Hot numeric kernels with a JIT-compiled fast path and a pure-NumPy fallback.
+"""Numeric kernels shared by the metrics and the features.
 
-The backend is chosen once at import time. Set ``VDA_NUMBA=0`` in the
-environment to force the pure-NumPy/Python path; anything else (or an
-importable ``numba``) selects the compiled path. ``benchmarks/bench_kernels.py``
-times both paths on representative workloads.
+Batched Levinson-Durbin recursion (LPC for llr and the formant features),
+glottal-period peak marking (jitter and shimmer) and the per-band
+nearest-local-peak search (weighted spectral slope). Each kernel has one
+NumPy implementation.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _NUMBA_IMPORTABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_IMPORTABLE = False
-
-_FLAG = os.environ.get("VDA_NUMBA", "auto").strip().lower()
-USE_NUMBA = _NUMBA_IMPORTABLE and _FLAG not in ("0", "off", "false", "no")
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# Levinson-Durbin recursion, batched over frames.
-# ---------------------------------------------------------------------------
+def levinson_batch(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the autocorrelation normal equations per row of ``r``.
 
-def _levinson_batch_loops(r, a, err):
-    # r: (m, p+1) autocorrelations, r[:, 0] > 0 assumed where meaningful.
-    # a: (m, p+1) output, err: (m,) output. Frames whose prediction error
-    # collapses to <= 0 keep the coefficients found so far.
-    m, p1 = r.shape
-    work = np.empty(p1)
-    for i in range(m):
-        a[i, 0] = 1.0
-        for k in range(1, p1):
-            a[i, k] = 0.0
-        e = r[i, 0]
-        for k in range(1, p1):
-            if e <= 0.0:
-                break
-            acc = r[i, k]
-            for j in range(1, k):
-                acc += a[i, j] * r[i, k - j]
-            lam = -acc / e
-            for j in range(1, k):
-                work[j] = a[i, j]
-            for j in range(1, k):
-                a[i, j] = work[j] + lam * work[k - j]
-            a[i, k] = lam
-            e *= 1.0 - lam * lam
-        err[i] = e if e > 0.0 else 0.0
-
-
-def _levinson_batch_numpy(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    Returns monic coefficient rows ``a`` (a[:, 0] == 1) and the final
+    prediction-error energy per row. Rows whose prediction error collapses
+    to <= 0 keep the coefficients found so far and report zero error.
+    """
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] < 2:
+        raise ValueError("need a (frames, order+1) autocorrelation array")
     m, p1 = r.shape
     a = np.zeros((m, p1))
     a[:, 0] = 1.0
-    e = r[:, 0].astype(np.float64).copy()
+    e = r[:, 0].copy()
     alive = e > 0.0
     for k in range(1, p1):
         acc = r[:, k].copy()
@@ -76,125 +42,53 @@ def _levinson_batch_numpy(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, np.maximum(e, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# Glottal-period peak marking for jitter/shimmer.
-# ---------------------------------------------------------------------------
-
-def _mark_periods_fwd(x, start, period, lo_frac, hi_frac, out):
-    n = x.shape[0]
-    count = 0
-    pos = start
-    while count < out.shape[0]:
-        lo = pos + int(period * lo_frac)
-        hi = pos + int(period * hi_frac)
-        if lo <= pos:
-            lo = pos + 1
-        if hi >= n:
-            break
-        best = lo
-        bv = x[lo]
-        for i in range(lo + 1, hi + 1):
-            if x[i] > bv:
-                bv = x[i]
-                best = i
-        out[count] = best
-        count += 1
-        pos = best
-    return count
-
-
-def _mark_periods_bwd(x, start, period, lo_frac, hi_frac, out):
-    count = 0
-    pos = start
-    while count < out.shape[0]:
-        hi = pos - int(period * lo_frac)
-        lo = pos - int(period * hi_frac)
-        if hi >= pos:
-            hi = pos - 1
-        if lo < 0:
-            break
-        best = lo
-        bv = x[lo]
-        for i in range(lo + 1, hi + 1):
-            if x[i] > bv:
-                bv = x[i]
-                best = i
-        out[count] = best
-        count += 1
-        pos = best
-    return count
-
-
-# ---------------------------------------------------------------------------
-# Nearest-local-peak search over per-frame band spectra (spectral slope
-# distance weighting). For each band, climb uphill to the closest local
-# maximum: rightward when the local slope is positive, leftward otherwise.
-# ---------------------------------------------------------------------------
-
-def _local_peaks_loops(bands_db, out):
-    n_frames, nb = bands_db.shape
-    for t in range(n_frames):
-        for k in range(nb - 1):
-            if bands_db[t, k + 1] > bands_db[t, k]:
-                j = k
-                while j < nb - 1 and bands_db[t, j + 1] > bands_db[t, j]:
-                    j += 1
-                out[t, k] = bands_db[t, j]
-            else:
-                j = k
-                while j > 0 and bands_db[t, j - 1] >= bands_db[t, j]:
-                    j -= 1
-                out[t, k] = bands_db[t, j]
-
-
-if USE_NUMBA:
-    _levinson_batch_loops = njit(cache=True)(_levinson_batch_loops)
-    _mark_periods_fwd = njit(cache=True)(_mark_periods_fwd)
-    _mark_periods_bwd = njit(cache=True)(_mark_periods_bwd)
-    _local_peaks_loops = njit(cache=True)(_local_peaks_loops)
-
-
-def levinson_batch(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the autocorrelation normal equations per row of ``r``.
-
-    Returns monic coefficient rows ``a`` (a[:, 0] == 1) and the final
-    prediction-error energy per row.
-    """
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    if r.ndim != 2 or r.shape[1] < 2:
-        raise ValueError("need a (frames, order+1) autocorrelation array")
-    if USE_NUMBA:
-        a = np.empty_like(r)
-        err = np.empty(r.shape[0])
-        _levinson_batch_loops(r, a, err)
-        return a, err
-    return _levinson_batch_numpy(r)
-
-
 def mark_periods(x: np.ndarray, start: int, period: float,
                  lo_frac: float = 0.7, hi_frac: float = 1.4) -> np.ndarray:
     """Mark successive waveform peaks roughly one ``period`` apart.
 
     Scans backward and forward from the anchor peak at ``start``; each next
-    peak is the maximum sample in the window ``[lo_frac, hi_frac] * period``
-    away from the previous one. Returns sorted integer peak positions
-    including ``start``.
+    peak is the maximum sample (the first on ties) in the window
+    ``[lo_frac, hi_frac] * period`` away from the previous one. Returns
+    sorted integer peak positions including ``start``.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if not 0 <= start < len(x):
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    if not 0 <= start < n:
         raise ValueError("anchor peak outside the signal")
-    cap = int(len(x) / max(period * lo_frac, 1.0)) + 2
-    fwd = np.empty(cap, dtype=np.int64)
-    bwd = np.empty(cap, dtype=np.int64)
-    nf = _mark_periods_fwd(x, start, period, lo_frac, hi_frac, fwd)
-    nb = _mark_periods_bwd(x, start, period, lo_frac, hi_frac, bwd)
-    peaks = np.concatenate([bwd[:nb][::-1], np.asarray([start], dtype=np.int64), fwd[:nf]])
-    return peaks
+    near, far = int(period * lo_frac), int(period * hi_frac)
+    cap = int(n / max(period * lo_frac, 1.0)) + 2
+    fwd: list[int] = []
+    pos = start
+    while len(fwd) < cap and pos + far < n:
+        lo = max(pos + near, pos + 1)
+        pos = lo + int(np.argmax(x[lo:pos + far + 1]))
+        fwd.append(pos)
+    bwd: list[int] = []
+    pos = start
+    while len(bwd) < cap and pos - far >= 0:
+        lo = pos - far
+        pos = lo + int(np.argmax(x[lo:min(pos - near, pos - 1) + 1]))
+        bwd.append(pos)
+    return np.array(bwd[::-1] + [start] + fwd, dtype=np.int64)
 
 
 def local_peak_values(bands_db: np.ndarray) -> np.ndarray:
-    """Per frame and band, the dB value of the nearest uphill local maximum."""
-    bands_db = np.ascontiguousarray(bands_db, dtype=np.float64)
-    out = np.empty((bands_db.shape[0], bands_db.shape[1] - 1))
-    _local_peaks_loops(bands_db, out)
-    return out
+    """Per frame and band, the dB value of the nearest uphill local maximum.
+
+    Band ``k`` climbs rightward while the next band is strictly higher when
+    band ``k + 1`` is higher than band ``k``, and leftward while the previous
+    band is at least as high otherwise. Returns ``(frames, bands - 1)``.
+    """
+    b = np.asarray(bands_db, dtype=np.float64)
+    n_frames, nb = b.shape
+    idx = np.arange(nb)
+    edge = np.ones((n_frames, 1), dtype=bool)
+    rising = b[:, 1:] > b[:, :-1]
+    # rightward climb ends at the first index >= k not followed by a strict rise
+    ends = np.where(np.hstack([~rising, edge]), idx, nb - 1)
+    right = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    # leftward climb ends at the last index <= k whose left neighbour is lower
+    starts = np.where(np.hstack([edge, ~(b[:, :-1] >= b[:, 1:])]), idx, 0)
+    left = np.maximum.accumulate(starts, axis=1)
+    top = np.where(rising, right[:, :-1], left[:, :-1])
+    return np.take_along_axis(b, top, axis=1)

@@ -382,13 +382,16 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
     """Run the metric suite over one pair.
 
     ``selected`` restricts computation to a subset of METRIC_NAMES;
-    unselected fields are NaN / None. The composite triple is present iff
-    an external pesq score is supplied (and composite is selected).
+    unselected fields are NaN / None. Selecting composite also selects the
+    llr, wss and snr_seg it is built from. The composite triple is present
+    iff an external pesq score is supplied (and composite is selected).
     """
     chosen = set(METRIC_NAMES if selected is None else selected)
     unknown = chosen - set(METRIC_NAMES)
     if unknown:
         raise ValueError(f"unknown metric(s): {sorted(unknown)}")
+    if "composite" in chosen:
+        chosen |= {"llr", "wss", "snr_seg"}
     values: dict[str, object] = {}
     for name, op in _METRIC_OPS:
         if name not in chosen:

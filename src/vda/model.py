@@ -217,7 +217,8 @@ def three_fold(xbar1: np.ndarray, xbar0: np.ndarray, theta1: np.ndarray,
     return OaxacaDecomposition(indicator, endowment, coefficient, interaction, collective)
 
 
-def _outcome_vector(rows: list[ObservationRow], outcome: str) -> np.ndarray:
+def outcome_vector(rows: list[ObservationRow], outcome: str) -> np.ndarray:
+    """The ``outcome`` values of ``rows``; DependencyError if any pesq is absent."""
     if outcome not in OUTCOMES:
         raise ValueError(f"unknown outcome {outcome!r}")
     if outcome == "stoi":
@@ -265,7 +266,7 @@ def _stratum_fit(rows: list[ObservationRow], outcome: str
         for m_idx, m_label in enumerate(m_labels):
             if m_value(row.label, m_label):
                 values[r_idx, m_idx * N_FEATURES:(m_idx + 1) * N_FEATURES] = e
-    y = _outcome_vector(rows, outcome)
+    y = outcome_vector(rows, outcome)
     fit = fit_ols(values, y, column_labels=labels)
     coef = {lbl: float(th) for lbl, th in zip(labels, fit.theta)}
     return coef, m_labels

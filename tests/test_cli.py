@@ -119,6 +119,65 @@ def test_metrics_failure_marks_row(tmp_path):
     assert not rows[0]["stoi"]
 
 
+def test_features_corrupt_wav_is_data_error(small_corpus, tmp_path):
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    (wav_dir / "c.wav").write_bytes((small_corpus / "wav" / "utt000_g0c0d0.wav").read_bytes())
+    (wav_dir / "d.wav").write_bytes(b"RIFF\x04\x00\x00\x00junk")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
+        "u1,wav/c.wav,wav/d.wav,0,0,0,\n"
+    )
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA
+    with open(out / "errors.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["utterance_id"] == "u1"
+    assert not rows[0]["e0"]
+
+
+def _copy_stage_inputs(src, dst):
+    dst.mkdir()
+    for name in ("metrics.csv", "errors.csv"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def _blank_cells(path, row_index, columns):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    for col in columns:
+        rows[row_index][col] = ""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return rows[row_index]
+
+
+def test_blank_errors_row_is_skipped(pipeline_out, tmp_path, caplog):
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    blank = _blank_cells(out / "errors.csv", 3, [f"e{i}" for i in range(26)])
+    with caplog.at_level("WARNING", logger="vda"):
+        assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
+        assert main(["decompose", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
+    assert f"'{blank['utterance_id']}', '{blank['G']}'" in caplog.text
+    assert "row skipped" in caplog.text
+
+
+def test_fit_and_decompose_agree_on_partial_pesq(pipeline_out, tmp_path, capsys):
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    _blank_cells(out / "metrics.csv", 5, ["pesq", "csig", "cbak", "covl"])
+    capsys.readouterr()
+    assert main(["fit", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
+    fit_err = capsys.readouterr().err
+    assert main(["decompose", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
+    assert "lack an external pesq value" in fit_err
+    assert capsys.readouterr().err == fit_err
+
+
 def test_features_csv_shape(pipeline_out):
     with open(pipeline_out / "errors.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

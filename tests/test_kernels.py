@@ -32,21 +32,6 @@ def test_levinson_matches_toeplitz_oracle():
         assert err[i] >= 0.0
 
 
-def test_levinson_backends_agree():
-    r = _random_acf_rows(1, n_rows=20, order=12)
-    fast = kernels._levinson_batch_loops
-    a_np, e_np = kernels._levinson_batch_numpy(r)
-    if kernels.USE_NUMBA:
-        a_nb = np.empty_like(r)
-        e_nb = np.empty(r.shape[0])
-        fast(np.ascontiguousarray(r), a_nb, e_nb)
-        np.testing.assert_allclose(a_nb, a_np, atol=1e-10)
-        np.testing.assert_allclose(e_nb, e_np, atol=1e-10)
-    else:
-        a_pub, e_pub = kernels.levinson_batch(r)
-        np.testing.assert_allclose(a_pub, a_np, atol=0)
-
-
 def test_levinson_rejects_bad_shape():
     with pytest.raises(ValueError):
         kernels.levinson_batch(np.ones(5))
@@ -75,9 +60,24 @@ def test_mark_periods_tolerates_period_wobble():
     np.testing.assert_array_equal(peaks, positions)
 
 
-def test_local_peak_values_matches_bruteforce():
+def test_mark_periods_on_monotone_decrease():
+    # every peak lands at the start of its window: 1.4 periods back from the
+    # previous peak going backward, 0.7 periods on going forward
+    x = np.linspace(1.0, 0.0, 1000)
+    peaks = kernels.mark_periods(x, 500, 100.0)
+    expected = np.concatenate([np.arange(80, 500, 140), np.arange(500, 930, 70)])
+    np.testing.assert_array_equal(peaks, expected)
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "two_bands"])
+def test_local_peak_values_matches_bruteforce(kind):
     rng = np.random.default_rng(3)
-    bands = rng.standard_normal((15, 36))
+    if kind == "random":
+        bands = rng.standard_normal((15, 36))
+    elif kind == "ties":
+        bands = rng.integers(0, 3, (15, 36)).astype(np.float64)
+    else:
+        bands = rng.standard_normal((15, 2))
     got = kernels.local_peak_values(bands)
     for t in range(bands.shape[0]):
         for k in range(bands.shape[1] - 1):
@@ -93,4 +93,4 @@ def test_local_peak_values_matches_bruteforce():
 
 
 def test_backend_name_reports():
-    assert kernels.backend_name() in ("numba", "numpy")
+    assert kernels.backend_name() == "numpy"

@@ -397,6 +397,16 @@ def test_evaluate_pair_selection(sweep_identity):
     assert rep.csii == (None, None, None)
 
 
+def test_evaluate_pair_composite_alone_selects_its_inputs(sweep):
+    pair = noisy_pair(sweep, 10.0)
+    alone = metrics.evaluate_pair(pair, 3.0, selected=("composite",))
+    full = metrics.evaluate_pair(pair, 3.0)
+    assert alone.composite == full.composite
+    assert not any(np.isnan(alone.composite))
+    assert (alone.llr, alone.wss, alone.snr_seg) == (full.llr, full.wss, full.snr_seg)
+    assert np.isnan(alone.stoi)
+
+
 def test_evaluate_pair_unknown_metric(sweep_identity):
     with pytest.raises(ValueError):
         metrics.evaluate_pair(sweep_identity, selected=("nope",))
