@@ -260,7 +260,8 @@ def _observation_rows(out_dir: Path, outcome: str) -> list[model.ObservationRow]
         (r["utterance_id"], r["G"], r["C"], r["D"]): r for r in error_rows
     }
     rows: list[model.ObservationRow] = []
-    for mrow in metric_rows:
+    no_pesq: list[str] = []
+    for line, mrow in enumerate(metric_rows, start=2):
         key = (mrow["utterance_id"], mrow["G"], mrow["C"], mrow["D"])
         erow = errors_by_key.get(key)
         if erow is None or not all(erow.get(f"e{i}") for i in range(features.N_FEATURES)):
@@ -271,6 +272,8 @@ def _observation_rows(out_dir: Path, outcome: str) -> list[model.ObservationRow]
             continue
         e = np.array([float(erow[f"e{i}"]) for i in range(features.N_FEATURES)])
         pesq = float(mrow["pesq"]) if mrow.get("pesq") else None
+        if outcome == "pesq" and pesq is None:
+            no_pesq.append(f"{key[0]} G{key[1]}C{key[2]}D{key[3]}, metrics.csv line {line}")
         rows.append(
             model.ObservationRow(
                 error=features.ErrorVector(e),
@@ -281,8 +284,10 @@ def _observation_rows(out_dir: Path, outcome: str) -> list[model.ObservationRow]
         )
     if not rows:
         raise DependencyError("no joinable rows between metrics.csv and errors.csv")
-    if outcome == "pesq" and all(r.y_pesq is None for r in rows):
-        raise DependencyError("outcome=pesq requires pesq values in metrics.csv")
+    if no_pesq:
+        raise DependencyError(
+            f"{len(no_pesq)} row(s) lack an external pesq value (first {no_pesq[0]})"
+        )
     return rows
 
 

@@ -12,25 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from .corpus import ALL_CELLS, ConditionLabel
 from .errors import DependencyError, StratificationError, UnderdeterminedError
 from .features import N_FEATURES, ErrorVector
 
-# Interaction set in canonical order; each mask names the indicators whose
-# product forms the term.
+# Interaction set in canonical order; row m of M_BITS names the indicators
+# (G, C, D) whose product forms term m.
 M_LABELS = ("1", "G", "C", "D", "G*C", "G*D", "C*D", "G*C*D")
-_M_BITS = (
-    (0, 0, 0),
-    (1, 0, 0),
-    (0, 1, 0),
-    (0, 0, 1),
-    (1, 1, 0),
-    (1, 0, 1),
-    (0, 1, 1),
-    (1, 1, 1),
-)
+M_BITS = np.array([[name in m for name in "GCD"] for m in M_LABELS])
+M_BITS.flags.writeable = False
 
 N_COLUMNS = N_FEATURES * len(M_LABELS)
 
@@ -41,17 +33,22 @@ OUTCOMES = ("stoi", "pesq")
 SIGNIFICANCE_BANDS = ("strong", "medium", "weak", "none")
 
 
+def _indicators(labels: np.ndarray) -> np.ndarray:
+    """(n, 8) indicator table of (n, 3) bool G/C/D labels: term m is 1 on a
+    row when every indicator it names is set."""
+    return np.all(labels[:, None, :] | ~M_BITS, axis=2)
+
+
+def _cross(e: np.ndarray, ind: np.ndarray) -> np.ndarray:
+    """Design columns (term, feature) in term-major order: ``e`` where the
+    term's indicator is 1, else 0.0 (``np.where`` so no -0.0 appears)."""
+    return np.where(ind[:, :, None], e[:, None, :], 0.0).reshape(len(e), -1)
+
+
 def m_value(label: ConditionLabel, m_label: str) -> int:
     """Evaluate one interaction indicator on a condition label."""
-    bits = _M_BITS[M_LABELS.index(m_label)]
-    g, c, d = label.as_tuple()
-    if bits[0] and not g:
-        return 0
-    if bits[1] and not c:
-        return 0
-    if bits[2] and not d:
-        return 0
-    return 1
+    ind = _indicators(np.array([label.as_tuple()], dtype=bool))
+    return int(ind[0, M_LABELS.index(m_label)])
 
 
 @dataclass(frozen=True)
@@ -89,53 +86,33 @@ class OaxacaDecomposition:
     collective: float
 
 
+def _stack(rows: list[ObservationRow]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature errors (n, 26) and bool G/C/D labels (n, 3) of ``rows``."""
+    e = np.reshape([r.error.e for r in rows], (len(rows), N_FEATURES))
+    labels = np.reshape([r.label.as_tuple() for r in rows], (len(rows), 3)).astype(bool)
+    return e, labels
+
+
 def build_design_matrix(rows: list[ObservationRow]) -> DesignMatrix:
     """Design matrix with column (i, m) holding m(label) * e[i] per row."""
     if not rows:
         raise ValueError("need at least one observation row")
-    labels = tuple((i, m) for m in M_LABELS for i in range(N_FEATURES))
-    values = np.zeros((len(rows), N_COLUMNS))
-    for r_idx, row in enumerate(rows):
-        e = row.error.e
-        for m_idx, m_label in enumerate(M_LABELS):
-            if m_value(row.label, m_label):
-                values[r_idx, m_idx * N_FEATURES:(m_idx + 1) * N_FEATURES] = e
-    return DesignMatrix(values, labels)
-
-
-def _select_columns(a: np.ndarray, tol: float, max_rank: int) -> tuple[list[int], list[int]]:
-    """Rank-revealing column selection in index order (Gram-Schmidt with
-    reorthogonalization); keeps at most ``max_rank`` columns."""
-    n, p = a.shape
-    q = np.empty((n, 0))
-    retained: list[int] = []
-    dropped: list[int] = []
-    for j in range(p):
-        if len(retained) >= max_rank:
-            dropped.append(j)
-            continue
-        v = a[:, j].astype(np.float64).copy()
-        if q.shape[1]:
-            v -= q @ (q.T @ v)
-            v -= q @ (q.T @ v)
-        pivot = float(np.linalg.norm(v))
-        if pivot <= tol:
-            dropped.append(j)
-        else:
-            retained.append(j)
-            q = np.hstack([q, (v / pivot)[:, None]])
-    return retained, dropped
+    e, labels = _stack(rows)
+    column_labels = tuple((i, m) for m in M_LABELS for i in range(N_FEATURES))
+    return DesignMatrix(_cross(e, _indicators(labels)), column_labels)
 
 
 def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
             column_labels: tuple[tuple[int, str], ...] | None = None) -> RegressionFit:
     """Minimum-residual least squares with deterministic column dropping.
 
-    Columns are scanned in index order; one whose residual against the
-    already-retained span falls below 1e-10 of the largest column norm is
-    dropped (theta 0, p-value NaN). Retention is also capped at n - 1
-    columns so the residual always keeps at least one degree of freedom.
-    Standard errors are classical homoskedastic; p-values are two-sided t.
+    The candidate columns, at most the first n - 1 in index order so the
+    residual always keeps one degree of freedom, are factored by one
+    unpivoted QR. If some |R_jj| is at most 1e-10 of the largest column
+    norm, the first such column is dropped (theta 0, p-value NaN), the next
+    column moves up into the candidates and they are factored again;
+    otherwise that factorisation is the solve. Standard errors are classical
+    homoskedastic; p-values are two-sided t.
     """
     if isinstance(design, DesignMatrix):
         a = design.values
@@ -154,13 +131,19 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
 
     col_norms = np.linalg.norm(a, axis=0)
     tol = PIVOT_RTOL * (col_norms.max() if p else 0.0)
-    retained_idx, _ = _select_columns(a, tol, max_rank=n - 1)
-    if not retained_idx:
-        raise UnderdeterminedError("no usable design column")
+    candidates = list(range(p))
+    while True:
+        retained_idx = candidates[:n - 1]
+        if not retained_idx:
+            raise UnderdeterminedError("no usable design column")
+        xr = a[:, retained_idx]
+        q2, r2 = qr(xr, mode="economic")
+        small = np.flatnonzero(np.abs(np.diag(r2)) <= tol)
+        if not small.size:
+            break
+        del candidates[small[0]]
     rank = len(retained_idx)
 
-    xr = a[:, retained_idx]
-    q2, r2 = qr(xr, mode="economic")
     theta_r = solve_triangular(r2, q2.T @ y)
     resid = y - xr @ theta_r
     dof = n - rank
@@ -172,7 +155,7 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
     se_r = np.sqrt(np.maximum(cov_diag, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_r = np.where(se_r > 0.0, theta_r / se_r, np.inf * np.sign(theta_r))
-    p_r = 2.0 * t_dist.sf(np.abs(t_r), dof)
+    p_r = 2.0 * stdtr(dof, -np.abs(t_r))
 
     theta = np.zeros(p)
     std_err = np.full(p, np.nan)
@@ -231,49 +214,63 @@ def outcome_vector(rows: list[ObservationRow], outcome: str) -> np.ndarray:
     return np.array([r.y_pesq for r in rows], dtype=np.float64)
 
 
-def _reduced_m_labels(rows: list[ObservationRow]) -> tuple[str, ...]:
-    """Interaction terms that stay distinct and nonzero on these rows.
+def _reduced_terms(ind: np.ndarray) -> list[int]:
+    """Interaction terms that stay distinct and nonzero on a stratum.
 
-    Terms identically zero on the stratum vanish; terms that coincide as
-    functions of the observed labels collapse onto the earliest member of
-    the canonical order.
+    ``ind`` is the stratum's indicator table. Terms identically zero on it
+    vanish; terms whose columns are equal collapse onto the earliest member
+    of the canonical order.
     """
-    distinct = sorted({r.label for r in rows})
-    seen: dict[tuple[int, ...], str] = {}
-    reps: list[str] = []
-    for m_label in M_LABELS:
-        pattern = tuple(m_value(lbl, m_label) for lbl in distinct)
-        if not any(pattern):
-            continue
-        if pattern not in seen:
-            seen[pattern] = m_label
-            reps.append(m_label)
-    return tuple(reps)
+    terms: list[int] = []
+    for m in range(len(M_LABELS)):
+        if ind[:, m].any() and not any(np.array_equal(ind[:, m], ind[:, k]) for k in terms):
+            terms.append(m)
+    return terms
 
 
-def _stratum_fit(rows: list[ObservationRow], outcome: str
-                 ) -> tuple[dict[tuple[int, str], float], tuple[str, ...]]:
+def _stratum_fit(e: np.ndarray, ind: np.ndarray, y: np.ndarray) -> dict[int, np.ndarray]:
     """Fit the collapsed interaction model on one stratum.
 
-    Returns coefficients keyed by (feature index, reduced m label) plus the
-    reduced label set.
+    Returns the (26,) coefficients of each reduced term, keyed by term index
+    in canonical order.
     """
-    m_labels = _reduced_m_labels(rows)
-    labels = tuple((i, m) for m in m_labels for i in range(N_FEATURES))
-    values = np.zeros((len(rows), len(labels)))
-    for r_idx, row in enumerate(rows):
-        e = row.error.e
-        for m_idx, m_label in enumerate(m_labels):
-            if m_value(row.label, m_label):
-                values[r_idx, m_idx * N_FEATURES:(m_idx + 1) * N_FEATURES] = e
-    y = outcome_vector(rows, outcome)
-    fit = fit_ols(values, y, column_labels=labels)
-    coef = {lbl: float(th) for lbl, th in zip(labels, fit.theta)}
-    return coef, m_labels
+    terms = _reduced_terms(ind)
+    fit = fit_ols(_cross(e, ind[:, terms]), y)
+    return dict(zip(terms, fit.theta.reshape(len(terms), N_FEATURES)))
 
 
-def _feature_means(rows: list[ObservationRow]) -> np.ndarray:
-    return np.mean(np.stack([r.error.e for r in rows]), axis=0)
+def _decompose(e: np.ndarray, ind: np.ndarray, y: np.ndarray, indicator: str,
+               reference: str) -> OaxacaDecomposition:
+    """``oaxaca_decompose`` on stacked errors, indicator table and outcomes."""
+    if indicator not in M_LABELS:
+        raise ValueError(f"unknown indicator {indicator!r}")
+    if reference not in ("stratum", "zero-error"):
+        raise ValueError(f"unknown reference mode {reference!r}")
+    if indicator == "1" and reference == "stratum":
+        raise StratificationError("the unit indicator has no 0 stratum; use zero-error")
+    ones = ind[:, M_LABELS.index(indicator)]
+    if not ones.any():
+        raise StratificationError(f"indicator {indicator}: stratum I=1 is empty")
+
+    e1 = e[ones]
+    coef1 = _stratum_fit(e1, ind[ones], y[ones])
+    xbar1 = e1.mean(axis=0)
+    if reference == "zero-error":
+        xbar0 = np.zeros(N_FEATURES)
+        xbar0[0] = 1.0
+        theta_sum1 = sum(coef1.values())
+        return three_fold(xbar1, xbar0, theta_sum1, theta_sum1, indicator)
+
+    zeros = ~ones
+    if not zeros.any():
+        raise StratificationError(f"indicator {indicator}: stratum I=0 is empty")
+    e0 = e[zeros]
+    coef0 = _stratum_fit(e0, ind[zeros], y[zeros])
+    shared = [m for m in coef1 if m in coef0]
+    xbar0 = e0.mean(axis=0)
+    theta_sum1 = sum(coef1[m] for m in shared)
+    theta_sum0 = sum(coef0[m] for m in shared)
+    return three_fold(xbar1, xbar0, theta_sum1, theta_sum0, indicator)
 
 
 def oaxaca_decompose(rows: list[ObservationRow], indicator: str,
@@ -287,38 +284,8 @@ def oaxaca_decompose(rows: list[ObservationRow], indicator: str,
     synthetic reference with zero feature error and the same coefficients,
     so the whole gap lands in the endowment component.
     """
-    if indicator not in M_LABELS:
-        raise ValueError(f"unknown indicator {indicator!r}")
-    if reference not in ("stratum", "zero-error"):
-        raise ValueError(f"unknown reference mode {reference!r}")
-    if indicator == "1" and reference == "stratum":
-        raise StratificationError("the unit indicator has no 0 stratum; use zero-error")
-
-    ones = [r for r in rows if m_value(r.label, indicator)]
-    zeros = [r for r in rows if not m_value(r.label, indicator)]
-    if not ones:
-        raise StratificationError(f"indicator {indicator}: stratum I=1 is empty")
-
-    if reference == "zero-error":
-        coef1, m_labels = _stratum_fit(ones, outcome)
-        xbar1 = _feature_means(ones)
-        xbar0 = np.zeros(N_FEATURES)
-        xbar0[0] = 1.0
-        theta_sum1 = np.array(
-            [sum(coef1[(i, m)] for m in m_labels) for i in range(N_FEATURES)]
-        )
-        return three_fold(xbar1, xbar0, theta_sum1, theta_sum1, indicator)
-
-    if not zeros:
-        raise StratificationError(f"indicator {indicator}: stratum I=0 is empty")
-    coef1, m1 = _stratum_fit(ones, outcome)
-    coef0, m0 = _stratum_fit(zeros, outcome)
-    shared = tuple(m for m in m1 if m in m0)
-    xbar1 = _feature_means(ones)
-    xbar0 = _feature_means(zeros)
-    theta_sum1 = np.array([sum(coef1[(i, m)] for m in shared) for i in range(N_FEATURES)])
-    theta_sum0 = np.array([sum(coef0[(i, m)] for m in shared) for i in range(N_FEATURES)])
-    return three_fold(xbar1, xbar0, theta_sum1, theta_sum0, indicator)
+    e, labels = _stack(rows)
+    return _decompose(e, _indicators(labels), outcome_vector(rows, outcome), indicator, reference)
 
 
 def decomposition_table(rows: list[ObservationRow], outcome: str = "stoi",
@@ -334,8 +301,11 @@ def decomposition_table(rows: list[ObservationRow], outcome: str = "stoi",
             raise StratificationError(
                 f"cell (G={cell.g}, C={cell.c}, D={cell.d}) has no observations"
             )
+    e, labels = _stack(rows)
+    ind = _indicators(labels)
+    y = outcome_vector(rows, outcome)
     out = []
     for m_label in M_LABELS:
         mode = "zero-error" if m_label == "1" else reference
-        out.append(oaxaca_decompose(rows, m_label, outcome, mode))
+        out.append(_decompose(e, ind, y, m_label, mode))
     return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import VdaError
 from .features import N_FEATURES
-from .model import M_LABELS, OaxacaDecomposition, RegressionFit, significance_band
+from .model import M_BITS, M_LABELS, OaxacaDecomposition, RegressionFit, significance_band
 
 FORMATS = ("csv", "json", "markdown")
 
@@ -119,17 +119,15 @@ def render_regression_table(fit: RegressionFit, fmt: str) -> str:
 
 
 def decomposition_records(table: list[OaxacaDecomposition]) -> list[dict]:
-    from .model import _M_BITS, M_LABELS as order
-
     records = []
     for dec in table:
-        bits = _M_BITS[order.index(dec.indicator)]
+        g, c, d = (int(b) for b in M_BITS[M_LABELS.index(dec.indicator)])
         records.append(
             {
                 "indicator": dec.indicator,
-                "G": bits[0],
-                "C": bits[1],
-                "D": bits[2],
+                "G": g,
+                "C": c,
+                "D": d,
                 "endowment": dec.endowment,
                 "coefficient": dec.coefficient,
                 "interaction": dec.interaction,

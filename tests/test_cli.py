@@ -169,12 +169,13 @@ def test_blank_errors_row_is_skipped(pipeline_out, tmp_path, caplog):
 
 def test_fit_and_decompose_agree_on_partial_pesq(pipeline_out, tmp_path, capsys):
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
-    _blank_cells(out / "metrics.csv", 5, ["pesq", "csig", "cbak", "covl"])
+    blank = _blank_cells(out / "metrics.csv", 5, ["pesq", "csig", "cbak", "covl"])
+    assert (blank["utterance_id"], blank["G"], blank["C"], blank["D"]) == ("utt000", "1", "0", "1")
     capsys.readouterr()
     assert main(["fit", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
     fit_err = capsys.readouterr().err
     assert main(["decompose", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
-    assert "lack an external pesq value" in fit_err
+    assert "1 row(s) lack an external pesq value (first utt000 G1C0D1, metrics.csv line 7)" in fit_err
     assert capsys.readouterr().err == fit_err
 
 

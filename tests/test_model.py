@@ -167,6 +167,66 @@ def test_fit_saturated_design_keeps_one_dof():
     assert np.isfinite(fit.residual_variance)
 
 
+def _gram_schmidt_columns(a, tol, max_rank):
+    """Reference column selection: Gram-Schmidt with reorthogonalization in
+    index order, keeping at most ``max_rank`` columns."""
+    n, p = a.shape
+    q = np.empty((n, 0))
+    retained = []
+    for j in range(p):
+        if len(retained) >= max_rank:
+            continue
+        v = a[:, j].astype(np.float64).copy()
+        if q.shape[1]:
+            v -= q @ (q.T @ v)
+            v -= q @ (q.T @ v)
+        pivot = float(np.linalg.norm(v))
+        if pivot > tol:
+            retained.append(j)
+            q = np.hstack([q, (v / pivot)[:, None]])
+    return retained
+
+
+def _planted_design(rng, n, p):
+    """Random columns scaled from 1e-3 to 1e3, with some replaced by a zero
+    column, a duplicate or a linear combination of earlier columns."""
+    a = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+    for j in rng.choice(np.arange(2, p), size=max(1, p // 6), replace=False):
+        kind = rng.integers(3)
+        if kind == 0:
+            a[:, j] = 0.0
+        elif kind == 1:
+            a[:, j] = a[:, rng.integers(j)]
+        else:
+            src = rng.choice(j, size=2, replace=False)
+            a[:, j] = a[:, src] @ rng.uniform(-2, 2, 2)
+    return a
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide"])
+def test_fit_column_selection_matches_gram_schmidt(shape):
+    rng = np.random.default_rng(20 if shape == "tall" else 21)
+    for _ in range(60):
+        if shape == "tall":
+            n = int(rng.integers(30, 120))
+            p = int(rng.integers(6, n // 2))
+        else:
+            n = int(rng.integers(8, 40))
+            p = int(rng.integers(n, 2 * n + 10))
+        a = _planted_design(rng, n, p)
+        y = a @ rng.standard_normal(p) / np.linalg.norm(a, axis=0).max() + rng.standard_normal(n)
+        tol = model.PIVOT_RTOL * np.linalg.norm(a, axis=0).max()
+        keep = _gram_schmidt_columns(a, tol, max_rank=n - 1)
+        fit = fit_ols(a, y)
+        mask = np.zeros(p, dtype=bool)
+        mask[keep] = True
+        np.testing.assert_array_equal(fit.retained, mask)
+        assert fit.dof == n - len(keep)
+        ref = np.zeros(p)
+        ref[keep] = np.linalg.lstsq(a[:, keep], y, rcond=None)[0]
+        np.testing.assert_allclose(fit.theta, ref, rtol=1e-6, atol=1e-8)
+
+
 def test_fit_underdetermined_and_nonfinite():
     with pytest.raises(UnderdeterminedError):
         fit_ols(np.ones((1, 2)), np.ones(1))
