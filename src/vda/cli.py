@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import logging
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -246,40 +247,68 @@ def cmd_features(args) -> int:
     return failures[0][0] if failures else EXIT_OK
 
 
-def _read_csv_rows(path: Path) -> list[dict]:
+KEY_COLUMNS = ("utterance_id", "G", "C", "D")
+
+
+def _read_csv_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and non-blank rows of ``path``.
+
+    Each row is padded with blank cells to one past the header, so a cell
+    missing from a short row, or a column missing from the header (see
+    ``_cells``), reads as ''.
+    """
     if not path.exists():
         raise DependencyError(f"required upstream artifact missing: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in KEY_COLUMNS if c not in header]
+        if header and missing:
+            raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
+        rows = [row for row in reader if row]
+    width = len(header) + 1
+    for row in rows:
+        row.extend([""] * (width - len(row)))
+    return header, rows
+
+
+def _cells(header: list[str], names: tuple[str, ...]):
+    """Getter of the tuple of cells ``names`` (two or more) of a ``_read_csv_table`` row."""
+    index = {name: i for i, name in enumerate(header)}
+    return operator.itemgetter(*(index.get(name, len(header)) for name in names))
 
 
 def _observation_rows(out_dir: Path, outcome: str) -> list[model.ObservationRow]:
-    metric_rows = _read_csv_rows(out_dir / "metrics.csv")
-    error_rows = _read_csv_rows(out_dir / "errors.csv")
-    errors_by_key = {
-        (r["utterance_id"], r["G"], r["C"], r["D"]): r for r in error_rows
-    }
+    m_header, metric_rows = _read_csv_table(out_dir / "metrics.csv")
+    e_header, error_rows = _read_csv_table(out_dir / "errors.csv")
+    m_key = _cells(m_header, KEY_COLUMNS)
+    m_outcomes = _cells(m_header, ("stoi", "pesq"))
+    e_key = _cells(e_header, KEY_COLUMNS)
+    e_values = _cells(e_header, tuple(f"e{i}" for i in range(features.N_FEATURES)))
+    errors_by_key = {e_key(r): e_values(r) for r in error_rows}
+    labels = {cell.as_tuple(): cell for cell in corpus.ALL_CELLS}
     rows: list[model.ObservationRow] = []
     no_pesq: list[str] = []
     for line, mrow in enumerate(metric_rows, start=2):
-        key = (mrow["utterance_id"], mrow["G"], mrow["C"], mrow["D"])
-        erow = errors_by_key.get(key)
-        if erow is None or not all(erow.get(f"e{i}") for i in range(features.N_FEATURES)):
+        key = m_key(mrow)
+        values = errors_by_key.get(key)
+        if values is None or "" in values:
             log.warning("no feature errors for %s; row skipped", key)
             continue
-        if not mrow.get("stoi"):
+        stoi, pesq = m_outcomes(mrow)
+        if not stoi:
             log.warning("no stoi value for %s; row skipped", key)
             continue
-        e = np.array([float(erow[f"e{i}"]) for i in range(features.N_FEATURES)])
-        pesq = float(mrow["pesq"]) if mrow.get("pesq") else None
-        if outcome == "pesq" and pesq is None:
+        e = np.array([float(v) for v in values])
+        if outcome == "pesq" and not pesq:
             no_pesq.append(f"{key[0]} G{key[1]}C{key[2]}D{key[3]}, metrics.csv line {line}")
+        gcd = (int(key[1]), int(key[2]), int(key[3]))
         rows.append(
             model.ObservationRow(
                 error=features.ErrorVector(e),
-                label=corpus.ConditionLabel(int(mrow["G"]), int(mrow["C"]), int(mrow["D"])),
-                y_stoi=float(mrow["stoi"]),
-                y_pesq=pesq,
+                label=labels.get(gcd) or corpus.ConditionLabel(*gcd),
+                y_stoi=float(stoi),
+                y_pesq=float(pesq) if pesq else None,
             )
         )
     if not rows:
@@ -333,12 +362,14 @@ def cmd_decompose(args) -> int:
 
 
 def _metric_csv_aggregates(path: Path) -> dict:
+    header, table = _read_csv_table(path)
+    cells = _cells(header, ("G", "C", "D") + report.COMPARISON_METRICS)
     rows = []
-    for raw in _read_csv_rows(path):
-        row = {"G": raw["G"], "C": raw["C"], "D": raw["D"]}
-        for col in report.COMPARISON_METRICS:
-            text = raw.get(col) or ""
-            row[col] = float(text) if text else None
+    for raw in table:
+        g, c, d, *values = cells(raw)
+        row = {"G": g, "C": c, "D": d}
+        row.update((col, float(text) if text else None)
+                   for col, text in zip(report.COMPARISON_METRICS, values))
         rows.append(row)
     return report.aggregate_metric_rows(rows)
 

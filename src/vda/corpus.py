@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import correlate, resample_poly
+from scipy.fft import next_fast_len
 
 from .errors import (
     AlignmentError,
@@ -200,6 +200,8 @@ def resample(sig: AudioSignal, target_rate: int) -> AudioSignal:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     if target_rate == sig.rate:
         return sig
+    from scipy.signal import resample_poly  # slow import, paid only when rates differ
+
     g = math.gcd(sig.rate, int(target_rate))
     up, down = target_rate // g, sig.rate // g
     out = resample_poly(sig.samples, up, down)
@@ -228,7 +230,9 @@ def align(clean: AudioSignal, degraded: AudioSignal, max_lag: int) -> AlignedPai
 
     # full cross-correlation index k maps to tau = len(d) - 1 - k where
     # R(tau) = sum_n c[n] * d[n + tau]
-    full = correlate(c, d, mode="full", method="fft")
+    n_full = len(c) + len(d) - 1
+    nfft = next_fast_len(n_full, real=True)
+    full = np.fft.irfft(np.fft.rfft(c, nfft) * np.fft.rfft(d[::-1], nfft), nfft)[:n_full]
     taus = np.arange(len(d) - 1, -len(c), -1)
     window = np.abs(taus) <= max_lag
     if not np.any(window):

@@ -90,7 +90,7 @@ class ErrorVector:
             raise ValueError(f"expected {N_FEATURES} error values")
         if e[0] != 1.0:
             raise ValueError("error index 0 must be the constant 1")
-        if np.any(e < 0) or not np.all(np.isfinite(e)):
+        if (e < 0).any() or not np.isfinite(e).all():
             raise ValueError("error values must be finite and non-negative")
         object.__setattr__(self, "e", e)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy import fft as sp_fft
 
 from . import corpus, dsp, kernels
 from .corpus import AlignedPair, AudioSignal
@@ -256,24 +256,38 @@ def _band_envelopes(sig: AudioSignal, bank_weights: np.ndarray) -> np.ndarray:
     """Band envelopes: spectral-masked analytic magnitude -> 25 Hz lowpass.
 
     The analytic band signal comes straight from the one-sided spectrum
-    (positive frequencies doubled), one inverse FFT per band.
+    (positive frequencies doubled), filled only over each band's non-zero
+    bins and inverse-FFT'd for all bands at once. The band inverse FFT, the
+    envelope FFT and the lowpass inverse FFT run in single precision, which
+    moves ncm by well under 1e-6; the envelopes are returned as float64.
     """
     x = sig.samples
     n = len(x)
-    nfft = next_fast_len(n)
+    nfft = sp_fft.next_fast_len(n)
     spec = np.fft.rfft(x, nfft)
+    spec[1:(nfft + 1) // 2] *= 2.0
     freqs = np.fft.rfftfreq(nfft, 1.0 / sig.rate)
-    bin_hz_bank = (sig.rate / 2.0) / (bank_weights.shape[1] - 1)
-    idx = np.clip(np.round(freqs / bin_hz_bank).astype(int), 0, bank_weights.shape[1] - 1)
-    analytic_spec = np.zeros((bank_weights.shape[0], nfft), dtype=complex)
-    analytic_spec[:, : len(spec)] = spec[None, :] * bank_weights[:, idx]
-    analytic_spec[:, 1:(nfft + 1) // 2] *= 2.0
-    env = np.abs(np.fft.ifft(analytic_spec, axis=1))
-    # FFT-domain lowpass with a cosine rolloff above the envelope cutoff
-    env_spec = np.fft.rfft(env, axis=1)
+    n_bank = bank_weights.shape[1]
+    bin_hz_bank = (sig.rate / 2.0) / (n_bank - 1)
+    idx = np.clip(np.round(freqs / bin_hz_bank).astype(int), 0, n_bank - 1)
+    # idx is non-decreasing, so each band's non-zero bank bins map to one
+    # contiguous run of spectrum bins
+    nonzero = bank_weights > 0.0
+    first = np.argmax(nonzero, axis=1)
+    last = n_bank - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    los = np.searchsorted(idx, first, side="left")
+    his = np.searchsorted(idx, last, side="right")
+    analytic_spec = np.zeros((bank_weights.shape[0], nfft), dtype=np.complex64)
+    for band, weights, lo, hi in zip(analytic_spec, bank_weights, los, his):
+        band[lo:hi] = spec[lo:hi] * weights[idx[lo:hi]]
+    env = np.abs(sp_fft.ifft(analytic_spec, axis=1, overwrite_x=True))
+    # FFT-domain lowpass with a cosine rolloff above the envelope cutoff;
+    # the bins it zeroes are left out of the inverse transform
     roll = np.clip((freqs - NCM_ENV_LOWPASS_HZ) / NCM_ENV_LOWPASS_HZ, 0.0, 1.0)
-    env_spec *= 0.5 * (1.0 + np.cos(np.pi * roll))
-    return np.fft.irfft(env_spec, nfft, axis=1)[:, :n]
+    lowpass = (0.5 * (1.0 + np.cos(np.pi * roll))).astype(np.float32)
+    keep = int(np.flatnonzero(lowpass)[-1]) + 1
+    env_spec = sp_fft.rfft(env, axis=1)[:, :keep] * lowpass[:keep]
+    return sp_fft.irfft(env_spec, nfft, axis=1)[:, :n].astype(np.float64)
 
 
 def ncm(pair: AlignedPair) -> float:
@@ -291,8 +305,8 @@ def ncm(pair: AlignedPair) -> float:
 
     ec = env_c - env_c.mean(axis=1, keepdims=True)
     ed = env_d - env_d.mean(axis=1, keepdims=True)
-    num = np.sum(ec * ed, axis=1)
-    den = np.sqrt(np.sum(ec ** 2, axis=1) * np.sum(ed ** 2, axis=1))
+    num = np.einsum("ij,ij->i", ec, ed)
+    den = np.sqrt(np.einsum("ij,ij->i", ec, ec) * np.einsum("ij,ij->i", ed, ed))
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
     r2 = np.clip(r ** 2, 0.0, 1.0)
@@ -301,7 +315,7 @@ def ncm(pair: AlignedPair) -> float:
     snr_app = np.clip(snr_app, -SDR_CLIP_DB, SDR_CLIP_DB)
     transfer = (snr_app + SDR_CLIP_DB) / (2.0 * SDR_CLIP_DB)
 
-    importance = np.sqrt(np.mean(env_c ** 2, axis=1))
+    importance = np.sqrt(np.einsum("ij,ij->i", env_c, env_c) / env_c.shape[1])
     total = np.sum(importance)
     if total <= 0.0:
         raise DegenerateInputError("clean signal has no band envelope energy")

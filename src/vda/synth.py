@@ -12,7 +12,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import corpus
 from .corpus import ALL_CELLS, AudioSignal, ConditionLabel, CorpusManifest, ManifestEntry
@@ -30,6 +29,8 @@ def _resonator(f_hz: float, bw_hz: float, rate: int) -> tuple[np.ndarray, np.nda
 def voiced_utterance(rng: np.random.Generator, duration: float = 1.0,
                      rate: int = RATE) -> AudioSignal:
     """One synthetic voiced utterance: pulse train -> formant filter -> AM."""
+    from scipy.signal import lfilter
+
     n = int(round(duration * rate))
     f0 = float(rng.uniform(95.0, 220.0))
     period = rate / f0

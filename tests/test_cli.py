@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,15 @@ def pipeline_out(small_corpus):
     assert main(["decompose", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
     assert main(["report", "--out", str(out)]) == EXIT_OK
     return out
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, vda.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_synth_deterministic(tmp_path):
@@ -165,6 +178,18 @@ def test_blank_errors_row_is_skipped(pipeline_out, tmp_path, caplog):
         assert main(["decompose", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
     assert f"'{blank['utterance_id']}', '{blank['G']}'" in caplog.text
     assert "row skipped" in caplog.text
+
+
+def test_fit_missing_key_column_is_schema_error(pipeline_out, tmp_path, capsys):
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, [c for c in rows[0] if c != "G"], extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_USAGE
+    assert "missing required column(s) G" in capsys.readouterr().err
 
 
 def test_fit_and_decompose_agree_on_partial_pesq(pipeline_out, tmp_path, capsys):

@@ -170,6 +170,29 @@ def test_align_shift_consistent(k):
     assert len(pair.clean) == len(pair.degraded) <= 8000
 
 
+@pytest.mark.parametrize("planted", [-300, 0, 300, "random"])
+def test_align_matches_direct_correlation(planted):
+    max_lag = 300
+    rng = np.random.default_rng(6)
+    lags = rng.integers(-max_lag, max_lag + 1, 8) if planted == "random" else [planted]
+    for lag in lags:
+        x = 0.2 * rng.standard_normal(int(rng.integers(3000, 5000)))
+        shifted = np.concatenate([np.zeros(lag), x]) if lag >= 0 else x[-lag:]
+        d = 0.6 * shifted[: int(rng.integers(3000, 5000))]
+        d = d + 0.02 * rng.standard_normal(len(d))
+        # np.correlate "full" index k is tau = len(d) - 1 - k, R(tau) = sum c[n] d[n + tau]
+        full = np.correlate(x, d, "full")
+        taus = np.arange(len(d) - 1, -len(x), -1)
+        window = np.flatnonzero(np.abs(taus) <= max_lag)
+        oracle_lag = int(taus[window[np.argmax(full[window])]])
+        c_al, d_al = (x, d[oracle_lag:]) if oracle_lag >= 0 else (x[-oracle_lag:], d)
+        n = min(len(c_al), len(d_al))
+        oracle_gain = np.sqrt(np.mean(c_al[:n] ** 2)) / np.sqrt(np.mean(d_al[:n] ** 2))
+        pair = corpus.align(AudioSignal(x, 16000), AudioSignal(d, 16000), max_lag)
+        assert pair.applied_lag == oracle_lag == lag
+        assert pair.applied_gain == pytest.approx(oracle_gain, rel=1e-12)
+
+
 def test_align_short_overlap_errors():
     x = 0.2 * np.random.default_rng(5).standard_normal(450)
     d = np.concatenate([np.zeros(420), x])[:450]

@@ -1,11 +1,13 @@
-"""Golden model outputs for the seed-7 synthetic corpus.
+"""Golden outputs for the seed-7 synthetic corpus.
 
 ``tests/golden/seed7`` holds ``metrics.csv`` and ``errors.csv`` of
 ``vda synth --seed 7`` (16 utterances x 8 cells) and the ``regression_*.csv``
 and ``decomposition_*.json`` that ``fit`` and ``decompose`` wrote from them.
-The tests rerun both stages on a copy of the frozen inputs: the retained
-columns and ``dof`` must be equal, the values equal within the model
-tolerance of ``perfbench/checks.py``.
+The audio tests rerun ``synth``, ``metrics`` and ``features`` and compare
+with the frozen tables column by column; the model tests rerun ``fit`` and
+``decompose`` on a copy of the frozen tables: the retained columns and
+``dof`` must be equal. Every tolerance is the one ``perfbench/checks.py``
+states for the same column.
 """
 import csv
 import json
@@ -21,6 +23,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "seed7"
 # (rtol, atol, scale): |value - ref| <= rtol*|ref| + atol + scale*max|column|,
 # FIT_TOLERANCE and DECOMPOSITION_TOLERANCE of perfbench/checks.py.
 MODEL_TOLERANCE = (1e-5, 0.0, 1e-7)
+# (rtol, atol) of METRIC_TOLERANCES and ERROR_TOLERANCE of perfbench/checks.py;
+# ncm is compared in absolute terms, pesq (copied from the manifest) exactly.
+AUDIO_TOLERANCE = (1e-6, 1e-9)
+AUDIO_TOLERANCES = {"ncm": (0.0, 1e-4), "pesq": (0.0, 0.0)}
+KEY_COLUMNS = ("utterance_id", "G", "C", "D")
 REGRESSION_VALUES = ("theta", "std_err", "t", "p")
 DECOMPOSITION_PARTS = ("endowment", "coefficient", "interaction", "collective")
 
@@ -38,6 +45,36 @@ def _assert_close(values, refs, label):
         if not abs(v - r) <= rtol * abs(r) + atol + scale * column_max
     ]
     assert not bad, f"{label}: {len(bad)} value(s) outside {MODEL_TOLERANCE}, first {bad[0]}"
+
+
+@pytest.fixture(scope="module")
+def audio_run(tmp_path_factory):
+    corpus_dir = tmp_path_factory.mktemp("golden_corpus")
+    out = tmp_path_factory.mktemp("golden_audio")
+    assert main(["synth", "--out", str(corpus_dir), "--seed", "7"]) == EXIT_OK
+    manifest = str(corpus_dir / "manifest.csv")
+    assert main(["metrics", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
+    assert main(["features", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("table", ["metrics.csv", "errors.csv"])
+def test_golden_audio_stage(audio_run, table):
+    got = _read_csv(audio_run / table)
+    ref = _read_csv(GOLDEN / table)
+    assert [tuple(r[k] for k in KEY_COLUMNS) for r in got] == [
+        tuple(r[k] for k in KEY_COLUMNS) for r in ref
+    ]
+    assert list(got[0]) == list(ref[0])
+    for col in (c for c in ref[0] if c not in KEY_COLUMNS):
+        rtol, atol = AUDIO_TOLERANCES.get(col, AUDIO_TOLERANCE)
+        blank = [g[col] == "" for g in got]
+        assert blank == [r[col] == "" for r in ref], f"{table} {col}: blank cells differ"
+        bad = [
+            (i, g[col], r[col]) for i, (g, r) in enumerate(zip(got, ref))
+            if r[col] != "" and not abs(float(g[col]) - float(r[col])) <= rtol * abs(float(r[col])) + atol
+        ]
+        assert not bad, f"{table} {col}: {len(bad)} value(s) outside ({rtol}, {atol}), first {bad[0]}"
 
 
 @pytest.fixture(scope="module")

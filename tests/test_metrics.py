@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import butter, sosfilt
 
 from vda import dsp, metrics
@@ -278,6 +279,46 @@ def test_ncm_in_unit_interval(sweep):
 def test_ncm_monotone_in_snr(sweep):
     vals = [metrics.ncm(noisy_pair(sweep, snr)) for snr in (20.0, 0.0, -10.0)]
     assert vals[0] > vals[1] > vals[2]
+
+
+def _band_envelopes_reference(sig, bank_weights):
+    """Float64 full-rate band envelopes: every band's analytic spectrum is the
+    whole spectrum times a dense gather of its weights."""
+    x = sig.samples
+    n = len(x)
+    nfft = next_fast_len(n)
+    spec = np.fft.rfft(x, nfft)
+    freqs = np.fft.rfftfreq(nfft, 1.0 / sig.rate)
+    bin_hz_bank = (sig.rate / 2.0) / (bank_weights.shape[1] - 1)
+    idx = np.clip(np.round(freqs / bin_hz_bank).astype(int), 0, bank_weights.shape[1] - 1)
+    analytic_spec = np.zeros((bank_weights.shape[0], nfft), dtype=complex)
+    analytic_spec[:, : len(spec)] = spec[None, :] * bank_weights[:, idx]
+    analytic_spec[:, 1:(nfft + 1) // 2] *= 2.0
+    env = np.abs(np.fft.ifft(analytic_spec, axis=1))
+    env_spec = np.fft.rfft(env, axis=1)
+    roll = np.clip((freqs - metrics.NCM_ENV_LOWPASS_HZ) / metrics.NCM_ENV_LOWPASS_HZ, 0.0, 1.0)
+    env_spec *= 0.5 * (1.0 + np.cos(np.pi * roll))
+    return np.fft.irfft(env_spec, nfft, axis=1)[:, :n]
+
+
+def _ncm_pairs():
+    for duration in (0.384, 1.0, 5.0):
+        sig = make_speech_like(seed=5, duration=duration)
+        for snr in (20.0, 10.0, 0.0, -10.0):
+            yield f"{duration}s/{snr:+.0f}dB", noisy_pair(sig, snr)
+    sig = make_speech_like(seed=5)
+    sos = butter(6, 3400.0, fs=RATE, output="sos")
+    yield "lowpass-3.4kHz", AlignedPair(sig, AudioSignal(sosfilt(sos, sig.samples), RATE), 0, 1.0)
+    yield "identity", identity_pair(sig)
+
+
+def test_ncm_matches_float64_envelope_oracle(monkeypatch):
+    pairs = list(_ncm_pairs())
+    got = [metrics.ncm(pair) for _, pair in pairs]
+    monkeypatch.setattr(metrics, "_band_envelopes", _band_envelopes_reference)
+    for (label, pair), value in zip(pairs, got):
+        assert value == pytest.approx(metrics.ncm(pair), abs=1e-6), label
+    assert got[-1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ncm_too_short_errors():
