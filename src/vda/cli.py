@@ -13,7 +13,6 @@ import logging
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +165,8 @@ def _sorted_entries(manifest: corpus.CorpusManifest) -> list[corpus.ManifestEntr
 def _map_jobs(func, items, jobs: int):
     if jobs <= 1:
         return [func(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # kept off the --jobs 1 start-up
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(func, items))
 

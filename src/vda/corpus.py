@@ -9,10 +9,10 @@ import csv
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import (
     AlignmentError,
@@ -191,6 +191,77 @@ def write_wav(path: str | Path, sig: AudioSignal) -> None:
     Path(path).write_bytes(header + fmt + b"data" + struct.pack("<I", len(data)) + data)
 
 
+def next_fast_len(target: int, real: bool = False) -> int:
+    """Smallest FFT-friendly length >= ``target``, as ``scipy.fft.next_fast_len``.
+
+    Real transforms take 5-smooth lengths (factors 2, 3, 5), complex ones
+    11-smooth lengths (2, 3, 5, 7, 11); lengths up to 6 are returned as is.
+    """
+    if target < 0:
+        raise ValueError("target length must be non-negative")
+    if target <= 6:
+        return target
+    bound = 1 << (target - 1).bit_length()  # a power of two is smooth
+    odd = [1]  # the odd smooth numbers below bound
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        grown = []
+        for m in odd:
+            while m < bound:
+                grown.append(m)
+                m *= p
+        odd = grown
+    # m * 2**k >= target  <=>  2**k > (target - 1) // m
+    return min(m << ((target - 1) // m).bit_length() for m in odd)
+
+
+@lru_cache(maxsize=8)
+def _polyphase_taps(up: int, down: int) -> np.ndarray:
+    """``(up, n_taps)`` phases of the ``resample_poly`` lowpass for coprime
+    ``up/down``, each reversed to dot with an input window ending at its
+    newest sample.
+
+    The lowpass is scipy's default: 20 * max(up, down) + 1 taps of a
+    Kaiser(5)-windowed sinc at cutoff 1/max(up, down) of Nyquist, scaled to
+    unit DC gain and then by ``up``. Phase p holds h[p], h[p + up], ...
+    """
+    half_len = 10 * max(up, down)
+    cutoff = 1.0 / max(up, down)
+    m = np.arange(2 * half_len + 1) - half_len
+    h = cutoff * np.sinc(cutoff * m) * np.kaiser(2 * half_len + 1, 5.0)
+    h = h / np.sum(h) * up
+    n_taps = -(-len(h) // up)
+    padded = np.zeros(up * n_taps)
+    padded[:len(h)] = h
+    phases = np.ascontiguousarray(padded.reshape(n_taps, up).T[:, ::-1])
+    phases.flags.writeable = False
+    return phases
+
+
+def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Polyphase FIR resampling by coprime ``up/down``, as
+    ``scipy.signal.resample_poly`` with its default window and zero padding.
+
+    There are ceil(len(x) * up / down) outputs, and output k is centred on
+    input position k * down / up. Outputs k, k + up, k + 2 * up, ... share
+    one phase of the filter and step through the input by ``down``.
+    """
+    phases = _polyphase_taps(up, down)
+    n_taps = phases.shape[1]
+    half_len = 10 * max(up, down)
+    n_in = len(x)
+    n_out = -(-n_in * up // down)
+    # output k sums h[t - i * up] * x[i] with t = k * down + half_len, so its
+    # phase is t % up and its newest input sample t // up
+    t = np.arange(min(up, n_out)) * down + half_len
+    last_newest = ((n_out - 1) * down + half_len) // up
+    padded = np.concatenate([np.zeros(n_taps - 1), x, np.zeros(max(0, last_newest + 1 - n_in))])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_taps)
+    out = np.empty(n_out)
+    for k0, (newest, phase) in enumerate(zip(t // up, t % up)):
+        out[k0::up] = windows[newest::down][: len(range(k0, n_out, up))] @ phases[phase]
+    return out
+
+
 def resample(sig: AudioSignal, target_rate: int) -> AudioSignal:
     """Band-limited resample to ``target_rate``; identity when rates match.
 
@@ -200,11 +271,9 @@ def resample(sig: AudioSignal, target_rate: int) -> AudioSignal:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     if target_rate == sig.rate:
         return sig
-    from scipy.signal import resample_poly  # slow import, paid only when rates differ
-
     g = math.gcd(sig.rate, int(target_rate))
     up, down = target_rate // g, sig.rate // g
-    out = resample_poly(sig.samples, up, down)
+    out = _resample_poly(sig.samples, up, down)
     n_out = int(round(len(sig.samples) * target_rate / sig.rate))
     if len(out) < n_out:
         out = np.concatenate([out, np.zeros(n_out - len(out))])

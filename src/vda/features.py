@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from . import dsp, kernels
 from .corpus import AudioSignal
@@ -58,6 +57,12 @@ PREEMPHASIS = 0.97
 SEMITONE_REF_HZ = 27.5
 
 _TINY = 1e-30
+
+# Orthonormal DCT-II basis columns 1-4 over the auditory bands: log-mel
+# frames times this give mel cepstra 1-4.
+_MFCC_BASIS = np.sqrt(2.0 / N_AUDITORY_BANDS) * np.cos(
+    np.pi * np.outer(2 * np.arange(N_AUDITORY_BANDS) + 1, np.arange(1, 5)) / (2 * N_AUDITORY_BANDS)
+)
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,8 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     x[2] = _masked_mean(ratio_db, both)
 
     # hammarberg index: strongest peak 0-2 kHz vs 2-5 kHz in dB
-    p_lo = np.array([_band_peak(m, freqs, 0.0, 2000.0) for m in mags])
-    p_hi = np.array([_band_peak(m, freqs, 2000.0, 5000.0) for m in mags])
+    p_lo = np.max(mags[:, freqs <= 2000.0], axis=1, initial=0.0)
+    p_hi = np.max(mags[:, (freqs >= 2000.0) & (freqs <= 5000.0)], axis=1, initial=0.0)
     both = (p_lo > 0.0) & (p_hi > 0.0)
     hamm = np.zeros(len(mags))
     hamm[both] = 20.0 * np.log10(p_lo[both] / p_hi[both])
@@ -254,9 +259,9 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
 
     # mel cepstra 1..4
     log_mel = np.log(band_power + np.maximum(band_power.max(axis=1, keepdims=True) * 1e-10, _TINY))
-    cep = dct(log_mel, type=2, norm="ortho", axis=1)
+    cep = log_mel @ _MFCC_BASIS
     for k in range(4):
-        x[7 + k] = _masked_mean(cep[:, k + 1], active)
+        x[7 + k] = _masked_mean(cep[:, k], active)
 
     if np.any(voiced):
         f0v = f0_track[voiced]

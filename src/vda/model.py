@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.special import stdtr
 
 from .corpus import ALL_CELLS, ConditionLabel
 from .errors import DependencyError, StratificationError, UnderdeterminedError
@@ -114,6 +112,11 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
     otherwise that factorisation is the solve. Standard errors are classical
     homoskedastic; p-values are two-sided t.
     """
+    # imported here so that the report stage, which only reads fits, and
+    # ``import vda`` do not load scipy.linalg and scipy.special
+    from scipy.linalg import qr, solve_triangular
+    from scipy.special import stdtr
+
     if isinstance(design, DesignMatrix):
         a = design.values
         labels = design.column_labels

@@ -40,6 +40,44 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert out.stdout.strip() == "[]"
 
 
+def _scipy_modules(args):
+    """Run ``python -c`` with ``args`` and vda on the path; return the scipy
+    modules the process had loaded when it ended."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import json, sys\n"
+             "from vda.cli import main\n"
+             "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+             "sys.exit(code)\n")
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == EXIT_OK, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules([]) == []
+
+
+def test_stages_load_only_the_scipy_they_run(small_corpus, tmp_path):
+    manifest = str(small_corpus / "manifest.csv")
+    out = str(tmp_path / "out")
+    loaded = {
+        stage: _scipy_modules([stage, *args, "--out", out])
+        for stage, args in (("metrics", ["--manifest", manifest]),
+                            ("features", ["--manifest", manifest]),
+                            ("fit", []), ("decompose", []), ("report", []))
+    }
+    assert loaded["features"] == []
+    assert loaded["report"] == []
+    assert "scipy.fft" in loaded["metrics"]  # ncm
+    assert not [m for m in loaded["metrics"] if m.startswith(("scipy.signal", "scipy.stats"))]
+    for stage in ("fit", "decompose"):
+        assert "scipy.linalg" in loaded[stage]
+        assert not [m for m in loaded[stage] if m.startswith(("scipy.signal", "scipy.fft"))]
+
+
 def test_synth_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

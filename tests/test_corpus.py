@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -108,6 +109,41 @@ def test_resample_sine_keeps_peak_bin():
 def test_resample_rejects_bad_rate():
     with pytest.raises(ValueError):
         corpus.resample(AudioSignal(np.zeros(10), 16000), 0)
+
+
+RESAMPLE_RATES = [(16000, 10000), (8000, 16000), (44100, 16000), (48000, 16000),
+                  (22050, 16000), (16000, 44100)]
+
+
+@pytest.mark.parametrize("source,target", RESAMPLE_RATES)
+def test_resample_matches_scipy_resample_poly(source, target):
+    from scipy.signal import resample_poly
+
+    g = math.gcd(source, target)
+    up, down = target // g, source // g
+    rng = np.random.default_rng(source + target)
+    for n in (1, 2, 7, 161, 16000, 12345):
+        x = rng.standard_normal(n)
+        ref = resample_poly(x, up, down)
+        out = corpus._resample_poly(x, up, down)
+        assert out.shape == ref.shape, n
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12, err_msg=f"n={n}")
+        # resample() trims or zero-pads the same output to round(n * target / source)
+        n_out = int(round(n * target / source))
+        expected = np.concatenate([ref, np.zeros(max(0, n_out - len(ref)))])[:n_out]
+        got = corpus.resample(AudioSignal(x, source), target)
+        assert got.rate == target and len(got) == n_out
+        np.testing.assert_allclose(got.samples, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_next_fast_len_matches_scipy(real):
+    from scipy.fft import next_fast_len
+
+    rng = np.random.default_rng(5)
+    targets = list(range(1, 3001)) + [int(n) for n in rng.integers(3001, 400_001, 3000)]
+    mismatched = [n for n in targets if corpus.next_fast_len(n, real) != next_fast_len(n, real)]
+    assert not mismatched, mismatched[:5]
 
 
 def _lag_scan_oracle(c, d, max_lag):

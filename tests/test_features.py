@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vda import features
+from vda import dsp, features
 from vda.corpus import AudioSignal
 from vda.errors import PreconditionError
 from vda.features import ErrorVector, FeatureVector, extract_features, feature_error
@@ -132,3 +132,49 @@ def test_vowel_feature_error_sensitive_to_formant_shift():
     err = feature_error(base, shifted)
     assert err.e[17] > 50.0  # F1 moved by ~100 Hz
     assert err.e[20] > 100.0  # F2 moved by ~180 Hz
+
+
+def _hammarberg_reference(sig):
+    """x[3] with the per-frame peak search the feature code used before it
+    took the band maxima over the whole frame matrix at once."""
+    frame_len, hop = dsp.default_frame_params(sig.rate)
+    fft_len = dsp.next_pow2(frame_len)
+    frames = dsp.frame(sig, frame_len, hop).frames
+    pitch_len = int(round(features.PITCH_FRAME_SECONDS * sig.rate))
+    n_common = min(len(frames), len(dsp.frame(sig, pitch_len, hop).frames))
+    mags = np.sqrt(dsp.power_spectra(frames))[:n_common]
+    freqs = np.arange(mags.shape[1]) * (sig.rate / fft_len)
+    p_lo = np.array([features._band_peak(m, freqs, 0.0, 2000.0) for m in mags])
+    p_hi = np.array([features._band_peak(m, freqs, 2000.0, 5000.0) for m in mags])
+    both = (p_lo > 0.0) & (p_hi > 0.0)
+    hamm = np.zeros(len(mags))
+    hamm[both] = 20.0 * np.log10(p_lo[both] / p_hi[both])
+    return features._masked_mean(hamm, both)
+
+
+def test_hammarberg_matches_per_frame_reference(vowel, tone440):
+    rng = np.random.default_rng(9)
+    gapped = vowel.samples.copy()
+    gapped[4000:9000] = 0.0  # silent frames in the middle
+    signals = [
+        vowel,
+        tone440,
+        AudioSignal(gapped, RATE),
+        AudioSignal(np.zeros(RATE), RATE),
+        AudioSignal(0.1 * rng.standard_normal(RATE), RATE),
+        AudioSignal(0.1 * rng.standard_normal(8000), 8000),  # 2-5 kHz band cut at Nyquist
+        AudioSignal(0.1 * rng.standard_normal(48000), 48000),
+    ]
+    for sig in signals:
+        assert extract_features(sig).x[3] == _hammarberg_reference(sig)
+
+
+def test_mfcc_basis_matches_scipy_dct():
+    from scipy.fft import dct
+
+    ref = dct(np.eye(features.N_AUDITORY_BANDS), type=2, norm="ortho", axis=1)[:, 1:5]
+    np.testing.assert_allclose(features._MFCC_BASIS, ref, rtol=0.0, atol=1e-12)
+    log_mel = np.log(np.random.default_rng(2).uniform(1e-6, 10.0, (50, features.N_AUDITORY_BANDS)))
+    np.testing.assert_allclose(log_mel @ features._MFCC_BASIS,
+                               dct(log_mel, type=2, norm="ortho", axis=1)[:, 1:5],
+                               rtol=0.0, atol=1e-12)
