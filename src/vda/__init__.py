@@ -17,7 +17,7 @@ from .metrics import MetricReport, evaluate_pair
 from .model import (
     DesignMatrix,
     OaxacaDecomposition,
-    ObservationRow,
+    Observations,
     RegressionFit,
     build_design_matrix,
     decomposition_table,
@@ -38,7 +38,7 @@ __all__ = [
     "FeatureVector",
     "MetricReport",
     "OaxacaDecomposition",
-    "ObservationRow",
+    "Observations",
     "RegressionFit",
     "align",
     "build_design_matrix",

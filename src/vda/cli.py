@@ -250,6 +250,8 @@ def cmd_features(args) -> int:
 
 KEY_COLUMNS = ("utterance_id", "G", "C", "D")
 
+OUTCOMES = ("stoi", "pesq")
+
 
 def _read_csv_table(path: Path) -> tuple[list[str], list[list[str]]]:
     """Header and non-blank rows of ``path``.
@@ -279,53 +281,70 @@ def _cells(header: list[str], names: tuple[str, ...]):
     return operator.itemgetter(*(index.get(name, len(header)) for name in names))
 
 
-def _observation_rows(out_dir: Path, outcome: str) -> list[model.ObservationRow]:
-    m_header, metric_rows = _read_csv_table(out_dir / "metrics.csv")
-    e_header, error_rows = _read_csv_table(out_dir / "errors.csv")
+def _key_name(key: tuple[str, ...]) -> str:
+    return f"{key[0]} G{key[1]}C{key[2]}D{key[3]}"
+
+
+def _array(cells: list, keys: list, path: Path, dtype) -> np.ndarray:
+    """``cells``, one entry per row of ``keys``, as one array; a FormatError
+    names the first row that does not convert."""
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for key, row in zip(keys, cells):
+            try:
+                np.array(row, dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(f"{path}: {_key_name(key)}: {exc}") from None
+        raise
+
+
+def _observations(out_dir: Path, outcome: str) -> model.Observations:
+    """The model input: each metrics.csv row joined to its errors.csv row."""
+    m_path, e_path = out_dir / "metrics.csv", out_dir / "errors.csv"
+    m_header, metric_rows = _read_csv_table(m_path)
+    e_header, error_rows = _read_csv_table(e_path)
     m_key = _cells(m_header, KEY_COLUMNS)
-    m_outcomes = _cells(m_header, ("stoi", "pesq"))
+    m_outcomes = _cells(m_header, ("stoi", outcome))
     e_key = _cells(e_header, KEY_COLUMNS)
     e_values = _cells(e_header, tuple(f"e{i}" for i in range(features.N_FEATURES)))
     errors_by_key = {e_key(r): e_values(r) for r in error_rows}
-    labels = {cell.as_tuple(): cell for cell in corpus.ALL_CELLS}
-    rows: list[model.ObservationRow] = []
-    no_pesq: list[str] = []
+    keys, e_cells, y_cells, no_pesq = [], [], [], []
     for line, mrow in enumerate(metric_rows, start=2):
         key = m_key(mrow)
         values = errors_by_key.get(key)
         if values is None or "" in values:
             log.warning("no feature errors for %s; row skipped", key)
             continue
-        stoi, pesq = m_outcomes(mrow)
+        stoi, y = m_outcomes(mrow)
         if not stoi:
             log.warning("no stoi value for %s; row skipped", key)
             continue
-        e = np.array([float(v) for v in values])
-        if outcome == "pesq" and not pesq:
-            no_pesq.append(f"{key[0]} G{key[1]}C{key[2]}D{key[3]}, metrics.csv line {line}")
-        gcd = (int(key[1]), int(key[2]), int(key[3]))
-        rows.append(
-            model.ObservationRow(
-                error=features.ErrorVector(e),
-                label=labels.get(gcd) or corpus.ConditionLabel(*gcd),
-                y_stoi=float(stoi),
-                y_pesq=float(pesq) if pesq else None,
-            )
-        )
-    if not rows:
+        if not y:  # a blank pesq: rows without stoi are skipped above
+            no_pesq.append(f"{_key_name(key)}, metrics.csv line {line}")
+        keys.append(key)
+        e_cells.append(values)
+        y_cells.append(y)
+    if not keys:
         raise DependencyError("no joinable rows between metrics.csv and errors.csv")
     if no_pesq:
         raise DependencyError(
             f"{len(no_pesq)} row(s) lack an external pesq value (first {no_pesq[0]})"
         )
-    return rows
+    e = _array(e_cells, keys, e_path, np.float64)
+    labels = _array([key[1:] for key in keys], keys, m_path, np.int64)
+    y = _array(y_cells, keys, m_path, np.float64)
+    try:
+        return model.Observations(e, labels, y)
+    except model.ObservationError as exc:
+        path = e_path if exc.field == "e" else m_path
+        raise FormatError(f"{path}: {_key_name(keys[exc.row])}: {exc.reason}") from None
 
 
 def cmd_fit(args) -> int:
     out_dir = Path(args.out)
-    rows = _observation_rows(out_dir, args.outcome)
-    y = model.outcome_vector(rows, args.outcome)
-    fit = model.fit_ols(model.build_design_matrix(rows), y)
+    obs = _observations(out_dir, args.outcome)
+    fit = model.fit_ols(model.build_design_matrix(obs), obs.y)
     (out_dir / f"fit_{args.outcome}.json").write_text(
         report.render_regression_table(fit, "json"), encoding="utf-8"
     )
@@ -341,8 +360,8 @@ def cmd_fit(args) -> int:
 
 def cmd_decompose(args) -> int:
     out_dir = Path(args.out)
-    rows = _observation_rows(out_dir, args.outcome)
-    table = model.decomposition_table(rows, outcome=args.outcome, reference=args.reference)
+    obs = _observations(out_dir, args.outcome)
+    table = model.decomposition_table(obs, reference=args.reference)
     payload = {
         "outcome": args.outcome,
         "reference": args.reference,
@@ -419,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the interaction regression")
     p.add_argument("--out", required=True)
-    p.add_argument("--outcome", choices=model.OUTCOMES, default="stoi")
+    p.add_argument("--outcome", choices=OUTCOMES, default="stoi")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("decompose", help="three-fold decomposition per interaction")
     p.add_argument("--out", required=True)
-    p.add_argument("--outcome", choices=model.OUTCOMES, default="stoi")
+    p.add_argument("--outcome", choices=OUTCOMES, default="stoi")
     p.add_argument("--reference", choices=("stratum", "zero-error"), default="stratum")
     p.set_defaults(func=cmd_decompose)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ALL_CELLS, ConditionLabel
-from .errors import DependencyError, StratificationError, UnderdeterminedError
-from .features import N_FEATURES, ErrorVector
+from .errors import StratificationError, UnderdeterminedError
+from .features import N_FEATURES
 
 # Interaction set in canonical order; row m of M_BITS names the indicators
 # (G, C, D) whose product forms term m.
@@ -25,11 +25,6 @@ M_BITS.flags.writeable = False
 N_COLUMNS = N_FEATURES * len(M_LABELS)
 
 PIVOT_RTOL = 1e-10
-
-OUTCOMES = ("stoi", "pesq")
-
-SIGNIFICANCE_BANDS = ("strong", "medium", "weak", "none")
-
 
 def _indicators(labels: np.ndarray) -> np.ndarray:
     """(n, 8) indicator table of (n, 3) bool G/C/D labels: term m is 1 on a
@@ -49,12 +44,48 @@ def m_value(label: ConditionLabel, m_label: str) -> int:
     return int(ind[0, M_LABELS.index(m_label)])
 
 
+class ObservationError(ValueError):
+    """An ``Observations`` check failed on ``row`` of ``field`` ('e', 'labels' or 'y')."""
+
+    def __init__(self, row: int, field: str, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.field, self.reason = row, field, reason
+
+
 @dataclass(frozen=True)
-class ObservationRow:
-    error: ErrorVector
-    label: ConditionLabel
-    y_stoi: float
-    y_pesq: float | None = None
+class Observations:
+    """The model's input, one row per pair: feature errors ``e`` (n, 26) with
+    ``e[:, 0] == 1``, finite and non-negative; G/C/D ``labels`` (n, 3) as 0/1
+    (int or bool, stored bool); and the finite outcome ``y`` (n,)."""
+
+    e: np.ndarray
+    labels: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        e = np.asarray(self.e, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        y = np.asarray(self.y, dtype=np.float64)
+        if e.ndim != 2 or e.shape[1] != N_FEATURES or labels.shape != (len(e), 3) \
+                or y.shape != (len(e),):
+            raise ValueError(f"expected e (n, {N_FEATURES}), labels (n, 3) and y (n,); "
+                             f"got {e.shape}, {labels.shape} and {y.shape}")
+        for field, bad, reason in (
+            ("e", e[:, 0] != 1.0, "error index 0 must be the constant 1"),
+            ("e", ~np.all(np.isfinite(e) & (e >= 0), axis=1),
+             "error values must be finite and non-negative"),
+            ("labels", ~np.all((labels == 0) | (labels == 1), axis=1),
+             "G/C/D indicators must be 0 or 1"),
+            ("y", ~np.isfinite(y), "outcome values must be finite"),
+        ):
+            if bad.any():
+                raise ObservationError(int(np.argmax(bad)), field, reason)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "labels", labels.astype(bool))
+        object.__setattr__(self, "y", y)
+
+    def __len__(self) -> int:
+        return len(self.y)
 
 
 @dataclass(frozen=True)
@@ -84,20 +115,12 @@ class OaxacaDecomposition:
     collective: float
 
 
-def _stack(rows: list[ObservationRow]) -> tuple[np.ndarray, np.ndarray]:
-    """Feature errors (n, 26) and bool G/C/D labels (n, 3) of ``rows``."""
-    e = np.reshape([r.error.e for r in rows], (len(rows), N_FEATURES))
-    labels = np.reshape([r.label.as_tuple() for r in rows], (len(rows), 3)).astype(bool)
-    return e, labels
-
-
-def build_design_matrix(rows: list[ObservationRow]) -> DesignMatrix:
+def build_design_matrix(obs: Observations) -> DesignMatrix:
     """Design matrix with column (i, m) holding m(label) * e[i] per row."""
-    if not rows:
+    if not len(obs):
         raise ValueError("need at least one observation row")
-    e, labels = _stack(rows)
     column_labels = tuple((i, m) for m in M_LABELS for i in range(N_FEATURES))
-    return DesignMatrix(_cross(e, _indicators(labels)), column_labels)
+    return DesignMatrix(_cross(obs.e, _indicators(obs.labels)), column_labels)
 
 
 def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
@@ -203,20 +226,6 @@ def three_fold(xbar1: np.ndarray, xbar0: np.ndarray, theta1: np.ndarray,
     return OaxacaDecomposition(indicator, endowment, coefficient, interaction, collective)
 
 
-def outcome_vector(rows: list[ObservationRow], outcome: str) -> np.ndarray:
-    """The ``outcome`` values of ``rows``; DependencyError if any pesq is absent."""
-    if outcome not in OUTCOMES:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    if outcome == "stoi":
-        return np.array([r.y_stoi for r in rows], dtype=np.float64)
-    missing = [i for i, r in enumerate(rows) if r.y_pesq is None]
-    if missing:
-        raise DependencyError(
-            f"{len(missing)} row(s) lack an external pesq value (first at index {missing[0]})"
-        )
-    return np.array([r.y_pesq for r in rows], dtype=np.float64)
-
-
 def _reduced_terms(ind: np.ndarray) -> list[int]:
     """Interaction terms that stay distinct and nonzero on a stratum.
 
@@ -276,9 +285,8 @@ def _decompose(e: np.ndarray, ind: np.ndarray, y: np.ndarray, indicator: str,
     return three_fold(xbar1, xbar0, theta_sum1, theta_sum0, indicator)
 
 
-def oaxaca_decompose(rows: list[ObservationRow], indicator: str,
-                     outcome: str = "stoi", reference: str = "stratum"
-                     ) -> OaxacaDecomposition:
+def oaxaca_decompose(obs: Observations, indicator: str,
+                     reference: str = "stratum") -> OaxacaDecomposition:
     """Decompose the outcome gap across the two strata of ``indicator``.
 
     reference="stratum" fits the collapsed interaction model separately on
@@ -287,28 +295,25 @@ def oaxaca_decompose(rows: list[ObservationRow], indicator: str,
     synthetic reference with zero feature error and the same coefficients,
     so the whole gap lands in the endowment component.
     """
-    e, labels = _stack(rows)
-    return _decompose(e, _indicators(labels), outcome_vector(rows, outcome), indicator, reference)
+    return _decompose(obs.e, _indicators(obs.labels), obs.y, indicator, reference)
 
 
-def decomposition_table(rows: list[ObservationRow], outcome: str = "stoi",
+def decomposition_table(obs: Observations,
                         reference: str = "stratum") -> list[OaxacaDecomposition]:
     """One decomposition per interaction term, in canonical order.
 
     The unit term always uses the zero-error reference (a stratum reference
     does not exist for it); the remaining terms use ``reference``.
     """
-    present = {r.label for r in rows}
+    present = set(map(tuple, obs.labels.tolist()))
     for cell in ALL_CELLS:
-        if cell not in present:
+        if cell.as_tuple() not in present:
             raise StratificationError(
                 f"cell (G={cell.g}, C={cell.c}, D={cell.d}) has no observations"
             )
-    e, labels = _stack(rows)
-    ind = _indicators(labels)
-    y = outcome_vector(rows, outcome)
+    ind = _indicators(obs.labels)
     out = []
     for m_label in M_LABELS:
         mode = "zero-error" if m_label == "1" else reference
-        out.append(_decompose(e, ind, y, m_label, mode))
+        out.append(_decompose(obs.e, ind, obs.y, m_label, mode))
     return out

@@ -12,10 +12,10 @@ import pytest
 from vda import metrics, model
 from vda.cli import EXIT_OK, main
 from vda.corpus import ALL_CELLS, ConditionLabel
-from vda.features import ErrorVector, extract_features
+from vda.features import extract_features
 from vda.model import (
     M_LABELS,
-    ObservationRow,
+    Observations,
     build_design_matrix,
     decomposition_table,
     fit_ols,
@@ -57,19 +57,17 @@ def _passed(num, text):
     print(f"ACCEPTANCE {num}: PASS - {text}")
 
 
-def _random_rows(rng, per_cell):
-    rows = []
+def _random_obs(rng, per_cell):
+    """``per_cell`` random rows per cell with a stoi-like outcome (a pesq-like
+    value is drawn after it on each row and dropped)."""
+    e, labels, y = [], [], []
     for cell in ALL_CELLS:
         for _ in range(per_cell):
-            e = np.concatenate([[1.0], rng.uniform(0.0, 2.0, 25)])
-            rows.append(
-                ObservationRow(
-                    ErrorVector(e), cell,
-                    y_stoi=float(rng.uniform(0.0, 1.0)),
-                    y_pesq=float(rng.uniform(1.0, 4.5)),
-                )
-            )
-    return rows
+            e.append(np.concatenate([[1.0], rng.uniform(0.0, 2.0, 25)]))
+            labels.append(cell.as_tuple())
+            y.append(float(rng.uniform(0.0, 1.0)))
+            rng.uniform(1.0, 4.5)
+    return Observations(np.array(e), np.array(labels), np.array(y))
 
 
 def test_criterion_1_published_triples_additivity():
@@ -86,8 +84,7 @@ def test_criterion_2_computed_decompositions_additive():
     worst = 0.0
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
-        rows = _random_rows(rng, per_cell=8)
-        table = decomposition_table(rows, outcome="stoi")
+        table = decomposition_table(_random_obs(rng, per_cell=8))
         for dec in table:
             gap = abs(dec.collective - (dec.endowment + dec.coefficient + dec.interaction))
             worst = max(worst, gap)
@@ -100,16 +97,14 @@ def test_criterion_3_hand_oracle_decomposition():
     assert (dec.endowment, dec.coefficient, dec.interaction, dec.collective) == (4.0, 9.0, 6.0, 19.0)
 
     def group(xs, slope, label):
-        rows = []
-        for x in xs:
-            e = np.zeros(26)
-            e[0], e[1] = 1.0, x
-            rows.append(ObservationRow(ErrorVector(e), label, y_stoi=slope * x))
-        return rows
+        e = np.zeros((len(xs), 26))
+        e[:, 0], e[:, 1] = 1.0, xs
+        return e, [label.as_tuple()] * len(xs), slope * np.array(xs)
 
-    rows = group([0.5, 1.0, 1.5, 1.0], 2.0, ConditionLabel(0, 0, 0)) + \
-        group([2.5, 3.0, 3.5, 3.0], 5.0, ConditionLabel(0, 0, 1))
-    dec2 = model.oaxaca_decompose(rows, "D", outcome="stoi")
+    (e0, l0, y0), (e1, l1, y1) = (group([0.5, 1.0, 1.5, 1.0], 2.0, ConditionLabel(0, 0, 0)),
+                                  group([2.5, 3.0, 3.5, 3.0], 5.0, ConditionLabel(0, 0, 1)))
+    obs = Observations(np.vstack([e0, e1]), l0 + l1, np.concatenate([y0, y1]))
+    dec2 = model.oaxaca_decompose(obs, "D")
     for got, want in zip(
         (dec2.endowment, dec2.coefficient, dec2.interaction, dec2.collective), (4.0, 9.0, 6.0, 19.0)
     ):
@@ -131,10 +126,11 @@ def test_criterion_4_ols_oracle_equivalence():
         worst = max(worst, float(np.max(np.abs(fit.theta - oracle))))
         assert worst <= 1e-8
 
-    rows = _random_rows(rng, per_cell=63)[:500]
-    design = build_design_matrix(rows)
+    full = _random_obs(rng, per_cell=63)
+    obs = Observations(full.e[:500], full.labels[:500], full.y[:500])
+    design = build_design_matrix(obs)
     theta_true = rng.standard_normal(208)
-    y = design.values @ theta_true + 1e-6 * rng.standard_normal(len(rows))
+    y = design.values @ theta_true + 1e-6 * rng.standard_normal(len(obs))
     fit = fit_ols(design, y)
     recovery = float(np.max(np.abs(fit.theta - theta_true)))
     assert recovery <= 1e-4
@@ -190,7 +186,7 @@ def test_criterion_7_feature_oracles():
 def test_criterion_8_design_matrix_law():
     rng = np.random.default_rng(5)
     for per_cell in (1, 2, 5):
-        design = build_design_matrix(_random_rows(rng, per_cell))
+        design = build_design_matrix(_random_obs(rng, per_cell))
         assert design.values.shape[1] == 208
         assert len(design.column_labels) == 208
 
@@ -198,8 +194,7 @@ def test_criterion_8_design_matrix_law():
     eligible = {m for m in M_LABELS if m_value(label, m) == 1}
     assert eligible == {"1", "G", "D", "G*D"}
     e = np.concatenate([[1.0], rng.uniform(0.1, 2.0, 25)])
-    row = ObservationRow(ErrorVector(e), label, y_stoi=0.5)
-    design = build_design_matrix([row])
+    design = build_design_matrix(Observations(e[None, :], [label.as_tuple()], [0.5]))
     nonzero_groups = {
         m for (i, m), v in zip(design.column_labels, design.values[0]) if v != 0.0
     }

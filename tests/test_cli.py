@@ -195,12 +195,11 @@ def _copy_stage_inputs(src, dst):
     return dst
 
 
-def _blank_cells(path, row_index, columns):
+def _set_cells(path, row_index, cells):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header, rows = reader.fieldnames, list(reader)
-    for col in columns:
-        rows[row_index][col] = ""
+    rows[row_index].update(cells)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, header, lineterminator="\n")
         writer.writeheader()
@@ -210,7 +209,7 @@ def _blank_cells(path, row_index, columns):
 
 def test_blank_errors_row_is_skipped(pipeline_out, tmp_path, caplog):
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
-    blank = _blank_cells(out / "errors.csv", 3, [f"e{i}" for i in range(26)])
+    blank = _set_cells(out / "errors.csv", 3, dict.fromkeys([f"e{i}" for i in range(26)], ""))
     with caplog.at_level("WARNING", logger="vda"):
         assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
         assert main(["decompose", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
@@ -232,7 +231,7 @@ def test_fit_missing_key_column_is_schema_error(pipeline_out, tmp_path, capsys):
 
 def test_fit_and_decompose_agree_on_partial_pesq(pipeline_out, tmp_path, capsys):
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
-    blank = _blank_cells(out / "metrics.csv", 5, ["pesq", "csig", "cbak", "covl"])
+    blank = _set_cells(out / "metrics.csv", 5, dict.fromkeys(["pesq", "csig", "cbak", "covl"], ""))
     assert (blank["utterance_id"], blank["G"], blank["C"], blank["D"]) == ("utt000", "1", "0", "1")
     capsys.readouterr()
     assert main(["fit", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
@@ -240,6 +239,24 @@ def test_fit_and_decompose_agree_on_partial_pesq(pipeline_out, tmp_path, capsys)
     assert main(["decompose", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
     assert "1 row(s) lack an external pesq value (first utt000 G1C0D1, metrics.csv line 7)" in fit_err
     assert capsys.readouterr().err == fit_err
+
+
+@pytest.mark.parametrize("stage", ["fit", "decompose"])
+@pytest.mark.parametrize("edits,named", [
+    ({"errors.csv": {"e3": "abc"}}, "errors.csv: utt000 G1C0D1: could not convert"),
+    ({"errors.csv": {"e3": "-1.5"}}, "errors.csv: utt000 G1C0D1: error values must be"),
+    ({"metrics.csv": {"stoi": "nan"}}, "metrics.csv: utt000 G1C0D1: outcome values must be"),
+    ({"metrics.csv": {"G": "2"}, "errors.csv": {"G": "2"}},
+     "metrics.csv: utt000 G2C0D1: G/C/D indicators must be"),
+], ids=["e-not-a-number", "e-negative", "stoi-nan", "G-is-2"])
+def test_malformed_model_cell_is_data_error(pipeline_out, tmp_path, capsys, stage, edits, named):
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    for name, cells in edits.items():
+        row = _set_cells(out / name, 5, cells)
+        assert (row["utterance_id"], row["C"], row["D"]) == ("utt000", "0", "1")
+    capsys.readouterr()
+    assert main([stage, "--out", str(out), "--outcome", "stoi"]) == EXIT_DATA
+    assert named in capsys.readouterr().err
 
 
 def test_features_csv_shape(pipeline_out):

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vda
 from vda import model
 from vda.corpus import ALL_CELLS, ConditionLabel
-from vda.errors import DependencyError, StratificationError, UnderdeterminedError
-from vda.features import ErrorVector
+from vda.errors import StratificationError, UnderdeterminedError
 from vda.model import (
     M_LABELS,
-    ObservationRow,
+    ObservationError,
+    Observations,
     build_design_matrix,
     decomposition_table,
     fit_ols,
@@ -20,31 +21,83 @@ from vda.model import (
 )
 
 
-def _row(e_tail, label, y, pesq=None, rng=None):
-    e = np.concatenate([[1.0], e_tail])
-    return ObservationRow(ErrorVector(e), label, y_stoi=y, y_pesq=pesq)
+def _obs(e_tails, cells, ys):
+    """Observations whose row i has e = [1, *e_tails[i]], label cells[i] and y ys[i]."""
+    n = len(ys)
+    e = np.column_stack([np.ones(n), np.reshape(e_tails, (n, 25))])
+    return Observations(e, np.reshape([c.as_tuple() for c in cells], (n, 3)), ys)
 
 
-def _random_rows(rng, per_cell=4, with_pesq=True):
-    rows = []
+def _concat(*parts):
+    return Observations(*(np.concatenate([getattr(o, f) for o in parts]) for f in ("e", "labels", "y")))
+
+
+def _random_obs(rng, per_cell=4):
+    """``per_cell`` random rows per cell, as the stoi and the pesq Observations."""
+    tails, cells, stoi, pesq = [], [], [], []
     for cell in ALL_CELLS:
         for _ in range(per_cell):
-            rows.append(
-                _row(
-                    rng.uniform(0, 2, 25),
-                    cell,
-                    float(rng.uniform(0, 1)),
-                    float(rng.uniform(1, 4.5)) if with_pesq else None,
-                )
-            )
-    return rows
+            tails.append(rng.uniform(0, 2, 25))
+            cells.append(cell)
+            stoi.append(float(rng.uniform(0, 1)))
+            pesq.append(float(rng.uniform(1, 4.5)))
+    return _obs(tails, cells, stoi), _obs(tails, cells, pesq)
+
+
+# -------------------------------------------------------------- observations
+
+def test_public_api_names_resolve():
+    assert "Observations" in vda.__all__
+    assert "ObservationRow" not in vda.__all__
+    for name in vda.__all__:
+        assert getattr(vda, name) is not None, name
+
+
+def _valid_parts(n=5):
+    rng = np.random.default_rng(30)
+    e = np.column_stack([np.ones(n), rng.uniform(0, 2, (n, 25))])
+    labels = np.array([c.as_tuple() for c in ALL_CELLS[:n]])
+    return e, labels, rng.uniform(0, 1, n)
+
+
+def test_observations_store_checked_arrays():
+    e, labels, y = _valid_parts()
+    obs = Observations(e, labels, y)
+    assert len(obs) == 5
+    assert obs.labels.dtype == bool
+    np.testing.assert_array_equal(obs.labels, labels == 1)
+    assert Observations(e, labels == 1, y).labels.dtype == bool
+
+
+@pytest.mark.parametrize("part,index,value", [
+    ("e", (3, 0), 0.5),  # intercept column not 1
+    ("e", (3, 7), -0.25),
+    ("e", (3, 12), np.inf),
+    ("labels", (3, 1), 2),
+    ("y", 3, np.nan),
+])
+def test_observations_reject_bad_row(part, index, value):
+    parts = dict(zip(("e", "labels", "y"), _valid_parts()))
+    parts[part][index] = value
+    with pytest.raises(ValueError, match=r"^row 3: ") as info:
+        Observations(**parts)
+    assert isinstance(info.value, ObservationError)
+    assert (info.value.row, info.value.field) == (3, part)
+
+
+@pytest.mark.parametrize("part", ["e", "labels", "y"])
+def test_observations_reject_mismatched_lengths(part):
+    parts = dict(zip(("e", "labels", "y"), _valid_parts()))
+    parts[part] = parts[part][:-1]
+    with pytest.raises(ValueError, match="expected e"):
+        Observations(**parts)
 
 
 # ------------------------------------------------------------- design matrix
 
 def test_design_single_nonzero_for_base_cell():
     e = np.zeros(25)
-    dm = build_design_matrix([_row(e, ConditionLabel(0, 0, 0), 0.5)])
+    dm = build_design_matrix(_obs([e], [ConditionLabel(0, 0, 0)], [0.5]))
     assert dm.values.shape == (1, 208)
     nz = np.flatnonzero(dm.values[0])
     assert list(nz) == [0]
@@ -52,7 +105,7 @@ def test_design_single_nonzero_for_base_cell():
 
 
 def test_design_all_ones_row():
-    dm = build_design_matrix([_row(np.ones(25), ConditionLabel(1, 1, 1), 0.5)])
+    dm = build_design_matrix(_obs([np.ones(25)], [ConditionLabel(1, 1, 1)], [0.5]))
     assert np.all(dm.values[0] == 1.0)
 
 
@@ -69,7 +122,7 @@ def test_design_eligible_groups_oracle():
         if value:
             expected.add(m)
     assert expected == {"1", "G", "D", "G*D"}
-    dm = build_design_matrix([_row(np.ones(25), label, 0.5)])
+    dm = build_design_matrix(_obs([np.ones(25)], [label], [0.5]))
     nonzero_groups = {m for (i, m), v in zip(dm.column_labels, dm.values[0]) if v != 0}
     assert nonzero_groups == expected
     assert sum(1 for (_, m) in dm.column_labels if m in expected) == 104
@@ -78,22 +131,22 @@ def test_design_eligible_groups_oracle():
 def test_design_always_208_columns():
     rng = np.random.default_rng(0)
     for per_cell in (1, 3):
-        dm = build_design_matrix(_random_rows(rng, per_cell))
+        dm = build_design_matrix(_random_obs(rng, per_cell)[0])
         assert dm.values.shape[1] == 208
         assert len(dm.column_labels) == 208
 
 
 def test_design_empty_rows_rejected():
     with pytest.raises(ValueError):
-        build_design_matrix([])
+        build_design_matrix(_obs([], [], []))
 
 
 # ------------------------------------------------------------------- fit_ols
 
 def test_fit_exact_single_coefficient():
     rng = np.random.default_rng(1)
-    rows = [_row(rng.uniform(0, 2, 25), ConditionLabel(0, 0, 0), 0.0) for _ in range(40)]
-    dm = build_design_matrix(rows)
+    tails = [rng.uniform(0, 2, 25) for _ in range(40)]
+    dm = build_design_matrix(_obs(tails, [ConditionLabel(0, 0, 0)] * 40, np.zeros(40)))
     y = 2.0 * dm.values[:, 0]
     fit = fit_ols(dm, y)
     assert fit.theta[0] == pytest.approx(2.0, abs=1e-10)
@@ -102,10 +155,8 @@ def test_fit_exact_single_coefficient():
 
 def test_fit_planted_recovery():
     rng = np.random.default_rng(2)
-    rows = []
-    for i in range(500):
-        rows.append(_row(rng.uniform(0, 2, 25), ALL_CELLS[i % 8], 0.0))
-    dm = build_design_matrix(rows)
+    tails = [rng.uniform(0, 2, 25) for _ in range(500)]
+    dm = build_design_matrix(_obs(tails, [ALL_CELLS[i % 8] for i in range(500)], np.zeros(500)))
     theta_true = rng.standard_normal(208)
     y = dm.values @ theta_true + 1e-6 * rng.standard_normal(500)
     fit = fit_ols(dm, y)
@@ -280,11 +331,12 @@ def test_three_fold_hand_oracle_exact():
 
 def test_oaxaca_end_to_end_hand_case():
     def group(xs, slope, label):
-        return [_row(np.concatenate([[x], np.zeros(24)]), label, slope * x) for x in xs]
+        return _obs([np.concatenate([[x], np.zeros(24)]) for x in xs], [label] * len(xs),
+                    [slope * x for x in xs])
 
-    rows = group([0.5, 1.0, 1.5, 1.0], 2.0, ConditionLabel(0, 0, 0)) + \
-        group([2.5, 3.0, 3.5, 3.0], 5.0, ConditionLabel(0, 0, 1))
-    dec = oaxaca_decompose(rows, "D", outcome="stoi", reference="stratum")
+    obs = _concat(group([0.5, 1.0, 1.5, 1.0], 2.0, ConditionLabel(0, 0, 0)),
+                  group([2.5, 3.0, 3.5, 3.0], 5.0, ConditionLabel(0, 0, 1)))
+    dec = oaxaca_decompose(obs, "D", reference="stratum")
     assert dec.endowment == pytest.approx(4.0, abs=1e-9)
     assert dec.coefficient == pytest.approx(9.0, abs=1e-9)
     assert dec.interaction == pytest.approx(6.0, abs=1e-9)
@@ -295,10 +347,8 @@ def test_oaxaca_identical_strata_all_zero():
     rng = np.random.default_rng(9)
     tails = [rng.uniform(0, 2, 25) for _ in range(6)]
     ys = [float(rng.uniform(0, 1)) for _ in range(6)]
-    rows = []
-    for label in (ConditionLabel(0, 0, 0), ConditionLabel(1, 0, 0)):
-        rows += [_row(t, label, y) for t, y in zip(tails, ys)]
-    dec = oaxaca_decompose(rows, "G", outcome="stoi")
+    obs = _obs(tails * 2, [ConditionLabel(0, 0, 0)] * 6 + [ConditionLabel(1, 0, 0)] * 6, ys * 2)
+    dec = oaxaca_decompose(obs, "G")
     assert dec.endowment == pytest.approx(0.0, abs=1e-9)
     assert dec.coefficient == pytest.approx(0.0, abs=1e-9)
     assert dec.interaction == pytest.approx(0.0, abs=1e-9)
@@ -307,17 +357,17 @@ def test_oaxaca_identical_strata_all_zero():
 
 def test_oaxaca_additivity_exact():
     rng = np.random.default_rng(10)
-    rows = _random_rows(rng, per_cell=8)
+    pair = _random_obs(rng, per_cell=8)
     for indicator in M_LABELS[1:]:
-        for outcome in ("stoi", "pesq"):
-            dec = oaxaca_decompose(rows, indicator, outcome=outcome)
+        for obs in pair:
+            dec = oaxaca_decompose(obs, indicator)
             assert dec.collective - (dec.endowment + dec.coefficient + dec.interaction) == 0.0
 
 
 def test_oaxaca_zero_error_reference_has_pure_endowment():
     rng = np.random.default_rng(11)
-    rows = _random_rows(rng, per_cell=6)
-    dec = oaxaca_decompose(rows, "1", outcome="stoi", reference="zero-error")
+    obs = _random_obs(rng, per_cell=6)[0]
+    dec = oaxaca_decompose(obs, "1", reference="zero-error")
     assert dec.coefficient == 0.0
     assert dec.interaction == 0.0
     assert dec.collective == dec.endowment
@@ -325,29 +375,23 @@ def test_oaxaca_zero_error_reference_has_pure_endowment():
 
 def test_oaxaca_unit_indicator_requires_zero_error_reference():
     rng = np.random.default_rng(12)
-    rows = _random_rows(rng, per_cell=2)
+    obs = _random_obs(rng, per_cell=2)[0]
     with pytest.raises(StratificationError):
-        oaxaca_decompose(rows, "1", outcome="stoi", reference="stratum")
+        oaxaca_decompose(obs, "1", reference="stratum")
 
 
 def test_oaxaca_empty_stratum_errors():
     rng = np.random.default_rng(13)
-    rows = [_row(rng.uniform(0, 2, 25), ConditionLabel(0, 0, 0), 0.5) for _ in range(8)]
+    tails = [rng.uniform(0, 2, 25) for _ in range(8)]
+    obs = _obs(tails, [ConditionLabel(0, 0, 0)] * 8, [0.5] * 8)
     with pytest.raises(StratificationError):
-        oaxaca_decompose(rows, "G", outcome="stoi")
-
-
-def test_oaxaca_pesq_outcome_requires_values():
-    rng = np.random.default_rng(14)
-    rows = _random_rows(rng, per_cell=2, with_pesq=False)
-    with pytest.raises(DependencyError):
-        oaxaca_decompose(rows, "G", outcome="pesq")
+        oaxaca_decompose(obs, "G")
 
 
 def test_decomposition_table_order_and_additivity():
     rng = np.random.default_rng(15)
-    rows = _random_rows(rng, per_cell=6)
-    table = decomposition_table(rows, outcome="stoi")
+    obs = _random_obs(rng, per_cell=6)[0]
+    table = decomposition_table(obs)
     assert [d.indicator for d in table] == list(M_LABELS)
     for dec in table:
         assert dec.collective - (dec.endowment + dec.coefficient + dec.interaction) == 0.0
@@ -357,10 +401,8 @@ def test_decomposition_table_identical_cells_zero_contrasts():
     rng = np.random.default_rng(16)
     tails = [rng.uniform(0, 2, 25) for _ in range(5)]
     ys = [float(rng.uniform(0, 1)) for _ in range(5)]
-    rows = []
-    for cell in ALL_CELLS:
-        rows += [_row(t, cell, y) for t, y in zip(tails, ys)]
-    table = decomposition_table(rows, outcome="stoi")
+    obs = _obs(tails * 8, [cell for cell in ALL_CELLS for _ in range(5)], ys * 8)
+    table = decomposition_table(obs)
     for dec in table[1:]:  # every row except the baseline convention row
         assert dec.endowment == pytest.approx(0.0, abs=1e-9)
         assert dec.coefficient == pytest.approx(0.0, abs=1e-9)
@@ -370,14 +412,10 @@ def test_decomposition_table_identical_cells_zero_contrasts():
 
 def test_decomposition_table_missing_cell_named():
     rng = np.random.default_rng(17)
-    rows = [
-        _row(rng.uniform(0, 2, 25), cell, 0.5)
-        for cell in ALL_CELLS
-        if cell != ConditionLabel(1, 0, 1)
-        for _ in range(3)
-    ]
+    cells = [cell for cell in ALL_CELLS if cell != ConditionLabel(1, 0, 1) for _ in range(3)]
+    obs = _obs([rng.uniform(0, 2, 25) for _ in cells], cells, [0.5] * len(cells))
     with pytest.raises(StratificationError, match=r"G=1, C=0, D=1"):
-        decomposition_table(rows, outcome="stoi")
+        decomposition_table(obs)
 
 
 @settings(max_examples=20, deadline=None)
