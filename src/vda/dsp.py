@@ -34,9 +34,15 @@ class FrameSequence:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    magnitudes: np.ndarray  # (fft_len // 2 + 1,)
-    bin_hz: float
+class FrameAnalysis:
+    """One signal's default short-time analysis, shared by the frame metrics and the features."""
+
+    frames: np.ndarray  # (n_frames, frame_len) raw samples
+    windowed: np.ndarray  # frames times the Hamming window
+    spectra: np.ndarray  # (n_frames, fft_len // 2 + 1) complex rfft of windowed
+    power: np.ndarray  # |spectra| ** 2
+    hop: int
+    fft_len: int
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,6 @@ def get_window(name: str, length: int) -> np.ndarray:
         return np.hanning(length)
     if name == "hamming":
         return np.hamming(length)
-    if name == "rect":
-        return np.ones(length)
     raise ConfigurationError(f"unknown window {name!r}")
 
 
@@ -82,27 +86,15 @@ def frame(sig: AudioSignal, frame_len: int, hop: int) -> FrameSequence:
     return FrameSequence(np.ascontiguousarray(view[:n]), frame_len, hop, sig.rate)
 
 
-def spectrum(frame_samples: np.ndarray, window: str = "hann",
-             rate: int = 1, fft_len: int | None = None) -> Spectrum:
-    """Magnitude of the real FFT of the windowed frame (zero-padded)."""
-    x = np.asarray(frame_samples, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 2:
-        raise ValueError("frame must be a 1-D array of length >= 2")
-    if fft_len is None:
-        fft_len = next_pow2(len(x))
-    mags = np.abs(np.fft.rfft(x * get_window(window, len(x)), fft_len))
-    return Spectrum(mags, rate / fft_len)
-
-
-def power_spectra(frames: np.ndarray, window: str = DEFAULT_WINDOW,
-                  fft_len: int | None = None) -> np.ndarray:
-    """Power spectra (|rfft|^2) of a frame matrix, one row per frame."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if fft_len is None:
-        fft_len = next_pow2(frames.shape[1])
-    w = get_window(window, frames.shape[1])
-    spec = np.fft.rfft(frames * w, fft_len, axis=1)
-    return np.abs(spec) ** 2
+def frame_analysis(sig: AudioSignal) -> FrameAnalysis:
+    """Default frames of a signal, Hamming-windowed and zero-padded to a
+    power-of-two rfft; a signal shorter than one frame gives zero rows."""
+    frame_len, hop = default_frame_params(sig.rate)
+    fft_len = next_pow2(frame_len)
+    frames = frame(sig, frame_len, hop).frames
+    windowed = frames * get_window(DEFAULT_WINDOW, frame_len)
+    spectra = np.fft.rfft(windowed, fft_len, axis=1)
+    return FrameAnalysis(frames, windowed, spectra, np.abs(spectra) ** 2, hop, fft_len)
 
 
 def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:

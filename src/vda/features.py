@@ -199,10 +199,9 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
             f"utterance must last at least {MIN_DURATION_SECONDS * 1000:.0f} ms"
         )
     rate = sig.rate
-    frame_len, hop = dsp.default_frame_params(rate)
-    fft_len = dsp.next_pow2(frame_len)
-    frames = dsp.frame(sig, frame_len, hop).frames
-    power = dsp.power_spectra(frames)
+    analysis = dsp.frame_analysis(sig)
+    frames, power, hop, fft_len = analysis.frames, analysis.power, analysis.hop, analysis.fft_len
+    del analysis  # frees the windowed frames and complex spectra, which are not read here
     mags = np.sqrt(power)
     freqs = np.arange(power.shape[1]) * (rate / fft_len)
     frame_energy = np.sum(frames ** 2, axis=1)

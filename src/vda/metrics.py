@@ -56,18 +56,17 @@ class MetricReport:
     composite: tuple[float, float, float] | None = None  # (csig, cbak, covl)
 
 
-def _frames_pair(pair: AlignedPair) -> tuple[np.ndarray, np.ndarray, int, int]:
-    frame_len, hop = dsp.default_frame_params(pair.rate)
-    fc = dsp.frame(pair.clean, frame_len, hop).frames
-    fd = dsp.frame(pair.degraded, frame_len, hop).frames
-    if fc.shape[0] == 0:
+def _analyze_pair(pair: AlignedPair) -> tuple[dsp.FrameAnalysis, dsp.FrameAnalysis]:
+    """The frame analyses of both sides, read by snr_seg, fw_snr_seg, llr, wss and csii."""
+    clean = dsp.frame_analysis(pair.clean)
+    if len(clean.frames) == 0:
         raise PreconditionError("pair shorter than one analysis frame")
-    return fc, fd, frame_len, hop
+    return clean, dsp.frame_analysis(pair.degraded)
 
 
-def _active_mask(clean_frames: np.ndarray) -> np.ndarray:
-    """Frames carrying any clean energy; shared by both segmental metrics."""
-    return np.sum(clean_frames ** 2, axis=1) > 0.0
+def _active_mask(frames: np.ndarray) -> np.ndarray:
+    """Frames carrying any energy; shared by both segmental metrics and wss."""
+    return np.sum(frames ** 2, axis=1) > 0.0
 
 
 def _trimmed_mean(values: np.ndarray, fraction: float = TRIM_FRACTION) -> float:
@@ -76,30 +75,30 @@ def _trimmed_mean(values: np.ndarray, fraction: float = TRIM_FRACTION) -> float:
     return float(np.mean(ordered[:keep]))
 
 
-def snr_seg(pair: AlignedPair) -> float:
-    """Frame-averaged clamped signal-to-error ratio in dB."""
-    fc, fd, _, _ = _frames_pair(pair)
-    mask = _active_mask(fc)
+def _snr_seg(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
+    mask = _active_mask(c.frames)
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
-    energy = np.sum(fc ** 2, axis=1)
-    error = np.sum((fc - fd) ** 2, axis=1)
+    energy = np.sum(c.frames ** 2, axis=1)
+    error = np.sum((c.frames - d.frames) ** 2, axis=1)
     with np.errstate(divide="ignore"):
         ratio = 10.0 * np.log10(np.where(error > 0.0, energy / np.where(error > 0.0, error, 1.0), np.inf))
     ratio = np.clip(ratio, SEG_SNR_FLOOR_DB, SEG_SNR_CEIL_DB)
     return float(np.mean(ratio[mask]))
 
 
-def fw_snr_seg(pair: AlignedPair) -> float:
-    """Critical-band SNR, weighted per frame by clean band magnitude^0.2."""
-    fc, fd, frame_len, _ = _frames_pair(pair)
-    mask = _active_mask(fc)
+def snr_seg(pair: AlignedPair) -> float:
+    """Frame-averaged clamped signal-to-error ratio in dB."""
+    return _snr_seg(pair, *_analyze_pair(pair))
+
+
+def _fw_snr_seg(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
+    mask = _active_mask(c.frames)
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
-    fft_len = dsp.next_pow2(frame_len)
-    bank = dsp.make_filterbank("critical_band", pair.rate, fft_len, CSII_BANDS, 50.0)
-    bc = np.sqrt(dsp.power_spectra(fc) @ bank.weights.T)
-    bd = np.sqrt(dsp.power_spectra(fd) @ bank.weights.T)
+    bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, CSII_BANDS, 50.0)
+    bc = np.sqrt(c.power @ bank.weights.T)
+    bd = np.sqrt(d.power @ bank.weights.T)
     diff2 = (bc - bd) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         band_snr = 10.0 * np.log10(
@@ -117,17 +116,14 @@ def fw_snr_seg(pair: AlignedPair) -> float:
     return float(np.mean(frame_vals))
 
 
-def llr(pair: AlignedPair) -> float:
-    """Log-likelihood ratio between degraded and clean all-pole fits.
+def fw_snr_seg(pair: AlignedPair) -> float:
+    """Critical-band SNR, weighted per frame by clean band magnitude^0.2."""
+    return _fw_snr_seg(pair, *_analyze_pair(pair))
 
-    Per frame, log((a_d R_c a_d') / (a_c R_c a_c')) with order-10 LPC on the
-    windowed frame and R_c the clean autocorrelation matrix; the mean is
-    taken over the smallest 95% of frame values.
-    """
-    fc, fd, frame_len, _ = _frames_pair(pair)
-    w = dsp.get_window(dsp.DEFAULT_WINDOW, frame_len)
-    rc = dsp.autocorrelate(fc * w, LLR_ORDER)
-    rd = dsp.autocorrelate(fd * w, LLR_ORDER)
+
+def _llr(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
+    rc = dsp.autocorrelate(c.windowed, LLR_ORDER)
+    rd = dsp.autocorrelate(d.windowed, LLR_ORDER)
     valid = (rc[:, 0] > 0.0) & (rd[:, 0] > 0.0)
     if not np.any(valid):
         raise DegenerateInputError("no frame supports an LPC fit")
@@ -145,24 +141,25 @@ def llr(pair: AlignedPair) -> float:
     return _trimmed_mean(np.log(num[ok] / den[ok]))
 
 
-def wss(pair: AlignedPair) -> float:
-    """Weighted spectral slope distance over 36 critical bands.
+def llr(pair: AlignedPair) -> float:
+    """Log-likelihood ratio between degraded and clean all-pole fits.
 
-    Per frame, squared differences of adjacent-band dB slopes are weighted
-    by proximity to the global and nearest local spectral maxima (averaged
-    over the clean and degraded weightings), normalized by the weight sum;
-    the mean is over the smallest 95% of frames.
+    Per frame, log((a_d R_c a_d') / (a_c R_c a_c')) with order-10 LPC on the
+    windowed frame and R_c the clean autocorrelation matrix; the mean is
+    taken over the smallest 95% of frame values.
     """
+    return _llr(pair, *_analyze_pair(pair))
+
+
+def _wss(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
     n_bands = 36
     kmax, klocmax = 20.0, 1.0
-    fc, fd, frame_len, _ = _frames_pair(pair)
-    valid = (np.sum(fc ** 2, axis=1) > 0.0) & (np.sum(fd ** 2, axis=1) > 0.0)
+    valid = _active_mask(c.frames) & _active_mask(d.frames)
     if not np.any(valid):
         raise DegenerateInputError("no frame carries energy on both sides")
-    fft_len = dsp.next_pow2(frame_len)
-    bank = dsp.make_filterbank("critical_band", pair.rate, fft_len, n_bands, 50.0)
-    pc = dsp.power_spectra(fc[valid]) @ bank.weights.T
-    pd = dsp.power_spectra(fd[valid]) @ bank.weights.T
+    bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, n_bands, 50.0)
+    pc = c.power[valid] @ bank.weights.T
+    pd = d.power[valid] @ bank.weights.T
     # relative floor keeps the dB spectra finite and gain-invariant
     pc = np.maximum(pc, pc.max(axis=1, keepdims=True) * 1e-10)
     pd = np.maximum(pd, pd.max(axis=1, keepdims=True) * 1e-10)
@@ -183,31 +180,28 @@ def wss(pair: AlignedPair) -> float:
     return _trimmed_mean(frame_vals)
 
 
-def _stft_pair(pair: AlignedPair) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    frame_len, hop = dsp.default_frame_params(pair.rate)
-    fft_len = dsp.next_pow2(frame_len)
-    fc = dsp.frame(pair.clean, frame_len, hop).frames
-    fd = dsp.frame(pair.degraded, frame_len, hop).frames
-    if fc.shape[0] == 0:
-        raise PreconditionError("pair shorter than one analysis frame")
-    w = dsp.get_window(dsp.DEFAULT_WINDOW, frame_len)
-    xc = np.fft.rfft(fc * w, fft_len, axis=1)
-    xd = np.fft.rfft(fd * w, fft_len, axis=1)
-    rms = np.sqrt(np.mean(fc ** 2, axis=1))
-    return xc, xd, rms, fft_len
+def wss(pair: AlignedPair) -> float:
+    """Weighted spectral slope distance over 36 critical bands.
+
+    Per frame, squared differences of adjacent-band dB slopes are weighted
+    by proximity to the global and nearest local spectral maxima (averaged
+    over the clean and degraded weightings), normalized by the weight sum;
+    the mean is over the smallest 95% of frames.
+    """
+    return _wss(pair, *_analyze_pair(pair))
 
 
-def _csii_region(xc: np.ndarray, xd: np.ndarray, weights: np.ndarray) -> float:
+def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
+                 weights: np.ndarray) -> float:
     """Coherence-based index over one level region (>= 2 frames)."""
-    cross = np.sum(xc * np.conj(xd), axis=0)
-    pxx = np.sum(np.abs(xc) ** 2, axis=0)
-    pyy = np.sum(np.abs(xd) ** 2, axis=0)
-    denom = pxx * pyy
+    cross = np.sum(c.spectra[region] * np.conj(d.spectra[region]), axis=0)
+    pc = c.power[region]
+    pd = d.power[region]
+    denom = np.sum(pc, axis=0) * np.sum(pd, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         msc = np.where(denom > 0.0, np.abs(cross) ** 2 / np.where(denom > 0.0, denom, 1.0), 0.0)
     msc = np.clip(msc, 0.0, 1.0)
 
-    pd = np.abs(xd) ** 2
     sig = (pd * msc) @ weights.T
     dist = (pd * (1.0 - msc)) @ weights.T
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -216,25 +210,20 @@ def _csii_region(xc: np.ndarray, xd: np.ndarray, weights: np.ndarray) -> float:
     sdr = np.clip(sdr, -SDR_CLIP_DB, SDR_CLIP_DB)
     transfer = (sdr + SDR_CLIP_DB) / (2.0 * SDR_CLIP_DB)
 
-    importance = np.sqrt((np.abs(xc) ** 2) @ weights.T)
+    importance = np.sqrt(pc @ weights.T)
     total = np.sum(importance)
     if total <= 0.0:
         return 0.0
     return float(np.sum(importance * transfer) / total)
 
 
-def csii(pair: AlignedPair) -> tuple[float | None, float | None, float | None]:
-    """Coherence index on high/mid/low level regions of the clean signal.
-
-    Regions partition frames by clean RMS relative to the overall RMS:
-    high >= 0 dB, mid [-10, 0) dB, low [-30, -10) dB. A region with fewer
-    than two frames yields None (coherence needs averaging).
-    """
-    xc, xd, rms, fft_len = _stft_pair(pair)
+def _csii(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis
+          ) -> tuple[float | None, float | None, float | None]:
+    rms = np.sqrt(np.mean(c.frames ** 2, axis=1))
     overall = pair.clean.rms()
     if overall <= 0.0:
         raise DegenerateInputError("clean signal is silent")
-    bank = dsp.make_filterbank("critical_band", pair.rate, fft_len, CSII_BANDS, 50.0)
+    bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, CSII_BANDS, 50.0)
     bounds = (
         rms >= overall,
         (rms < overall) & (rms >= overall * 10.0 ** (-10.0 / 20.0)),
@@ -245,10 +234,20 @@ def csii(pair: AlignedPair) -> tuple[float | None, float | None, float | None]:
         if np.count_nonzero(region) < 2:
             out.append(None)
         else:
-            out.append(_csii_region(xc[region], xd[region], bank.weights))
+            out.append(_csii_region(c, d, region, bank.weights))
     if all(v is None for v in out):
         raise DegenerateInputError("no level region holds at least two frames")
     return (out[0], out[1], out[2])
+
+
+def csii(pair: AlignedPair) -> tuple[float | None, float | None, float | None]:
+    """Coherence index on high/mid/low level regions of the clean signal.
+
+    Regions partition frames by clean RMS relative to the overall RMS:
+    high >= 0 dB, mid [-10, 0) dB, low [-30, -10) dB. A region with fewer
+    than two frames yields None (coherence needs averaging).
+    """
+    return _csii(pair, *_analyze_pair(pair))
 
 
 def _band_envelopes(sig: AudioSignal, bank_weights: np.ndarray) -> np.ndarray:
@@ -392,6 +391,10 @@ _METRIC_OPS = (
     ("ncm", ncm),
 )
 
+# The metrics that read the pair's frame analyses, as (pair, clean, degraded) bodies.
+_FRAME_BODIES = {"snr_seg": _snr_seg, "fw_snr_seg": _fw_snr_seg, "llr": _llr, "wss": _wss,
+                 "csii": _csii}
+
 METRIC_NAMES = tuple(name for name, _ in _METRIC_OPS) + ("composite",)
 
 
@@ -411,12 +414,18 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
     if "composite" in chosen:
         chosen |= {"llr", "wss", "snr_seg"}
     values: dict[str, object] = {}
+    analyses = ()  # the pair's frame analyses, built by the first selected frame metric
     for name, op in _METRIC_OPS:
         if name not in chosen:
             values[name] = (None, None, None) if name == "csii" else float("nan")
             continue
         try:
-            values[name] = op(pair)
+            if name in _FRAME_BODIES:
+                analyses = analyses or _analyze_pair(pair)
+                values[name] = _FRAME_BODIES[name](pair, *analyses)
+            else:
+                analyses = ()  # freed before ncm, whose envelopes set the peak RSS of long pairs
+                values[name] = op(pair)
         except Exception as exc:
             raise MetricError(f"{name}: {exc}") from exc
     report = MetricReport(

@@ -123,8 +123,7 @@ def build_design_matrix(obs: Observations) -> DesignMatrix:
     return DesignMatrix(_cross(obs.e, _indicators(obs.labels)), column_labels)
 
 
-def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
-            column_labels: tuple[tuple[int, str], ...] | None = None) -> RegressionFit:
+def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray) -> RegressionFit:
     """Minimum-residual least squares with deterministic column dropping.
 
     The candidate columns, at most the first n - 1 in index order so the
@@ -145,7 +144,7 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
         labels = design.column_labels
     else:
         a = np.asarray(design, dtype=np.float64)
-        labels = column_labels or tuple((j, "1") for j in range(a.shape[1]))
+        labels = tuple((j, "1") for j in range(a.shape[1]))
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise ValueError("outcome vector contains non-finite values")

@@ -38,43 +38,22 @@ def _naive_dft_mags(x, fft_len):
 
 
 def test_spectrum_zero_frame():
-    spec = dsp.spectrum(np.zeros(256), "hann", RATE)
-    assert np.all(spec.magnitudes == 0.0)
-
-
-def test_spectrum_rect_sine_at_bin_center():
-    n = 512
-    k = 32
-    x = np.sin(2 * np.pi * k * np.arange(n) / n)
-    spec = dsp.spectrum(x, "rect", RATE)
-    peak = spec.magnitudes[k]
-    others = np.delete(spec.magnitudes, k)
-    assert np.max(others) < 1e-9 * peak
+    analysis = dsp.frame_analysis(AudioSignal(np.zeros(1040), RATE))
+    assert analysis.power.shape == (5, 257)
+    assert np.all(analysis.power == 0.0)
 
 
 def test_spectrum_matches_naive_dft():
     rng = np.random.default_rng(0)
-    for n in (37, 256, 1000):
-        x = rng.uniform(-1, 1, n)
-        spec = dsp.spectrum(x, "hann", RATE)
-        oracle = _naive_dft_mags(x * np.hanning(n), dsp.next_pow2(n))
-        np.testing.assert_allclose(spec.magnitudes, oracle, atol=1e-9)
-
-
-def test_spectrum_bin_count_invariant():
-    spec = dsp.spectrum(np.ones(300), "rect", RATE)
-    assert len(spec.magnitudes) == dsp.next_pow2(300) // 2 + 1
-    assert spec.bin_hz == RATE / dsp.next_pow2(300)
-
-
-def test_parseval_rect_window():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(512)  # fft_len == frame_len, no padding
-    spec = dsp.spectrum(x, "rect", RATE)
-    mags2 = spec.magnitudes ** 2
-    spectral = (mags2[0] + 2 * np.sum(mags2[1:-1]) + mags2[-1]) / 512
-    time_energy = np.sum(x ** 2)
-    assert abs(spectral - time_energy) / time_energy < 1e-6
+    for rate in (8000, RATE):
+        x = rng.uniform(-1, 1, rate // 20)
+        analysis = dsp.frame_analysis(AudioSignal(x, rate))
+        frame_len, hop = dsp.default_frame_params(rate)
+        assert (analysis.hop, analysis.fft_len) == (hop, dsp.next_pow2(frame_len))
+        for i, row in enumerate(analysis.power):
+            oracle = _naive_dft_mags(x[i * hop:i * hop + frame_len] * np.hamming(frame_len),
+                                     analysis.fft_len)
+            np.testing.assert_allclose(row, oracle ** 2, atol=1e-9)
 
 
 def test_lpc_ar1_recovery():

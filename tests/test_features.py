@@ -142,7 +142,8 @@ def _hammarberg_reference(sig):
     frames = dsp.frame(sig, frame_len, hop).frames
     pitch_len = int(round(features.PITCH_FRAME_SECONDS * sig.rate))
     n_common = min(len(frames), len(dsp.frame(sig, pitch_len, hop).frames))
-    mags = np.sqrt(dsp.power_spectra(frames))[:n_common]
+    spec = np.fft.rfft(frames * np.hamming(frame_len), fft_len, axis=1)
+    mags = np.sqrt(np.abs(spec) ** 2)[:n_common]
     freqs = np.arange(mags.shape[1]) * (sig.rate / fft_len)
     p_lo = np.array([features._band_peak(m, freqs, 0.0, 2000.0) for m in mags])
     p_hi = np.array([features._band_peak(m, freqs, 2000.0, 5000.0) for m in mags])

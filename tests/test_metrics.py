@@ -412,16 +412,39 @@ def test_evaluate_pair_composite_gating(sweep_identity):
 
 
 def test_evaluate_pair_fields_equal_individual_ops(sweep):
-    pair = noisy_pair(sweep, 10.0)
-    rep = metrics.evaluate_pair(pair, external_pesq=2.0)
-    assert rep.stoi == metrics.stoi(pair)
-    assert rep.snr_seg == metrics.snr_seg(pair)
-    assert rep.fw_snr_seg == metrics.fw_snr_seg(pair)
-    assert rep.llr == metrics.llr(pair)
-    assert rep.wss == metrics.wss(pair)
-    assert rep.csii == metrics.csii(pair)
-    assert rep.ncm == metrics.ncm(pair)
-    assert rep.composite == metrics.composite(rep.llr, rep.wss, rep.snr_seg, 2.0)
+    # steady noise leaves csii's low region empty; the degraded gap makes
+    # wss keep a strict subset of the frames, inside the populated regions
+    rng = np.random.default_rng(14)
+    x = 0.3 * rng.standard_normal(RATE)
+    d = x + 0.1 * rng.standard_normal(RATE)
+    d[4000:9000] = 0.0
+    gapped = AlignedPair(AudioSignal(x, RATE), AudioSignal(d, RATE), 0, 1.0)
+    assert not metrics._active_mask(dsp.frame(gapped.degraded, 400, 160).frames).all()
+    assert metrics.csii(gapped)[2] is None
+    for pair in (noisy_pair(sweep, 10.0), gapped):
+        rep = metrics.evaluate_pair(pair, external_pesq=2.0)
+        assert rep.stoi == metrics.stoi(pair)
+        assert rep.snr_seg == metrics.snr_seg(pair)
+        assert rep.fw_snr_seg == metrics.fw_snr_seg(pair)
+        assert rep.llr == metrics.llr(pair)
+        assert rep.wss == metrics.wss(pair)
+        assert rep.csii == metrics.csii(pair)
+        assert rep.ncm == metrics.ncm(pair)
+        assert rep.composite == metrics.composite(rep.llr, rep.wss, rep.snr_seg, 2.0)
+
+
+def test_evaluate_pair_frames_each_side_once(sweep, monkeypatch):
+    calls = []
+    original = dsp.frame
+
+    def counting(sig, frame_len, hop):
+        calls.append((frame_len, hop))
+        return original(sig, frame_len, hop)
+
+    monkeypatch.setattr(dsp, "frame", counting)
+    metrics.evaluate_pair(noisy_pair(sweep, 10.0), external_pesq=2.0)
+    # the two shared 25 ms analyses and stoi's two 10 kHz framings
+    assert sorted(calls) == [(256, 128)] * 2 + [(400, 160)] * 2
 
 
 def test_evaluate_pair_deterministic(sweep):
@@ -457,3 +480,7 @@ def test_evaluate_pair_wraps_errors_with_metric_name():
     silent = AudioSignal(np.zeros(RATE), RATE)
     with pytest.raises(MetricError, match="snr_seg"):
         metrics.evaluate_pair(AlignedPair(silent, silent, 0, 1.0), selected=("snr_seg",))
+    short = AudioSignal(np.ones(399), RATE)
+    for name in ("wss", "csii"):
+        with pytest.raises(MetricError, match=f"^{name}: pair shorter than one analysis frame"):
+            metrics.evaluate_pair(AlignedPair(short, short, 0, 1.0), selected=(name,))
