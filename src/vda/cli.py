@@ -382,15 +382,27 @@ def cmd_decompose(args) -> int:
 
 
 def _metric_csv_aggregates(path: Path) -> dict:
+    """Cell means of the metric columns of ``metrics.csv`` or a variant file.
+
+    Blank cells are absent. A label other than 0/1, or a metric cell that is
+    not a finite number, is a FormatError naming the file and the row.
+    """
     header, table = _read_csv_table(path)
-    cells = _cells(header, ("G", "C", "D") + report.COMPARISON_METRICS)
-    rows = []
-    for raw in table:
-        g, c, d, *values = cells(raw)
-        row = {"G": g, "C": c, "D": d}
-        row.update((col, float(text) if text else None)
-                   for col, text in zip(report.COMPARISON_METRICS, values))
-        rows.append(row)
+    keys = list(map(_cells(header, KEY_COLUMNS), table))
+    texts = list(map(_cells(header, report.COMPARISON_METRICS), table))
+    labels = _array([key[1:] for key in keys], keys, path, np.int64).reshape(-1, 3)
+    # a blank cell reads as NaN, which aggregate_metric_rows skips as absent
+    values = _array([[t or "nan" for t in row] for row in texts], keys, path, np.float64)
+    values = values.reshape(-1, len(report.COMPARISON_METRICS))
+    written = np.array([[t != "" for t in row] for row in texts], dtype=bool).reshape(values.shape)
+    bad_label = ((labels != 0) & (labels != 1)).any(axis=1)
+    bad_value = (written & ~np.isfinite(values)).any(axis=1)
+    for bad, reason in ((bad_label, "G/C/D indicators must be 0 or 1"),
+                        (bad_value, "metric values must be finite")):
+        if bad.any():
+            raise FormatError(f"{path}: {_key_name(keys[np.argmax(bad)])}: {reason}")
+    rows = [{"G": g, "C": c, "D": d, **dict(zip(report.COMPARISON_METRICS, row))}
+            for (g, c, d), row in zip(labels, values)]
     return report.aggregate_metric_rows(rows)
 
 

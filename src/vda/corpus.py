@@ -368,7 +368,12 @@ def parse_manifest(path: str | Path) -> CorpusManifest:
                 _parse_indicator(row["D"], "D", i),
             )
             pesq_text = (row.get("pesq") or "").strip()
-            pesq = float(pesq_text) if pesq_text else None
+            try:
+                pesq = float(pesq_text) if pesq_text else None
+            except ValueError:
+                raise SchemaError(
+                    f"row {i}: column pesq must be a number, got {row['pesq']!r}"
+                ) from None
             entries.append(
                 ManifestEntry(
                     utterance_id=row["utterance_id"].strip(),

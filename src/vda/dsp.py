@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import AudioSignal
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError
 
 DEFAULT_FRAME_SECONDS = 0.025
 DEFAULT_HOP_SECONDS = 0.010
@@ -20,17 +20,6 @@ DEFAULT_WINDOW = "hamming"
 
 # Normalized-autocorrelation peak below this is treated as unvoiced.
 VOICING_THRESHOLD = 0.45
-
-
-@dataclass(frozen=True)
-class FrameSequence:
-    frames: np.ndarray  # (n_frames, frame_len)
-    frame_len: int
-    hop: int
-    rate: int
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
 
 
 @dataclass(frozen=True)
@@ -52,12 +41,6 @@ class Filterbank:
     center_hz: np.ndarray  # (n_bands,), strictly increasing
 
 
-@dataclass(frozen=True)
-class LpcCoefficients:
-    a: np.ndarray  # a[0] == 1
-    gain: float  # final prediction-error energy, >= 0
-
-
 def next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
 
@@ -74,16 +57,17 @@ def default_frame_params(rate: int) -> tuple[int, int]:
     return int(round(DEFAULT_FRAME_SECONDS * rate)), int(round(DEFAULT_HOP_SECONDS * rate))
 
 
-def frame(sig: AudioSignal, frame_len: int, hop: int) -> FrameSequence:
-    """Split a signal into overlapping frames; no trailing zero-padding."""
+def frame(sig: AudioSignal, frame_len: int, hop: int) -> np.ndarray:
+    """Split a signal into overlapping ``(n_frames, frame_len)`` frames; no
+    trailing zero-padding."""
     if hop <= 0 or hop > frame_len:
         raise ValueError("need 0 < hop <= frame_len")
     x = sig.samples
     if len(x) < frame_len:
-        return FrameSequence(np.zeros((0, frame_len)), frame_len, hop, sig.rate)
+        return np.zeros((0, frame_len))
     n = (len(x) - frame_len) // hop + 1
     view = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    return FrameSequence(np.ascontiguousarray(view[:n]), frame_len, hop, sig.rate)
+    return np.ascontiguousarray(view[:n])
 
 
 def frame_analysis(sig: AudioSignal) -> FrameAnalysis:
@@ -91,7 +75,7 @@ def frame_analysis(sig: AudioSignal) -> FrameAnalysis:
     power-of-two rfft; a signal shorter than one frame gives zero rows."""
     frame_len, hop = default_frame_params(sig.rate)
     fft_len = next_pow2(frame_len)
-    frames = frame(sig, frame_len, hop).frames
+    frames = frame(sig, frame_len, hop)
     windowed = frames * get_window(DEFAULT_WINDOW, frame_len)
     spectra = np.fft.rfft(windowed, fft_len, axis=1)
     return FrameAnalysis(frames, windowed, spectra, np.abs(spectra) ** 2, hop, fft_len)
@@ -105,18 +89,6 @@ def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:
     spec = np.fft.rfft(frames, fft_len, axis=1)
     acf = np.fft.irfft(spec * np.conj(spec), fft_len, axis=1)
     return acf[:, : max_lag + 1]
-
-
-def lpc(frame_samples: np.ndarray, order: int) -> LpcCoefficients:
-    """All-pole coefficients from the autocorrelation normal equations."""
-    x = np.asarray(frame_samples, dtype=np.float64)
-    if order < 1 or order >= len(x):
-        raise ValueError("need 1 <= order < frame length")
-    r = autocorrelate(x[None, :], order)[0]
-    if r[0] <= 0.0:
-        raise DegenerateInputError("zero-energy frame has no LPC solution")
-    a, err = kernels.levinson_batch(r[None, :])
-    return LpcCoefficients(a[0], float(err[0]))
 
 
 def lpc_batch(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,10 +221,3 @@ def acf_pitch_track(frames: np.ndarray, rate: int, fmin: float, fmax: float
     f0 = np.where(voiced, rate / lag, np.nan)
     return f0, norm_peak
 
-
-def pitch_acf(frame_samples: np.ndarray, rate: int, fmin: float, fmax: float) -> float | None:
-    """F0 of one frame from its autocorrelation peak; None when unvoiced."""
-    x = np.asarray(frame_samples, dtype=np.float64)
-    f0, _ = acf_pitch_track(x[None, :], rate, fmin, fmax)
-    value = float(f0[0])
-    return None if np.isnan(value) else value

@@ -112,16 +112,15 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
     return float(np.mean(values[mask]))
 
 
-def _band_peak(mags_row: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> float:
-    sel = (freqs >= lo) & (freqs <= hi)
-    if not np.any(sel):
-        return 0.0
-    return float(np.max(mags_row[sel]))
+def _band_peaks(mags: np.ndarray, freqs: np.ndarray, lo, hi) -> np.ndarray:
+    """Largest magnitude with frequency in [lo, hi] Hz per row of ``mags``.
 
-
-def _harmonic_amplitude(mags_row: np.ndarray, freqs: np.ndarray, target_hz: float,
-                        half_width_hz: float) -> float:
-    return _band_peak(mags_row, freqs, target_hz - half_width_hz, target_hz + half_width_hz)
+    The bounds broadcast against the rows; a band that holds no bin, or has
+    a NaN bound, gives 0.0.
+    """
+    sel = (freqs >= np.expand_dims(lo, -1)) & (freqs <= np.expand_dims(hi, -1))
+    mags = np.broadcast_to(mags, np.broadcast_shapes(mags.shape, sel.shape))
+    return np.max(mags, axis=-1, where=sel, initial=0.0)
 
 
 def _spectral_slopes(mags: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -139,18 +138,30 @@ def _spectral_slopes(mags: np.ndarray, freqs: np.ndarray, lo: float, hi: float) 
     return slopes, valid
 
 
-def _formants_from_lpc(a: np.ndarray, rate: int) -> list[tuple[float, float]]:
-    roots = np.roots(a)
-    roots = roots[np.imag(roots) > 0.0]
-    if len(roots) == 0:
-        return []
+def _formants(a: np.ndarray, rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency and bandwidth in Hz of the three lowest formants per LPC row.
+
+    The roots of each row are the eigenvalues of its companion matrix, as
+    in ``np.roots``, except that trailing zero coefficients (a Levinson row
+    whose error collapsed) are kept and add roots at 0, which never pass the
+    bandwidth limit. Roots in the upper half plane that pass the frequency
+    and bandwidth limits are sorted by (frequency, bandwidth); a row with
+    fewer than three of them is NaN.
+    """
+    n_rows, order = a.shape[0], a.shape[1] - 1
+    companion = np.zeros((n_rows, order, order))
+    companion[:, 0, :] = -a[:, 1:]
+    companion[:, np.arange(1, order), np.arange(order - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
     freq = np.angle(roots) * rate / (2.0 * np.pi)
-    radius = np.abs(roots)
-    with np.errstate(divide="ignore"):
-        bw = -(rate / np.pi) * np.log(np.maximum(radius, _TINY))
-    keep = (freq > 90.0) & (freq < rate / 2.0 - 90.0) & (bw > 0.0) & (bw < FORMANT_MAX_BANDWIDTH)
-    pairs = sorted(zip(freq[keep], bw[keep]))
-    return [(float(f), float(b)) for f, b in pairs]
+    bw = -(rate / np.pi) * np.log(np.maximum(np.abs(roots), _TINY))
+    keep = ((np.imag(roots) > 0.0) & (freq > 90.0) & (freq < rate / 2.0 - 90.0)
+            & (bw > 0.0) & (bw < FORMANT_MAX_BANDWIDTH))
+    freq = np.where(keep, freq, np.inf)
+    lowest = np.lexsort((bw, freq), axis=-1)[:, :3]
+    missing = (np.sum(keep, axis=1) < 3)[:, None]
+    return (np.where(missing, np.nan, np.take_along_axis(freq, lowest, axis=1)),
+            np.where(missing, np.nan, np.take_along_axis(bw, lowest, axis=1)))
 
 
 def _jitter_shimmer(x: np.ndarray, rate: int, f0_hz: float) -> tuple[float, float]:
@@ -181,14 +192,9 @@ def _jitter_shimmer(x: np.ndarray, rate: int, f0_hz: float) -> tuple[float, floa
     if len(periods) >= 2:
         jitter = float(np.mean(np.abs(np.diff(periods))) / np.mean(periods))
 
-    amp_ok = amps > 0.0
-    shimmer = 0.0
-    ratios = []
-    for k in range(len(amps) - 1):
-        if amp_ok[k] and amp_ok[k + 1]:
-            ratios.append(abs(20.0 * np.log10(amps[k + 1] / amps[k])))
-    if ratios:
-        shimmer = float(np.mean(ratios))
+    both = (amps[1:] > 0.0) & (amps[:-1] > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shimmer = _masked_mean(np.abs(20.0 * np.log10(amps[1:] / amps[:-1])), both)
     return jitter, shimmer
 
 
@@ -208,7 +214,7 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     active = frame_energy > 0.0
 
     pitch_len = int(round(PITCH_FRAME_SECONDS * rate))
-    pitch_frames = dsp.frame(sig, pitch_len, hop).frames
+    pitch_frames = dsp.frame(sig, pitch_len, hop)
     f0_track, acf_peak = dsp.acf_pitch_track(pitch_frames, rate, PITCH_FMIN, PITCH_FMAX)
 
     n_common = min(len(frames), len(pitch_frames))
@@ -239,8 +245,8 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     x[2] = _masked_mean(ratio_db, both)
 
     # hammarberg index: strongest peak 0-2 kHz vs 2-5 kHz in dB
-    p_lo = np.max(mags[:, freqs <= 2000.0], axis=1, initial=0.0)
-    p_hi = np.max(mags[:, (freqs >= 2000.0) & (freqs <= 5000.0)], axis=1, initial=0.0)
+    p_lo = _band_peaks(mags, freqs, 0.0, 2000.0)
+    p_hi = _band_peaks(mags, freqs, 2000.0, 5000.0)
     both = (p_lo > 0.0) & (p_hi > 0.0)
     hamm = np.zeros(len(mags))
     hamm[both] = 20.0 * np.log10(p_lo[both] / p_hi[both])
@@ -284,18 +290,12 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
 def _voiced_run_jitter_shimmer(sig: AudioSignal, voiced: np.ndarray,
                                f0_track: np.ndarray, hop: int, pitch_len: int
                                ) -> tuple[float, float]:
-    """Jitter/shimmer over the longest contiguous voiced stretch."""
-    best_start, best_len = 0, 0
-    run_start, run_len = 0, 0
-    for i, flag in enumerate(voiced):
-        if flag:
-            if run_len == 0:
-                run_start = i
-            run_len += 1
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-        else:
-            run_len = 0
+    """Jitter/shimmer over the longest contiguous voiced stretch (the first
+    of equal ones); ``voiced`` has at least one frame set."""
+    edges = np.diff(np.concatenate([[0], voiced.astype(np.int8), [0]]))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    longest = int(np.argmax(stops - starts))
+    best_start, best_len = int(starts[longest]), int(stops[longest] - starts[longest])
     if best_len < 2:
         return 0.0, 0.0
     start = best_start * hop
@@ -309,47 +309,32 @@ def _harmonic_and_formant_features(frames: np.ndarray, mags: np.ndarray,
                                    freqs: np.ndarray, f0_track: np.ndarray,
                                    voiced: np.ndarray, rate: int
                                    ) -> tuple[float, float, np.ndarray]:
-    """Per voiced frame: H1-H2, H1-A3, and formant frequency/bandwidth/level."""
+    """Means over the voiced frames of H1-H2, H1-A3 and the formant
+    frequency/bandwidth/level; the formant terms average over the frames
+    with three formants."""
+    voiced_frames = frames[voiced]
+    pre = voiced_frames.copy()
+    pre[:, 1:] -= PREEMPHASIS * voiced_frames[:, :-1]
     w = dsp.get_window(dsp.DEFAULT_WINDOW, frames.shape[1])
-    h1h2_vals: list[float] = []
-    h1a3_vals: list[float] = []
-    formant_rows: list[np.ndarray] = []
-
-    voiced_idx = np.flatnonzero(voiced)
-    pre = frames[voiced_idx].copy()
-    pre[:, 1:] -= PREEMPHASIS * frames[voiced_idx][:, :-1]
     a_rows, _, lpc_valid = dsp.lpc_batch(pre * w, FORMANT_LPC_ORDER)
+    f_hz = np.full((len(a_rows), 3), np.nan)
+    bw_hz = f_hz.copy()
+    f_hz[lpc_valid], bw_hz[lpc_valid] = _formants(a_rows[lpc_valid], rate)
+    has_formants = ~np.isnan(f_hz[:, 0])
 
-    for j, t in enumerate(voiced_idx):
-        f0 = f0_track[t]
-        half = max(0.25 * f0, 2.0 * freqs[1])
-        h1 = _harmonic_amplitude(mags[t], freqs, f0, half)
-        h2 = _harmonic_amplitude(mags[t], freqs, 2.0 * f0, half)
-        if h1 > 0.0 and h2 > 0.0:
-            h1h2_vals.append(20.0 * np.log10(h1 / h2))
+    # H1, H2 and the harmonic nearest each formant, +-half around its target
+    f0 = f0_track[voiced][:, None]
+    half = np.maximum(0.25 * f0, 2.0 * freqs[1])
+    targets = np.hstack([f0, 2.0 * f0, np.maximum(1.0, np.rint(f_hz / f0)) * f0])
+    peaks = _band_peaks(mags[voiced][:, None, :], freqs, targets - half, targets + half)
+    h1, h2, amps = peaks[:, 0], peaks[:, 1], peaks[:, 2:]
+    a3 = amps[:, 2]
 
-        if not lpc_valid[j]:
-            continue
-        formants = _formants_from_lpc(a_rows[j], rate)
-        if len(formants) < 3:
-            continue
-        row = np.zeros(9)
-        a3_amp = None
-        for k in range(3):
-            f_k, bw_k = formants[k]
-            row[3 * k] = f_k
-            row[3 * k + 1] = bw_k
-            harm = max(1, int(round(f_k / f0)))
-            amp = _harmonic_amplitude(mags[t], freqs, harm * f0, half)
-            if amp > 0.0 and h1 > 0.0:
-                row[3 * k + 2] = 20.0 * np.log10(amp / h1)
-            if k == 2:
-                a3_amp = amp
-        formant_rows.append(row)
-        if a3_amp is not None and a3_amp > 0.0 and h1 > 0.0:
-            h1a3_vals.append(20.0 * np.log10(h1 / a3_amp))
-
-    h1h2 = float(np.mean(h1h2_vals)) if h1h2_vals else 0.0
-    h1a3 = float(np.mean(h1a3_vals)) if h1a3_vals else 0.0
-    stats = np.mean(formant_rows, axis=0) if formant_rows else np.zeros(9)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h1h2 = _masked_mean(20.0 * np.log10(h1 / h2), (h1 > 0.0) & (h2 > 0.0))
+        h1a3 = _masked_mean(20.0 * np.log10(h1 / a3), has_formants & (h1 > 0.0) & (a3 > 0.0))
+        level = np.where((amps > 0.0) & (h1[:, None] > 0.0),
+                         20.0 * np.log10(amps / h1[:, None]), 0.0)
+    rows = np.stack([f_hz, bw_hz, level], axis=-1).reshape(len(f_hz), 9)[has_formants]
+    stats = np.mean(rows, axis=0) if len(rows) else np.zeros(9)
     return h1h2, h1a3, stats

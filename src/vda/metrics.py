@@ -340,8 +340,8 @@ def stoi(pair: AlignedPair) -> float:
         )
     c10 = corpus.resample(pair.clean, STOI_RATE)
     d10 = corpus.resample(pair.degraded, STOI_RATE)
-    fc = dsp.frame(c10, STOI_FRAME, STOI_HOP).frames
-    fd = dsp.frame(d10, STOI_FRAME, STOI_HOP).frames
+    fc = dsp.frame(c10, STOI_FRAME, STOI_HOP)
+    fd = dsp.frame(d10, STOI_FRAME, STOI_HOP)
     w = dsp.get_window("hann", STOI_FRAME)
     energies = 20.0 * np.log10(np.linalg.norm(fc * w, axis=1) + _EPS)
     mask = energies > energies.max() - STOI_SILENCE_RANGE_DB

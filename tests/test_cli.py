@@ -332,6 +332,21 @@ def test_report_with_variant(pipeline_out):
     assert "+0.00" in text
 
 
+@pytest.mark.parametrize("name", ["metrics.csv", "metrics_variant.csv"])
+@pytest.mark.parametrize("cells,reason", [
+    ({"stoi": "abc"}, "could not convert string to float: 'abc'"),
+    ({"stoi": "nan"}, "metric values must be finite"),
+    ({"G": "2"}, "G/C/D indicators must be 0 or 1"),
+], ids=["stoi-not-a-number", "stoi-nan", "G-is-2"])
+def test_malformed_report_cell_is_data_error(pipeline_out, tmp_path, capsys, name, cells, reason):
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    (out / "metrics_variant.csv").write_bytes((out / "metrics.csv").read_bytes())
+    row = _set_cells(out / name, 5, cells)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_DATA
+    assert f"{name}: utt000 G{row['G']}C0D1: {reason}" in capsys.readouterr().err
+
+
 def test_pipeline_stage_reruns_idempotent(small_corpus, pipeline_out, tmp_path):
     out2 = tmp_path / "rerun"
     manifest = str(small_corpus / "manifest.csv")

@@ -270,6 +270,13 @@ def test_parse_manifest_nonbinary_indicator(tmp_path):
         corpus.parse_manifest(path)
 
 
+def test_parse_manifest_malformed_pesq_names_row(tmp_path):
+    path = tmp_path / "m.csv"
+    _write_manifest_csv(path, ["u1,a.wav,b.wav,0,0,0,2.5", "u2,a.wav,b.wav,0,0,1,abc"])
+    with pytest.raises(SchemaError, match="row 1: column pesq must be a number, got 'abc'"):
+        corpus.parse_manifest(path)
+
+
 def test_parse_manifest_missing_column(tmp_path):
     path = tmp_path / "m.csv"
     _write_manifest_csv(path, ["u1,a.wav,b.wav,0,0"], header="utterance_id,clean_path,degraded_path,G,C")

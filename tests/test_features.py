@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vda import dsp, features
+from vda import dsp, features, kernels
 from vda.corpus import AudioSignal
 from vda.errors import PreconditionError
 from vda.features import ErrorVector, FeatureVector, extract_features, feature_error
@@ -134,40 +134,177 @@ def test_vowel_feature_error_sensitive_to_formant_shift():
     assert err.e[20] > 100.0  # F2 moved by ~180 Hz
 
 
-def _hammarberg_reference(sig):
-    """x[3] with the per-frame peak search the feature code used before it
-    took the band maxima over the whole frame matrix at once."""
+def _band_peak(mags_row, freqs, lo, hi):
+    sel = (freqs >= lo) & (freqs <= hi)
+    if not np.any(sel):
+        return 0.0
+    return float(np.max(mags_row[sel]))
+
+
+def _formants_from_lpc(a, rate):
+    roots = np.roots(a)
+    roots = roots[np.imag(roots) > 0.0]
+    if len(roots) == 0:
+        return []
+    freq = np.angle(roots) * rate / (2.0 * np.pi)
+    bw = -(rate / np.pi) * np.log(np.maximum(np.abs(roots), features._TINY))
+    keep = ((freq > 90.0) & (freq < rate / 2.0 - 90.0) & (bw > 0.0)
+            & (bw < features.FORMANT_MAX_BANDWIDTH))
+    return [(float(f), float(b)) for f, b in sorted(zip(freq[keep], bw[keep]))]
+
+
+def _reference_frames(sig):
+    """Frames, magnitude spectra, bin frequencies and F0 track as
+    ``extract_features`` aligns them, with the spectrum taken inline."""
     frame_len, hop = dsp.default_frame_params(sig.rate)
     fft_len = dsp.next_pow2(frame_len)
-    frames = dsp.frame(sig, frame_len, hop).frames
+    frames = dsp.frame(sig, frame_len, hop)
     pitch_len = int(round(features.PITCH_FRAME_SECONDS * sig.rate))
-    n_common = min(len(frames), len(dsp.frame(sig, pitch_len, hop).frames))
+    pitch_frames = dsp.frame(sig, pitch_len, hop)
+    f0_track, _ = dsp.acf_pitch_track(pitch_frames, sig.rate, features.PITCH_FMIN,
+                                      features.PITCH_FMAX)
+    n_common = min(len(frames), len(pitch_frames))
     spec = np.fft.rfft(frames * np.hamming(frame_len), fft_len, axis=1)
     mags = np.sqrt(np.abs(spec) ** 2)[:n_common]
     freqs = np.arange(mags.shape[1]) * (sig.rate / fft_len)
-    p_lo = np.array([features._band_peak(m, freqs, 0.0, 2000.0) for m in mags])
-    p_hi = np.array([features._band_peak(m, freqs, 2000.0, 5000.0) for m in mags])
+    return frames[:n_common], mags, freqs, f0_track[:n_common]
+
+
+def _hammarberg_reference(sig):
+    """x[3] with the per-frame peak search the feature code used before it
+    took the band maxima over the whole frame matrix at once."""
+    _, mags, freqs, _ = _reference_frames(sig)
+    p_lo = np.array([_band_peak(m, freqs, 0.0, 2000.0) for m in mags])
+    p_hi = np.array([_band_peak(m, freqs, 2000.0, 5000.0) for m in mags])
     both = (p_lo > 0.0) & (p_hi > 0.0)
     hamm = np.zeros(len(mags))
     hamm[both] = 20.0 * np.log10(p_lo[both] / p_hi[both])
     return features._masked_mean(hamm, both)
 
 
-def test_hammarberg_matches_per_frame_reference(vowel, tone440):
+def _harmonic_and_formant_reference(sig):
+    """x[15:26] with the per-frame loop (one ``np.roots`` and three to five
+    band peaks per voiced frame) the feature code used before it batched
+    the voiced frames."""
+    frames, mags, freqs, f0_track = _reference_frames(sig)
+    voiced_idx = np.flatnonzero(np.isfinite(f0_track))
+    if len(voiced_idx) == 0:
+        return np.zeros(11)
+    pre = frames[voiced_idx].copy()
+    pre[:, 1:] -= features.PREEMPHASIS * frames[voiced_idx][:, :-1]
+    a_rows, _, lpc_valid = dsp.lpc_batch(pre * np.hamming(frames.shape[1]),
+                                         features.FORMANT_LPC_ORDER)
+    h1h2_vals, h1a3_vals, formant_rows = [], [], []
+    for j, t in enumerate(voiced_idx):
+        f0 = f0_track[t]
+        half = max(0.25 * f0, 2.0 * freqs[1])
+        h1 = _band_peak(mags[t], freqs, f0 - half, f0 + half)
+        h2 = _band_peak(mags[t], freqs, 2.0 * f0 - half, 2.0 * f0 + half)
+        if h1 > 0.0 and h2 > 0.0:
+            h1h2_vals.append(20.0 * np.log10(h1 / h2))
+        if not lpc_valid[j]:
+            continue
+        formants = _formants_from_lpc(a_rows[j], sig.rate)
+        if len(formants) < 3:
+            continue
+        row = np.zeros(9)
+        for k in range(3):
+            f_k, bw_k = formants[k]
+            row[3 * k], row[3 * k + 1] = f_k, bw_k
+            target = max(1, int(round(f_k / f0))) * f0
+            amp = _band_peak(mags[t], freqs, target - half, target + half)
+            if amp > 0.0 and h1 > 0.0:
+                row[3 * k + 2] = 20.0 * np.log10(amp / h1)
+        formant_rows.append(row)
+        if amp > 0.0 and h1 > 0.0:
+            h1a3_vals.append(20.0 * np.log10(h1 / amp))
+    h1h2 = float(np.mean(h1h2_vals)) if h1h2_vals else 0.0
+    h1a3 = float(np.mean(h1a3_vals)) if h1a3_vals else 0.0
+    stats = np.mean(formant_rows, axis=0) if formant_rows else np.zeros(9)
+    return np.concatenate([[h1h2, h1a3], stats])
+
+
+def _reference_signals(vowel, tone440, speech_like):
     rng = np.random.default_rng(9)
     gapped = vowel.samples.copy()
     gapped[4000:9000] = 0.0  # silent frames in the middle
-    signals = [
+    return [
         vowel,
         tone440,
         AudioSignal(gapped, RATE),
+        speech_like,
+        make_vowel(rate=8000),
+        make_vowel(rate=48000),
         AudioSignal(np.zeros(RATE), RATE),
         AudioSignal(0.1 * rng.standard_normal(RATE), RATE),
         AudioSignal(0.1 * rng.standard_normal(8000), 8000),  # 2-5 kHz band cut at Nyquist
         AudioSignal(0.1 * rng.standard_normal(48000), 48000),
     ]
-    for sig in signals:
+
+
+def test_hammarberg_matches_per_frame_reference(vowel, tone440, speech_like):
+    for sig in _reference_signals(vowel, tone440, speech_like):
         assert extract_features(sig).x[3] == _hammarberg_reference(sig)
+
+
+def test_harmonic_and_formant_features_match_per_frame_reference(vowel, tone440, speech_like):
+    for sig in _reference_signals(vowel, tone440, speech_like):
+        np.testing.assert_array_equal(extract_features(sig).x[15:26],
+                                      _harmonic_and_formant_reference(sig))
+
+
+def test_formants_of_collapsed_levinson_rows_match_np_roots(vowel):
+    rate = RATE
+    frame_len = dsp.default_frame_params(rate)[0]
+    r_vowel = dsp.autocorrelate(vowel.samples[None, 4000:4000 + frame_len] * np.hamming(frame_len),
+                                features.FORMANT_LPC_ORDER)[0]
+    # keep r[0..6] of the vowel and push r[7] past the order-7 bound, so the
+    # recursion stops there and a[8:] stays zero
+    a6, e6 = kernels.levinson_batch(r_vowel[None, :7])
+    past_bound = r_vowel.copy()
+    past_bound[7] = 2.0 * e6[0] - a6[0, 1:] @ r_vowel[6:0:-1]
+    r = np.vstack([np.ones(features.FORMANT_LPC_ORDER + 1), past_bound, r_vowel])
+    a, err = kernels.levinson_batch(r)
+    assert np.all(err[:2] == 0.0) and np.all(a[:2, 8:] == 0.0)
+    freq, bw = features._formants(a, rate)
+    for j in range(len(a)):
+        reference = _formants_from_lpc(a[j], rate)
+        if len(reference) < 3:
+            assert np.all(np.isnan(freq[j])) and np.all(np.isnan(bw[j]))
+        else:
+            assert [tuple(p) for p in zip(freq[j], bw[j])] == reference[:3]
+    assert not np.isnan(freq[2]).any()  # the intact vowel row has its formants
+
+
+def _longest_run_reference(voiced):
+    best_start, best_len = 0, 0
+    run_start, run_len = 0, 0
+    for i, flag in enumerate(voiced):
+        if flag:
+            if run_len == 0:
+                run_start = i
+            run_len += 1
+            if run_len > best_len:
+                best_start, best_len = run_start, run_len
+        else:
+            run_len = 0
+    return best_start, best_len
+
+
+def test_voiced_run_jitter_shimmer_takes_first_longest_run(speech_like):
+    rng = np.random.default_rng(5)
+    hop, pitch_len = 160, 640
+    n_frames = (len(speech_like.samples) - pitch_len) // hop + 1
+    f0_track = np.full(n_frames, 120.0)
+    masks = [rng.random(n_frames) < p for p in (0.3, 0.6, 0.9, 1.0)]
+    masks.append(np.arange(n_frames) % 10 < 4)  # equal runs: the first wins
+    for voiced in masks:
+        start, length = _longest_run_reference(voiced)
+        stop = min((start + length - 1) * hop + pitch_len, len(speech_like.samples))
+        expected = ((0.0, 0.0) if length < 2 else
+                    features._jitter_shimmer(speech_like.samples[start * hop:stop], RATE, 120.0))
+        assert features._voiced_run_jitter_shimmer(speech_like, voiced, f0_track, hop,
+                                                   pitch_len) == expected
 
 
 def test_mfcc_basis_matches_scipy_dct():
