@@ -41,12 +41,13 @@ EXIT_NUMERIC = 3
 
 DEFAULT_MAX_LAG_SECONDS = 0.25
 
-METRICS_COLUMNS = (
-    "utterance_id", "G", "C", "D",
-    "stoi", "snr_seg", "fw_snr_seg", "llr", "wss",
-    "csii_high", "csii_mid", "csii_low", "ncm",
-    "pesq", "csig", "cbak", "covl",
-)
+# The row key that leads every table; metrics.csv carries metrics.COLUMNS
+# after it, errors.csv the ERROR_COLUMNS and both features_*.csv FEATURE_COLUMNS.
+KEY_COLUMNS = ("utterance_id", "G", "C", "D")
+ERROR_COLUMNS = tuple(f"e{i}" for i in range(features.N_FEATURES))
+FEATURE_COLUMNS = tuple(f"x{i}" for i in range(features.N_FEATURES))
+
+OUTCOMES = ("stoi", "pesq")
 
 # Exception classes -> exit code, first match wins. Used by main and, for
 # failed rows, by the metrics and features stages.
@@ -73,12 +74,6 @@ def _configure_logging() -> None:
         log.setLevel(logging.WARNING)
 
 
-def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return ""
-    return repr(float(value))
-
-
 def _max_lag(rate: int) -> int:
     return int(round(DEFAULT_MAX_LAG_SECONDS * rate))
 
@@ -89,8 +84,12 @@ def _load_pair(entry: corpus.ManifestEntry) -> corpus.AlignedPair:
     return corpus.align(clean, degraded, _max_lag(corpus.CANONICAL_RATE))
 
 
-def _row_failure(entry: corpus.ManifestEntry, exc: Exception) -> tuple[int, str]:
-    """Exit code and message for a failed row.
+def _entry_key(entry: corpus.ManifestEntry) -> tuple:
+    return (entry.utterance_id, entry.label.g, entry.label.c, entry.label.d)
+
+
+def _row_failure(key: tuple, exc: Exception) -> tuple[int, str]:
+    """Exit code and message for the failed row ``key``.
 
     Arguments are checked before any row runs, so a row never fails as
     usage: a ValueError inside a row, or an unmapped exception, is numeric.
@@ -98,68 +97,36 @@ def _row_failure(entry: corpus.ManifestEntry, exc: Exception) -> tuple[int, str]
     code = _exit_code(exc)
     if code in (None, EXIT_USAGE):
         code = EXIT_NUMERIC
-    label = entry.label
-    return code, f"{entry.utterance_id} G{label.g}C{label.c}D{label.d}: {exc}"
+    return code, f"{_key_name(key)}: {exc}"
 
 
-def _metric_row(args: tuple) -> tuple[dict, tuple[int, str] | None]:
+def _metric_row(args: tuple) -> tuple[tuple, tuple[int, str] | None]:
+    """The metrics.csv row of one pair; a failed row is its key alone."""
     entry, selected = args
-    base = {
-        "utterance_id": entry.utterance_id,
-        "G": entry.label.g,
-        "C": entry.label.c,
-        "D": entry.label.d,
-    }
+    key = _entry_key(entry)
     try:
         pair = _load_pair(entry)
         rep = metrics.evaluate_pair(pair, entry.external_pesq, selected)
     except Exception as exc:
-        return base, _row_failure(entry, exc)
-    high, mid, low = rep.csii
-    base.update(
-        {
-            "stoi": rep.stoi,
-            "snr_seg": rep.snr_seg,
-            "fw_snr_seg": rep.fw_snr_seg,
-            "llr": rep.llr,
-            "wss": rep.wss,
-            "csii_high": high,
-            "csii_mid": mid,
-            "csii_low": low,
-            "ncm": rep.ncm,
-            "pesq": rep.pesq,
-        }
-    )
-    if rep.composite is not None:
-        base["csig"], base["cbak"], base["covl"] = rep.composite
-    return base, None
+        return key, _row_failure(key, exc)
+    return key + rep.cells(), None
 
 
-def _feature_row(entry: corpus.ManifestEntry) -> tuple[dict, dict, dict, tuple[int, str] | None]:
-    base = {
-        "utterance_id": entry.utterance_id,
-        "G": entry.label.g,
-        "C": entry.label.c,
-        "D": entry.label.d,
-    }
+def _feature_row(entry: corpus.ManifestEntry) -> tuple[tuple, tuple, tuple, tuple[int, str] | None]:
+    """The errors.csv, features_clean.csv and features_degraded.csv rows of one pair."""
+    key = _entry_key(entry)
     try:
         pair = _load_pair(entry)
         fv_clean = features.extract_features(pair.clean)
         fv_degraded = features.extract_features(pair.degraded)
         err = features.feature_error(fv_clean, fv_degraded)
     except Exception as exc:
-        return base, base, base, _row_failure(entry, exc)
-    err_row = dict(base, **{f"e{i}": err.e[i] for i in range(features.N_FEATURES)})
-    clean_row = dict(base, **{f"x{i}": fv_clean.x[i] for i in range(features.N_FEATURES)})
-    deg_row = dict(base, **{f"x{i}": fv_degraded.x[i] for i in range(features.N_FEATURES)})
-    return err_row, clean_row, deg_row, None
+        return key, key, key, _row_failure(key, exc)
+    return key + tuple(err.e), key + tuple(fv_clean.x), key + tuple(fv_degraded.x), None
 
 
 def _sorted_entries(manifest: corpus.CorpusManifest) -> list[corpus.ManifestEntry]:
-    return sorted(
-        manifest.entries,
-        key=lambda e: (e.utterance_id, e.label.g, e.label.c, e.label.d),
-    )
+    return sorted(manifest.entries, key=_entry_key)
 
 
 def _map_jobs(func, items, jobs: int):
@@ -171,12 +138,13 @@ def _map_jobs(func, items, jobs: int):
         return list(pool.map(func, items))
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[dict]) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """Write ``rows`` under ``header``; a short row (a failed one) ends in blank cells."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt_cell(row.get(col)) for col in header])
+            writer.writerow([_fmt_cell(value) for value in row] + [""] * (len(header) - len(row)))
 
 
 def _fmt_cell(value) -> str:
@@ -186,7 +154,8 @@ def _fmt_cell(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return _fmt(float(value))
+    value = float(value)
+    return "" if np.isnan(value) else repr(value)
 
 
 def cmd_validate(args) -> int:
@@ -225,7 +194,7 @@ def cmd_metrics(args) -> int:
         log.error("metrics failed for %s", msg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, [row for row, _ in results])
+    _write_csv(out_dir / "metrics.csv", KEY_COLUMNS + metrics.COLUMNS, [row for row, _ in results])
     print(out_dir / "metrics.csv")
     return failures[0][0] if failures else EXIT_OK
 
@@ -239,18 +208,11 @@ def cmd_features(args) -> int:
         log.error("features failed for %s", msg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    err_header = ("utterance_id", "G", "C", "D") + tuple(f"e{i}" for i in range(features.N_FEATURES))
-    x_header = ("utterance_id", "G", "C", "D") + tuple(f"x{i}" for i in range(features.N_FEATURES))
-    _write_csv(out_dir / "errors.csv", err_header, [r[0] for r in results])
-    _write_csv(out_dir / "features_clean.csv", x_header, [r[1] for r in results])
-    _write_csv(out_dir / "features_degraded.csv", x_header, [r[2] for r in results])
+    _write_csv(out_dir / "errors.csv", KEY_COLUMNS + ERROR_COLUMNS, [r[0] for r in results])
+    _write_csv(out_dir / "features_clean.csv", KEY_COLUMNS + FEATURE_COLUMNS, [r[1] for r in results])
+    _write_csv(out_dir / "features_degraded.csv", KEY_COLUMNS + FEATURE_COLUMNS, [r[2] for r in results])
     print(out_dir / "errors.csv")
     return failures[0][0] if failures else EXIT_OK
-
-
-KEY_COLUMNS = ("utterance_id", "G", "C", "D")
-
-OUTCOMES = ("stoi", "pesq")
 
 
 def _read_csv_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -307,7 +269,7 @@ def _observations(out_dir: Path, outcome: str) -> model.Observations:
     m_key = _cells(m_header, KEY_COLUMNS)
     m_outcomes = _cells(m_header, ("stoi", outcome))
     e_key = _cells(e_header, KEY_COLUMNS)
-    e_values = _cells(e_header, tuple(f"e{i}" for i in range(features.N_FEATURES)))
+    e_values = _cells(e_header, ERROR_COLUMNS)
     errors_by_key = {e_key(r): e_values(r) for r in error_rows}
     keys, e_cells, y_cells, no_pesq = [], [], [], []
     for line, mrow in enumerate(metric_rows, start=2):
@@ -389,21 +351,19 @@ def _metric_csv_aggregates(path: Path) -> dict:
     """
     header, table = _read_csv_table(path)
     keys = list(map(_cells(header, KEY_COLUMNS), table))
-    texts = list(map(_cells(header, report.COMPARISON_METRICS), table))
+    texts = list(map(_cells(header, metrics.COLUMNS), table))
     labels = _array([key[1:] for key in keys], keys, path, np.int64).reshape(-1, 3)
-    # a blank cell reads as NaN, which aggregate_metric_rows skips as absent
+    # a blank cell reads as NaN, which cell_means skips as absent
     values = _array([[t or "nan" for t in row] for row in texts], keys, path, np.float64)
-    values = values.reshape(-1, len(report.COMPARISON_METRICS))
-    written = np.array([[t != "" for t in row] for row in texts], dtype=bool).reshape(values.shape)
+    values = values.reshape(-1, len(metrics.COLUMNS))
+    written = np.array(texts, dtype=str).reshape(values.shape) != ""
     bad_label = ((labels != 0) & (labels != 1)).any(axis=1)
     bad_value = (written & ~np.isfinite(values)).any(axis=1)
     for bad, reason in ((bad_label, "G/C/D indicators must be 0 or 1"),
                         (bad_value, "metric values must be finite")):
         if bad.any():
             raise FormatError(f"{path}: {_key_name(keys[np.argmax(bad)])}: {reason}")
-    rows = [{"G": g, "C": c, "D": d, **dict(zip(report.COMPARISON_METRICS, row))}
-            for (g, c, d), row in zip(labels, values)]
-    return report.aggregate_metric_rows(rows)
+    return report.cell_means(labels, values)
 
 
 def cmd_report(args) -> int:

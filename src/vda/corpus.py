@@ -348,8 +348,8 @@ def parse_manifest(path: str | Path) -> CorpusManifest:
     """Parse a corpus manifest CSV.
 
     Expected header: utterance_id,clean_path,degraded_path,G,C,D,pesq
-    (the pesq column may be blank). Paths are resolved relative to the
-    manifest's directory.
+    (the pesq column may be blank, and is finite where it is not). Paths
+    must not be blank and are resolved relative to the manifest's directory.
     """
     path = Path(path)
     base = path.parent
@@ -374,6 +374,13 @@ def parse_manifest(path: str | Path) -> CorpusManifest:
                 raise SchemaError(
                     f"row {i}: column pesq must be a number, got {row['pesq']!r}"
                 ) from None
+            if pesq is not None and not math.isfinite(pesq):
+                raise SchemaError(f"row {i}: column pesq must be finite, got {row['pesq']!r}")
+            for column in ("clean_path", "degraded_path"):
+                if not (row[column] or "").strip():
+                    raise SchemaError(
+                        f"row {i}: column {column} must name a file, got {row[column]!r}"
+                    )
             entries.append(
                 ManifestEntry(
                     utterance_id=row["utterance_id"].strip(),

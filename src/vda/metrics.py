@@ -41,6 +41,13 @@ MIN_ENVELOPE_SECONDS = 0.384
 _EPS = np.finfo(np.float64).eps
 
 
+# The value columns of metrics.csv, in file order: see MetricReport.cells.
+COLUMNS = (
+    "stoi", "snr_seg", "fw_snr_seg", "llr", "wss",
+    "csii_high", "csii_mid", "csii_low", "ncm", "pesq", "csig", "cbak", "covl",
+)
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """One row of the evaluation suite for a single aligned pair."""
@@ -54,6 +61,11 @@ class MetricReport:
     ncm: float
     pesq: float | None = None
     composite: tuple[float, float, float] | None = None  # (csig, cbak, covl)
+
+    def cells(self) -> tuple:
+        """The values in COLUMNS order; csig, cbak and covl are None without a composite."""
+        return (self.stoi, self.snr_seg, self.fw_snr_seg, self.llr, self.wss, *self.csii,
+                self.ncm, self.pesq, *(self.composite or (None, None, None)))
 
 
 def _analyze_pair(pair: AlignedPair) -> tuple[dsp.FrameAnalysis, dsp.FrameAnalysis]:

@@ -11,36 +11,21 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import VdaError
 from .features import N_FEATURES
+from .metrics import COLUMNS
 from .model import M_BITS, M_LABELS, OaxacaDecomposition, RegressionFit, significance_band
 
 FORMATS = ("csv", "json", "markdown")
 
 _BAND_MARK = {"strong": "***", "medium": "**", "weak": "*", "none": ""}
 
-COMPARISON_METRICS = (
-    "stoi", "snr_seg", "fw_snr_seg", "llr", "wss",
-    "csii_high", "csii_mid", "csii_low", "ncm", "pesq", "csig", "cbak", "covl",
-)
-
 
 class AlignmentKeyError(VdaError):
     """Baseline and variant aggregates do not share condition keys."""
-
-
-@dataclass(frozen=True)
-class ComparisonCell:
-    baseline: float
-    delta: float
-
-    @property
-    def polarity(self) -> str:
-        return "positive" if self.delta >= 0 else "negative"
 
 
 def _check_format(fmt: str) -> None:
@@ -208,10 +193,9 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str)
                 f"variant {name!r}: missing keys {missing}, unexpected keys {extra}"
             )
 
-    metrics = [m for m in COMPARISON_METRICS
-               if any(_has_value(baseline[k].get(m)) for k in base_keys)]
+    shown = [m for m in COLUMNS if any(_has_value(baseline[k].get(m)) for k in base_keys)]
     records = []
-    for metric in metrics:
+    for metric in shown:
         for key in base_keys:
             base_val = baseline[key].get(metric)
             if not _has_value(base_val):
@@ -225,8 +209,9 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str)
             for name in sorted(variants):
                 var_val = variants[name][key].get(metric)
                 if _has_value(var_val):
-                    cell = ComparisonCell(float(base_val), float(var_val) - float(base_val))
-                    rec["deltas"][name] = {"delta": cell.delta, "polarity": cell.polarity}
+                    delta = float(var_val) - float(base_val)
+                    rec["deltas"][name] = {"delta": delta,
+                                           "polarity": "positive" if delta >= 0 else "negative"}
             records.append(rec)
 
     if fmt == "json":
@@ -267,21 +252,18 @@ def _has_value(v) -> bool:
     return v is not None and not (isinstance(v, float) and math.isnan(v))
 
 
-def aggregate_metric_rows(rows: list[dict]) -> dict:
-    """Mean per condition cell of every numeric metric column.
+def cell_means(labels: np.ndarray, values: np.ndarray) -> dict:
+    """Mean per condition cell of every metric column.
 
-    ``rows`` are dicts with g/c/d keys plus metric values (None for absent);
-    the result maps (g, c, d) to {metric: mean over rows with a value}.
+    ``labels`` holds the ``(n, 3)`` G/C/D indicators of ``n`` rows and
+    ``values`` their ``(n, len(COLUMNS))`` metric values, NaN where absent.
+    The result maps (g, c, d) to {metric: mean over the rows with a value};
+    a metric with no value in a cell is left out of it.
     """
-    grouped: dict[tuple[int, int, int], dict[str, list[float]]] = {}
-    for row in rows:
-        key = (int(row["G"]), int(row["C"]), int(row["D"]))
-        bucket = grouped.setdefault(key, {})
-        for metric in COMPARISON_METRICS:
-            value = row.get(metric)
-            if _has_value(value):
-                bucket.setdefault(metric, []).append(float(value))
-    return {
-        key: {metric: float(np.mean(vals)) for metric, vals in bucket.items()}
-        for key, bucket in grouped.items()
-    }
+    means = {}
+    for key in sorted(set(map(tuple, labels.tolist()))):
+        cell = values[(labels == key).all(axis=1)]
+        present = ~np.isnan(cell)
+        means[key] = {metric: float(np.mean(cell[has, j]))
+                      for j, (metric, has) in enumerate(zip(COLUMNS, present.T)) if has.any()}
+    return means

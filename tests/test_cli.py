@@ -108,6 +108,21 @@ def test_validate_malformed_schema(tmp_path):
     assert main(["validate", "--manifest", str(path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("row,message", [
+    ("u1,wav/c.wav,wav/d.wav,0,0,0,nan", "row 0: column pesq must be finite, got 'nan'"),
+    ("u1,wav/c.wav,,0,0,0,", "row 0: column degraded_path must name a file, got ''"),
+], ids=["pesq-nan", "blank-degraded-path"])
+def test_validate_rejects_unusable_manifest_row(small_corpus, tmp_path, capsys, row, message):
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    for name in ("c.wav", "d.wav"):
+        (wav_dir / name).write_bytes((small_corpus / "wav" / "utt000_g0c0d0.wav").read_bytes())
+    path = tmp_path / "m.csv"
+    path.write_text("utterance_id,clean_path,degraded_path,G,C,D,pesq\n" + row + "\n")
+    assert main(["validate", "--manifest", str(path)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_metrics_csv_shape(pipeline_out):
     with open(pipeline_out / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -148,6 +163,13 @@ def test_metrics_unknown_selection(small_corpus, tmp_path):
                  "--out", str(tmp_path / "x"), "--metrics", "bogus"]) == EXIT_USAGE
 
 
+def _assert_failed_row_blank(path, key):
+    """The one row of ``path`` is ``key`` followed by a blank cell under every other column."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows == [key + [""] * (len(header) - len(key))]
+
+
 def test_metrics_failure_marks_row(tmp_path):
     # one pair too short for the envelope metrics: row blank, exit numeric
     wav_dir = tmp_path / "wav"
@@ -168,6 +190,7 @@ def test_metrics_failure_marks_row(tmp_path):
     assert len(rows) == 1
     assert rows[0]["utterance_id"] == "u1"
     assert not rows[0]["stoi"]
+    _assert_failed_row_blank(out / "metrics.csv", ["u1", "0", "0", "0"])
 
 
 def test_features_corrupt_wav_is_data_error(small_corpus, tmp_path):
@@ -186,6 +209,8 @@ def test_features_corrupt_wav_is_data_error(small_corpus, tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["utterance_id"] == "u1"
     assert not rows[0]["e0"]
+    for name in ("errors.csv", "features_clean.csv", "features_degraded.csv"):
+        _assert_failed_row_blank(out / name, ["u1", "0", "0", "0"])
 
 
 def _copy_stage_inputs(src, dst):

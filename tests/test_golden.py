@@ -7,7 +7,9 @@ The audio tests rerun ``synth``, ``metrics`` and ``features`` and compare
 with the frozen tables column by column; the model tests rerun ``fit`` and
 ``decompose`` on a copy of the frozen tables: the retained columns and
 ``dof`` must be equal. Every tolerance is the one ``perfbench/checks.py``
-states for the same column.
+states for the same column. ``comparison.{csv,json,md}`` are what ``report``
+wrote from the frozen ``metrics.csv`` and the variant ``_shifted_variant``
+makes of it; the report test asserts the same bytes.
 """
 import csv
 import json
@@ -116,3 +118,23 @@ def test_golden_decomposition(golden_run, outcome):
     for part in DECOMPOSITION_PARTS:
         _assert_close([r[part] for r in got["rows"]], [r[part] for r in ref["rows"]],
                       f"decomposition_{outcome}.json {part}")
+
+
+def _shifted_variant(path):
+    """The frozen metrics.csv with stoi lowered by 0.01 on every row and the first row's wss blank."""
+    with open(GOLDEN / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    stoi, wss = rows[0].index("stoi"), rows[0].index("wss")
+    for row in rows[1:]:
+        row[stoi] = repr(float(row[stoi]) - 0.01)
+    rows[1][wss] = ""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def test_golden_report(tmp_path):
+    shutil.copyfile(GOLDEN / "metrics.csv", tmp_path / "metrics.csv")
+    _shifted_variant(tmp_path / "metrics_shifted.csv")
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_OK
+    for name in ("comparison.csv", "comparison.json", "comparison.md"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

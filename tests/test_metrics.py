@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,3 +486,26 @@ def test_evaluate_pair_wraps_errors_with_metric_name():
     for name in ("wss", "csii"):
         with pytest.raises(MetricError, match=f"^{name}: pair shorter than one analysis frame"):
             metrics.evaluate_pair(AlignedPair(short, short, 0, 1.0), selected=(name,))
+
+
+# ---------------------------------------------------------------- metrics.csv columns
+
+def test_report_cells_line_up_with_columns():
+    rep = metrics.MetricReport(stoi=0.9, snr_seg=12.0, fw_snr_seg=14.0, llr=0.3, wss=20.0,
+                               csii=(0.8, None, 0.4), ncm=0.7)
+    assert dict(zip(metrics.COLUMNS, rep.cells(), strict=True)) == {
+        "stoi": 0.9, "snr_seg": 12.0, "fw_snr_seg": 14.0, "llr": 0.3, "wss": 20.0,
+        "csii_high": 0.8, "csii_mid": None, "csii_low": 0.4, "ncm": 0.7,
+        "pesq": None, "csig": None, "cbak": None, "covl": None,
+    }
+    scored = dataclasses.replace(rep, pesq=3.1, composite=(3.5, 2.5, 3.0))
+    assert scored.cells()[-4:] == (3.1, 3.5, 2.5, 3.0)  # pesq, csig, cbak, covl
+
+
+def test_columns_match_the_benchmark_tolerances():
+    # perfbench checks every metrics.csv column against its own tolerance table
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert set(checks.METRIC_TOLERANCES) == set(metrics.COLUMNS)

@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from vda import report
+from vda.metrics import COLUMNS
 from vda.model import N_COLUMNS, M_LABELS, OaxacaDecomposition, RegressionFit, significance_band
 from vda.report import (
     AlignmentKeyError,
-    ComparisonCell,
-    aggregate_metric_rows,
+    cell_means,
     parse_decomposition_csv,
     render_comparison_table,
     render_decomposition_table,
@@ -114,8 +113,8 @@ def _aggregates(stoi=0.92, pesq=2.25):
 def test_comparison_zero_delta_positive():
     text = render_comparison_table(_aggregates(), {"var": _aggregates()}, "csv")
     assert "stoi,G1C1D1,0.92,+0.00" in text
-    cell = ComparisonCell(0.92, 0.0)
-    assert cell.polarity == "positive"
+    md = render_comparison_table(_aggregates(), {"var": _aggregates()}, "markdown")
+    assert "| stoi | G1C1D1 | 0.92 | +0.00 (+) |" in md
 
 
 def test_comparison_positive_delta():
@@ -129,8 +128,7 @@ def test_comparison_negative_polarity():
     md = render_comparison_table(
         _aggregates(), {"var": _aggregates(stoi=0.90)}, "markdown"
     )
-    assert "-0.02 (-)" in md
-    assert ComparisonCell(0.92, -0.02).polarity == "negative"
+    assert "| stoi | G1C1D1 | 0.92 | -0.02 (-) |" in md
 
 
 def test_comparison_key_mismatch_lists_keys():
@@ -145,16 +143,16 @@ def test_comparison_without_variants():
     assert "stoi,G1C1D1,0.92" in text
 
 
-def test_aggregate_metric_rows_means():
-    rows = [
-        {"G": 0, "C": 0, "D": 0, "stoi": 0.8, "pesq": None},
-        {"G": 0, "C": 0, "D": 0, "stoi": 0.6, "pesq": 2.0},
-        {"G": 1, "C": 0, "D": 0, "stoi": 0.5, "pesq": None},
-    ]
-    agg = aggregate_metric_rows(rows)
+def test_cell_means():
+    labels = np.array([(0, 0, 0), (0, 0, 0), (1, 0, 0)])
+    values = np.full((3, len(COLUMNS)), np.nan)
+    values[:, COLUMNS.index("stoi")] = (0.8, 0.6, 0.5)
+    values[1, COLUMNS.index("pesq")] = 2.0
+    agg = cell_means(labels, values)
     assert agg[(0, 0, 0)]["stoi"] == pytest.approx(0.7)
     assert agg[(0, 0, 0)]["pesq"] == pytest.approx(2.0)  # absent values skipped
     assert agg[(1, 0, 0)]["stoi"] == pytest.approx(0.5)
+    assert "pesq" not in agg[(1, 0, 0)]
 
 
 def test_unknown_format_rejected():
