@@ -15,7 +15,6 @@ from .corpus import (
 from .features import ErrorVector, FeatureVector, extract_features, feature_error
 from .metrics import MetricReport, evaluate_pair
 from .model import (
-    DesignMatrix,
     OaxacaDecomposition,
     Observations,
     RegressionFit,
@@ -33,7 +32,6 @@ __all__ = [
     "AudioSignal",
     "ConditionLabel",
     "CorpusManifest",
-    "DesignMatrix",
     "ErrorVector",
     "FeatureVector",
     "MetricReport",

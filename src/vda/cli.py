@@ -140,22 +140,8 @@ def _map_jobs(func, items, jobs: int):
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
     """Write ``rows`` under ``header``; a short row (a failed one) ends in blank cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(value) for value in row] + [""] * (len(header) - len(row)))
-
-
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    return "" if np.isnan(value) else repr(value)
+    padded = [row + (None,) * (len(header) - len(row)) for row in rows]
+    path.write_text(report.csv_text(header, padded), encoding="utf-8")
 
 
 def cmd_validate(args) -> int:
@@ -244,7 +230,7 @@ def _cells(header: list[str], names: tuple[str, ...]):
 
 
 def _key_name(key: tuple[str, ...]) -> str:
-    return f"{key[0]} G{key[1]}C{key[2]}D{key[3]}"
+    return f"{key[0]} {report.condition_name(*key[1:])}"
 
 
 def _array(cells: list, keys: list, path: Path, dtype) -> np.ndarray:
@@ -270,11 +256,11 @@ def _observations(out_dir: Path, outcome: str) -> model.Observations:
     m_outcomes = _cells(m_header, ("stoi", outcome))
     e_key = _cells(e_header, KEY_COLUMNS)
     e_values = _cells(e_header, ERROR_COLUMNS)
-    errors_by_key = {e_key(r): e_values(r) for r in error_rows}
+    key_errors = {e_key(r): e_values(r) for r in error_rows}
     keys, e_cells, y_cells, no_pesq = [], [], [], []
     for line, mrow in enumerate(metric_rows, start=2):
         key = m_key(mrow)
-        values = errors_by_key.get(key)
+        values = key_errors.get(key)
         if values is None or "" in values:
             log.warning("no feature errors for %s; row skipped", key)
             continue
@@ -307,15 +293,13 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     obs = _observations(out_dir, args.outcome)
     fit = model.fit_ols(model.build_design_matrix(obs), obs.y)
-    (out_dir / f"fit_{args.outcome}.json").write_text(
-        report.render_regression_table(fit, "json"), encoding="utf-8"
-    )
-    (out_dir / f"regression_{args.outcome}.csv").write_text(
-        report.render_regression_table(fit, "csv"), encoding="utf-8"
-    )
-    (out_dir / f"regression_{args.outcome}.md").write_text(
-        report.render_regression_table(fit, "markdown"), encoding="utf-8"
-    )
+    # every table is rendered before any is written, so a fit that cannot be
+    # rendered leaves no files
+    texts = {f"fit_{args.outcome}.json": report.render_regression_table(fit, "json"),
+             f"regression_{args.outcome}.csv": report.render_regression_table(fit, "csv"),
+             f"regression_{args.outcome}.md": report.render_regression_table(fit, "markdown")}
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
     print(out_dir / f"fit_{args.outcome}.json")
     return EXIT_OK
 
@@ -330,15 +314,10 @@ def cmd_decompose(args) -> int:
         "rows": report.decomposition_records(table),
     }
     stem = out_dir / f"decomposition_{args.outcome}"
-    stem.with_suffix(".json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    stem.with_suffix(".csv").write_text(
-        report.render_decomposition_table(table, "csv"), encoding="utf-8"
-    )
-    stem.with_suffix(".md").write_text(
-        report.render_decomposition_table(table, "markdown"), encoding="utf-8"
-    )
+    for suffix, text in ((".json", json.dumps(payload, indent=2, sort_keys=True)),
+                         (".csv", report.render_decomposition_table(table, "csv")),
+                         (".md", report.render_decomposition_table(table, "markdown"))):
+        stem.with_suffix(suffix).write_text(text, encoding="utf-8")
     print(stem.with_suffix(".csv"))
     return EXIT_OK
 

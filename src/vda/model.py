@@ -23,13 +23,15 @@ M_BITS = np.array([[name in m for name in "GCD"] for m in M_LABELS])
 M_BITS.flags.writeable = False
 
 N_COLUMNS = N_FEATURES * len(M_LABELS)
+# (feature index, term) of each design column, in the term-major order of _cross.
+COLUMN_LABELS = tuple((i, m) for m in M_LABELS for i in range(N_FEATURES))
 
 PIVOT_RTOL = 1e-10
 
 def _indicators(labels: np.ndarray) -> np.ndarray:
     """(n, 8) indicator table of (n, 3) bool G/C/D labels: term m is 1 on a
-    row when every indicator it names is set."""
-    return np.all(labels[:, None, :] | ~M_BITS, axis=2)
+    row when no indicator it names is unset (a boolean matrix product)."""
+    return ~(~labels @ M_BITS.T)
 
 
 def _cross(e: np.ndarray, ind: np.ndarray) -> np.ndarray:
@@ -89,12 +91,6 @@ class Observations:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    values: np.ndarray  # (n, N_COLUMNS)
-    column_labels: tuple[tuple[int, str], ...]  # (feature index, m label)
-
-
-@dataclass(frozen=True)
 class RegressionFit:
     theta: np.ndarray
     std_err: np.ndarray  # NaN on dropped columns
@@ -103,7 +99,6 @@ class RegressionFit:
     residual_variance: float
     dof: int
     retained: np.ndarray  # bool per column
-    column_labels: tuple[tuple[int, str], ...]
 
 
 @dataclass(frozen=True)
@@ -115,15 +110,15 @@ class OaxacaDecomposition:
     collective: float
 
 
-def build_design_matrix(obs: Observations) -> DesignMatrix:
-    """Design matrix with column (i, m) holding m(label) * e[i] per row."""
+def build_design_matrix(obs: Observations) -> np.ndarray:
+    """(n, N_COLUMNS) design with column (i, m) of ``COLUMN_LABELS`` holding
+    m(label) * e[i] per row."""
     if not len(obs):
         raise ValueError("need at least one observation row")
-    column_labels = tuple((i, m) for m in M_LABELS for i in range(N_FEATURES))
-    return DesignMatrix(_cross(obs.e, _indicators(obs.labels)), column_labels)
+    return _cross(obs.e, _indicators(obs.labels))
 
 
-def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray) -> RegressionFit:
+def fit_ols(design: np.ndarray, y: np.ndarray) -> RegressionFit:
     """Minimum-residual least squares with deterministic column dropping.
 
     The candidate columns, at most the first n - 1 in index order so the
@@ -139,12 +134,7 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray) -> RegressionFit:
     from scipy.linalg import qr, solve_triangular
     from scipy.special import stdtr
 
-    if isinstance(design, DesignMatrix):
-        a = design.values
-        labels = design.column_labels
-    else:
-        a = np.asarray(design, dtype=np.float64)
-        labels = tuple((j, "1") for j in range(a.shape[1]))
+    a = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise ValueError("outcome vector contains non-finite values")
@@ -192,7 +182,7 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray) -> RegressionFit:
     t_stat[retained_idx] = t_r
     p_value[retained_idx] = p_r
     retained[retained_idx] = True
-    return RegressionFit(theta, std_err, t_stat, p_value, sigma2, dof, retained, tuple(labels))
+    return RegressionFit(theta, std_err, t_stat, p_value, sigma2, dof, retained)
 
 
 def significance_band(p: float) -> str:
@@ -250,40 +240,6 @@ def _stratum_fit(e: np.ndarray, ind: np.ndarray, y: np.ndarray) -> dict[int, np.
     return dict(zip(terms, fit.theta.reshape(len(terms), N_FEATURES)))
 
 
-def _decompose(e: np.ndarray, ind: np.ndarray, y: np.ndarray, indicator: str,
-               reference: str) -> OaxacaDecomposition:
-    """``oaxaca_decompose`` on stacked errors, indicator table and outcomes."""
-    if indicator not in M_LABELS:
-        raise ValueError(f"unknown indicator {indicator!r}")
-    if reference not in ("stratum", "zero-error"):
-        raise ValueError(f"unknown reference mode {reference!r}")
-    if indicator == "1" and reference == "stratum":
-        raise StratificationError("the unit indicator has no 0 stratum; use zero-error")
-    ones = ind[:, M_LABELS.index(indicator)]
-    if not ones.any():
-        raise StratificationError(f"indicator {indicator}: stratum I=1 is empty")
-
-    e1 = e[ones]
-    coef1 = _stratum_fit(e1, ind[ones], y[ones])
-    xbar1 = e1.mean(axis=0)
-    if reference == "zero-error":
-        xbar0 = np.zeros(N_FEATURES)
-        xbar0[0] = 1.0
-        theta_sum1 = sum(coef1.values())
-        return three_fold(xbar1, xbar0, theta_sum1, theta_sum1, indicator)
-
-    zeros = ~ones
-    if not zeros.any():
-        raise StratificationError(f"indicator {indicator}: stratum I=0 is empty")
-    e0 = e[zeros]
-    coef0 = _stratum_fit(e0, ind[zeros], y[zeros])
-    shared = [m for m in coef1 if m in coef0]
-    xbar0 = e0.mean(axis=0)
-    theta_sum1 = sum(coef1[m] for m in shared)
-    theta_sum0 = sum(coef0[m] for m in shared)
-    return three_fold(xbar1, xbar0, theta_sum1, theta_sum0, indicator)
-
-
 def oaxaca_decompose(obs: Observations, indicator: str,
                      reference: str = "stratum") -> OaxacaDecomposition:
     """Decompose the outcome gap across the two strata of ``indicator``.
@@ -294,7 +250,36 @@ def oaxaca_decompose(obs: Observations, indicator: str,
     synthetic reference with zero feature error and the same coefficients,
     so the whole gap lands in the endowment component.
     """
-    return _decompose(obs.e, _indicators(obs.labels), obs.y, indicator, reference)
+    if indicator not in M_LABELS:
+        raise ValueError(f"unknown indicator {indicator!r}")
+    if reference not in ("stratum", "zero-error"):
+        raise ValueError(f"unknown reference mode {reference!r}")
+    if indicator == "1" and reference == "stratum":
+        raise StratificationError("the unit indicator has no 0 stratum; use zero-error")
+    ind = _indicators(obs.labels)
+    ones = ind[:, M_LABELS.index(indicator)]
+    if not ones.any():
+        raise StratificationError(f"indicator {indicator}: stratum I=1 is empty")
+
+    e1 = obs.e[ones]
+    coef1 = _stratum_fit(e1, ind[ones], obs.y[ones])
+    xbar1 = e1.mean(axis=0)
+    if reference == "zero-error":
+        xbar0 = np.zeros(N_FEATURES)
+        xbar0[0] = 1.0
+        theta_sum1 = sum(coef1.values())
+        return three_fold(xbar1, xbar0, theta_sum1, theta_sum1, indicator)
+
+    zeros = ~ones
+    if not zeros.any():
+        raise StratificationError(f"indicator {indicator}: stratum I=0 is empty")
+    e0 = obs.e[zeros]
+    coef0 = _stratum_fit(e0, ind[zeros], obs.y[zeros])
+    shared = [m for m in coef1 if m in coef0]
+    xbar0 = e0.mean(axis=0)
+    theta_sum1 = sum(coef1[m] for m in shared)
+    theta_sum0 = sum(coef0[m] for m in shared)
+    return three_fold(xbar1, xbar0, theta_sum1, theta_sum0, indicator)
 
 
 def decomposition_table(obs: Observations,
@@ -310,9 +295,5 @@ def decomposition_table(obs: Observations,
             raise StratificationError(
                 f"cell (G={cell.g}, C={cell.c}, D={cell.d}) has no observations"
             )
-    ind = _indicators(obs.labels)
-    out = []
-    for m_label in M_LABELS:
-        mode = "zero-error" if m_label == "1" else reference
-        out.append(_decompose(obs.e, ind, obs.y, m_label, mode))
-    return out
+    return [oaxaca_decompose(obs, m_label, "zero-error" if m_label == "1" else reference)
+            for m_label in M_LABELS]

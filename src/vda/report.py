@@ -14,10 +14,18 @@ import math
 
 import numpy as np
 
-from .errors import VdaError
+from .errors import DegenerateInputError, VdaError
 from .features import N_FEATURES
 from .metrics import COLUMNS
-from .model import M_BITS, M_LABELS, OaxacaDecomposition, RegressionFit, significance_band
+from .model import (
+    COLUMN_LABELS,
+    M_BITS,
+    M_LABELS,
+    N_COLUMNS,
+    OaxacaDecomposition,
+    RegressionFit,
+    significance_band,
+)
 
 FORMATS = ("csv", "json", "markdown")
 
@@ -33,21 +41,64 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
+def fmt_cell(value) -> str:
+    """One CSV cell: blank for None or NaN, ``repr`` for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    return "" if np.isnan(value) else repr(value)
+
+
+def csv_text(header, rows) -> str:
+    """CSV of ``rows`` under ``header``, every cell through ``fmt_cell``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt_cell(value) for value in row] for row in rows)
+    return buf.getvalue()
+
+
+def _markdown(header, rows, *notes: str) -> str:
+    """Markdown table of the string cells ``rows``, then a blank line and ``notes``."""
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    if notes:
+        lines += ["", *notes]
+    return "\n".join(lines) + "\n"
+
+
+def condition_name(g, c, d) -> str:
+    """The name of a G/C/D condition cell, e.g. ``G1C0D1``."""
+    return f"G{g}C{c}D{d}"
+
+
 def fit_records(fit: RegressionFit) -> list[dict]:
-    """Coefficient records for export: one per design column."""
+    """Coefficient records for export: one per design column of ``COLUMN_LABELS``.
+
+    A retained column whose p-value is undefined (NaN, as when theta and its
+    standard error are both 0) is a DegenerateInputError naming the column.
+    """
+    if len(fit.theta) != N_COLUMNS:
+        raise ValueError(f"expected a fit of the {N_COLUMNS} design columns, got {len(fit.theta)}")
     records = []
-    for j, (i, m_label) in enumerate(fit.column_labels):
-        kept = bool(fit.retained[j])
-        p = float(fit.p_value[j]) if kept else None
+    for (i, m_label), kept, theta, se, t, p in zip(COLUMN_LABELS, fit.retained, fit.theta,
+                                                   fit.std_err, fit.t_stat, fit.p_value):
+        if kept and math.isnan(p):
+            raise DegenerateInputError(f"column (feature {i}, term {m_label}): p-value undefined "
+                                       f"(theta {theta}, std_err {se})")
         records.append(
             {
                 "feature_index": i,
                 "interaction_label": m_label,
-                "theta": float(fit.theta[j]) if kept else None,
-                "std_err": float(fit.std_err[j]) if kept else None,
-                "t": float(fit.t_stat[j]) if kept and math.isfinite(fit.t_stat[j]) else None,
-                "p": p,
-                "band": significance_band(p) if p is not None else None,
+                "theta": float(theta) if kept else None,
+                "std_err": float(se) if kept else None,
+                "t": float(t) if kept and math.isfinite(t) else None,
+                "p": float(p) if kept else None,
+                "band": significance_band(p) if kept else None,
             }
         )
     return records
@@ -68,39 +119,17 @@ def render_regression_table(fit: RegressionFit, fmt: str) -> str:
             sort_keys=True,
         )
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["feature_index", "interaction_label", "theta", "std_err", "t", "p", "band"])
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["feature_index"],
-                    rec["interaction_label"],
-                    "" if rec["theta"] is None else repr(rec["theta"]),
-                    "" if rec["std_err"] is None else repr(rec["std_err"]),
-                    "" if rec["t"] is None else repr(rec["t"]),
-                    "" if rec["p"] is None else repr(rec["p"]),
-                    rec["band"] or "",
-                ]
-            )
-        return buf.getvalue()
+        columns = ("feature_index", "interaction_label", "theta", "std_err", "t", "p", "band")
+        return csv_text(columns, [[rec[k] for k in columns] for rec in records])
 
-    by_key = {(r["feature_index"], r["interaction_label"]): r for r in records}
-    header = "| term | " + " | ".join(f"X{i}" for i in range(N_FEATURES)) + " |"
-    rule = "|" + "---|" * (N_FEATURES + 1)
-    lines = [header, rule]
-    for m_label in M_LABELS:
-        cells = []
-        for i in range(N_FEATURES):
-            rec = by_key[(i, m_label)]
-            if rec["theta"] is None:
-                cells.append("—")
-            else:
-                cells.append(f"{rec['theta']:.2f}{_BAND_MARK[rec['band']]}")
-        lines.append(f"| {m_label} | " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append("significance: *** p<=0.01, ** p<=0.05, * p<=0.10; — dropped column")
-    return "\n".join(lines) + "\n"
+    rows = []
+    for k, m_label in enumerate(M_LABELS):
+        term = records[k * N_FEATURES:(k + 1) * N_FEATURES]
+        rows.append([m_label] + ["—" if rec["theta"] is None
+                                 else f"{rec['theta']:.2f}{_BAND_MARK[rec['band']]}"
+                                 for rec in term])
+    return _markdown(["term"] + [f"X{i}" for i in range(N_FEATURES)], rows,
+                     "significance: *** p<=0.01, ** p<=0.05, * p<=0.10; — dropped column")
 
 
 def decomposition_records(table: list[OaxacaDecomposition]) -> list[dict]:
@@ -128,52 +157,12 @@ def render_decomposition_table(table: list[OaxacaDecomposition], fmt: str) -> st
     records = decomposition_records(table)
     if fmt == "json":
         return json.dumps({"rows": records}, indent=2, sort_keys=True)
-    columns = ["indicator", "G", "C", "D", "endowment", "coefficient", "interaction", "collective"]
+    parts = ("endowment", "coefficient", "interaction", "collective")
+    rows = [[rec["indicator"]] + [str(rec[b]) for b in "GCD"] + [f"{rec[k]:.3f}" for k in parts]
+            for rec in records]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow(
-                [rec["indicator"], rec["G"], rec["C"], rec["D"]]
-                + [f"{rec[k]:.3f}" for k in ("endowment", "coefficient", "interaction", "collective")]
-            )
-        return buf.getvalue()
-    lines = [
-        "| term | G | C | D | Endowment | Coefficient | Interaction | Collective |",
-        "|---|---|---|---|---|---|---|---|",
-    ]
-    for rec in records:
-        lines.append(
-            f"| {rec['indicator']} | {rec['G']} | {rec['C']} | {rec['D']} | "
-            f"{rec['endowment']:.3f} | {rec['coefficient']:.3f} | "
-            f"{rec['interaction']:.3f} | {rec['collective']:.3f} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def parse_decomposition_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append(
-            {
-                "indicator": rec["indicator"],
-                "G": int(rec["G"]),
-                "C": int(rec["C"]),
-                "D": int(rec["D"]),
-                "endowment": float(rec["endowment"]),
-                "coefficient": float(rec["coefficient"]),
-                "interaction": float(rec["interaction"]),
-                "collective": float(rec["collective"]),
-            }
-        )
-    return rows
-
-
-def _condition_key_str(key) -> str:
-    g, c, d = key
-    return f"G{g}C{c}D{d}"
+        return csv_text(("indicator", "G", "C", "D") + parts, rows)
+    return _markdown(["term", "G", "C", "D"] + [k.capitalize() for k in parts], rows)
 
 
 def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str) -> str:
@@ -202,7 +191,7 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str)
                 continue
             rec = {
                 "metric": metric,
-                "condition": _condition_key_str(key),
+                "condition": condition_name(*key),
                 "baseline": float(base_val),
                 "deltas": {},
             }
@@ -216,36 +205,19 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str)
 
     if fmt == "json":
         return json.dumps({"rows": records}, indent=2, sort_keys=True)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        names = sorted(variants)
-        writer.writerow(["metric", "condition", "baseline"]
-                        + [f"delta_{n}" for n in names])
-        for rec in records:
-            row = [rec["metric"], rec["condition"], f"{rec['baseline']:.2f}"]
-            for n in names:
-                d = rec["deltas"].get(n)
-                row.append("" if d is None else f"{d['delta']:+.2f}")
-            writer.writerow(row)
-        return buf.getvalue()
-
     names = sorted(variants)
-    header = "| metric | condition | baseline | " + " | ".join(names) + " |" if names else \
-        "| metric | condition | baseline |"
-    rule = "|" + "---|" * (3 + len(names))
-    lines = [header, rule]
+    marks = {"positive": " (+)", "negative": " (-)"}
+    rows = []
     for rec in records:
         row = [rec["metric"], rec["condition"], f"{rec['baseline']:.2f}"]
         for n in names:
             d = rec["deltas"].get(n)
-            if d is None:
-                row.append("")
-            else:
-                mark = "(+)" if d["polarity"] == "positive" else "(-)"
-                row.append(f"{d['delta']:+.2f} {mark}")
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+            mark = marks[d["polarity"]] if d and fmt == "markdown" else ""
+            row.append("" if d is None else f"{d['delta']:+.2f}{mark}")
+        rows.append(row)
+    if fmt == "csv":
+        return csv_text(["metric", "condition", "baseline"] + [f"delta_{n}" for n in names], rows)
+    return _markdown(["metric", "condition", "baseline"] + names, rows)
 
 
 def _has_value(v) -> bool:

@@ -14,6 +14,7 @@ from vda.cli import EXIT_OK, main
 from vda.corpus import ALL_CELLS, ConditionLabel
 from vda.features import extract_features
 from vda.model import (
+    COLUMN_LABELS,
     M_LABELS,
     Observations,
     build_design_matrix,
@@ -130,7 +131,7 @@ def test_criterion_4_ols_oracle_equivalence():
     obs = Observations(full.e[:500], full.labels[:500], full.y[:500])
     design = build_design_matrix(obs)
     theta_true = rng.standard_normal(208)
-    y = design.values @ theta_true + 1e-6 * rng.standard_normal(len(obs))
+    y = design @ theta_true + 1e-6 * rng.standard_normal(len(obs))
     fit = fit_ols(design, y)
     recovery = float(np.max(np.abs(fit.theta - theta_true)))
     assert recovery <= 1e-4
@@ -187,8 +188,8 @@ def test_criterion_8_design_matrix_law():
     rng = np.random.default_rng(5)
     for per_cell in (1, 2, 5):
         design = build_design_matrix(_random_obs(rng, per_cell))
-        assert design.values.shape[1] == 208
-        assert len(design.column_labels) == 208
+        assert design.shape[1] == 208
+        assert len(COLUMN_LABELS) == 208
 
     label = ConditionLabel(1, 0, 1)
     eligible = {m for m in M_LABELS if m_value(label, m) == 1}
@@ -196,7 +197,7 @@ def test_criterion_8_design_matrix_law():
     e = np.concatenate([[1.0], rng.uniform(0.1, 2.0, 25)])
     design = build_design_matrix(Observations(e[None, :], [label.as_tuple()], [0.5]))
     nonzero_groups = {
-        m for (i, m), v in zip(design.column_labels, design.values[0]) if v != 0.0
+        m for (i, m), v in zip(COLUMN_LABELS, design[0]) if v != 0.0
     }
     assert nonzero_groups == eligible
     _passed(8, "208 labeled columns; label (1,0,1) eligible groups {1, G, D, G*D}")

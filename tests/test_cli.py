@@ -11,6 +11,8 @@ import pytest
 from vda import corpus
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
+from conftest import make_speech_like, noisy_pair
+
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
@@ -300,6 +302,17 @@ def test_fit_outputs(pipeline_out):
     assert (pipeline_out / "regression_stoi.csv").exists()
 
 
+def test_fit_undefined_p_value_is_numeric(pipeline_out, tmp_path, capsys):
+    # a constant outcome fits exactly: theta and its std_err are 0, so t and p are NaN
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    for row in range(16):
+        _set_cells(out / "metrics.csv", row, {"stoi": "0.0"})
+    capsys.readouterr()
+    assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_NUMERIC
+    assert "column (feature 0, term 1): p-value undefined" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["errors.csv", "metrics.csv"]
+
+
 def test_fit_missing_upstream(tmp_path):
     assert main(["fit", "--out", str(tmp_path / "empty"), "--outcome", "stoi"]) == EXIT_DATA
 
@@ -355,6 +368,28 @@ def test_report_with_variant(pipeline_out):
     text = (pipeline_out / "comparison.csv").read_text()
     assert "delta_shifted" in text.splitlines()[0]
     assert "+0.00" in text
+
+
+def test_csii_low_reaches_the_comparison(tmp_path):
+    # the level sweep of make_speech_like fills CSII's low-level region, which
+    # the synthetic corpus never does
+    pair = noisy_pair(make_speech_like(), 10.0)
+    (tmp_path / "wav").mkdir()
+    corpus.write_wav(tmp_path / "wav" / "c.wav", pair.clean)
+    corpus.write_wav(tmp_path / "wav" / "d.wav", pair.degraded)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
+        "u1,wav/c.wav,wav/d.wav,0,0,0,\n"
+    )
+    out = tmp_path / "out"
+    assert main(["metrics", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+    with open(out / "metrics.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert 0.0 < float(row["csii_low"]) < 1.0
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+    lines = (out / "comparison.csv").read_text().splitlines()
+    assert f"csii_low,G0C0D0,{float(row['csii_low']):.2f}" in lines
 
 
 @pytest.mark.parametrize("name", ["metrics.csv", "metrics_variant.csv"])

@@ -8,6 +8,7 @@ from vda import model
 from vda.corpus import ALL_CELLS, ConditionLabel
 from vda.errors import StratificationError, UnderdeterminedError
 from vda.model import (
+    COLUMN_LABELS,
     M_LABELS,
     ObservationError,
     Observations,
@@ -98,15 +99,15 @@ def test_observations_reject_mismatched_lengths(part):
 def test_design_single_nonzero_for_base_cell():
     e = np.zeros(25)
     dm = build_design_matrix(_obs([e], [ConditionLabel(0, 0, 0)], [0.5]))
-    assert dm.values.shape == (1, 208)
-    nz = np.flatnonzero(dm.values[0])
+    assert dm.shape == (1, 208)
+    nz = np.flatnonzero(dm[0])
     assert list(nz) == [0]
-    assert dm.column_labels[0] == (0, "1")
+    assert COLUMN_LABELS[0] == (0, "1")
 
 
 def test_design_all_ones_row():
     dm = build_design_matrix(_obs([np.ones(25)], [ConditionLabel(1, 1, 1)], [0.5]))
-    assert np.all(dm.values[0] == 1.0)
+    assert np.all(dm[0] == 1.0)
 
 
 def test_design_eligible_groups_oracle():
@@ -123,17 +124,17 @@ def test_design_eligible_groups_oracle():
             expected.add(m)
     assert expected == {"1", "G", "D", "G*D"}
     dm = build_design_matrix(_obs([np.ones(25)], [label], [0.5]))
-    nonzero_groups = {m for (i, m), v in zip(dm.column_labels, dm.values[0]) if v != 0}
+    nonzero_groups = {m for (i, m), v in zip(COLUMN_LABELS, dm[0]) if v != 0}
     assert nonzero_groups == expected
-    assert sum(1 for (_, m) in dm.column_labels if m in expected) == 104
+    assert sum(1 for (_, m) in COLUMN_LABELS if m in expected) == 104
 
 
 def test_design_always_208_columns():
     rng = np.random.default_rng(0)
     for per_cell in (1, 3):
         dm = build_design_matrix(_random_obs(rng, per_cell)[0])
-        assert dm.values.shape[1] == 208
-        assert len(dm.column_labels) == 208
+        assert dm.shape[1] == 208
+        assert len(COLUMN_LABELS) == 208
 
 
 def test_design_empty_rows_rejected():
@@ -147,7 +148,7 @@ def test_fit_exact_single_coefficient():
     rng = np.random.default_rng(1)
     tails = [rng.uniform(0, 2, 25) for _ in range(40)]
     dm = build_design_matrix(_obs(tails, [ConditionLabel(0, 0, 0)] * 40, np.zeros(40)))
-    y = 2.0 * dm.values[:, 0]
+    y = 2.0 * dm[:, 0]
     fit = fit_ols(dm, y)
     assert fit.theta[0] == pytest.approx(2.0, abs=1e-10)
     assert fit.residual_variance == pytest.approx(0.0, abs=1e-20)
@@ -158,7 +159,7 @@ def test_fit_planted_recovery():
     tails = [rng.uniform(0, 2, 25) for _ in range(500)]
     dm = build_design_matrix(_obs(tails, [ALL_CELLS[i % 8] for i in range(500)], np.zeros(500)))
     theta_true = rng.standard_normal(208)
-    y = dm.values @ theta_true + 1e-6 * rng.standard_normal(500)
+    y = dm @ theta_true + 1e-6 * rng.standard_normal(500)
     fit = fit_ols(dm, y)
     assert np.max(np.abs(fit.theta - theta_true)) < 1e-4
     assert fit.dof == 500 - 208

@@ -1,14 +1,23 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from vda.metrics import COLUMNS
-from vda.model import N_COLUMNS, M_LABELS, OaxacaDecomposition, RegressionFit, significance_band
+from vda.model import (
+    COLUMN_LABELS,
+    M_LABELS,
+    N_COLUMNS,
+    OaxacaDecomposition,
+    RegressionFit,
+    significance_band,
+)
 from vda.report import (
     AlignmentKeyError,
     cell_means,
-    parse_decomposition_csv,
+    fit_records,
     render_comparison_table,
     render_decomposition_table,
     render_regression_table,
@@ -16,7 +25,6 @@ from vda.report import (
 
 
 def _fit_with(theta0=1.23, p0=0.001):
-    labels = tuple((i, m) for m in M_LABELS for i in range(26))
     theta = np.zeros(N_COLUMNS)
     std_err = np.full(N_COLUMNS, np.nan)
     t_stat = np.full(N_COLUMNS, np.nan)
@@ -32,7 +40,7 @@ def _fit_with(theta0=1.23, p0=0.001):
     t_stat[1] = theta[1] / 0.5
     p_value[1] = 0.42
     retained[1] = True
-    return RegressionFit(theta, std_err, t_stat, p_value, 0.01, 10, retained, labels)
+    return RegressionFit(theta, std_err, t_stat, p_value, 0.01, 10, retained)
 
 
 def test_regression_markdown_cell_and_band():
@@ -46,7 +54,7 @@ def test_regression_json_round_trip_exact():
     fit = _fit_with()
     parsed = json.loads(render_regression_table(fit, "json"))
     by_key = {(r["feature_index"], r["interaction_label"]): r for r in parsed["coefficients"]}
-    for j, key in enumerate(fit.column_labels):
+    for j, key in enumerate(COLUMN_LABELS):
         if fit.retained[j]:
             assert by_key[key]["theta"] == fit.theta[j]
         else:
@@ -59,6 +67,14 @@ def test_regression_band_matches_significance_band():
     for rec in parsed["coefficients"]:
         if rec["p"] is not None:
             assert rec["band"] == significance_band(rec["p"])
+
+
+def test_fit_records_reject_other_widths():
+    n = N_COLUMNS - 26
+    fit = RegressionFit(np.zeros(n), np.zeros(n), np.zeros(n), np.full(n, 0.5), 0.01, 10,
+                        np.ones(n, dtype=bool))
+    with pytest.raises(ValueError, match=f"expected a fit of the {N_COLUMNS} design columns, got {n}"):
+        fit_records(fit)
 
 
 def test_regression_csv_parses_back():
@@ -92,11 +108,11 @@ def test_decomposition_zero_rows_render_zeros():
 
 def test_decomposition_csv_round_trip():
     table = _sample_table()
-    parsed = parse_decomposition_csv(render_decomposition_table(table, "csv"))
+    parsed = list(csv.DictReader(io.StringIO(render_decomposition_table(table, "csv"))))
     for dec, rec in zip(table, parsed):
         assert rec["indicator"] == dec.indicator
         for field in ("endowment", "coefficient", "interaction", "collective"):
-            assert rec[field] == pytest.approx(round(getattr(dec, field), 3), abs=1e-12)
+            assert float(rec[field]) == pytest.approx(round(getattr(dec, field), 3), abs=1e-12)
 
 
 def test_decomposition_json_full_precision():
