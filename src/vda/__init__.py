@@ -20,6 +20,7 @@ from .model import (
     RegressionFit,
     build_design_matrix,
     decomposition_table,
+    fit_interactions,
     fit_ols,
     oaxaca_decompose,
     significance_band,
@@ -44,6 +45,7 @@ __all__ = [
     "evaluate_pair",
     "extract_features",
     "feature_error",
+    "fit_interactions",
     "fit_ols",
     "load_wav",
     "oaxaca_decompose",

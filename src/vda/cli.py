@@ -292,7 +292,7 @@ def _observations(out_dir: Path, outcome: str) -> model.Observations:
 def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     obs = _observations(out_dir, args.outcome)
-    fit = model.fit_ols(model.build_design_matrix(obs), obs.y)
+    fit = model.fit_interactions(obs)
     # every table is rendered before any is written, so a fit that cannot be
     # rendered leaves no files
     texts = {f"fit_{args.outcome}.json": report.render_regression_table(fit, "json"),

@@ -130,7 +130,8 @@ def load_wav(path: str | Path) -> AudioSignal:
     """Load a RIFF/WAVE file as a mono float64 signal.
 
     PCM16 samples are scaled by 1/32768; IEEE float32 passes through. Stereo
-    is averaged to mono. Raises FormatError on a malformed container and
+    is averaged to mono. Raises FormatError on a malformed container, a
+    data chunk without one whole frame or a non-finite float sample, and
     UnsupportedFormatError on any other codec or channel count.
     """
     path = Path(path)
@@ -171,10 +172,14 @@ def load_wav(path: str | Path) -> AudioSignal:
         width = 4 * channels
         usable = len(data) // width * width
         x = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
+        if not np.isfinite(x).all():
+            raise FormatError(f"{path}: non-finite sample value")
     else:
         raise UnsupportedFormatError(
             f"{path}: codec tag {audio_format} at {bits}-bit unsupported"
         )
+    if not usable:
+        raise FormatError(f"{path}: data chunk holds no whole frame")
 
     if channels == 2:
         x = x.reshape(-1, 2).mean(axis=1)

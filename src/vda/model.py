@@ -5,6 +5,14 @@ main-effect/interaction indicators {1, G, C, D, G*C, G*D, C*D, G*C*D}.
 Fits are ordinary least squares with rank-revealing column dropping;
 decompositions split a between-stratum outcome difference into endowment,
 coefficient, and interaction components whose sum is the collective effect.
+
+Every design column is a feature error times a 0/1 function of the row's
+G/C/D cell, so ``fit_interactions``, ``oaxaca_decompose`` and
+``decomposition_table`` never build the (n, 208) design: they reduce each
+cell's rows to the R of one QR of its [e, y] and fit on the stack of the
+R factors of the cells in the fit, which has the design's Gram matrix.
+``build_design_matrix`` gives the raw design for library callers and as the
+reference the tests compare with.
 """
 from __future__ import annotations
 
@@ -37,7 +45,7 @@ def _indicators(labels: np.ndarray) -> np.ndarray:
 def _cross(e: np.ndarray, ind: np.ndarray) -> np.ndarray:
     """Design columns (term, feature) in term-major order: ``e`` where the
     term's indicator is 1, else 0.0 (``np.where`` so no -0.0 appears)."""
-    return np.where(ind[:, :, None], e[:, None, :], 0.0).reshape(len(e), -1)
+    return np.where(ind[:, :, None], e[:, None, :], 0.0).reshape(len(e), ind.shape[1] * e.shape[1])
 
 
 def m_value(label: ConditionLabel, m_label: str) -> int:
@@ -118,29 +126,40 @@ def build_design_matrix(obs: Observations) -> np.ndarray:
     return _cross(obs.e, _indicators(obs.labels))
 
 
-def fit_ols(design: np.ndarray, y: np.ndarray) -> RegressionFit:
+def fit_ols(design: np.ndarray, y: np.ndarray, n_obs: int | None = None) -> RegressionFit:
     """Minimum-residual least squares with deterministic column dropping.
 
-    The candidate columns, at most the first n - 1 in index order so the
-    residual always keeps one degree of freedom, are factored by one
-    unpivoted QR. If some |R_jj| is at most 1e-10 of the largest column
-    norm, the first such column is dropped (theta 0, p-value NaN), the next
-    column moves up into the candidates and they are factored again;
-    otherwise that factorisation is the solve. Standard errors are classical
-    homoskedastic; p-values are two-sided t.
+    ``design`` and ``y`` are either the raw rows or any stack of rows whose
+    ``[design, y]`` has the same Gram matrix (as the per-cell R factors of
+    ``fit_interactions`` do); ``n_obs``, the number of observations behind
+    them (default ``len(y)``), sets the candidate cap and the degrees of
+    freedom.
+
+    The candidate columns, at most the first n_obs - 1 in index order so the
+    residual always keeps one degree of freedom, are factored together with
+    ``y`` by one unpivoted QR (zero rows stand in for rows the stack does not
+    have). If some |R_jj| of a candidate is at most 1e-10 of the largest
+    column norm, the first such column is dropped (theta 0, p-value NaN), the
+    next column moves up into the candidates and they are factored again;
+    otherwise theta solves that R against its last column, and the residual
+    sum of squares is the square of its last diagonal entry. Standard errors
+    are classical homoskedastic; p-values are two-sided t.
     """
     # imported here so that the report stage, which only reads fits, and
     # ``import vda`` do not load scipy.linalg and scipy.special
-    from scipy.linalg import qr, solve_triangular
+    from scipy.linalg import solve_triangular
     from scipy.special import stdtr
 
     a = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise ValueError("outcome vector contains non-finite values")
-    n, p = a.shape
-    if len(y) != n:
+    m, p = a.shape
+    if len(y) != m:
         raise ValueError("outcome length does not match the design")
+    n = m if n_obs is None else n_obs
+    if n < m:
+        raise ValueError(f"n_obs {n} is less than the {m} design rows")
     if n < 2:
         raise UnderdeterminedError("need at least two observations")
 
@@ -151,19 +170,18 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> RegressionFit:
         retained_idx = candidates[:n - 1]
         if not retained_idx:
             raise UnderdeterminedError("no usable design column")
-        xr = a[:, retained_idx]
-        q2, r2 = qr(xr, mode="economic")
-        small = np.flatnonzero(np.abs(np.diag(r2)) <= tol)
+        rank = len(retained_idx)
+        r = np.linalg.qr(np.column_stack([a[:, retained_idx], y]), mode="r")
+        r = np.vstack([r, np.zeros((rank + 1 - len(r), rank + 1))])
+        small = np.flatnonzero(np.abs(np.diag(r)[:rank]) <= tol)
         if not small.size:
             break
         del candidates[small[0]]
-    rank = len(retained_idx)
 
-    theta_r = solve_triangular(r2, q2.T @ y)
-    resid = y - xr @ theta_r
+    r2 = r[:rank, :rank]
+    theta_r = solve_triangular(r2, r[:rank, rank])
     dof = n - rank
-    rss = float(resid @ resid)
-    sigma2 = rss / dof
+    sigma2 = float(r[rank, rank]) ** 2 / dof
 
     r_inv = solve_triangular(r2, np.eye(rank))
     cov_diag = sigma2 * np.sum(r_inv ** 2, axis=1)
@@ -183,6 +201,34 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> RegressionFit:
     p_value[retained_idx] = p_r
     retained[retained_idx] = True
     return RegressionFit(theta, std_err, t_stat, p_value, sigma2, dof, retained)
+
+
+def _cell_factors(obs: Observations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``obs`` reduced cell by cell to at most 27 rows per G/C/D cell.
+
+    Each present cell's rows are replaced by the min(n_c, 27) rows of the R
+    of one QR of its ``[e, y]``; returned are their ``e`` part (m, 26), the
+    cell's indicator row (m, 8) and their ``y`` part (m,). Every design
+    column is ``e[:, j]`` times a function of the cell, so ``_cross`` on any
+    subset of cells and terms gives a stack whose ``[design, y]`` has the
+    Gram matrix of the same design built from the raw rows of those cells
+    (the tall-skinny QR reduction).
+    """
+    cell = obs.labels @ np.array([4, 2, 1])
+    present, first = np.unique(cell, return_index=True)
+    r = [np.linalg.qr(np.column_stack([obs.e[cell == k], obs.y[cell == k]]), mode="r")
+         for k in present]
+    stack = np.vstack([*r, np.empty((0, N_FEATURES + 1))])
+    ind = np.repeat(_indicators(obs.labels[first]), [len(b) for b in r], axis=0)
+    return stack[:, :N_FEATURES], ind, stack[:, N_FEATURES]
+
+
+def fit_interactions(obs: Observations) -> RegressionFit:
+    """The interaction regression of ``obs`` over all ``N_COLUMNS`` columns:
+    ``fit_ols(build_design_matrix(obs), obs.y)`` up to round-off, fitted on
+    the per-cell R factors so that the (n, 208) design is never built."""
+    e, ind, y = _cell_factors(obs)
+    return fit_ols(_cross(e, ind), y, n_obs=len(obs))
 
 
 def significance_band(p: float) -> str:
@@ -229,15 +275,18 @@ def _reduced_terms(ind: np.ndarray) -> list[int]:
     return terms
 
 
-def _stratum_fit(e: np.ndarray, ind: np.ndarray, y: np.ndarray) -> dict[int, np.ndarray]:
-    """Fit the collapsed interaction model on one stratum.
+def _stratum(obs: Observations, cells, rows: np.ndarray,
+             stack_rows: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Feature means and collapsed interaction fit of one stratum.
 
-    Returns the (26,) coefficients of each reduced term, keyed by term index
-    in canonical order.
+    ``rows`` selects the stratum in ``obs`` and ``stack_rows`` in the
+    ``_cell_factors`` stack ``cells``. Returns the (26,) means and the (26,)
+    coefficients of each reduced term, keyed by term index in canonical order.
     """
+    e, ind, y = (part[stack_rows] for part in cells)
     terms = _reduced_terms(ind)
-    fit = fit_ols(_cross(e, ind[:, terms]), y)
-    return dict(zip(terms, fit.theta.reshape(len(terms), N_FEATURES)))
+    fit = fit_ols(_cross(e, ind[:, terms]), y, n_obs=int(rows.sum()))
+    return obs.e[rows].mean(axis=0), dict(zip(terms, fit.theta.reshape(len(terms), N_FEATURES)))
 
 
 def oaxaca_decompose(obs: Observations, indicator: str,
@@ -250,35 +299,35 @@ def oaxaca_decompose(obs: Observations, indicator: str,
     synthetic reference with zero feature error and the same coefficients,
     so the whole gap lands in the endowment component.
     """
+    return _decompose(obs, _cell_factors(obs), indicator, reference)
+
+
+def _decompose(obs: Observations, cells, indicator: str, reference: str) -> OaxacaDecomposition:
+    """``oaxaca_decompose`` with the ``_cell_factors`` of ``obs`` given."""
     if indicator not in M_LABELS:
         raise ValueError(f"unknown indicator {indicator!r}")
     if reference not in ("stratum", "zero-error"):
         raise ValueError(f"unknown reference mode {reference!r}")
     if indicator == "1" and reference == "stratum":
         raise StratificationError("the unit indicator has no 0 stratum; use zero-error")
-    ind = _indicators(obs.labels)
-    ones = ind[:, M_LABELS.index(indicator)]
+    m = M_LABELS.index(indicator)
+    ones = _indicators(obs.labels)[:, m]
+    stack_ones = cells[1][:, m]
     if not ones.any():
         raise StratificationError(f"indicator {indicator}: stratum I=1 is empty")
-
-    e1 = obs.e[ones]
-    coef1 = _stratum_fit(e1, ind[ones], obs.y[ones])
-    xbar1 = e1.mean(axis=0)
+    xbar1, coef1 = _stratum(obs, cells, ones, stack_ones)
     if reference == "zero-error":
         xbar0 = np.zeros(N_FEATURES)
         xbar0[0] = 1.0
         theta_sum1 = sum(coef1.values())
         return three_fold(xbar1, xbar0, theta_sum1, theta_sum1, indicator)
 
-    zeros = ~ones
-    if not zeros.any():
+    if ones.all():
         raise StratificationError(f"indicator {indicator}: stratum I=0 is empty")
-    e0 = obs.e[zeros]
-    coef0 = _stratum_fit(e0, ind[zeros], obs.y[zeros])
-    shared = [m for m in coef1 if m in coef0]
-    xbar0 = e0.mean(axis=0)
-    theta_sum1 = sum(coef1[m] for m in shared)
-    theta_sum0 = sum(coef0[m] for m in shared)
+    xbar0, coef0 = _stratum(obs, cells, ~ones, ~stack_ones)
+    shared = [k for k in coef1 if k in coef0]
+    theta_sum1 = sum(coef1[k] for k in shared)
+    theta_sum0 = sum(coef0[k] for k in shared)
     return three_fold(xbar1, xbar0, theta_sum1, theta_sum0, indicator)
 
 
@@ -295,5 +344,6 @@ def decomposition_table(obs: Observations,
             raise StratificationError(
                 f"cell (G={cell.g}, C={cell.c}, D={cell.d}) has no observations"
             )
-    return [oaxaca_decompose(obs, m_label, "zero-error" if m_label == "1" else reference)
+    cells = _cell_factors(obs)
+    return [_decompose(obs, cells, m_label, "zero-error" if m_label == "1" else reference)
             for m_label in M_LABELS]

@@ -36,9 +36,9 @@ class AlignmentKeyError(VdaError):
     """Baseline and variant aggregates do not share condition keys."""
 
 
-def _check_format(fmt: str) -> None:
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+def _check_format(fmt: str, formats: tuple[str, ...] = FORMATS) -> None:
+    if fmt not in formats:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {formats}")
 
 
 def fmt_cell(value) -> str:
@@ -152,11 +152,11 @@ def decomposition_records(table: list[OaxacaDecomposition]) -> list[dict]:
 
 
 def render_decomposition_table(table: list[OaxacaDecomposition], fmt: str) -> str:
-    """Decomposition table: indicator bits plus the four effect columns."""
-    _check_format(fmt)
+    """Decomposition table: indicator bits plus the four effect columns, as
+    "csv" or "markdown" at three decimals. The full-precision JSON file is
+    ``decomposition_records`` with the outcome and reference mode."""
+    _check_format(fmt, ("csv", "markdown"))
     records = decomposition_records(table)
-    if fmt == "json":
-        return json.dumps({"rows": records}, indent=2, sort_keys=True)
     parts = ("endowment", "coefficient", "interaction", "collective")
     rows = [[rec["indicator"]] + [str(rec[b]) for b in "GCD"] + [f"{rec[k]:.3f}" for k in parts]
             for rec in records]

@@ -12,6 +12,7 @@ from vda import corpus
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 from conftest import make_speech_like, noisy_pair
+from test_corpus import _wav_bytes
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,36 @@ def test_features_corrupt_wav_is_data_error(small_corpus, tmp_path):
     assert not rows[0]["e0"]
     for name in ("errors.csv", "features_clean.csv", "features_degraded.csv"):
         _assert_failed_row_blank(out / name, ["u1", "0", "0", "0"])
+
+
+@pytest.mark.parametrize("stage,outputs", [
+    ("metrics", ("metrics.csv",)),
+    ("features", ("errors.csv", "features_clean.csv", "features_degraded.csv")),
+])
+@pytest.mark.parametrize("defect", ["nan-sample", "inf-sample", "empty-data", "partial-frame"])
+def test_unusable_wav_is_data_error(small_corpus, tmp_path, caplog, stage, outputs, defect):
+    clean = corpus.load_wav(small_corpus / "wav" / "utt000_g0c0d0.wav").samples
+    bad = np.arange(len(clean)) == 800
+    frames = {
+        "nan-sample": np.where(bad, np.nan, clean).astype("<f4").tobytes(),
+        "inf-sample": np.where(bad, np.inf, clean).astype("<f4").tobytes(),
+        "empty-data": b"",
+        "partial-frame": b"\x00" * 3,  # of a four-byte float32 frame
+    }[defect]
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    (wav_dir / "c.wav").write_bytes((small_corpus / "wav" / "utt000_g0c0d0.wav").read_bytes())
+    (wav_dir / "d.wav").write_bytes(_wav_bytes(16000, 1, 3, 32, frames))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
+        "u1,wav/c.wav,wav/d.wav,0,0,0,\n"
+    )
+    out = tmp_path / "out"
+    assert main([stage, "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA
+    for name in outputs:
+        _assert_failed_row_blank(out / name, ["u1", "0", "0", "0"])
+    assert "u1 G0C0D0: " in caplog.text and "d.wav" in caplog.text
 
 
 def _copy_stage_inputs(src, dst):

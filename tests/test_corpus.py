@@ -67,6 +67,20 @@ def test_load_wav_missing_data_chunk(tmp_path):
         corpus.load_wav(path)
 
 
+@pytest.mark.parametrize("fmt_tag,bits,frames,reason", [
+    (3, 32, struct.pack("<3f", 0.25, math.nan, 0.0), "non-finite sample"),
+    (3, 32, struct.pack("<f", -math.inf), "non-finite sample"),
+    (1, 16, b"", "no whole frame"),
+    (1, 16, b"\x00", "no whole frame"),
+    (3, 32, b"\x00" * 3, "no whole frame"),
+], ids=["nan", "inf", "empty", "one-byte", "three-bytes"])
+def test_load_wav_unusable_samples_name_the_file(tmp_path, fmt_tag, bits, frames, reason):
+    path = tmp_path / "unusable.wav"
+    path.write_bytes(_wav_bytes(16000, 1, fmt_tag, bits, frames))
+    with pytest.raises(FormatError, match=f"unusable.wav: .*{reason}"):
+        corpus.load_wav(path)
+
+
 @pytest.mark.parametrize("fmt_tag,bits", [(6, 8), (1, 24), (3, 64)])
 def test_load_wav_unsupported_codec(tmp_path, fmt_tag, bits):
     path = tmp_path / "codec.wav"

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vda
 from vda import model
 from vda.corpus import ALL_CELLS, ConditionLabel
 from vda.errors import StratificationError, UnderdeterminedError
+from vda.features import N_FEATURES
 from vda.model import (
     COLUMN_LABELS,
     M_LABELS,
@@ -14,12 +17,15 @@ from vda.model import (
     Observations,
     build_design_matrix,
     decomposition_table,
+    fit_interactions,
     fit_ols,
     m_value,
     oaxaca_decompose,
     significance_band,
     three_fold,
 )
+
+from test_golden import MODEL_TOLERANCE
 
 
 def _obs(e_tails, cells, ys):
@@ -286,6 +292,25 @@ def test_fit_underdetermined_and_nonfinite():
         fit_ols(np.ones((5, 2)), np.array([1.0, np.nan, 0.0, 0.0, 0.0]))
 
 
+def test_fit_n_obs_contract():
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((30, 6))
+    x[:, 4] = x[:, 1]
+    y = rng.standard_normal(30)
+    with pytest.raises(ValueError, match="n_obs"):
+        fit_ols(x, y, n_obs=29)
+    with pytest.raises(UnderdeterminedError):
+        fit_ols(x[:1], y[:1], n_obs=1)
+    assert fit_ols(x, y, n_obs=45).dof == 45 - 5
+    # the R of one QR of [x, y] stands for the 30 rows
+    r = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    stacked, raw = fit_ols(r[:, :6], r[:, 6], n_obs=30), fit_ols(x, y)
+    np.testing.assert_array_equal(stacked.retained, raw.retained)
+    assert stacked.dof == raw.dof == 30 - 5
+    for name in ("theta", "std_err", "residual_variance"):
+        np.testing.assert_allclose(getattr(stacked, name), getattr(raw, name), rtol=1e-12, atol=1e-15)
+
+
 def test_fit_p_value_monotone_in_t():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((100, 10))
@@ -431,3 +456,117 @@ def test_m_value_matches_bit_product(seed):
     }
     for m, want in products.items():
         assert m_value(label, m) == want
+
+
+# ------------------------------------------------------- per-cell R factors
+
+def _assert_model_close(got, ref, label):
+    """``got`` within ``MODEL_TOLERANCE`` of ``ref`` (NaN where ``ref`` is NaN)."""
+    rtol, atol, scale = MODEL_TOLERANCE
+    got, ref = np.atleast_1d(got), np.atleast_1d(ref)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref), err_msg=label)
+    got, ref = got[~np.isnan(ref)], ref[~np.isnan(ref)]
+    bound = rtol * np.abs(ref) + atol + scale * np.max(np.abs(ref), initial=0.0)
+    assert np.all(np.abs(got - ref) <= bound), label
+
+
+def _assert_same_fit(got, ref, label):
+    np.testing.assert_array_equal(got.retained, ref.retained, err_msg=label)
+    assert got.dof == ref.dof, label
+    for name in ("theta", "std_err", "residual_variance"):
+        _assert_model_close(getattr(got, name), getattr(ref, name), f"{label} {name}")
+
+
+def _raw_stratum(obs, rows):
+    """Reference stratum fit on the raw design of the stratum's rows: the
+    feature means and the coefficients of each reduced term."""
+    e, labels, y = obs.e[rows], obs.labels[rows], obs.y[rows]
+    design = build_design_matrix(Observations(e, labels, y))
+    terms = model._reduced_terms(design[:, ::N_FEATURES] == 1.0)  # each term's e0 column
+    fit = fit_ols(design[:, [m * N_FEATURES + i for m in terms for i in range(N_FEATURES)]], y)
+    return fit, e.mean(axis=0), terms
+
+
+def _sized_obs(sizes, seed, duplicate):
+    """``sizes[k]`` random rows in cell ``ALL_CELLS[k]``; with ``duplicate``
+    one error column repeats an earlier one on every row."""
+    rng = np.random.default_rng(seed)
+    cells = [cell for cell, size in zip(ALL_CELLS, sizes) for _ in range(size)]
+    tails = rng.uniform(0, 2, (len(cells), 25))
+    if duplicate:
+        tails[:, 20] = tails[:, 7]
+    return _obs(tails, cells, rng.uniform(0, 1, len(cells)))
+
+
+def _result(fn, *args, **kwargs):
+    """``fn``'s result, or the class of the UnderdeterminedError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except UnderdeterminedError:
+        return UnderdeterminedError
+
+
+def _three_fold_of(strata, indicator, reference):
+    """The decomposition from ``_raw_stratum`` results, 1 stratum first."""
+    (fit1, xbar1, terms1), *zero = strata
+    coef1 = dict(zip(terms1, fit1.theta.reshape(len(terms1), N_FEATURES)))
+    if reference == "zero-error":
+        theta1 = sum(coef1.values())
+        return three_fold(xbar1, np.eye(N_FEATURES)[0], theta1, theta1, indicator)
+    (fit0, xbar0, terms0), = zero
+    coef0 = dict(zip(terms0, fit0.theta.reshape(len(terms0), N_FEATURES)))
+    shared = [k for k in coef1 if k in coef0]
+    return three_fold(xbar1, xbar0, sum(coef1[k] for k in shared),
+                      sum(coef0[k] for k in shared), indicator)
+
+
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 60), min_size=8, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1), duplicate=st.booleans())
+@example(sizes=[40, 1, 1, 1, 1, 1, 1, 1], seed=0, duplicate=False)  # the stack is wider than tall
+@example(sizes=[3, 26, 27, 28, 2, 9, 30, 5], seed=1, duplicate=True)
+def test_per_cell_route_matches_raw_design(sizes, seed, duplicate):
+    obs = _sized_obs(sizes, seed, duplicate)
+    _assert_same_fit(fit_interactions(obs), fit_ols(build_design_matrix(obs), obs.y), "pooled fit")
+    assert len(model._cell_factors(obs)[0]) == sum(min(size, N_FEATURES + 1) for size in sizes)
+
+    obs_ind = build_design_matrix(obs)[:, ::N_FEATURES] == 1.0
+    parts = ("endowment", "coefficient", "interaction", "collective")
+    fits = []
+
+    def recording_fit_ols(*args, **kwargs):
+        fits.append(fit_ols(*args, **kwargs))
+        return fits[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "fit_ols", recording_fit_ols)
+        for m, indicator in enumerate(M_LABELS):
+            for reference in ("zero-error", "stratum") if m else ("zero-error",):
+                label = f"{indicator} {reference}"
+                sides = (True, False) if reference == "stratum" else (True,)
+                strata = [_result(_raw_stratum, obs, obs_ind[:, m] == side) for side in sides]
+                fits.clear()
+                dec = _result(oaxaca_decompose, obs, indicator, reference)
+                if UnderdeterminedError in strata:  # a one-row stratum
+                    assert dec is UnderdeterminedError, label
+                    continue
+                assert len(fits) == len(strata), label
+                for got, (ref, _, _) in zip(fits, strata):
+                    _assert_same_fit(got, ref, f"{label} stratum fit")
+                ref = _three_fold_of(strata, indicator, reference)
+                _assert_model_close([getattr(dec, k) for k in parts],
+                                    [getattr(ref, k) for k in parts], label)
+
+
+def test_model_stages_do_not_build_the_design():
+    # 20 000 rows: the (n, 208) design alone would be 8 x obs.e.nbytes
+    obs = _sized_obs([2500] * 8, 19, False)
+    fit_interactions(obs)  # loads scipy.linalg outside the traced region
+    tracemalloc.start()
+    try:
+        fit_interactions(obs)
+        decomposition_table(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * obs.e.nbytes
