@@ -1,7 +1,9 @@
 """Shared signal-processing primitives: framing, spectra, LPC, filterbanks, pitch.
 
 Defaults follow common speech-analysis practice: 25 ms frames, 10 ms hop,
-Hamming window, FFT length = next power of two >= frame length.
+Hamming window. The FFT length is the next power of two >= frame length +
+LLR_ORDER + 1, so that the spectra also give the frames' autocorrelation up
+to lag LLR_ORDER without circular wrap.
 """
 from __future__ import annotations
 
@@ -20,6 +22,9 @@ DEFAULT_WINDOW = "hamming"
 
 # Normalized-autocorrelation peak below this is treated as unvoiced.
 VOICING_THRESHOLD = 0.45
+# LPC order of the log-likelihood ratio metric, which reads its
+# autocorrelation from the frame analysis's spectra.
+LLR_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -27,8 +32,7 @@ class FrameAnalysis:
     """One signal's default short-time analysis, shared by the frame metrics and the features."""
 
     frames: np.ndarray  # (n_frames, frame_len) raw samples
-    windowed: np.ndarray  # frames times the Hamming window
-    spectra: np.ndarray  # (n_frames, fft_len // 2 + 1) complex rfft of windowed
+    spectra: np.ndarray  # (n_frames, fft_len // 2 + 1) complex rfft of the Hamming-windowed frames
     power: np.ndarray  # |spectra| ** 2
     hop: int
     fft_len: int
@@ -72,13 +76,13 @@ def frame(sig: AudioSignal, frame_len: int, hop: int) -> np.ndarray:
 
 def frame_analysis(sig: AudioSignal) -> FrameAnalysis:
     """Default frames of a signal, Hamming-windowed and zero-padded to a
-    power-of-two rfft; a signal shorter than one frame gives zero rows."""
+    power-of-two rfft of at least frame_len + LLR_ORDER + 1 points; a
+    signal shorter than one frame gives zero rows."""
     frame_len, hop = default_frame_params(sig.rate)
-    fft_len = next_pow2(frame_len)
+    fft_len = next_pow2(frame_len + LLR_ORDER + 1)
     frames = frame(sig, frame_len, hop)
-    windowed = frames * get_window(DEFAULT_WINDOW, frame_len)
-    spectra = np.fft.rfft(windowed, fft_len, axis=1)
-    return FrameAnalysis(frames, windowed, spectra, np.abs(spectra) ** 2, hop, fft_len)
+    spectra = np.fft.rfft(frames * get_window(DEFAULT_WINDOW, frame_len), fft_len, axis=1)
+    return FrameAnalysis(frames, spectra, np.abs(spectra) ** 2, hop, fft_len)
 
 
 def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:

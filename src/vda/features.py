@@ -207,7 +207,7 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     rate = sig.rate
     analysis = dsp.frame_analysis(sig)
     frames, power, hop, fft_len = analysis.frames, analysis.power, analysis.hop, analysis.fft_len
-    del analysis  # frees the windowed frames and complex spectra, which are not read here
+    del analysis  # frees the complex spectra, which are not read here
     mags = np.sqrt(power)
     freqs = np.arange(power.shape[1]) * (rate / fft_len)
     frame_energy = np.sum(frames ** 2, axis=1)

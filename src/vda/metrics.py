@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import corpus, dsp, kernels
-from .corpus import AlignedPair, AudioSignal
+from .corpus import AlignedPair
 from .errors import DegenerateInputError, MetricError, PreconditionError
 
 SEG_SNR_FLOOR_DB = -10.0
 SEG_SNR_CEIL_DB = 35.0
-LLR_ORDER = 10
+LLR_ORDER = dsp.LLR_ORDER
 TRIM_FRACTION = 0.95  # LLR/WSS keep the smallest 95% of frame values
 
 STOI_RATE = 10000
@@ -35,6 +35,9 @@ CSII_BANDS = 25
 NCM_BANDS = 20
 NCM_ENV_LOWPASS_HZ = 25.0
 SDR_CLIP_DB = 15.0
+# Memory budget of the complex64 band spectra, both sides, of one ncm
+# envelope block (see _ncm_block_bands).
+NCM_BLOCK_BYTES = 16 * 2 ** 20
 
 MIN_ENVELOPE_SECONDS = 0.384
 
@@ -133,9 +136,15 @@ def fw_snr_seg(pair: AlignedPair) -> float:
     return _fw_snr_seg(pair, *_analyze_pair(pair))
 
 
+def _autocorrelation(a: dsp.FrameAnalysis) -> np.ndarray:
+    """r[0..LLR_ORDER] of each windowed frame, from the analysis's spectra;
+    exact because fft_len >= frame_len + LLR_ORDER + 1 (see dsp.frame_analysis)."""
+    return np.fft.irfft(a.spectra * np.conj(a.spectra), a.fft_len, axis=1)[:, :LLR_ORDER + 1]
+
+
 def _llr(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
-    rc = dsp.autocorrelate(c.windowed, LLR_ORDER)
-    rd = dsp.autocorrelate(d.windowed, LLR_ORDER)
+    rc = _autocorrelation(c)
+    rd = _autocorrelation(d)
     valid = (rc[:, 0] > 0.0) & (rd[:, 0] > 0.0)
     if not np.any(valid):
         raise DegenerateInputError("no frame supports an LPC fit")
@@ -262,28 +271,27 @@ def csii(pair: AlignedPair) -> tuple[float | None, float | None, float | None]:
     return _csii(pair, *_analyze_pair(pair))
 
 
-def _band_envelopes(sig: AudioSignal, bank_weights: np.ndarray) -> np.ndarray:
-    """Band envelopes: spectral-masked analytic magnitude -> 25 Hz lowpass.
+def _band_envelopes(pair: AlignedPair, bank_weights: np.ndarray) -> np.ndarray:
+    """Band envelopes of both sides, shape (2, bands, n): clean, then degraded.
 
-    The analytic band signal comes straight from the one-sided spectrum
-    (positive frequencies doubled), filled only over each band's non-zero
-    bins and inverse-FFT'd for all bands at once. The band inverse FFT, the
-    envelope FFT and the lowpass inverse FFT run in single precision, which
-    moves ncm by well under 1e-6; the envelopes are returned as float64.
-    They go through scipy.fft, which runs them in about half the time of
-    np.fft at this precision; it is imported here so that only a process
-    that computes ncm loads it.
+    Spectral-masked analytic magnitude -> 25 Hz lowpass. The analytic band
+    signal comes straight from the one-sided spectrum (positive frequencies
+    doubled), filled only over each band's non-zero bins, and every band of
+    both sides is inverse-FFT'd in one call, which halves the calls and the
+    work buffers that pocketfft allocates per call. The band inverse FFT,
+    the envelope FFT and the lowpass inverse FFT run in single precision,
+    which moves ncm by well under 1e-6; the envelopes are returned as
+    float64. They go through scipy.fft, which runs them in about half the
+    time of np.fft at this precision; it is imported here so that only a
+    process that computes ncm loads it.
     """
     from scipy import fft as sp_fft
 
-    x = sig.samples
-    n = len(x)
+    n = len(pair.clean)
     nfft = corpus.next_fast_len(n)
-    spec = np.fft.rfft(x, nfft)
-    spec[1:(nfft + 1) // 2] *= 2.0
-    freqs = np.fft.rfftfreq(nfft, 1.0 / sig.rate)
-    n_bank = bank_weights.shape[1]
-    bin_hz_bank = (sig.rate / 2.0) / (n_bank - 1)
+    freqs = np.fft.rfftfreq(nfft, 1.0 / pair.rate)
+    n_bands, n_bank = bank_weights.shape
+    bin_hz_bank = (pair.rate / 2.0) / (n_bank - 1)
     idx = np.clip(np.round(freqs / bin_hz_bank).astype(int), 0, n_bank - 1)
     # idx is non-decreasing, so each band's non-zero bank bins map to one
     # contiguous run of spectrum bins
@@ -292,22 +300,42 @@ def _band_envelopes(sig: AudioSignal, bank_weights: np.ndarray) -> np.ndarray:
     last = n_bank - 1 - np.argmax(nonzero[:, ::-1], axis=1)
     los = np.searchsorted(idx, first, side="left")
     his = np.searchsorted(idx, last, side="right")
-    analytic_spec = np.zeros((bank_weights.shape[0], nfft), dtype=np.complex64)
-    for band, weights, lo, hi in zip(analytic_spec, bank_weights, los, his):
-        band[lo:hi] = spec[lo:hi] * weights[idx[lo:hi]]
+    analytic_spec = np.zeros((2 * n_bands, nfft), dtype=np.complex64)
+    for side, sig in enumerate((pair.clean, pair.degraded)):
+        spec = np.fft.rfft(sig.samples, nfft)
+        spec[1:(nfft + 1) // 2] *= 2.0
+        for band, (weights, lo, hi) in enumerate(zip(bank_weights, los, his)):
+            analytic_spec[side * n_bands + band, lo:hi] = spec[lo:hi] * weights[idx[lo:hi]]
     env = np.abs(sp_fft.ifft(analytic_spec, axis=1, overwrite_x=True))
+    del analytic_spec  # each full-size array is freed before the next is made
     # FFT-domain lowpass with a cosine rolloff above the envelope cutoff;
-    # the bins it zeroes are left out of the inverse transform
-    roll = np.clip((freqs - NCM_ENV_LOWPASS_HZ) / NCM_ENV_LOWPASS_HZ, 0.0, 1.0)
+    # the bins it zeroes (every bin from twice the cutoff up) are left out
+    # of the inverse transform
+    passband = freqs[:np.searchsorted(freqs, 2.0 * NCM_ENV_LOWPASS_HZ)]
+    roll = np.clip((passband - NCM_ENV_LOWPASS_HZ) / NCM_ENV_LOWPASS_HZ, 0.0, 1.0)
     lowpass = (0.5 * (1.0 + np.cos(np.pi * roll))).astype(np.float32)
     keep = int(np.flatnonzero(lowpass)[-1]) + 1
     env_spec = sp_fft.rfft(env, axis=1)[:, :keep] * lowpass[:keep]
-    return sp_fft.irfft(env_spec, nfft, axis=1)[:, :n].astype(np.float64)
+    del env
+    return sp_fft.irfft(env_spec, nfft, axis=1)[:, :n].astype(np.float64).reshape(2, n_bands, n)
+
+
+def _ncm_block_bands(n: int) -> int:
+    """Bands per envelope block: the largest multiple of 4, from 4 to NCM_BANDS,
+    whose complex64 band spectra of both sides fit in NCM_BLOCK_BYTES."""
+    band_bytes = 2 * np.dtype(np.complex64).itemsize * corpus.next_fast_len(n)
+    return min(NCM_BANDS, max(4, NCM_BLOCK_BYTES // band_bytes // 4 * 4))
 
 
 def ncm(pair: AlignedPair) -> float:
     """Normalized covariance metric: band-envelope correlations mapped
-    through an apparent-SNR transfer and importance-weighted into [0, 1]."""
+    through an apparent-SNR transfer and importance-weighted into [0, 1].
+
+    The envelopes are built and reduced one block of bands at a time (see
+    _ncm_block_bands), so no envelope or band spectrum outlives its block.
+    Each band's sums are the same whatever the block size, so ncm does not
+    depend on it.
+    """
     if pair.clean.duration < MIN_ENVELOPE_SECONDS:
         raise PreconditionError(
             f"pair must last at least {MIN_ENVELOPE_SECONDS * 1000:.0f} ms"
@@ -315,22 +343,30 @@ def ncm(pair: AlignedPair) -> float:
     frame_len, _ = dsp.default_frame_params(pair.rate)
     fft_len = dsp.next_pow2(frame_len)
     bank = dsp.make_filterbank("critical_band", pair.rate, fft_len, NCM_BANDS, 150.0)
-    env_c = _band_envelopes(pair.clean, bank.weights)
-    env_d = _band_envelopes(pair.degraded, bank.weights)
+    n = len(pair.clean)
+    energy, cross, auto_c, auto_d = (np.empty(NCM_BANDS) for _ in range(4))
+    step = _ncm_block_bands(n)
+    for lo in range(0, NCM_BANDS, step):
+        block = slice(lo, lo + step)
+        env_c, env_d = _band_envelopes(pair, bank.weights[block])
+        energy[block] = np.einsum("ij,ij->i", env_c, env_c)
+        env_c -= env_c.mean(axis=1, keepdims=True)
+        env_d -= env_d.mean(axis=1, keepdims=True)
+        cross[block] = np.einsum("ij,ij->i", env_c, env_d)
+        auto_c[block] = np.einsum("ij,ij->i", env_c, env_c)
+        auto_d[block] = np.einsum("ij,ij->i", env_d, env_d)
+        del env_c, env_d  # the next block's envelopes take their place
 
-    ec = env_c - env_c.mean(axis=1, keepdims=True)
-    ed = env_d - env_d.mean(axis=1, keepdims=True)
-    num = np.einsum("ij,ij->i", ec, ed)
-    den = np.sqrt(np.einsum("ij,ij->i", ec, ec) * np.einsum("ij,ij->i", ed, ed))
+    den = np.sqrt(auto_c * auto_d)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+        r = np.where(den > 0.0, cross / np.where(den > 0.0, den, 1.0), 0.0)
     r2 = np.clip(r ** 2, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         snr_app = 10.0 * np.log10(np.where(r2 < 1.0, r2 / np.maximum(1.0 - r2, _EPS), np.inf))
     snr_app = np.clip(snr_app, -SDR_CLIP_DB, SDR_CLIP_DB)
     transfer = (snr_app + SDR_CLIP_DB) / (2.0 * SDR_CLIP_DB)
 
-    importance = np.sqrt(np.einsum("ij,ij->i", env_c, env_c) / env_c.shape[1])
+    importance = np.sqrt(energy / n)
     total = np.sum(importance)
     if total <= 0.0:
         raise DegenerateInputError("clean signal has no band envelope energy")
@@ -409,15 +445,32 @@ _FRAME_BODIES = {"snr_seg": _snr_seg, "fw_snr_seg": _fw_snr_seg, "llr": _llr, "w
 
 METRIC_NAMES = tuple(name for name, _ in _METRIC_OPS) + ("composite",)
 
+# The metrics.csv columns of the metrics that fill a triple.
+_COMPONENTS = {"csii": COLUMNS[5:8], "composite": COLUMNS[10:13]}
+
+
+def _require_finite(name: str, value) -> None:
+    """Raise MetricError naming a computed metric, or the csii or composite
+    component, that is NaN or infinite; a csii region of None is legal."""
+    if name in _COMPONENTS:
+        parts = zip(_COMPONENTS[name], value)
+    else:
+        parts = ((name, value),)
+    for label, v in parts:
+        if v is not None and not np.isfinite(v):
+            raise MetricError(f"{label}: non-finite value {v}")
+
 
 def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
                   selected: tuple[str, ...] | None = None) -> MetricReport:
     """Run the metric suite over one pair.
 
     ``selected`` restricts computation to a subset of METRIC_NAMES;
-    unselected fields are NaN / None. Selecting composite also selects the
-    llr, wss and snr_seg it is built from. The composite triple is present
-    iff an external pesq score is supplied (and composite is selected).
+    unselected fields are NaN / None, and a selected one that comes out NaN
+    or infinite raises MetricError naming it. Selecting composite also
+    selects the llr, wss and snr_seg it is built from. The composite triple
+    is present iff an external pesq score is supplied (and composite is
+    selected).
     """
     chosen = set(METRIC_NAMES if selected is None else selected)
     unknown = chosen - set(METRIC_NAMES)
@@ -436,10 +489,11 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
                 analyses = analyses or _analyze_pair(pair)
                 values[name] = _FRAME_BODIES[name](pair, *analyses)
             else:
-                analyses = ()  # freed before ncm, whose envelopes set the peak RSS of long pairs
+                analyses = ()  # freed before ncm, so that their memory and ncm's do not add up
                 values[name] = op(pair)
         except Exception as exc:
             raise MetricError(f"{name}: {exc}") from exc
+        _require_finite(name, values[name])
     report = MetricReport(
         stoi=values["stoi"],
         snr_seg=values["snr_seg"],
@@ -455,5 +509,6 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
             triple = composite(report.llr, report.wss, report.snr_seg, external_pesq)
         except Exception as exc:
             raise MetricError(f"composite: {exc}") from exc
+        _require_finite("composite", triple)
         report = replace(report, composite=triple)
     return report

@@ -81,6 +81,61 @@ def test_load_wav_unusable_samples_name_the_file(tmp_path, fmt_tag, bits, frames
         corpus.load_wav(path)
 
 
+# Byte offset and width of each mutable header field of a _wav_bytes file.
+_SIZE_FIELDS = (4, 16, 40)  # RIFF, fmt and data chunk sizes (uint32)
+_FMT_FIELDS = ((20, 2), (22, 2), (24, 4), (28, 4), (32, 2), (34, 2))  # tag .. bits
+_DATA_START = 44
+
+
+@st.composite
+def _mutated_wav(draw):
+    """A valid PCM16 or float32 WAV with one to three seeded mutations."""
+    fmt_tag, bits, dtype = draw(st.sampled_from([(1, 16, "<i2"), (3, 32, "<f4")]))
+    channels = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    samples = rng.uniform(-1.0, 1.0, draw(st.integers(1, 64)) * channels)
+    if dtype == "<i2":
+        samples = np.round(samples * 32767.0)
+    blob = bytearray(_wav_bytes(16000, channels, fmt_tag, bits,
+                                samples.astype(dtype).tobytes()))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "size", "fmt", "payload"]))
+        if kind == "truncate":
+            del blob[len(blob) - draw(st.integers(0, len(blob))):]
+        elif kind == "size":
+            at = draw(st.sampled_from(_SIZE_FIELDS))
+            blob[at:at + 4] = draw(st.integers(0, 2 ** 32 - 1)).to_bytes(4, "little")
+        elif kind == "fmt":
+            at, width = draw(st.sampled_from(_FMT_FIELDS))
+            value = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 16, 32, 0xFFFE]),
+                                   st.integers(0, 2 ** (8 * width) - 1)))
+            blob[at:at + width] = value.to_bytes(width, "little")
+        elif len(blob) >= _DATA_START + 4:
+            at = _DATA_START + 4 * draw(st.integers(0, (len(blob) - _DATA_START) // 4 - 1))
+            bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            blob[at:at + 4] = struct.pack("<f", bad)
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def mutated_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav") / "mutated.wav"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(blob=_mutated_wav())
+def test_load_wav_mutations_load_finite_or_fail_as_format_errors(mutated_path, blob):
+    path = mutated_path
+    path.write_bytes(blob)
+    try:
+        sig = corpus.load_wav(path)
+    except (FormatError, UnsupportedFormatError) as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert len(sig) > 0 and sig.rate > 0
+        assert np.isfinite(sig.samples).all()
+
+
 @pytest.mark.parametrize("fmt_tag,bits", [(6, 8), (1, 24), (3, 64)])
 def test_load_wav_unsupported_codec(tmp_path, fmt_tag, bits):
     path = tmp_path / "codec.wav"

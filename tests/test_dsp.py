@@ -45,11 +45,12 @@ def test_spectrum_zero_frame():
 
 def test_spectrum_matches_naive_dft():
     rng = np.random.default_rng(0)
-    for rate in (8000, RATE):
+    for rate in (8000, 10000, RATE):
         x = rng.uniform(-1, 1, rate // 20)
         analysis = dsp.frame_analysis(AudioSignal(x, rate))
         frame_len, hop = dsp.default_frame_params(rate)
-        assert (analysis.hop, analysis.fft_len) == (hop, dsp.next_pow2(frame_len))
+        fft_len = dsp.next_pow2(frame_len + dsp.LLR_ORDER + 1)
+        assert (analysis.hop, analysis.fft_len) == (hop, fft_len)
         for i, row in enumerate(analysis.power):
             oracle = _naive_dft_mags(x[i * hop:i * hop + frame_len] * np.hamming(frame_len),
                                      analysis.fft_len)

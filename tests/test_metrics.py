@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,16 @@ def _llr_oracle(x, d):
     return float(np.mean(vals[:keep]))
 
 
+@pytest.mark.parametrize("rate", [8000, 10000, 16000, 44100])
+def test_llr_autocorrelation_reads_the_shared_spectra(rate):
+    # exact at every rate, 10 kHz included, where a 256-point FFT would wrap
+    rng = np.random.default_rng(3)
+    analysis = dsp.frame_analysis(AudioSignal(rng.uniform(-1, 1, rate // 10), rate))
+    windowed = analysis.frames * np.hamming(analysis.frames.shape[1])
+    assert np.array_equal(metrics._autocorrelation(analysis),
+                          dsp.autocorrelate(windowed, metrics.LLR_ORDER))
+
+
 def test_llr_matches_matrix_oracle():
     rng = np.random.default_rng(9)
     n = RATE
@@ -308,6 +319,8 @@ def _ncm_pairs():
         sig = make_speech_like(seed=5, duration=duration)
         for snr in (20.0, 10.0, 0.0, -10.0):
             yield f"{duration}s/{snr:+.0f}dB", noisy_pair(sig, snr)
+    # long enough to split the bands into blocks (8 + 8 + 4)
+    yield "8.0s/+0dB", noisy_pair(make_speech_like(seed=5, duration=8.0), 0.0)
     sig = make_speech_like(seed=5)
     sos = butter(6, 3400.0, fs=RATE, output="sos")
     yield "lowpass-3.4kHz", AlignedPair(sig, AudioSignal(sosfilt(sos, sig.samples), RATE), 0, 1.0)
@@ -317,10 +330,44 @@ def _ncm_pairs():
 def test_ncm_matches_float64_envelope_oracle(monkeypatch):
     pairs = list(_ncm_pairs())
     got = [metrics.ncm(pair) for _, pair in pairs]
-    monkeypatch.setattr(metrics, "_band_envelopes", _band_envelopes_reference)
+    monkeypatch.setattr(metrics, "_band_envelopes", lambda pair, bank_weights: np.stack(
+        [_band_envelopes_reference(sig, bank_weights) for sig in (pair.clean, pair.degraded)]))
     for (label, pair), value in zip(pairs, got):
         assert value == pytest.approx(metrics.ncm(pair), abs=1e-6), label
     assert got[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("seconds,bands", [(1.0, 20), (3.2, 20), (3.3, 16), (6.5, 8),
+                                           (8.0, 8), (10.0, 4), (20.0, 4), (60.0, 4)])
+def test_ncm_block_bands(seconds, bands):
+    # the largest multiple of 4 bands whose complex64 spectra, both sides, fit in 16 MiB
+    assert metrics._ncm_block_bands(int(seconds * RATE)) == bands
+
+
+def test_ncm_blocks_do_not_change_ncm(monkeypatch):
+    pair = noisy_pair(make_speech_like(seed=5, duration=8.0), 5.0)
+    assert metrics._ncm_block_bands(len(pair.clean)) < metrics.NCM_BANDS
+    blocked = metrics.ncm(pair)
+    monkeypatch.setattr(metrics, "NCM_BLOCK_BYTES", 0)
+    assert metrics._ncm_block_bands(len(pair.clean)) == 4
+    assert metrics.ncm(pair) == blocked
+    monkeypatch.setattr(metrics, "NCM_BLOCK_BYTES", 2 ** 40)
+    assert metrics._ncm_block_bands(len(pair.clean)) == metrics.NCM_BANDS
+    assert metrics.ncm(pair) == blocked
+
+
+def test_ncm_peak_memory_is_bounded():
+    # Built for all 20 bands at once, the envelopes of both sides peaked at
+    # 82.8x the bytes of one side's samples (318 MB on this 30 s pair); the
+    # blocked route must stay under a third of that.
+    pair = noisy_pair(make_speech_like(seed=5, duration=30.0), 0.0)
+    tracemalloc.start()
+    try:
+        metrics.ncm(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 82.8 / 3 * pair.clean.samples.nbytes
 
 
 def test_ncm_too_short_errors():
@@ -486,6 +533,32 @@ def test_evaluate_pair_wraps_errors_with_metric_name():
     for name in ("wss", "csii"):
         with pytest.raises(MetricError, match=f"^{name}: pair shorter than one analysis frame"):
             metrics.evaluate_pair(AlignedPair(short, short, 0, 1.0), selected=(name,))
+
+
+def test_evaluate_pair_rejects_a_non_finite_metric(sweep):
+    # a NaN sample makes stoi NaN, which used to be returned without an error
+    d = sweep.samples.copy()
+    d[8000] = np.nan
+    pair = AlignedPair(sweep, AudioSignal(d, RATE), 0, 1.0)
+    with pytest.raises(MetricError, match="^stoi: non-finite value nan"):
+        metrics.evaluate_pair(pair)
+    with pytest.raises(MetricError, match="^stoi: "):
+        metrics.evaluate_pair(pair, selected=("stoi",))
+
+
+@pytest.mark.parametrize("name,value,label", [
+    ("csii", (0.5, None, float("nan")), "csii_low"),
+    ("composite", (3.0, float("inf"), 2.0), "cbak"),
+    ("ncm", float("-inf"), "ncm"),
+])
+def test_require_finite_names_the_component(name, value, label):
+    with pytest.raises(MetricError, match=f"^{label}: non-finite value"):
+        metrics._require_finite(name, value)
+
+
+def test_require_finite_passes_empty_csii_regions():
+    metrics._require_finite("csii", (None, 0.4, None))
+    metrics._require_finite("stoi", 0.9)
 
 
 # ---------------------------------------------------------------- metrics.csv columns
