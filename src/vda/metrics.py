@@ -465,17 +465,22 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
                   selected: tuple[str, ...] | None = None) -> MetricReport:
     """Run the metric suite over one pair.
 
-    ``selected`` restricts computation to a subset of METRIC_NAMES;
-    unselected fields are NaN / None, and a selected one that comes out NaN
-    or infinite raises MetricError naming it. Selecting composite also
-    selects the llr, wss and snr_seg it is built from. The composite triple
-    is present iff an external pesq score is supplied (and composite is
-    selected).
+    A NaN or infinite sample on either side raises PreconditionError naming
+    the side and its first such index. ``selected`` restricts computation to
+    a subset of METRIC_NAMES; unselected fields are NaN / None, and a
+    selected one that comes out NaN or infinite raises MetricError naming
+    it. Selecting composite also selects the llr, wss and snr_seg it is
+    built from. The composite triple is present iff an external pesq score
+    is supplied (and composite is selected).
     """
     chosen = set(METRIC_NAMES if selected is None else selected)
     unknown = chosen - set(METRIC_NAMES)
     if unknown:
         raise ValueError(f"unknown metric(s): {sorted(unknown)}")
+    for side in ("clean", "degraded"):
+        bad = ~np.isfinite(getattr(pair, side).samples)
+        if bad.any():
+            raise PreconditionError(f"{side} sample {int(np.argmax(bad))} is not finite")
     if "composite" in chosen:
         chosen |= {"llr", "wss", "snr_seg"}
     values: dict[str, object] = {}

@@ -7,12 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vda import corpus
+from vda import cli, corpus
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from vda.errors import VdaError
 
 from conftest import make_speech_like, noisy_pair
 from test_corpus import _wav_bytes
+from test_golden import GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -72,13 +76,10 @@ def test_stages_load_only_the_scipy_they_run(small_corpus, tmp_path):
                             ("features", ["--manifest", manifest]),
                             ("fit", []), ("decompose", []), ("report", []))
     }
-    assert loaded["features"] == []
-    assert loaded["report"] == []
+    for stage in ("features", "fit", "decompose", "report"):
+        assert loaded[stage] == [], stage
     assert "scipy.fft" in loaded["metrics"]  # ncm
     assert not [m for m in loaded["metrics"] if m.startswith(("scipy.signal", "scipy.stats"))]
-    for stage in ("fit", "decompose"):
-        assert "scipy.linalg" in loaded[stage]
-        assert not [m for m in loaded[stage] if m.startswith(("scipy.signal", "scipy.fft"))]
 
 
 def test_synth_deterministic(tmp_path):
@@ -315,6 +316,42 @@ def test_malformed_model_cell_is_data_error(pipeline_out, tmp_path, capsys, stag
     capsys.readouterr()
     assert main([stage, "--out", str(out), "--outcome", "stoi"]) == EXIT_DATA
     assert named in capsys.readouterr().err
+
+
+def _golden_tables():
+    tables = {}
+    for name in ("metrics.csv", "errors.csv"):
+        with open(GOLDEN / name, newline="", encoding="utf-8") as fh:
+            tables[name] = list(csv.reader(fh))
+    return tables
+
+
+_GOLDEN_TABLES = _golden_tables()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_GOLDEN_TABLES)), row=st.integers(0, 128),
+       column=st.integers(0, 29), outcome=st.sampled_from(cli.OUTCOMES),
+       value=st.one_of(st.sampled_from(["", "nan", "-inf", "1e999", "-1", "2", "0.5", "-0", " 1",
+                                        "1_0", "0x1p3", "9" * 20, "abc", "１", "G", "utt000"]),
+                       st.text(max_size=5)))
+def test_mutated_model_cell_loads_or_fails_as_usage_or_data_error(tmp_path_factory, name, row,
+                                                                   column, outcome, value):
+    # row 0 is the header; the golden tables have 128 rows
+    out = tmp_path_factory.getbasetemp() / "mutated"
+    out.mkdir(exist_ok=True)
+    for table_name, table in _GOLDEN_TABLES.items():
+        table = [list(r) for r in table]
+        if table_name == name:
+            table[row][column % len(table[row])] = value
+        with open(out / table_name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
+    for load in (lambda: cli._observations(out, outcome),
+                 lambda: cli._metric_csv_aggregates(out / "metrics.csv")):
+        try:
+            load()
+        except VdaError as exc:
+            assert cli._exit_code(exc) in (EXIT_USAGE, EXIT_DATA), exc
 
 
 def test_features_csv_shape(pipeline_out):

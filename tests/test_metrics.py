@@ -535,15 +535,26 @@ def test_evaluate_pair_wraps_errors_with_metric_name():
             metrics.evaluate_pair(AlignedPair(short, short, 0, 1.0), selected=(name,))
 
 
-def test_evaluate_pair_rejects_a_non_finite_metric(sweep):
-    # a NaN sample makes stoi NaN, which used to be returned without an error
-    d = sweep.samples.copy()
-    d[8000] = np.nan
-    pair = AlignedPair(sweep, AudioSignal(d, RATE), 0, 1.0)
+def test_evaluate_pair_rejects_a_non_finite_metric(sweep, monkeypatch):
+    nan_stoi = ("stoi", lambda pair: float("nan"))
+    monkeypatch.setattr(metrics, "_METRIC_OPS", (nan_stoi, *metrics._METRIC_OPS[1:]))
+    pair = noisy_pair(sweep, 10.0)
     with pytest.raises(MetricError, match="^stoi: non-finite value nan"):
         metrics.evaluate_pair(pair)
     with pytest.raises(MetricError, match="^stoi: "):
         metrics.evaluate_pair(pair, selected=("stoi",))
+
+
+@pytest.mark.parametrize("name", metrics.METRIC_NAMES)
+@pytest.mark.parametrize("side,index,value", [("degraded", 8000, np.nan), ("clean", 123, -np.inf)])
+def test_evaluate_pair_rejects_a_non_finite_sample(sweep, name, side, index, value):
+    # each metric but stoi used to return a finite value for such a pair
+    pair = noisy_pair(sweep, 10.0)
+    samples = getattr(pair, side).samples.copy()
+    samples[index] = value
+    pair = dataclasses.replace(pair, **{side: AudioSignal(samples, RATE)})
+    with pytest.raises(PreconditionError, match=f"^{side} sample {index} is not finite"):
+        metrics.evaluate_pair(pair, external_pesq=3.0, selected=(name,))
 
 
 @pytest.mark.parametrize("name,value,label", [
