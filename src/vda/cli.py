@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import operator
@@ -48,6 +49,10 @@ ERROR_COLUMNS = tuple(f"e{i}" for i in range(features.N_FEATURES))
 FEATURE_COLUMNS = tuple(f"x{i}" for i in range(features.N_FEATURES))
 
 OUTCOMES = ("stoi", "pesq")
+
+# The G/C/D cells of a valid table row, as text, each mapped to its row of _CONDITION_LABELS.
+_CONDITION_INDEX = {tuple(map(str, cell.as_tuple())): i for i, cell in enumerate(corpus.ALL_CELLS)}
+_CONDITION_LABELS = np.array([cell.as_tuple() for cell in corpus.ALL_CELLS])
 
 # Exception classes -> exit code, first match wins. Used by main and, for
 # failed rows, by the metrics and features stages.
@@ -201,12 +206,18 @@ def cmd_features(args) -> int:
     return failures[0][0] if failures else EXIT_OK
 
 
-def _read_csv_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Header and non-blank rows of ``path``.
+def _key_name(key: tuple[str, ...]) -> str:
+    return f"{key[0]} {report.condition_name(*key[1:])}"
 
-    Each row is padded with blank cells to one past the header, so a cell
-    missing from a short row, or a column missing from the header (see
-    ``_cells``), reads as ''.
+
+def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns)) values
+    of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
+
+    A blank cell, a cell missing from a short row and a column missing from
+    the header read as NaN. A G/C/D cell other than ``0`` or ``1``, a repeated
+    key and a written cell that is not a finite number are FormatErrors
+    naming the file and the row, and the column of a bad cell.
     """
     if not path.exists():
         raise DependencyError(f"required upstream artifact missing: {path}")
@@ -217,76 +228,75 @@ def _read_csv_table(path: Path) -> tuple[list[str], list[list[str]]]:
         if header and missing:
             raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
         rows = [row for row in reader if row]
+    # each row is padded to one past the header, so a missing cell or column reads as ''
     width = len(header) + 1
     for row in rows:
         row.extend([""] * (width - len(row)))
-    return header, rows
-
-
-def _cells(header: list[str], names: tuple[str, ...]):
-    """Getter of the tuple of cells ``names`` (two or more) of a ``_read_csv_table`` row."""
     index = {name: i for i, name in enumerate(header)}
-    return operator.itemgetter(*(index.get(name, len(header)) for name in names))
+    keys = list(map(operator.itemgetter(*(index.get(c, len(header)) for c in KEY_COLUMNS)), rows))
+    cells = list(map(operator.itemgetter(*(index.get(c, len(header)) for c in columns)), rows))
 
+    def bad(i: int, column: str, reason: str) -> FormatError:
+        return FormatError(f"{path}: {_key_name(keys[i])}: {reason} (column {column})")
 
-def _key_name(key: tuple[str, ...]) -> str:
-    return f"{key[0]} {report.condition_name(*key[1:])}"
-
-
-def _array(cells: list, keys: list, path: Path, dtype) -> np.ndarray:
-    """``cells``, one entry per row of ``keys``, as one array; a FormatError
-    names the first row that does not convert."""
-    try:
-        return np.array(cells, dtype=dtype)
-    except (ValueError, OverflowError):
-        for key, row in zip(keys, cells):
-            try:
-                np.array(row, dtype=dtype)
-            except (ValueError, OverflowError) as exc:
-                raise FormatError(f"{path}: {_key_name(key)}: {exc}") from None
-        raise
+    condition = np.fromiter((_CONDITION_INDEX.get(key[1:], -1) for key in keys), np.intp, len(keys))
+    if (condition < 0).any():
+        i = int(np.argmax(condition < 0))
+        j = next(j for j in (1, 2, 3) if keys[i][j] not in ("0", "1"))
+        raise bad(i, KEY_COLUMNS[j], "G/C/D indicators must be 0 or 1")
+    seen = {}
+    for line, key in enumerate(keys, start=2):
+        if seen.setdefault(key, line) != line:
+            raise FormatError(f"{path}: {_key_name(key)}: repeated on lines {seen[key]} and {line}")
+    try:  # the fast path: no cell is blank
+        values = np.array(cells, dtype=np.float64).reshape(len(cells), len(columns))
+        written = True
+    except ValueError:  # a blank cell, or one that is not a number
+        texts = np.array(cells, dtype=object).reshape(len(cells), len(columns))
+        written = texts != ""
+        texts[~written] = "nan"
+        try:
+            values = texts.astype(np.float64)
+        except ValueError:
+            for i, j in zip(*np.nonzero(written)):
+                try:
+                    float(texts[i, j])
+                except ValueError as exc:
+                    raise bad(i, columns[j], str(exc)) from None
+            raise
+    bad_value = written & ~np.isfinite(values)
+    if bad_value.any():
+        i, j = np.argwhere(bad_value)[0]
+        raise bad(i, columns[j], "values must be blank or finite numbers")
+    return keys, _CONDITION_LABELS[condition], values
 
 
 def _observations(out_dir: Path, outcome: str) -> model.Observations:
     """The model input: each metrics.csv row joined to its errors.csv row."""
     m_path, e_path = out_dir / "metrics.csv", out_dir / "errors.csv"
-    m_header, metric_rows = _read_csv_table(m_path)
-    e_header, error_rows = _read_csv_table(e_path)
-    m_key = _cells(m_header, KEY_COLUMNS)
-    m_outcomes = _cells(m_header, ("stoi", outcome))
-    e_key = _cells(e_header, KEY_COLUMNS)
-    e_values = _cells(e_header, ERROR_COLUMNS)
-    key_errors = {e_key(r): e_values(r) for r in error_rows}
-    keys, e_cells, y_cells, no_pesq = [], [], [], []
-    for line, mrow in enumerate(metric_rows, start=2):
-        key = m_key(mrow)
-        values = key_errors.get(key)
-        if values is None or "" in values:
-            log.warning("no feature errors for %s; row skipped", key)
-            continue
-        stoi, y = m_outcomes(mrow)
-        if not stoi:
-            log.warning("no stoi value for %s; row skipped", key)
-            continue
-        if not y:  # a blank pesq: rows without stoi are skipped above
-            no_pesq.append(f"{_key_name(key)}, metrics.csv line {line}")
-        keys.append(key)
-        e_cells.append(values)
-        y_cells.append(y)
-    if not keys:
+    keys, labels, outcomes = _read_table(m_path, ("stoi", outcome))
+    e_keys, _, e = _read_table(e_path, ERROR_COLUMNS)
+    e_row = dict(zip(e_keys, range(len(e_keys))))
+    # a key without an errors.csv row points one past its last row
+    at = np.fromiter(map(e_row.get, keys, itertools.repeat(len(e_keys))), np.intp, len(keys))
+    no_errors = np.append(np.isnan(e).any(axis=1), True)[at]
+    skipped = no_errors | np.isnan(outcomes[:, 0])
+    for i in np.flatnonzero(skipped):
+        path, reason = (e_path, "no feature errors") if no_errors[i] else (m_path, "no stoi value")
+        log.warning("%s: %s: %s; row skipped", path, _key_name(keys[i]), reason)
+    kept = np.flatnonzero(~skipped)
+    if not len(kept):
         raise DependencyError("no joinable rows between metrics.csv and errors.csv")
-    if no_pesq:
-        raise DependencyError(
-            f"{len(no_pesq)} row(s) lack an external pesq value (first {no_pesq[0]})"
-        )
-    e = _array(e_cells, keys, e_path, np.float64)
-    labels = _array([key[1:] for key in keys], keys, m_path, np.int64)
-    y = _array(y_cells, keys, m_path, np.float64)
+    # a blank pesq: rows without stoi are skipped above
+    no_pesq = kept[np.isnan(outcomes[kept, 1])]
+    if len(no_pesq):
+        first = no_pesq[0]
+        raise DependencyError(f"{len(no_pesq)} row(s) lack an external pesq value "
+                              f"(first {_key_name(keys[first])}, metrics.csv line {first + 2})")
     try:
-        return model.Observations(e, labels, y)
-    except model.ObservationError as exc:
-        path = e_path if exc.field == "e" else m_path
-        raise FormatError(f"{path}: {_key_name(keys[exc.row])}: {exc.reason}") from None
+        return model.Observations(e[at[kept]], labels[kept], outcomes[kept, 1])
+    except model.ObservationError as exc:  # only e can fail: _read_table checked the labels and y
+        raise FormatError(f"{e_path}: {_key_name(keys[kept[exc.row]])}: {exc.reason}") from None
 
 
 def cmd_fit(args) -> int:
@@ -323,26 +333,8 @@ def cmd_decompose(args) -> int:
 
 
 def _metric_csv_aggregates(path: Path) -> dict:
-    """Cell means of the metric columns of ``metrics.csv`` or a variant file.
-
-    Blank cells are absent. A label other than 0/1, or a metric cell that is
-    not a finite number, is a FormatError naming the file and the row.
-    """
-    header, table = _read_csv_table(path)
-    keys = list(map(_cells(header, KEY_COLUMNS), table))
-    texts = list(map(_cells(header, metrics.COLUMNS), table))
-    labels = _array([key[1:] for key in keys], keys, path, np.int64).reshape(-1, 3)
-    # a blank cell reads as NaN, which cell_means skips as absent
-    values = _array([[t or "nan" for t in row] for row in texts], keys, path, np.float64)
-    values = values.reshape(-1, len(metrics.COLUMNS))
-    written = np.array(texts, dtype=str).reshape(values.shape) != ""
-    bad_label = ((labels != 0) & (labels != 1)).any(axis=1)
-    bad_value = (written & ~np.isfinite(values)).any(axis=1)
-    for bad, reason in ((bad_label, "G/C/D indicators must be 0 or 1"),
-                        (bad_value, "metric values must be finite")):
-        if bad.any():
-            raise FormatError(f"{path}: {_key_name(keys[np.argmax(bad)])}: {reason}")
-    return report.cell_means(labels, values)
+    """Cell means of the metric columns of ``metrics.csv`` or a variant file."""
+    return report.cell_means(*_read_table(path, metrics.COLUMNS)[1:])
 
 
 def cmd_report(args) -> int:

@@ -1,21 +1,23 @@
 import csv
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vda import cli, corpus
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from vda.errors import VdaError
+from vda.errors import FormatError, VdaError
 
 from conftest import make_speech_like, noisy_pair
-from test_corpus import _wav_bytes
+from test_corpus import _DATA_START, _FMT_FIELDS, _SIZE_FIELDS, _wav_bytes
 from test_golden import GOLDEN
 
 
@@ -247,6 +249,88 @@ def test_unusable_wav_is_data_error(small_corpus, tmp_path, caplog, stage, outpu
     assert "u1 G0C0D0: " in caplog.text and "d.wav" in caplog.text
 
 
+# The header fields a stage-test mutation may overwrite (offset, width): every
+# one of test_corpus._FMT_FIELDS but the sample rate, which ingest resamples
+# from, so that a rate of a few Hz cannot grow a one-second file a thousandfold.
+_STAGE_FMT_FIELDS = tuple(field for field in _FMT_FIELDS if field != (24, 4))
+
+
+@pytest.fixture(scope="module")
+def one_pair(small_corpus, tmp_path_factory):
+    """A one-pair manifest over wav/c.wav and wav/d.wav, and the valid PCM16
+    and float32 bytes of each side."""
+    root = tmp_path_factory.mktemp("one_pair")
+    (root / "wav").mkdir()
+    (root / "m.csv").write_text("utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
+                                "u1,wav/c.wav,wav/d.wav,1,0,1,\n")
+    wavs = {}
+    for name, source in (("c.wav", "utt000_clean.wav"), ("d.wav", "utt000_g1c0d1.wav")):
+        samples = corpus.load_wav(small_corpus / "wav" / source).samples
+        pcm = np.round(samples * 32767).astype("<i2")
+        wavs[name, 16] = _wav_bytes(16000, 1, 1, 16, pcm.tobytes())
+        wavs[name, 32] = _wav_bytes(16000, 1, 3, 32, samples.astype("<f4").tobytes())
+    return root, wavs
+
+
+@st.composite
+def _one_mutation(draw, blob: bytes, bits: int) -> bytes:
+    """``blob``, a _wav_bytes file of ``bits``-bit samples, with one seeded mutation."""
+    blob = bytearray(blob)
+    width = bits // 8
+    n_samples = (len(blob) - _DATA_START) // width
+    kind = draw(st.sampled_from(["truncate", "size", "fmt", "sample", "silence"]))
+    if kind == "truncate":
+        del blob[draw(st.integers(0, len(blob))):]
+    elif kind == "size":
+        at = draw(st.sampled_from(_SIZE_FIELDS))
+        blob[at:at + 4] = draw(st.integers(0, 2 ** 32 - 1)).to_bytes(4, "little")
+    elif kind == "fmt":
+        at, size = draw(st.sampled_from(_STAGE_FMT_FIELDS))
+        value = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 16, 32, 0xFFFE]),
+                               st.integers(0, 2 ** (8 * size) - 1)))
+        blob[at:at + size] = value.to_bytes(size, "little")
+    elif kind == "sample":
+        at = _DATA_START + width * draw(st.integers(0, n_samples - 1))
+        if bits == 16:
+            blob[at:at + 2] = struct.pack("<h", draw(st.sampled_from([-32768, 32767])))
+        else:
+            value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e30, 3e38]))
+            blob[at:at + 4] = struct.pack("<f", value)
+    else:  # silence from a drawn sample to the end; from 0 the side is all silent
+        at = _DATA_START + width * draw(st.integers(0, n_samples - 1))
+        blob[at:] = bytes(len(blob) - at)
+    return bytes(blob)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(side=st.sampled_from(["c.wav", "d.wav"]), bits=st.sampled_from([16, 32]), data=st.data())
+def test_mutated_wav_stages_exit_0_2_or_3_and_name_the_row(one_pair, caplog, side, bits, data):
+    root, wavs = one_pair
+    for name in ("c.wav", "d.wav"):
+        blob = wavs[name, bits]
+        if name == side:
+            blob = data.draw(_one_mutation(blob, bits), label="mutated")
+        (root / "wav" / name).write_bytes(blob)
+    out = root / "out"
+    for stage, outputs in (("metrics", ("metrics.csv",)),
+                           ("features", ("errors.csv", "features_clean.csv",
+                                         "features_degraded.csv"))):
+        caplog.clear()
+        code = main([stage, "--manifest", str(root / "m.csv"), "--out", str(out)])
+        # a numeric failure, such as an all-silent side, is exit 3
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC), stage
+        assert (code != EXIT_OK) == ("u1 G1C0D1: " in caplog.text), (stage, caplog.text)
+        for name in outputs:
+            with open(out / name, newline="") as fh:
+                _, row = list(csv.reader(fh))
+            assert row[:4] == ["u1", "1", "0", "1"]
+            written = [cell for cell in row[4:] if cell]
+            assert all(math.isfinite(float(cell)) for cell in written), (name, row)
+            if code != EXIT_OK:
+                assert not written, (name, row)
+
+
 def _copy_stage_inputs(src, dst):
     dst.mkdir()
     for name in ("metrics.csv", "errors.csv"):
@@ -272,8 +356,8 @@ def test_blank_errors_row_is_skipped(pipeline_out, tmp_path, caplog):
     with caplog.at_level("WARNING", logger="vda"):
         assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
         assert main(["decompose", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
-    assert f"'{blank['utterance_id']}', '{blank['G']}'" in caplog.text
-    assert "row skipped" in caplog.text
+    row = f"{blank['utterance_id']} G{blank['G']}C{blank['C']}D{blank['D']}"
+    assert f"errors.csv: {row}: no feature errors; row skipped" in caplog.text
 
 
 def test_fit_missing_key_column_is_schema_error(pipeline_out, tmp_path, capsys):
@@ -301,21 +385,41 @@ def test_fit_and_decompose_agree_on_partial_pesq(pipeline_out, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("stage", ["fit", "decompose"])
-@pytest.mark.parametrize("edits,named", [
-    ({"errors.csv": {"e3": "abc"}}, "errors.csv: utt000 G1C0D1: could not convert"),
-    ({"errors.csv": {"e3": "-1.5"}}, "errors.csv: utt000 G1C0D1: error values must be"),
-    ({"metrics.csv": {"stoi": "nan"}}, "metrics.csv: utt000 G1C0D1: outcome values must be"),
-    ({"metrics.csv": {"G": "2"}, "errors.csv": {"G": "2"}},
+@pytest.mark.parametrize("outcome,edits,named", [
+    ("stoi", {"errors.csv": {"e3": "abc"}}, "errors.csv: utt000 G1C0D1: could not convert"),
+    ("stoi", {"errors.csv": {"e3": "-1.5"}}, "errors.csv: utt000 G1C0D1: error values must be"),
+    ("stoi", {"metrics.csv": {"stoi": "nan"}},
+     "metrics.csv: utt000 G1C0D1: values must be blank or finite numbers (column stoi)"),
+    ("stoi", {"metrics.csv": {"G": "2"}, "errors.csv": {"G": "2"}},
      "metrics.csv: utt000 G2C0D1: G/C/D indicators must be"),
-], ids=["e-not-a-number", "e-negative", "stoi-nan", "G-is-2"])
-def test_malformed_model_cell_is_data_error(pipeline_out, tmp_path, capsys, stage, edits, named):
+    # the stoi cell gates the row even when pesq is the outcome
+    ("pesq", {"metrics.csv": {"stoi": "abc"}},
+     "metrics.csv: utt000 G1C0D1: could not convert string to float: 'abc' (column stoi)"),
+    ("pesq", {"metrics.csv": {"stoi": "nan"}},
+     "metrics.csv: utt000 G1C0D1: values must be blank or finite numbers (column stoi)"),
+], ids=["e-not-a-number", "e-negative", "stoi-nan", "G-is-2", "pesq-stoi-not-a-number",
+        "pesq-stoi-nan"])
+def test_malformed_model_cell_is_data_error(pipeline_out, tmp_path, capsys, stage, outcome, edits,
+                                            named):
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
     for name, cells in edits.items():
         row = _set_cells(out / name, 5, cells)
         assert (row["utterance_id"], row["C"], row["D"]) == ("utt000", "0", "1")
     capsys.readouterr()
-    assert main([stage, "--out", str(out), "--outcome", "stoi"]) == EXIT_DATA
+    assert main([stage, "--out", str(out), "--outcome", outcome]) == EXIT_DATA
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["fit", "decompose", "report"])
+def test_repeated_key_is_data_error(pipeline_out, tmp_path, capsys, stage):
+    # a manifest may list a pair twice; the repeated row must not join one errors.csv row twice
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    for name in ("metrics.csv", "errors.csv"):
+        text = (out / name).read_text(encoding="utf-8")
+        (out / name).write_text(text + text.splitlines()[6] + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, "--out", str(out)]) == EXIT_DATA
+    assert "metrics.csv: utt000 G1C0D1: repeated on lines 7 and 18" in capsys.readouterr().err
 
 
 def _golden_tables():
@@ -346,12 +450,27 @@ def test_mutated_model_cell_loads_or_fails_as_usage_or_data_error(tmp_path_facto
             table[row][column % len(table[row])] = value
         with open(out / table_name, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(table)
-    for load in (lambda: cli._observations(out, outcome),
-                 lambda: cli._metric_csv_aggregates(out / "metrics.csv")):
-        try:
-            load()
-        except VdaError as exc:
-            assert cli._exit_code(exc) in (EXIT_USAGE, EXIT_DATA), exc
+    failures = {}
+    try:
+        obs = cli._observations(out, outcome)
+    except VdaError as exc:
+        failures["observations"] = exc
+    else:
+        assert np.isfinite(obs.e).all() and np.isfinite(obs.y).all()
+    try:
+        means = cli._metric_csv_aggregates(out / "metrics.csv")
+    except VdaError as exc:
+        failures["aggregates"] = exc
+    else:
+        assert all(np.isfinite(m) for cell in means.values() for m in cell.values())
+    for exc in failures.values():
+        assert cli._exit_code(exc) in (EXIT_USAGE, EXIT_DATA), exc
+    # both stages read a key, label, stoi or outcome cell of metrics.csv by the same rules
+    header = _GOLDEN_TABLES["metrics.csv"][0]
+    shared = {"utterance_id", "G", "C", "D", "stoi", outcome}
+    if name == "metrics.csv" and header[column % len(header)] in shared:
+        formats = [isinstance(failures.get(k), FormatError) for k in ("observations", "aggregates")]
+        assert formats[0] == formats[1], failures
 
 
 def test_features_csv_shape(pipeline_out):
@@ -463,7 +582,7 @@ def test_csii_low_reaches_the_comparison(tmp_path):
 @pytest.mark.parametrize("name", ["metrics.csv", "metrics_variant.csv"])
 @pytest.mark.parametrize("cells,reason", [
     ({"stoi": "abc"}, "could not convert string to float: 'abc'"),
-    ({"stoi": "nan"}, "metric values must be finite"),
+    ({"stoi": "nan"}, "values must be blank or finite numbers (column stoi)"),
     ({"G": "2"}, "G/C/D indicators must be 0 or 1"),
 ], ids=["stoi-not-a-number", "stoi-nan", "G-is-2"])
 def test_malformed_report_cell_is_data_error(pipeline_out, tmp_path, capsys, name, cells, reason):
