@@ -22,6 +22,11 @@ from .errors import (
 )
 
 CANONICAL_RATE = 16000
+# Sample rates a WAV may declare. Ingest resamples to CANONICAL_RATE, with a
+# lowpass of 20 * max(up, down) + 1 taps for the coprime ratio up/down, so a
+# rate far from it grows the signal (by 16000 / rate) or the filter (by rate).
+MIN_SAMPLE_RATE = 8000
+MAX_SAMPLE_RATE = 192000
 MANIFEST_COLUMNS = ("utterance_id", "clean_path", "degraded_path", "G", "C", "D", "pesq")
 
 # Shortest usable overlap after alignment: one default analysis frame (25 ms).
@@ -132,7 +137,8 @@ def load_wav(path: str | Path) -> AudioSignal:
     PCM16 samples are scaled by 1/32768; IEEE float32 passes through. Stereo
     is averaged to mono. Raises FormatError on a malformed container, a
     data chunk without one whole frame or a non-finite float sample, and
-    UnsupportedFormatError on any other codec or channel count.
+    UnsupportedFormatError on any other codec or channel count and on a
+    sample rate outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -159,8 +165,10 @@ def load_wav(path: str | Path) -> AudioSignal:
     audio_format, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", fmt[:16])
     if audio_format == 0xFFFE and len(fmt) >= 26:  # WAVE_FORMAT_EXTENSIBLE
         audio_format = struct.unpack("<H", fmt[24:26])[0]
-    if rate <= 0:
-        raise FormatError(f"{path}: invalid sample rate {rate}")
+    if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
+        raise UnsupportedFormatError(
+            f"{path}: sample rate {rate} Hz outside {MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE} Hz"
+        )
     if channels not in (1, 2):
         raise UnsupportedFormatError(f"{path}: {channels} channels unsupported")
 

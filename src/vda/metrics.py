@@ -271,28 +271,54 @@ def csii(pair: AlignedPair) -> tuple[float | None, float | None, float | None]:
     return _csii(pair, *_analyze_pair(pair))
 
 
-def _band_envelopes(pair: AlignedPair, bank_weights: np.ndarray) -> np.ndarray:
-    """Band envelopes of both sides, shape (2, bands, n): clean, then degraded.
+def _analytic_spectra(pair: AlignedPair, nfft: int) -> np.ndarray:
+    """One-sided spectra of both sides, shape (2, nfft // 2 + 1), with the
+    positive frequencies doubled: the spectra of their analytic signals."""
+    spectra = np.empty((2, nfft // 2 + 1), dtype=np.complex128)
+    for side, sig in enumerate((pair.clean, pair.degraded)):
+        spectra[side] = np.fft.rfft(sig.samples, nfft)
+    spectra[:, 1:(nfft + 1) // 2] *= 2.0
+    return spectra
 
-    Spectral-masked analytic magnitude -> 25 Hz lowpass. The analytic band
-    signal comes straight from the one-sided spectrum (positive frequencies
-    doubled), filled only over each band's non-zero bins, and every band of
-    both sides is inverse-FFT'd in one call, which halves the calls and the
-    work buffers that pocketfft allocates per call. The band inverse FFT,
-    the envelope FFT and the lowpass inverse FFT run in single precision,
-    which moves ncm by well under 1e-6; the envelopes are returned as
-    float64. They go through scipy.fft, which runs them in about half the
-    time of np.fft at this precision; it is imported here so that only a
-    process that computes ncm loads it.
+
+def _envelope_lowpass(nfft: int, rate: int) -> np.ndarray:
+    """FFT-domain envelope lowpass, float32, with a cosine rolloff above
+    NCM_ENV_LOWPASS_HZ. It zeroes every bin from twice the cutoff up, so it
+    is returned only over the bins below, the ones an envelope keeps."""
+    freqs = np.fft.rfftfreq(nfft, 1.0 / rate)
+    passband = freqs[:np.searchsorted(freqs, 2.0 * NCM_ENV_LOWPASS_HZ)]
+    roll = np.clip((passband - NCM_ENV_LOWPASS_HZ) / NCM_ENV_LOWPASS_HZ, 0.0, 1.0)
+    lowpass = (0.5 * (1.0 + np.cos(np.pi * roll))).astype(np.float32)
+    return lowpass[:int(np.flatnonzero(lowpass)[-1]) + 1]
+
+
+def _band_envelopes(spectra: np.ndarray, nfft: int, rate: int, bank_weights: np.ndarray,
+                    lowpass: np.ndarray) -> np.ndarray:
+    """Lowpassed band envelopes of both sides as spectra, complex128 of shape
+    (2, bands, len(lowpass)): clean, then degraded.
+
+    The envelope is the magnitude of the spectral-masked analytic band
+    signal, lowpassed. Coefficient k of a band holds its envelope as
+    env[t] = Re sum_k a_k exp(2 pi i k t / nfft), that is a_0 = X_0 / nfft
+    and a_k = 2 X_k / nfft for the lowpassed envelope FFT X; _crop_sums
+    reduces the envelopes over their first n samples from these alone. The
+    analytic band signal comes straight from `spectra` (see
+    _analytic_spectra), filled only over each band's non-zero bins, and
+    every band of both sides is inverse-FFT'd in one call, which halves the
+    calls and the work buffers that pocketfft allocates per call. The band
+    inverse FFT and the envelope FFT run in single precision, which moves
+    ncm by well under 1e-6. They go through scipy.fft, which runs them in
+    about half the time of np.fft at this precision; it is imported here so
+    that only a process that computes ncm loads it.
     """
     from scipy import fft as sp_fft
 
-    n = len(pair.clean)
-    nfft = corpus.next_fast_len(n)
-    freqs = np.fft.rfftfreq(nfft, 1.0 / pair.rate)
     n_bands, n_bank = bank_weights.shape
-    bin_hz_bank = (pair.rate / 2.0) / (n_bank - 1)
-    idx = np.clip(np.round(freqs / bin_hz_bank).astype(int), 0, n_bank - 1)
+    bin_hz_bank = (rate / 2.0) / (n_bank - 1)
+    # the bank bin of each spectrum bin, in the smallest integer type because
+    # it is alive while the block's transforms set ncm's peak memory
+    idx = np.clip(np.round(np.fft.rfftfreq(nfft, 1.0 / rate) / bin_hz_bank), 0, n_bank - 1
+                  ).astype(np.min_scalar_type(n_bank - 1))
     # idx is non-decreasing, so each band's non-zero bank bins map to one
     # contiguous run of spectrum bins
     nonzero = bank_weights > 0.0
@@ -301,23 +327,75 @@ def _band_envelopes(pair: AlignedPair, bank_weights: np.ndarray) -> np.ndarray:
     los = np.searchsorted(idx, first, side="left")
     his = np.searchsorted(idx, last, side="right")
     analytic_spec = np.zeros((2 * n_bands, nfft), dtype=np.complex64)
-    for side, sig in enumerate((pair.clean, pair.degraded)):
-        spec = np.fft.rfft(sig.samples, nfft)
-        spec[1:(nfft + 1) // 2] *= 2.0
+    for side, spec in enumerate(spectra):
         for band, (weights, lo, hi) in enumerate(zip(bank_weights, los, his)):
             analytic_spec[side * n_bands + band, lo:hi] = spec[lo:hi] * weights[idx[lo:hi]]
     env = np.abs(sp_fft.ifft(analytic_spec, axis=1, overwrite_x=True))
     del analytic_spec  # each full-size array is freed before the next is made
-    # FFT-domain lowpass with a cosine rolloff above the envelope cutoff;
-    # the bins it zeroes (every bin from twice the cutoff up) are left out
-    # of the inverse transform
-    passband = freqs[:np.searchsorted(freqs, 2.0 * NCM_ENV_LOWPASS_HZ)]
-    roll = np.clip((passband - NCM_ENV_LOWPASS_HZ) / NCM_ENV_LOWPASS_HZ, 0.0, 1.0)
-    lowpass = (0.5 * (1.0 + np.cos(np.pi * roll))).astype(np.float32)
-    keep = int(np.flatnonzero(lowpass)[-1]) + 1
-    env_spec = sp_fft.rfft(env, axis=1)[:, :keep] * lowpass[:keep]
-    del env
-    return sp_fft.irfft(env_spec, nfft, axis=1)[:, :n].astype(np.float64).reshape(2, n_bands, n)
+    keep = len(lowpass)
+    coeffs = (sp_fft.rfft(env, axis=1)[:, :keep] * lowpass).astype(np.complex128)
+    coeffs *= 2.0 / nfft
+    coeffs[:, 0] /= 2.0
+    return coeffs.reshape(2, n_bands, keep)
+
+
+def _dirichlet(m: np.ndarray, n: int, nfft: int) -> np.ndarray:
+    """S(m) = sum_{t<n} exp(2 pi i m t / nfft), the kernel of the crop to the
+    first n of nfft samples, for integers m: n where m = 0 (mod nfft), else
+    sin(pi m n / nfft) / sin(pi m / nfft) * exp(i pi m (n - 1) / nfft). Each
+    angle is reduced in integers to (-pi, pi] before it is scaled, so a sine
+    near zero keeps its relative precision (the geometric-series quotient
+    (1 - w^n) / (1 - w), w = exp(2 pi i m / nfft), loses about nfft / m ulps
+    to cancellation)."""
+    m = np.asarray(m, dtype=np.int64)
+    zero = m % nfft == 0
+    m = np.where(zero, 1, m)
+
+    def angle(p: np.ndarray) -> np.ndarray:  # pi p / nfft, reduced
+        return np.pi * ((p + nfft) % (2 * nfft) - nfft) / nfft
+
+    kernel = np.sin(angle(m * n)) / np.sin(angle(m)) * np.exp(1j * angle(m * (n - 1)))
+    return np.where(zero, complex(n), kernel)
+
+
+def _crop_kernel(n: int, nfft: int, keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What _crop_sums needs to sum envelopes of `keep` coefficients over
+    their first n samples: S(0..keep-1) for the plain sums, and, for the
+    product sums, S laid out over the lags of a convolution (0..2 keep - 2)
+    and of a correlation (-(keep - 1)..keep - 1) of two coefficient rows,
+    each inverse-FFT'd at length next_fast_len(2 keep - 1)."""
+    size = corpus.next_fast_len(2 * keep - 1)
+    conv = np.zeros(size, dtype=np.complex128)
+    conv[:2 * keep - 1] = _dirichlet(np.arange(2 * keep - 1), n, nfft)
+    lags = np.arange(-(keep - 1), keep)
+    corr = np.zeros(size, dtype=np.complex128)
+    corr[lags % size] = _dirichlet(lags, n, nfft)
+    return conv[:keep], np.fft.ifft(conv), np.fft.ifft(corr)
+
+
+def _crop_sums(a: np.ndarray, b: np.ndarray,
+               kernel: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Sums over t < n of x, y, x^2, y^2 and x y, shape (5, rows), for the
+    envelopes x and y that the coefficient rows a and b hold (see
+    _band_envelopes and _crop_kernel).
+
+    With S the crop kernel, sum x = Re sum_k a_k S(k), and
+    sum x y = 1/2 Re [sum_m S(m) c_m + sum_m S(m) r_m] for the convolution c
+    of a and b and the correlation r_m = sum_k a_{k+m} conj(b_k). Both come
+    from FFTs A and B of the rows: sum_m S(m) c_m = sum_j A_j B_j ifft(S)_j
+    over the convolution's lags, and likewise A_j conj(B_j) for r. Every
+    reduction runs per row (np.einsum), so a row's sums do not depend on
+    the rows beside it.
+    """
+    plain, conv, corr = kernel
+    spec_a, spec_b = np.fft.fft(np.stack((a, b)), len(conv), axis=-1)
+
+    def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return 0.5 * (np.einsum("ij,ij,j->i", x, y, conv)
+                      + np.einsum("ij,ij,j->i", x, y.conj(), corr)).real
+
+    return np.stack((np.einsum("ij,j->i", a, plain).real, np.einsum("ij,j->i", b, plain).real,
+                     product(spec_a, spec_a), product(spec_b, spec_b), product(spec_a, spec_b)))
 
 
 def _ncm_block_bands(n: int) -> int:
@@ -331,9 +409,11 @@ def ncm(pair: AlignedPair) -> float:
     """Normalized covariance metric: band-envelope correlations mapped
     through an apparent-SNR transfer and importance-weighted into [0, 1].
 
-    The envelopes are built and reduced one block of bands at a time (see
-    _ncm_block_bands), so no envelope or band spectrum outlives its block.
-    Each band's sums are the same whatever the block size, so ncm does not
+    The envelopes are built one block of bands at a time (see
+    _ncm_block_bands) and reduced from their lowpassed spectra to per-band
+    sums over the pair's n samples (see _crop_sums), so no band spectrum
+    outlives its block and no envelope is brought back to n samples. Each
+    band's sums are the same whatever the block size, so ncm does not
     depend on it.
     """
     if pair.clean.duration < MIN_ENVELOPE_SECONDS:
@@ -344,18 +424,22 @@ def ncm(pair: AlignedPair) -> float:
     fft_len = dsp.next_pow2(frame_len)
     bank = dsp.make_filterbank("critical_band", pair.rate, fft_len, NCM_BANDS, 150.0)
     n = len(pair.clean)
-    energy, cross, auto_c, auto_d = (np.empty(NCM_BANDS) for _ in range(4))
+    nfft = corpus.next_fast_len(n)
+    spectra = _analytic_spectra(pair, nfft)
+    lowpass = _envelope_lowpass(nfft, pair.rate)
+    kernel = _crop_kernel(n, nfft, len(lowpass))
+    sums = np.empty((5, NCM_BANDS))
     step = _ncm_block_bands(n)
     for lo in range(0, NCM_BANDS, step):
         block = slice(lo, lo + step)
-        env_c, env_d = _band_envelopes(pair, bank.weights[block])
-        energy[block] = np.einsum("ij,ij->i", env_c, env_c)
-        env_c -= env_c.mean(axis=1, keepdims=True)
-        env_d -= env_d.mean(axis=1, keepdims=True)
-        cross[block] = np.einsum("ij,ij->i", env_c, env_d)
-        auto_c[block] = np.einsum("ij,ij->i", env_c, env_c)
-        auto_d[block] = np.einsum("ij,ij->i", env_d, env_d)
-        del env_c, env_d  # the next block's envelopes take their place
+        env_c, env_d = _band_envelopes(spectra, nfft, pair.rate, bank.weights[block], lowpass)
+        sums[:, block] = _crop_sums(env_c, env_d, kernel)
+    sum_c, sum_d, energy, energy_d, prod = sums
+    # centred sums; the autos are sums of squares, which rounding must not
+    # take below zero
+    cross = prod - sum_c * sum_d / n
+    auto_c = np.maximum(energy - sum_c ** 2 / n, 0.0)
+    auto_d = np.maximum(energy_d - sum_d ** 2 / n, 0.0)
 
     den = np.sqrt(auto_c * auto_d)
     with np.errstate(divide="ignore", invalid="ignore"):

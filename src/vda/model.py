@@ -17,6 +17,7 @@ reference the tests compare with.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,12 +212,14 @@ def _two_sided_t_p(t: np.ndarray, dof: int) -> np.ndarray:
     freedom: 0 at t = +-inf, NaN at NaN.
 
     That is the regularized incomplete beta I_x(dof/2, 1/2) at
-    x = dof / (dof + t^2), evaluated by its continued fraction (modified
-    Lentz) with the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) on the side where
-    the fraction converges slowly. 1 - x is taken as t^2 / (dof + t^2), so no
-    precision is lost at small |t|. Within 1e-9 relative of
-    ``scipy.special.stdtr`` up to dof 2e4; the error grows with dof, from
-    the log-gamma terms of the prefactor.
+    x = dof / (dof + t^2), evaluated by a continued fraction (modified Lentz)
+    in a variable that t^2 gives without rounding near x = 1, where a rounded
+    x would cost about dof/2 ulps at large dof. Where the fraction in x
+    converges slowly, x > (a + 1) / (a + b + 2), it is the symmetry
+    I_x(a, b) = 1 - I_{1-x}(b, a) with the fraction in 1 - x, taken as
+    t^2 / (dof + t^2); elsewhere it is the fraction in the odds
+    x / (1 - x) = dof / t^2. x^a is exp(-a log1p(t^2 / dof)), and the
+    prefactor's lgamma(a + 1/2) - lgamma(a) comes from _log_gamma_half_step.
     """
     t2 = np.square(np.asarray(t, dtype=np.float64))
     p_value = np.where(np.isnan(t2), np.nan, 0.0)
@@ -224,36 +227,78 @@ def _two_sided_t_p(t: np.ndarray, dof: int) -> np.ndarray:
     t2 = t2[finite]
     x, x1 = dof / (dof + t2), t2 / (dof + t2)
     a, b = dof / 2.0, 0.5
-    swap = x > (a + 1.0) / (a + b + 2.0)
-    aa = np.where(swap, b, a)
-    fraction = _beta_fraction(aa, np.where(swap, a, b), np.where(swap, x1, x))
+    swap = x > (a + 1.0) / (a + b + 2.0)  # true at t = 0, so dof / t^2 stays finite
+    log_fraction = np.empty_like(t2)
+    log_fraction[swap] = np.log(_beta_fraction(b, a, x1[swap]) / b)
+    log_fraction[~swap] = np.log(_beta_odds_fraction(a, b, dof / t2[~swap]) / (a * x1[~swap]))
     with np.errstate(divide="ignore"):  # x1 = 0 at t = 0, where p is 1
         # one exp of the summed logs, so the tail underflows only where it is below the
         # float range and not where the prefactor alone is
-        tail = np.exp(a * np.log(x) + b * np.log(x1) + math.lgamma(a + b) - math.lgamma(a)
-                      - math.lgamma(b) + np.log(fraction / aa))
+        tail = np.exp(-a * np.log1p(t2 / dof) + b * np.log(x1) + _log_gamma_half_step(a)
+                      - math.lgamma(b) + log_fraction)
     p_value[finite] = np.where(swap, 1.0 - tail, tail)
     return p_value
+
+
+# Above this a, _log_gamma_half_step sums its asymptotic series, whose first
+# omitted term, 691 / (1441792 a^11), is then below 1e-18.
+_HALF_STEP_SERIES_FROM = 20.0
+
+
+def _log_gamma_half_step(a: float) -> float:
+    """lgamma(a + 1/2) - lgamma(a) for a > 0.
+
+    Taken as the difference of two ``math.lgamma`` values, it carries an
+    absolute error of about one ulp of lgamma(a), which grows with a (about
+    1e-9 at a = 5e7). Above _HALF_STEP_SERIES_FROM it is the asymptotic series
+    (1/2) ln a - 1/(8a) + 1/(192 a^3) - 1/(640 a^5) + 17/(14336 a^7)
+    - 31/(18432 a^9), whose terms are (2^(1-k) - 2) B_k / (k (k-1) a^(k-1))
+    for the even Bernoulli numbers B_k (from Stirling's series of
+    lgamma(a + h) - lgamma(a) at h = 1/2).
+    """
+    if a < _HALF_STEP_SERIES_FROM:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    inv2 = 1.0 / (a * a)
+    series = -1.0 / 8.0 + inv2 * (1.0 / 192.0 + inv2 * (-1.0 / 640.0 + inv2 * (
+        17.0 / 14336.0 - inv2 * 31.0 / 18432.0)))
+    return 0.5 * math.log(a) + series / a
 
 
 _LENTZ_TINY = 1e-300
 _LENTZ_MAX_TERMS = 10_000
 
 
-def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _beta_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """The continued fraction of I_x(a, b) / (x^a (1-x)^b / (a B(a, b))),
-    elementwise, by the modified Lentz method; it converges quickly where
-    x < (a + 1) / (a + b + 2)."""
+    elementwise; it converges quickly where x < (a + 1) / (a + b + 2)."""
+    return _lentz(-(a + b) * x / (a + 1.0),
+                  lambda k: (k * (b - k) * x / ((a + 2 * k - 1.0) * (a + 2 * k)),
+                             -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1.0))))
+
+
+def _beta_odds_fraction(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_x(a, b) / (x^a (1-x)^(b-1) / (a B(a, b)))
+    in the odds z = x / (1 - x), elementwise (Cephes' second expansion,
+    ``incbd``). Its terms depend on x only through z; for b = 1/2 they are
+    all positive."""
+    return _lentz(z * (1.0 - b) / (a + 1.0),
+                  lambda k: (z * k * (a + b + k - 1.0) / ((a + 2 * k - 1.0) * (a + 2 * k)),
+                             z * (a + k) * (k + 1.0 - b) / ((a + 2 * k) * (a + 2 * k + 1.0))))
+
+
+def _lentz(first: np.ndarray,
+           pair: Callable[[int], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """1 / (1 + c_1 / (1 + c_2 / (1 + ...))), elementwise, by the modified
+    Lentz method, for c_1 = ``first`` and (c_2k, c_2k+1) = ``pair(k)``."""
     def nudged(v):
         return np.where(np.abs(v) < _LENTZ_TINY, _LENTZ_TINY, v)
 
-    c = np.ones_like(x)
-    d = 1.0 / nudged(1.0 - (a + b) * x / (a + 1.0))
+    c = np.ones_like(first)
+    d = 1.0 / nudged(1.0 + first)
     h = d
-    active = np.ones(x.shape, dtype=bool)
+    active = np.ones(first.shape, dtype=bool)
     for k in range(1, _LENTZ_MAX_TERMS + 1):
-        for coeff in (k * (b - k) * x / ((a + 2 * k - 1.0) * (a + 2 * k)),
-                      -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1.0))):
+        for coeff in pair(k):
             d = 1.0 / nudged(1.0 + coeff * d)
             c = nudged(1.0 + coeff / c)
             step = d * c

@@ -223,7 +223,8 @@ def test_features_corrupt_wav_is_data_error(small_corpus, tmp_path):
     ("metrics", ("metrics.csv",)),
     ("features", ("errors.csv", "features_clean.csv", "features_degraded.csv")),
 ])
-@pytest.mark.parametrize("defect", ["nan-sample", "inf-sample", "empty-data", "partial-frame"])
+@pytest.mark.parametrize("defect", ["nan-sample", "inf-sample", "empty-data", "partial-frame",
+                                    "rate-7hz"])
 def test_unusable_wav_is_data_error(small_corpus, tmp_path, caplog, stage, outputs, defect):
     clean = corpus.load_wav(small_corpus / "wav" / "utt000_g0c0d0.wav").samples
     bad = np.arange(len(clean)) == 800
@@ -232,11 +233,13 @@ def test_unusable_wav_is_data_error(small_corpus, tmp_path, caplog, stage, outpu
         "inf-sample": np.where(bad, np.inf, clean).astype("<f4").tobytes(),
         "empty-data": b"",
         "partial-frame": b"\x00" * 3,  # of a four-byte float32 frame
+        "rate-7hz": clean.astype("<f4").tobytes(),
     }[defect]
+    rate = 7 if defect == "rate-7hz" else 16000
     wav_dir = tmp_path / "wav"
     wav_dir.mkdir()
     (wav_dir / "c.wav").write_bytes((small_corpus / "wav" / "utt000_g0c0d0.wav").read_bytes())
-    (wav_dir / "d.wav").write_bytes(_wav_bytes(16000, 1, 3, 32, frames))
+    (wav_dir / "d.wav").write_bytes(_wav_bytes(rate, 1, 3, 32, frames))
     manifest = tmp_path / "m.csv"
     manifest.write_text(
         "utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
@@ -247,12 +250,6 @@ def test_unusable_wav_is_data_error(small_corpus, tmp_path, caplog, stage, outpu
     for name in outputs:
         _assert_failed_row_blank(out / name, ["u1", "0", "0", "0"])
     assert "u1 G0C0D0: " in caplog.text and "d.wav" in caplog.text
-
-
-# The header fields a stage-test mutation may overwrite (offset, width): every
-# one of test_corpus._FMT_FIELDS but the sample rate, which ingest resamples
-# from, so that a rate of a few Hz cannot grow a one-second file a thousandfold.
-_STAGE_FMT_FIELDS = tuple(field for field in _FMT_FIELDS if field != (24, 4))
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +282,7 @@ def _one_mutation(draw, blob: bytes, bits: int) -> bytes:
         at = draw(st.sampled_from(_SIZE_FIELDS))
         blob[at:at + 4] = draw(st.integers(0, 2 ** 32 - 1)).to_bytes(4, "little")
     elif kind == "fmt":
-        at, size = draw(st.sampled_from(_STAGE_FMT_FIELDS))
+        at, size = draw(st.sampled_from(_FMT_FIELDS))
         value = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 16, 32, 0xFFFE]),
                                st.integers(0, 2 ** (8 * size) - 1)))
         blob[at:at + size] = value.to_bytes(size, "little")

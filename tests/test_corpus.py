@@ -52,6 +52,24 @@ def test_load_wav_float32(tmp_path):
     assert sig.samples[0] == pytest.approx(0.25, abs=1e-7)
 
 
+@pytest.mark.parametrize("rate", [0, 7, 7999, 192001, 2 ** 31 - 1])
+def test_load_wav_rate_out_of_range_names_the_file_and_rate(tmp_path, rate):
+    # ingest resamples to 16 kHz, so a 7 Hz header would grow these 160
+    # samples to 365 714, and the prime rate 2**31 - 1 would ask for a lowpass
+    # of 4.3e10 taps
+    path = tmp_path / "rate.wav"
+    path.write_bytes(_wav_bytes(rate, 1, 1, 16, b"\x00\x01" * 160))
+    with pytest.raises(UnsupportedFormatError, match=f"rate.wav: sample rate {rate} Hz"):
+        corpus.load_wav(path)
+
+
+@pytest.mark.parametrize("rate", [corpus.MIN_SAMPLE_RATE, corpus.MAX_SAMPLE_RATE])
+def test_load_wav_rate_range_is_inclusive(tmp_path, rate):
+    path = tmp_path / "rate.wav"
+    path.write_bytes(_wav_bytes(rate, 1, 1, 16, b"\x00\x01" * 160))
+    assert corpus.load_wav(path).rate == rate
+
+
 def test_load_wav_malformed_header(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"RIFX" + b"\x00" * 64)

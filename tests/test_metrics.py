@@ -327,14 +327,51 @@ def _ncm_pairs():
     yield "identity", identity_pair(sig)
 
 
-def test_ncm_matches_float64_envelope_oracle(monkeypatch):
-    pairs = list(_ncm_pairs())
-    got = [metrics.ncm(pair) for _, pair in pairs]
-    monkeypatch.setattr(metrics, "_band_envelopes", lambda pair, bank_weights: np.stack(
-        [_band_envelopes_reference(sig, bank_weights) for sig in (pair.clean, pair.degraded)]))
-    for (label, pair), value in zip(pairs, got):
-        assert value == pytest.approx(metrics.ncm(pair), abs=1e-6), label
-    assert got[-1] == pytest.approx(1.0, abs=1e-6)
+def _ncm_reference(pair):
+    """Float64 ncm from _band_envelopes_reference's time-domain envelopes:
+    mean removal and inner products over the pair's samples."""
+    frame_len, _ = dsp.default_frame_params(pair.rate)
+    bank = dsp.make_filterbank("critical_band", pair.rate, dsp.next_pow2(frame_len),
+                               metrics.NCM_BANDS, 150.0)
+    env_c, env_d = (_band_envelopes_reference(sig, bank.weights) for sig in (pair.clean, pair.degraded))
+    importance = np.sqrt(np.mean(env_c ** 2, axis=1))
+    env_c = env_c - env_c.mean(axis=1, keepdims=True)
+    env_d = env_d - env_d.mean(axis=1, keepdims=True)
+    r = np.sum(env_c * env_d, axis=1) / np.sqrt(np.sum(env_c ** 2, axis=1) * np.sum(env_d ** 2, axis=1))
+    r2 = np.minimum(r ** 2, 1.0)
+    with np.errstate(divide="ignore"):
+        snr_app = np.clip(10.0 * np.log10(r2 / (1.0 - r2)), -metrics.SDR_CLIP_DB, metrics.SDR_CLIP_DB)
+    transfer = (snr_app + metrics.SDR_CLIP_DB) / (2.0 * metrics.SDR_CLIP_DB)
+    return np.sum(importance * transfer) / np.sum(importance)
+
+
+def test_ncm_matches_float64_envelope_oracle():
+    for label, pair in _ncm_pairs():
+        value = metrics.ncm(pair)
+        assert value == pytest.approx(_ncm_reference(pair), abs=1e-6), label
+    assert value == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n,nfft,keep", [(400, 400, 7), (333, 400, 7), (400, 400, 1), (333, 400, 1),
+                                         (300_017, 320_000, 1000)])
+def test_crop_sums_match_time_domain_sums(n, nfft, keep):
+    # the closed-form sums over the first n samples of envelopes held as
+    # spectra, against the envelopes themselves
+    rng = np.random.default_rng(keep)
+    a, b = rng.standard_normal((2, 4, keep)) + 1j * rng.standard_normal((2, 4, keep))
+
+    def envelopes(coeffs):
+        spec = np.zeros((len(coeffs), nfft // 2 + 1), dtype=complex)
+        spec[:, 0] = coeffs[:, 0] * nfft
+        spec[:, 1:keep] = coeffs[:, 1:] * nfft / 2.0
+        return np.fft.irfft(spec, nfft, axis=1)[:, :n]
+
+    x, y = envelopes(a), envelopes(b)
+    want = np.stack([x.sum(axis=1), y.sum(axis=1), (x * x).sum(axis=1), (y * y).sum(axis=1),
+                     (x * y).sum(axis=1)])
+    got = metrics._crop_sums(a, b, metrics._crop_kernel(n, nfft, keep))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
 
 
 @pytest.mark.parametrize("seconds,bands", [(1.0, 20), (3.2, 20), (3.3, 16), (6.5, 8),
