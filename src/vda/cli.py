@@ -210,23 +210,51 @@ def _key_name(key: tuple[str, ...]) -> str:
     return f"{key[0]} {report.condition_name(*key[1:])}"
 
 
-def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns)) values
-    of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
+# numpy's C parser as the table reader calls it: comma-separated, one header
+# line, quoted cells as csv.reader reads them and no comment character
+_LOADTXT = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', ndmin=2)
 
-    A blank cell, a cell missing from a short row and a column missing from
-    the header read as NaN. A G/C/D cell other than ``0`` or ``1``, a repeated
-    key and a written cell that is not a finite number are FormatErrors
-    naming the file and the row, and the column of a bad cell.
+
+def _read_c(path: Path, header: list[str],
+            columns: tuple[str, ...]) -> tuple[list[tuple], np.ndarray] | None:
+    """The keys and the values of ``path`` by numpy's C parser, or None where
+    it refuses the file or might read it otherwise than csv.reader and float().
+
+    The C parser refuses a blank cell, a short row, a whitespace-only line, a
+    number float() reads only through its underscores or non-ASCII digits,
+    and a file with no data row. The handle keeps the line endings, as
+    csv.reader's does, so a quoted CR reads the same. A header spanning lines
+    would defeat ``skiprows``, and the C parser strips the ASCII separators
+    0x1C-0x1F around a number as whitespace where float() refuses them; those
+    files are left to the per-cell route too.
     """
-    if not path.exists():
-        raise DependencyError(f"required upstream artifact missing: {path}")
+    import warnings  # local, so that importing vda.cli is unchanged
+
+    index = {name: i for i, name in enumerate(header)}
+    if any(c not in index for c in KEY_COLUMNS + columns) or any("\r" in c or "\n" in c for c in header):
+        return None
+    with open(path, "rb") as fh:  # the bytes are dropped before the parse
+        if any(map(fh.read().__contains__, b"\x1c\x1d\x1e\x1f")):
+            return None
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns, rather than fails, on a file with no data row
+        try:
+            # the values first: a blank among them is the usual refusal
+            values = np.loadtxt(fh, usecols=[index[c] for c in columns], **_LOADTXT)
+            fh.seek(0)
+            keys = np.loadtxt(fh, dtype=object, usecols=[index[c] for c in KEY_COLUMNS], **_LOADTXT)
+        except (ValueError, Warning):
+            return None
+    return list(map(tuple, keys.tolist())), values
+
+
+def _read_cells(path: Path, header: list[str], columns: tuple[str, ...]) -> tuple[list[tuple], list]:
+    """The keys and the cell texts of the non-blank rows of ``path`` by
+    csv.reader. A cell missing from a short row or a column missing from the
+    header reads as ''."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in KEY_COLUMNS if c not in header]
-        if header and missing:
-            raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
+        next(reader, None)
         rows = [row for row in reader if row]
     # each row is padded to one past the header, so a missing cell or column reads as ''
     width = len(header) + 1
@@ -235,6 +263,32 @@ def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.n
     index = {name: i for i, name in enumerate(header)}
     keys = list(map(operator.itemgetter(*(index.get(c, len(header)) for c in KEY_COLUMNS)), rows))
     cells = list(map(operator.itemgetter(*(index.get(c, len(header)) for c in columns)), rows))
+    return keys, cells
+
+
+def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns)) values
+    of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
+
+    numpy's C parser reads the file; where it refuses one, csv.reader and
+    float() read it cell by cell, and either way the same rules follow. A
+    blank cell, a cell missing from a short row and a column missing from the
+    header read as NaN. A G/C/D cell other than ``0`` or ``1``, a repeated
+    key and a written cell that is not a finite number are FormatErrors
+    naming the file and the row, and the column of a bad cell.
+    """
+    if not path.exists():
+        raise DependencyError(f"required upstream artifact missing: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+    missing = [c for c in KEY_COLUMNS if c not in header]
+    if header and missing:
+        raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
+    parsed = _read_c(path, header, columns)
+    if parsed:
+        (keys, values), cells = parsed, None
+    else:
+        keys, cells = _read_cells(path, header, columns)
 
     def bad(i: int, column: str, reason: str) -> FormatError:
         return FormatError(f"{path}: {_key_name(keys[i])}: {reason} (column {column})")
@@ -244,26 +298,28 @@ def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.n
         i = int(np.argmax(condition < 0))
         j = next(j for j in (1, 2, 3) if keys[i][j] not in ("0", "1"))
         raise bad(i, KEY_COLUMNS[j], "G/C/D indicators must be 0 or 1")
-    seen = {}
-    for line, key in enumerate(keys, start=2):
-        if seen.setdefault(key, line) != line:
-            raise FormatError(f"{path}: {_key_name(key)}: repeated on lines {seen[key]} and {line}")
-    try:  # the fast path: no cell is blank
-        values = np.array(cells, dtype=np.float64).reshape(len(cells), len(columns))
-        written = True
-    except ValueError:  # a blank cell, or one that is not a number
-        texts = np.array(cells, dtype=object).reshape(len(cells), len(columns))
-        written = texts != ""
-        texts[~written] = "nan"
-        try:
-            values = texts.astype(np.float64)
-        except ValueError:
-            for i, j in zip(*np.nonzero(written)):
-                try:
-                    float(texts[i, j])
-                except ValueError as exc:
-                    raise bad(i, columns[j], str(exc)) from None
-            raise
+    if len(set(keys)) != len(keys):
+        seen = {}
+        for line, key in enumerate(keys, start=2):
+            if seen.setdefault(key, line) != line:
+                raise FormatError(f"{path}: {_key_name(key)}: repeated on lines {seen[key]} and {line}")
+    written = True  # no cell is blank, unless the per-cell route finds one below
+    if cells is not None:
+        try:  # the fast path: no cell is blank
+            values = np.array(cells, dtype=np.float64).reshape(len(cells), len(columns))
+        except ValueError:  # a blank cell, or one that is not a number
+            texts = np.array(cells, dtype=object).reshape(len(cells), len(columns))
+            written = texts != ""
+            texts[~written] = "nan"
+            try:
+                values = texts.astype(np.float64)
+            except ValueError:
+                for i, j in zip(*np.nonzero(written)):
+                    try:
+                        float(texts[i, j])
+                    except ValueError as exc:
+                        raise bad(i, columns[j], str(exc)) from None
+                raise
     bad_value = written & ~np.isfinite(values)
     if bad_value.any():
         i, j = np.argwhere(bad_value)[0]

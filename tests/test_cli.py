@@ -1,18 +1,21 @@
 import csv
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vda import cli, corpus
+from vda import cli, corpus, metrics
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from vda.errors import FormatError, VdaError
 
@@ -153,6 +156,14 @@ def test_metrics_parallel_jobs_identical(small_corpus, pipeline_out, tmp_path):
     assert (par / "metrics.csv").read_bytes() == (pipeline_out / "metrics.csv").read_bytes()
 
 
+def test_features_parallel_jobs_identical(small_corpus, pipeline_out, tmp_path):
+    manifest = str(small_corpus / "manifest.csv")
+    par = tmp_path / "par"
+    assert main(["features", "--manifest", manifest, "--out", str(par), "--jobs", "2"]) == EXIT_OK
+    for name in ("errors.csv", "features_clean.csv", "features_degraded.csv"):
+        assert (par / name).read_bytes() == (pipeline_out / name).read_bytes(), name
+
+
 def test_metrics_selection_blank_columns(small_corpus, tmp_path):
     manifest = str(small_corpus / "manifest.csv")
     out = tmp_path / "sel"
@@ -197,6 +208,28 @@ def test_metrics_failure_marks_row(tmp_path):
     assert rows[0]["utterance_id"] == "u1"
     assert not rows[0]["stoi"]
     _assert_failed_row_blank(out / "metrics.csv", ["u1", "0", "0", "0"])
+
+
+@pytest.mark.parametrize("stage,outputs,reason", [
+    ("metrics", ("metrics.csv",), "stoi: pair must last at least 384 ms"),
+    ("features", ("errors.csv", "features_clean.csv", "features_degraded.csv"),
+     "utterance must last at least 100 ms"),
+])
+def test_too_short_pair_is_numeric_failure(tmp_path, caplog, stage, outputs, reason):
+    # a WAV that loads but is too short to analyse is valid data that fails
+    # an analysis precondition: exit 3, not 2
+    (tmp_path / "wav").mkdir()
+    short = corpus.AudioSignal(0.1 * np.random.default_rng(0).standard_normal(800), 16000)  # 50 ms
+    corpus.write_wav(tmp_path / "wav" / "c.wav", short)
+    corpus.write_wav(tmp_path / "wav" / "d.wav", short)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
+                        "u1,wav/c.wav,wav/d.wav,1,0,1,\n")
+    out = tmp_path / "out"
+    assert main([stage, "--manifest", str(manifest), "--out", str(out)]) == EXIT_NUMERIC
+    assert f"u1 G1C0D1: {reason}" in caplog.text
+    for name in outputs:
+        _assert_failed_row_blank(out / name, ["u1", "1", "0", "1"])
 
 
 def test_features_corrupt_wav_is_data_error(small_corpus, tmp_path):
@@ -468,6 +501,122 @@ def test_mutated_model_cell_loads_or_fails_as_usage_or_data_error(tmp_path_facto
     if name == "metrics.csv" and header[column % len(header)] in shared:
         formats = [isinstance(failures.get(k), FormatError) for k in ("observations", "aggregates")]
         assert formats[0] == formats[1], failures
+
+
+# cell texts on either side of what numpy's C parser and float() accept
+_READER_CELLS = ["", " 1", "1_0", "１", "٣", "nan", "1e999", "a,b", 'a"b', "0x1p3", "\x1c1", " ",
+                 "\xa02", "-0", "1\r\n2", "0", "1", "utt000"]
+
+
+@st.composite
+def _mutated_table_text(draw, table):
+    """``table`` as CSV text, with drawn cells replaced, LF or CRLF line
+    endings, and at most one of a short row, a whitespace-only line or no
+    data row."""
+    rows = [list(r) for r in table]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.one_of(st.sampled_from(_READER_CELLS), st.text(max_size=4)))
+    shape = draw(st.sampled_from(["as-is", "short-row", "whitespace-line", "header-only"]))
+    if shape == "short-row":
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        del row[draw(st.integers(1, len(row) - 1)):]
+    elif shape == "whitespace-line":
+        rows.insert(draw(st.integers(1, len(rows))), [" "])
+    elif shape == "header-only":
+        del rows[1:]
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    return fh.getvalue()
+
+
+def _read_outcome(path, columns):
+    """What _read_table returns for ``path``, values as bytes, or the class
+    and message of what it raises."""
+    try:
+        keys, labels, values = cli._read_table(path, columns)
+    except Exception as exc:  # any class: both routes must raise the same one
+        return type(exc), str(exc)
+    return keys, labels.tolist(), values.shape, values.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_GOLDEN_TABLES)), data=st.data())
+def test_c_reader_agrees_with_the_csv_route(tmp_path_factory, name, data):
+    # numpy's C parser reads what it can; every table must come out as the
+    # csv route alone reads it, bitwise, or fail with the same class and text
+    out = tmp_path_factory.getbasetemp() / "reader"
+    out.mkdir(exist_ok=True)
+    for table_name, table in _GOLDEN_TABLES.items():
+        text = (GOLDEN / table_name).read_text(encoding="utf-8")
+        if table_name == name:
+            text = data.draw(_mutated_table_text(table), label=table_name)
+        (out / table_name).write_bytes(text.encode("utf-8"))
+    for table_name, columns in (("metrics.csv", ("stoi", "pesq")), ("metrics.csv", metrics.COLUMNS),
+                                ("errors.csv", cli.ERROR_COLUMNS)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _read_outcome(out / table_name, columns)
+        assert not caught, [str(w.message) for w in caught]  # numpy's warnings stay inside
+        with mock.patch.object(cli, "_read_c", lambda *args: None):
+            want = _read_outcome(out / table_name, columns)
+        assert got == want, (table_name, columns)
+
+
+def _edit_cell(row, column, text):
+    def edit(rows):
+        rows[row][rows[0].index(column)] = text
+    return edit
+
+
+def _drop_tail(rows):
+    del rows[3][10:]
+
+
+def _drop_data(rows):
+    del rows[1:]
+
+
+# each edge: an edit of the golden errors.csv rows, the line terminator, and
+# whether the C route reads the edited file
+_READER_EDGES = {
+    "crlf": (lambda rows: None, "\r\n", True),
+    "quoted-comma-and-cr-key": (_edit_cell(2, "utterance_id", "a,\rb"), "\n", True),
+    "quoted-quote-key": (_edit_cell(2, "utterance_id", 'a"b'), "\r\n", True),
+    "padded-key": (_edit_cell(2, "G", " 1"), "\n", True),
+    "padded-number": (_edit_cell(2, "e3", "\t0.5 "), "\n", True),
+    "blank": (_edit_cell(2, "e3", ""), "\n", False),
+    "underscore": (_edit_cell(2, "e3", "1_000"), "\n", False),
+    "full-width": (_edit_cell(2, "e3", "１"), "\n", False),
+    # float() refuses a number padded with an ASCII separator, the C parser strips it
+    "separator": (_edit_cell(2, "e3", "\x1c1"), "\n", False),
+    # a header over two lines, the second a data row to the C parser, whose
+    # skiprows counts lines, not rows
+    "header-newline": (_edit_cell(0, "e25", "e25\nu9,0,0,0," + ",".join("1" * 26)), "\n", False),
+    "short-row": (_drop_tail, "\n", False),
+    "whitespace-line": (lambda rows: rows.insert(4, ["  "]), "\n", False),
+    "blank-line": (lambda rows: rows.insert(4, []), "\n", True),
+    "header-only": (_drop_data, "\n", False),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_READER_EDGES))
+def test_c_reader_edge_agrees_with_the_csv_route(tmp_path, edge):
+    edit, newline, by_c = _READER_EDGES[edge]
+    rows = [list(r) for r in _GOLDEN_TABLES["errors.csv"]]
+    edit(rows)
+    path = tmp_path / "errors.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator=newline).writerows(rows)
+    columns = cli.ERROR_COLUMNS[:25]  # e25 is renamed by the header-newline edge
+    assert (cli._read_c(path, rows[0], columns) is not None) == by_c
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _read_outcome(path, columns)
+    assert not caught, [str(w.message) for w in caught]
+    with mock.patch.object(cli, "_read_c", lambda *args: None):
+        assert got == _read_outcome(path, columns)
 
 
 def test_features_csv_shape(pipeline_out):

@@ -8,7 +8,7 @@ import pytest
 from scipy.fft import next_fast_len
 from scipy.signal import butter, sosfilt
 
-from vda import dsp, metrics
+from vda import corpus, dsp, metrics
 from vda.corpus import AlignedPair, AudioSignal
 from vda.errors import DegenerateInputError, MetricError, PreconditionError
 
@@ -321,6 +321,11 @@ def _ncm_pairs():
             yield f"{duration}s/{snr:+.0f}dB", noisy_pair(sig, snr)
     # long enough to split the bands into blocks (8 + 8 + 4)
     yield "8.0s/+0dB", noisy_pair(make_speech_like(seed=5, duration=8.0), 0.0)
+    # 16011 samples is not 5-smooth, so nfft > n and ncm sums its envelopes
+    # over a crop of the transform, not over the whole circle
+    sig = make_speech_like(seed=5, duration=1.0007)
+    assert corpus.next_fast_len(len(sig.samples)) > len(sig.samples)
+    yield "1.0007s/+0dB", noisy_pair(sig, 0.0)
     sig = make_speech_like(seed=5)
     sos = butter(6, 3400.0, fs=RATE, output="sos")
     yield "lowpass-3.4kHz", AlignedPair(sig, AudioSignal(sosfilt(sos, sig.samples), RATE), 0, 1.0)
