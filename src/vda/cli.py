@@ -11,9 +11,10 @@ import csv
 import itertools
 import json
 import logging
-import operator
 import os
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,85 +211,74 @@ def _key_name(key: tuple[str, ...]) -> str:
     return f"{key[0]} {report.condition_name(*key[1:])}"
 
 
-# numpy's C parser as the table reader calls it: comma-separated, one header
-# line, quoted cells as csv.reader reads them and no comment character
-_LOADTXT = dict(delimiter=",", skiprows=1, comments=None, quotechar='"', ndmin=2)
+# Rows per np.loadtxt call of _read_table. A block is held as one Python
+# string per cell, so its size, not the file's, sets the reader's peak memory.
+_TABLE_BLOCK_ROWS = 1024
 
 
-def _read_c(path: Path, header: list[str],
-            columns: tuple[str, ...]) -> tuple[list[tuple], np.ndarray] | None:
-    """The keys and the values of ``path`` by numpy's C parser, or None where
-    it refuses the file or might read it otherwise than csv.reader and float().
-
-    The C parser refuses a blank cell, a short row, a whitespace-only line, a
-    number float() reads only through its underscores or non-ASCII digits,
-    and a file with no data row. The handle keeps the line endings, as
-    csv.reader's does, so a quoted CR reads the same. A header spanning lines
-    would defeat ``skiprows``, and the C parser strips the ASCII separators
-    0x1C-0x1F around a number as whitespace where float() refuses them; those
-    files are left to the per-cell route too.
-    """
-    import warnings  # local, so that importing vda.cli is unchanged
-
-    index = {name: i for i, name in enumerate(header)}
-    if any(c not in index for c in KEY_COLUMNS + columns) or any("\r" in c or "\n" in c for c in header):
-        return None
-    with open(path, "rb") as fh:  # the bytes are dropped before the parse
-        if any(map(fh.read().__contains__, b"\x1c\x1d\x1e\x1f")):
-            return None
-    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy warns, rather than fails, on a file with no data row
-        try:
-            # the values first: a blank among them is the usual refusal
-            values = np.loadtxt(fh, usecols=[index[c] for c in columns], **_LOADTXT)
-            fh.seek(0)
-            keys = np.loadtxt(fh, dtype=object, usecols=[index[c] for c in KEY_COLUMNS], **_LOADTXT)
-        except (ValueError, Warning):
-            return None
-    return list(map(tuple, keys.tolist())), values
-
-
-def _read_cells(path: Path, header: list[str], columns: tuple[str, ...]) -> tuple[list[tuple], list]:
-    """The keys and the cell texts of the non-blank rows of ``path`` by
-    csv.reader. A cell missing from a short row or a column missing from the
-    header reads as ''."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        rows = [row for row in reader if row]
-    # each row is padded to one past the header, so a missing cell or column reads as ''
-    width = len(header) + 1
-    for row in rows:
-        row.extend([""] * (width - len(row)))
-    index = {name: i for i, name in enumerate(header)}
-    keys = list(map(operator.itemgetter(*(index.get(c, len(header)) for c in KEY_COLUMNS)), rows))
-    cells = list(map(operator.itemgetter(*(index.get(c, len(header)) for c in columns)), rows))
-    return keys, cells
+def _cell_values(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool, tuple | None]:
+    """float() of each cell of the object array ``texts``, a blank as NaN; the
+    mask of the written cells (True where all are); and the (row, column,
+    reason) of the first cell that float() refuses, or None."""
+    try:
+        return texts.astype(np.float64), True, None
+    except ValueError:  # a blank cell, or one that float() refuses
+        written = texts != ""
+    try:
+        return np.where(written, texts, "nan").astype(np.float64), written, None
+    except ValueError:
+        for (i, j), text in np.ndenumerate(texts):
+            try:
+                float(text or "nan")
+            except ValueError as exc:
+                return np.full(texts.shape, np.nan), written, (i, j, str(exc))
+        raise
 
 
 def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.ndarray, np.ndarray]:
     """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns)) values
     of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
 
-    numpy's C parser reads the file; where it refuses one, csv.reader and
-    float() read it cell by cell, and either way the same rules follow. A
-    blank cell, a cell missing from a short row and a column missing from the
-    header read as NaN. A G/C/D cell other than ``0`` or ``1``, a repeated
-    key and a written cell that is not a finite number are FormatErrors
-    naming the file and the row, and the column of a bad cell.
+    csv.reader reads the header; numpy's tokenizer reads the rows as text,
+    ``_TABLE_BLOCK_ROWS`` at a time, and float() reads each value cell. A
+    blank cell and a column missing from the header read as NaN. A file that
+    is not UTF-8, a header cell over csv's field limit and a row too short
+    for a key or a requested column are FormatErrors naming the file. So are,
+    in this order, a G/C/D cell other than ``0`` or ``1``, a repeated key, a
+    cell that float() refuses and a written cell that is not finite; these
+    also name the row, and the column of a bad cell.
     """
     if not path.exists():
         raise DependencyError(f"required upstream artifact missing: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
-    missing = [c for c in KEY_COLUMNS if c not in header]
-    if header and missing:
-        raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
-    parsed = _read_c(path, header, columns)
-    if parsed:
-        (keys, values), cells = parsed, None
-    else:
-        keys, cells = _read_cells(path, header, columns)
+    keys, blocks, refused, nonfinite = [], [], [], []  # the last two: (row, column, reason)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            # numpy warns of a blank line and of a block with no row
+            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+            header = next(csv.reader(fh), KEY_COLUMNS)  # an empty file is a table with no rows
+            missing = [c for c in KEY_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
+            index = {name: i for i, name in enumerate(header)}
+            present = [j for j, c in enumerate(columns) if c in index]
+            usecols = [index[c] for c in KEY_COLUMNS] + [index[columns[j]] for j in present]
+            for start in itertools.count(0, _TABLE_BLOCK_ROWS):
+                cells = np.loadtxt(fh, dtype=object, delimiter=",", comments=None, quotechar='"',
+                                   ndmin=2, usecols=usecols, max_rows=_TABLE_BLOCK_ROWS)
+                keys += map(tuple, cells[:, :len(KEY_COLUMNS)].tolist())
+                values, written, refusal = _cell_values(cells[:, len(KEY_COLUMNS):])
+                if refusal:
+                    refused.append((start + refusal[0], present[refusal[1]], refusal[2]))
+                for i, j in np.argwhere(written & ~np.isfinite(values))[:1]:
+                    nonfinite.append((start + i, present[j], "values must be blank or finite numbers"))
+                block = np.full((len(cells), len(columns)), np.nan)
+                block[:, present] = values
+                blocks.append(block)
+                if len(cells) < _TABLE_BLOCK_ROWS:
+                    break
+    except (ValueError, csv.Error) as exc:  # not UTF-8, a short row, a header cell too long
+        reason = re.sub(r"at row (\d+)", lambda m: f"on data row {len(keys) + int(m[1])}", str(exc))
+        raise FormatError(f"{path}: {reason}") from None
 
     def bad(i: int, column: str, reason: str) -> FormatError:
         return FormatError(f"{path}: {_key_name(keys[i])}: {reason} (column {column})")
@@ -300,31 +290,12 @@ def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.n
         raise bad(i, KEY_COLUMNS[j], "G/C/D indicators must be 0 or 1")
     if len(set(keys)) != len(keys):
         seen = {}
-        for line, key in enumerate(keys, start=2):
-            if seen.setdefault(key, line) != line:
-                raise FormatError(f"{path}: {_key_name(key)}: repeated on lines {seen[key]} and {line}")
-    written = True  # no cell is blank, unless the per-cell route finds one below
-    if cells is not None:
-        try:  # the fast path: no cell is blank
-            values = np.array(cells, dtype=np.float64).reshape(len(cells), len(columns))
-        except ValueError:  # a blank cell, or one that is not a number
-            texts = np.array(cells, dtype=object).reshape(len(cells), len(columns))
-            written = texts != ""
-            texts[~written] = "nan"
-            try:
-                values = texts.astype(np.float64)
-            except ValueError:
-                for i, j in zip(*np.nonzero(written)):
-                    try:
-                        float(texts[i, j])
-                    except ValueError as exc:
-                        raise bad(i, columns[j], str(exc)) from None
-                raise
-    bad_value = written & ~np.isfinite(values)
-    if bad_value.any():
-        i, j = np.argwhere(bad_value)[0]
-        raise bad(i, columns[j], "values must be blank or finite numbers")
-    return keys, _CONDITION_LABELS[condition], values
+        for row, key in enumerate(keys, start=1):
+            if seen.setdefault(key, row) != row:
+                raise FormatError(f"{path}: {_key_name(key)}: repeated on data rows {seen[key]} and {row}")
+    for i, j, reason in (refused + nonfinite)[:1]:  # a refused cell before a non-finite one
+        raise bad(i, columns[j], reason)
+    return keys, _CONDITION_LABELS[condition], np.concatenate(blocks)
 
 
 def _observations(out_dir: Path, outcome: str) -> model.Observations:
@@ -348,7 +319,7 @@ def _observations(out_dir: Path, outcome: str) -> model.Observations:
     if len(no_pesq):
         first = no_pesq[0]
         raise DependencyError(f"{len(no_pesq)} row(s) lack an external pesq value "
-                              f"(first {_key_name(keys[first])}, metrics.csv line {first + 2})")
+                              f"(first {_key_name(keys[first])}, metrics.csv data row {first + 1})")
     try:
         return model.Observations(e[at[kept]], labels[kept], outcomes[kept, 1])
     except model.ObservationError as exc:  # only e can fail: _read_table checked the labels and y

@@ -6,9 +6,9 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from vda import cli, corpus, metrics
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from vda.errors import FormatError, VdaError
+from vda.errors import FormatError, SchemaError, VdaError
 
 from conftest import make_speech_like, noisy_pair
 from test_corpus import _DATA_START, _FMT_FIELDS, _SIZE_FIELDS, _wav_bytes
@@ -410,7 +410,12 @@ def test_fit_and_decompose_agree_on_partial_pesq(pipeline_out, tmp_path, capsys)
     assert main(["fit", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
     fit_err = capsys.readouterr().err
     assert main(["decompose", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
-    assert "1 row(s) lack an external pesq value (first utt000 G1C0D1, metrics.csv line 7)" in fit_err
+    assert "1 row(s) lack an external pesq value (first utt000 G1C0D1, metrics.csv data row 6)" in fit_err
+    assert capsys.readouterr().err == fit_err
+    # a blank line is not a data row
+    text = (out / "metrics.csv").read_text(encoding="utf-8").replace("\n", "\n\n", 1)
+    (out / "metrics.csv").write_text(text, encoding="utf-8")
+    assert main(["fit", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
     assert capsys.readouterr().err == fit_err
 
 
@@ -447,9 +452,12 @@ def test_repeated_key_is_data_error(pipeline_out, tmp_path, capsys, stage):
     for name in ("metrics.csv", "errors.csv"):
         text = (out / name).read_text(encoding="utf-8")
         (out / name).write_text(text + text.splitlines()[6] + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main([stage, "--out", str(out)]) == EXIT_DATA
-    assert "metrics.csv: utt000 G1C0D1: repeated on lines 7 and 18" in capsys.readouterr().err
+    for blank_line in ("", "\n"):  # a blank line is not a data row
+        text = (out / "metrics.csv").read_text(encoding="utf-8")
+        (out / "metrics.csv").write_text(text.replace("\n", "\n" + blank_line, 1), encoding="utf-8")
+        capsys.readouterr()
+        assert main([stage, "--out", str(out)]) == EXIT_DATA
+        assert "metrics.csv: utt000 G1C0D1: repeated on data rows 6 and 17" in capsys.readouterr().err
 
 
 def _golden_tables():
@@ -503,7 +511,8 @@ def test_mutated_model_cell_loads_or_fails_as_usage_or_data_error(tmp_path_facto
         assert formats[0] == formats[1], failures
 
 
-# cell texts on either side of what numpy's C parser and float() accept
+# cell texts on either side of what float() accepts, and of what numpy's
+# tokenizer splits
 _READER_CELLS = ["", " 1", "1_0", "１", "٣", "nan", "1e999", "a,b", 'a"b', "0x1p3", "\x1c1", " ",
                  "\xa02", "-0", "1\r\n2", "0", "1", "utt000"]
 
@@ -533,19 +542,78 @@ def _mutated_table_text(draw, table):
 
 def _read_outcome(path, columns):
     """What _read_table returns for ``path``, values as bytes, or the class
-    and message of what it raises."""
-    try:
-        keys, labels, values = cli._read_table(path, columns)
-    except Exception as exc:  # any class: both routes must raise the same one
-        return type(exc), str(exc)
-    return keys, labels.tolist(), values.shape, values.tobytes()
+    and message of what it raises; no warning may leave it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            keys, labels, values = cli._read_table(path, columns)
+        except Exception as exc:  # any class: the oracle names the one it must be
+            outcome = type(exc), str(exc)
+        else:
+            outcome = keys, labels.tolist(), values.shape, values.tobytes()
+    assert not caught, [str(w.message) for w in caught]
+    return outcome
+
+
+def _oracle_outcome(path, columns):
+    """What _read_table must return for ``path``, as _read_outcome gives it,
+    by csv.reader and float() cell by cell. For a row too short for a key or
+    a requested column: FormatError and the text its message must hold."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh)) or [cli.KEY_COLUMNS]
+    missing = [c for c in cli.KEY_COLUMNS if c not in header]
+    if missing:
+        return SchemaError, f"{path}: missing required column(s) {', '.join(missing)}"
+    index = {name: i for i, name in enumerate(header)}
+    rows = [row for row in rows if row]
+    width = 1 + max(index[c] for c in cli.KEY_COLUMNS + columns if c in index)
+    short = [r for r, row in enumerate(rows, start=1) if len(row) < width]
+    if short:
+        return FormatError, f"on data row {short[0]} "
+    keys = [tuple(row[index[c]] for c in cli.KEY_COLUMNS) for row in rows]
+
+    def bad(r, column, reason):
+        return FormatError, f"{path}: {cli._key_name(keys[r])}: {reason} (column {column})"
+
+    for r, key in enumerate(keys):
+        for column, cell in zip(cli.KEY_COLUMNS[1:], key[1:]):
+            if cell not in ("0", "1"):
+                return bad(r, column, "G/C/D indicators must be 0 or 1")
+    seen = {}
+    for r, key in enumerate(keys, start=1):
+        if seen.setdefault(key, r) != r:
+            return FormatError, f"{path}: {cli._key_name(key)}: repeated on data rows {seen[key]} and {r}"
+    texts = [[row[index[c]] if c in index else "" for c in columns] for row in rows]
+    for r, row in enumerate(texts):
+        for column, text in zip(columns, row):
+            try:
+                float(text or "nan")
+            except ValueError as exc:
+                return bad(r, column, str(exc))
+    for r, row in enumerate(texts):
+        for column, text in zip(columns, row):
+            if text and not math.isfinite(float(text)):
+                return bad(r, column, "values must be blank or finite numbers")
+    values = np.array([[float(text or "nan") for text in row] for row in texts], np.float64)
+    labels = [[int(cell) for cell in key[1:]] for key in keys]
+    return keys, labels, (len(rows), len(columns)), values.tobytes()
+
+
+def _assert_reads_as_the_oracle(path, columns):
+    got, want = _read_outcome(path, columns), _oracle_outcome(path, columns)
+    if want[0] is FormatError and want[1].startswith("on data row"):  # a short row
+        assert got[0] is FormatError and got[1].startswith(f"{path}: "), got
+        assert want[1] in got[1], (got, want)
+    else:
+        assert got == want, (path, columns)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_GOLDEN_TABLES)), data=st.data())
 def test_c_reader_agrees_with_the_csv_route(tmp_path_factory, name, data):
-    # numpy's C parser reads what it can; every table must come out as the
-    # csv route alone reads it, bitwise, or fail with the same class and text
+    # numpy's tokenizer splits the rows and float() reads the cells; every
+    # table must come out as csv.reader and float() read it, bitwise, or fail
+    # as they say it must
     out = tmp_path_factory.getbasetemp() / "reader"
     out.mkdir(exist_ok=True)
     for table_name, table in _GOLDEN_TABLES.items():
@@ -555,13 +623,7 @@ def test_c_reader_agrees_with_the_csv_route(tmp_path_factory, name, data):
         (out / table_name).write_bytes(text.encode("utf-8"))
     for table_name, columns in (("metrics.csv", ("stoi", "pesq")), ("metrics.csv", metrics.COLUMNS),
                                 ("errors.csv", cli.ERROR_COLUMNS)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = _read_outcome(out / table_name, columns)
-        assert not caught, [str(w.message) for w in caught]  # numpy's warnings stay inside
-        with mock.patch.object(cli, "_read_c", lambda *args: None):
-            want = _read_outcome(out / table_name, columns)
-        assert got == want, (table_name, columns)
+        _assert_reads_as_the_oracle(out / table_name, columns)
 
 
 def _edit_cell(row, column, text):
@@ -578,45 +640,120 @@ def _drop_data(rows):
     del rows[1:]
 
 
-# each edge: an edit of the golden errors.csv rows, the line terminator, and
-# whether the C route reads the edited file
+# each edge: an edit of the golden errors.csv rows and the line terminator
 _READER_EDGES = {
-    "crlf": (lambda rows: None, "\r\n", True),
-    "quoted-comma-and-cr-key": (_edit_cell(2, "utterance_id", "a,\rb"), "\n", True),
-    "quoted-quote-key": (_edit_cell(2, "utterance_id", 'a"b'), "\r\n", True),
-    "padded-key": (_edit_cell(2, "G", " 1"), "\n", True),
-    "padded-number": (_edit_cell(2, "e3", "\t0.5 "), "\n", True),
-    "blank": (_edit_cell(2, "e3", ""), "\n", False),
-    "underscore": (_edit_cell(2, "e3", "1_000"), "\n", False),
-    "full-width": (_edit_cell(2, "e3", "１"), "\n", False),
-    # float() refuses a number padded with an ASCII separator, the C parser strips it
-    "separator": (_edit_cell(2, "e3", "\x1c1"), "\n", False),
-    # a header over two lines, the second a data row to the C parser, whose
-    # skiprows counts lines, not rows
-    "header-newline": (_edit_cell(0, "e25", "e25\nu9,0,0,0," + ",".join("1" * 26)), "\n", False),
-    "short-row": (_drop_tail, "\n", False),
-    "whitespace-line": (lambda rows: rows.insert(4, ["  "]), "\n", False),
-    "blank-line": (lambda rows: rows.insert(4, []), "\n", True),
-    "header-only": (_drop_data, "\n", False),
+    "crlf": (lambda rows: None, "\r\n"),
+    "quoted-comma-and-cr-key": (_edit_cell(2, "utterance_id", "a,\rb"), "\n"),
+    "quoted-quote-key": (_edit_cell(2, "utterance_id", 'a"b'), "\r\n"),
+    "padded-key": (_edit_cell(2, "G", " 1"), "\n"),
+    "padded-number": (_edit_cell(2, "e3", "\t0.5 "), "\n"),
+    "blank": (_edit_cell(2, "e3", ""), "\n"),
+    "underscore": (_edit_cell(2, "e3", "1_000"), "\n"),
+    "full-width": (_edit_cell(2, "e3", "１"), "\n"),
+    # float() refuses a number padded with an ASCII separator
+    "separator": (_edit_cell(2, "e3", "\x1c1"), "\n"),
+    # a header over two lines: its second line is still the header
+    "header-newline": (_edit_cell(0, "e25", "e25\nu9,0,0,0," + ",".join("1" * 26)), "\n"),
+    "short-row": (_drop_tail, "\n"),
+    "whitespace-line": (lambda rows: rows.insert(4, ["  "]), "\n"),
+    "blank-line": (lambda rows: rows.insert(4, []), "\n"),
+    "header-only": (_drop_data, "\n"),
 }
 
 
 @pytest.mark.parametrize("edge", sorted(_READER_EDGES))
 def test_c_reader_edge_agrees_with_the_csv_route(tmp_path, edge):
-    edit, newline, by_c = _READER_EDGES[edge]
+    edit, newline = _READER_EDGES[edge]
     rows = [list(r) for r in _GOLDEN_TABLES["errors.csv"]]
     edit(rows)
     path = tmp_path / "errors.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator=newline).writerows(rows)
     columns = cli.ERROR_COLUMNS[:25]  # e25 is renamed by the header-newline edge
-    assert (cli._read_c(path, rows[0], columns) is not None) == by_c
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = _read_outcome(path, columns)
-    assert not caught, [str(w.message) for w in caught]
-    with mock.patch.object(cli, "_read_c", lambda *args: None):
-        assert got == _read_outcome(path, columns)
+    _assert_reads_as_the_oracle(path, columns)
+    if edge in ("short-row", "whitespace-line"):
+        assert _read_outcome(path, columns)[0] is FormatError
+
+
+def _errors_table(n_rows, seed=0):
+    """An errors.csv table of ``n_rows`` distinct rows, header first."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, (n_rows, 3)).astype(str).tolist()
+    values = rng.random((n_rows, len(cli.ERROR_COLUMNS))).round(4).astype(str).tolist()
+    return [list(cli.KEY_COLUMNS + cli.ERROR_COLUMNS),
+            *([f"u{i}", *label, *value] for i, (label, value) in enumerate(zip(labels, values)))]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("shape", ["as-is", "blank-lines", "short-row-in-block-2"])
+def test_reader_block_boundaries_agree_with_the_oracle(tmp_path, extra, shape):
+    rows = _errors_table(2 * cli._TABLE_BLOCK_ROWS + extra)
+    if shape == "blank-lines":  # numpy warns of a blank line; its rows are not counted
+        rows[5:5] = [[], []]
+        rows.append([])
+    elif shape == "short-row-in-block-2":
+        del rows[cli._TABLE_BLOCK_ROWS + 3][7:]
+    path = tmp_path / "errors.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    _assert_reads_as_the_oracle(path, cli.ERROR_COLUMNS)
+    if shape == "short-row-in-block-2":
+        assert f"on data row {cli._TABLE_BLOCK_ROWS + 3} " in _read_outcome(path, cli.ERROR_COLUMNS)[1]
+
+
+def test_reader_peak_memory_is_bounded(tmp_path):
+    # the cells are read as Python strings a block at a time; all at once
+    # they would take about 12x the bytes of the values
+    path = tmp_path / "errors.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(_errors_table(20000))
+    tracemalloc.start()
+    try:
+        _, _, values = cli._read_table(path, cli.ERROR_COLUMNS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (20000, 26)
+    assert peak < 6 * values.nbytes, peak / values.nbytes
+
+
+def test_column_missing_from_the_header_reads_nan_on_a_long_row(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("utterance_id,G,C,D,stoi\nu1,0,0,0,0.5,7\n", encoding="utf-8")
+    keys, labels, values = cli._read_table(path, ("stoi", "pesq"))
+    assert keys == [("u1", "0", "0", "0")] and labels.tolist() == [[0, 0, 0]]
+    assert values[0, 0] == 0.5 and np.isnan(values[0, 1])
+
+
+def test_long_data_cell_is_read(tmp_path):
+    # csv.reader refuses a field over 131 072 characters; numpy's tokenizer has no limit
+    rows = _errors_table(3)
+    rows[2][0] = "u" * 140_000
+    path = tmp_path / "errors.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    keys, _, values = cli._read_table(path, cli.ERROR_COLUMNS)
+    assert keys[1][0] == "u" * 140_000 and values.shape == (3, 26)
+
+
+@pytest.mark.parametrize("stage,name", [("fit", "errors.csv"), ("decompose", "errors.csv"),
+                                        ("fit", "metrics.csv"), ("decompose", "metrics.csv"),
+                                        ("report", "metrics.csv")])
+@pytest.mark.parametrize("defect", ["not-utf-8-head", "not-utf-8-tail", "long-header-cell"])
+def test_unreadable_table_is_data_error(pipeline_out, tmp_path, capsys, stage, name, defect):
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    text = (out / name).read_bytes()
+    header, rest = text.split(b"\n", 1)
+    if defect == "not-utf-8-head":
+        text = header + b"\n" + rest.replace(b"utt000", b"utt\xff00", 1)
+    elif defect == "not-utf-8-tail":  # past the first decoded chunk, so numpy's tokenizer meets it
+        text += b"\n" * 20000 + b"u\xff," + rest.split(b",", 1)[1].split(b"\n", 1)[0] + b"\n"
+    else:  # over csv's 131 072-character field limit
+        text = header + b"," + b"x" * 140_000 + b"\n" + rest
+    (out / name).write_bytes(text)
+    capsys.readouterr()
+    assert main([stage, "--out", str(out)]) == EXIT_DATA
+    assert f"error: {out / name}: " in capsys.readouterr().err
 
 
 def test_features_csv_shape(pipeline_out):
