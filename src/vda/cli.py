@@ -135,13 +135,53 @@ def _sorted_entries(manifest: corpus.CorpusManifest) -> list[corpus.ManifestEntr
     return sorted(manifest.entries, key=_entry_key)
 
 
+# The environment of --jobs workers: one BLAS thread each, so N workers
+# share N cores instead of each driving a BLAS pool of its own.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def _keep_freed_arrays() -> None:
+    """Let glibc keep freed arrays in the process heap for reuse.
+
+    By default glibc maps every block over its dynamic mmap threshold (at
+    most 32 MiB) on its own and unmaps it on free, and trims the heap top,
+    so each FFT work buffer and temporary array of a long recording is
+    faulted in again page by page. Both settings are needed: setting either
+    alone turns off the dynamic threshold, and the other then still returns
+    the memory. Freed memory stays with the process until it exits. main
+    and each --jobs worker call this; library use of vda does not. It has
+    no effect where the C library lacks or ignores mallopt (macOS, Windows,
+    musl).
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 * 2 ** 20)  # M_MMAP_THRESHOLD, at its 64-bit maximum
+    mallopt(-1, 2 ** 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB free at the heap top
+
+
 def _map_jobs(func, items, jobs: int):
     if jobs <= 1:
         return [func(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor  # kept off the --jobs 1 start-up
+    import multiprocessing  # kept off the --jobs 1 start-up
+    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items))
+    # spawned workers read their BLAS thread count from the environment
+    # when they import numpy, before the initializer runs
+    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn"), _keep_freed_arrays) as pool:
+            return list(pool.map(func, items))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -431,6 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    _keep_freed_arrays()
     try:
         return args.func(args)
     except Exception as exc:

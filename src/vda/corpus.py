@@ -27,6 +27,10 @@ CANONICAL_RATE = 16000
 # rate far from it grows the signal (by 16000 / rate) or the filter (by rate).
 MIN_SAMPLE_RATE = 8000
 MAX_SAMPLE_RATE = 192000
+# The longest lowpass resample builds. max(up, down) is at most 640 for
+# every standard rate (11 025 Hz is 640/441, 44 100 Hz 160/441); a rate
+# coprime with 16 000, such as 191 999 Hz, would need 3.84 M taps.
+MAX_RESAMPLE_TAPS = 20 * 640 + 1
 MANIFEST_COLUMNS = ("utterance_id", "clean_path", "degraded_path", "G", "C", "D", "pesq")
 
 # Shortest usable overlap after alignment: one default analysis frame (25 ms).
@@ -137,8 +141,9 @@ def load_wav(path: str | Path) -> AudioSignal:
     PCM16 samples are scaled by 1/32768; IEEE float32 passes through. Stereo
     is averaged to mono. Raises FormatError on a malformed container, a
     data chunk without one whole frame or a non-finite float sample, and
-    UnsupportedFormatError on any other codec or channel count and on a
-    sample rate outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE.
+    UnsupportedFormatError on any other codec or channel count, on a
+    sample rate outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE and on one whose
+    resampling to CANONICAL_RATE needs over MAX_RESAMPLE_TAPS taps.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -168,6 +173,12 @@ def load_wav(path: str | Path) -> AudioSignal:
     if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
         raise UnsupportedFormatError(
             f"{path}: sample rate {rate} Hz outside {MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE} Hz"
+        )
+    taps = resample_taps(rate, CANONICAL_RATE)
+    if taps > MAX_RESAMPLE_TAPS:
+        raise UnsupportedFormatError(
+            f"{path}: sample rate {rate} Hz needs a {taps}-tap filter to resample to "
+            f"{CANONICAL_RATE} Hz, over the {MAX_RESAMPLE_TAPS}-tap budget"
         )
     if channels not in (1, 2):
         raise UnsupportedFormatError(f"{path}: {channels} channels unsupported")
@@ -275,15 +286,26 @@ def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
     return out
 
 
+def resample_taps(source_rate: int, target_rate: int) -> int:
+    """Taps of the lowpass that resample builds from ``source_rate`` to
+    ``target_rate``: 20 * max(up, down) + 1 for their coprime ratio."""
+    return 20 * max(source_rate, target_rate) // math.gcd(source_rate, target_rate) + 1
+
+
 def resample(sig: AudioSignal, target_rate: int) -> AudioSignal:
     """Band-limited resample to ``target_rate``; identity when rates match.
 
-    Output length is round(len * target/source).
+    Output length is round(len * target/source). A ratio whose lowpass
+    would pass MAX_RESAMPLE_TAPS is a ValueError.
     """
     if target_rate <= 0:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     if target_rate == sig.rate:
         return sig
+    taps = resample_taps(sig.rate, int(target_rate))
+    if taps > MAX_RESAMPLE_TAPS:
+        raise ValueError(f"resampling {sig.rate} Hz to {target_rate} Hz needs a {taps}-tap "
+                         f"filter, over the {MAX_RESAMPLE_TAPS}-tap budget")
     g = math.gcd(sig.rate, int(target_rate))
     up, down = target_rate // g, sig.rate // g
     out = _resample_poly(sig.samples, up, down)

@@ -35,9 +35,10 @@ CSII_BANDS = 25
 NCM_BANDS = 20
 NCM_ENV_LOWPASS_HZ = 25.0
 SDR_CLIP_DB = 15.0
-# Memory budget of the complex64 band spectra, both sides, of one ncm
-# envelope block (see _ncm_block_bands).
-NCM_BLOCK_BYTES = 16 * 2 ** 20
+# Bands per ncm envelope block. A block's complex64 band spectra, both sides,
+# take 16 bytes per band and FFT bin, 20 MB for a 20 s pair at 16 kHz; it
+# divides NCM_BANDS, so no block is left with one band alone.
+NCM_BLOCK_BANDS = 4
 
 MIN_ENVELOPE_SECONDS = 0.384
 
@@ -398,23 +399,15 @@ def _crop_sums(a: np.ndarray, b: np.ndarray,
                      product(spec_a, spec_a), product(spec_b, spec_b), product(spec_a, spec_b)))
 
 
-def _ncm_block_bands(n: int) -> int:
-    """Bands per envelope block: the largest multiple of 4, from 4 to NCM_BANDS,
-    whose complex64 band spectra of both sides fit in NCM_BLOCK_BYTES."""
-    band_bytes = 2 * np.dtype(np.complex64).itemsize * corpus.next_fast_len(n)
-    return min(NCM_BANDS, max(4, NCM_BLOCK_BYTES // band_bytes // 4 * 4))
-
-
 def ncm(pair: AlignedPair) -> float:
     """Normalized covariance metric: band-envelope correlations mapped
     through an apparent-SNR transfer and importance-weighted into [0, 1].
 
-    The envelopes are built one block of bands at a time (see
-    _ncm_block_bands) and reduced from their lowpassed spectra to per-band
-    sums over the pair's n samples (see _crop_sums), so no band spectrum
-    outlives its block and no envelope is brought back to n samples. Each
-    band's sums are the same whatever the block size, so ncm does not
-    depend on it.
+    The envelopes are built NCM_BLOCK_BANDS bands at a time and reduced
+    from their lowpassed spectra to per-band sums over the pair's n samples
+    (see _crop_sums), so no band spectrum outlives its block and no
+    envelope is brought back to n samples. Each band's sums are the same
+    whatever the block size, so ncm does not depend on it.
     """
     if pair.clean.duration < MIN_ENVELOPE_SECONDS:
         raise PreconditionError(
@@ -429,9 +422,8 @@ def ncm(pair: AlignedPair) -> float:
     lowpass = _envelope_lowpass(nfft, pair.rate)
     kernel = _crop_kernel(n, nfft, len(lowpass))
     sums = np.empty((5, NCM_BANDS))
-    step = _ncm_block_bands(n)
-    for lo in range(0, NCM_BANDS, step):
-        block = slice(lo, lo + step)
+    for lo in range(0, NCM_BANDS, NCM_BLOCK_BANDS):
+        block = slice(lo, lo + NCM_BLOCK_BANDS)
         env_c, env_d = _band_envelopes(spectra, nfft, pair.rate, bank.weights[block], lowpass)
         sums[:, block] = _crop_sums(env_c, env_d, kernel)
     sum_c, sum_d, energy, energy_d, prod = sums

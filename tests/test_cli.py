@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -85,6 +86,37 @@ def test_stages_load_only_the_scipy_they_run(small_corpus, tmp_path):
         assert loaded[stage] == [], stage
     assert "scipy.fft" in loaded["metrics"]  # ncm
     assert not [m for m in loaded["metrics"] if m.startswith(("scipy.signal", "scipy.stats"))]
+
+
+def _refaulted_pages(_item=None) -> tuple[float, str | None]:
+    """The minor faults of a second allocate-touch-free of a 16 MiB array,
+    per page of it, and this process's OPENBLAS_NUM_THREADS."""
+    import resource
+
+    n_bytes = 16 * 2 ** 20
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.ones(n_bytes // 8)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return faults / (n_bytes / resource.getpagesize()), os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+
+
+@glibc_only
+def test_freed_arrays_stay_in_the_heap():
+    cli._keep_freed_arrays()
+    assert _refaulted_pages()[0] < 0.01
+
+
+@glibc_only
+def test_jobs_workers_keep_freed_arrays_and_one_blas_thread():
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    for refaulted, worker_blas_threads in cli._map_jobs(_refaulted_pages, [0, 1], 2):
+        assert refaulted < 0.01
+        assert worker_blas_threads == "1"
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
 
 
 def test_synth_deterministic(tmp_path):

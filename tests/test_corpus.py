@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,56 @@ def test_load_wav_rate_range_is_inclusive(tmp_path, rate):
     path = tmp_path / "rate.wav"
     path.write_bytes(_wav_bytes(rate, 1, 1, 16, b"\x00\x01" * 160))
     assert corpus.load_wav(path).rate == rate
+
+
+# Every standard rate; 11 025 Hz (640/441 of 16 kHz) needs the longest lowpass.
+STANDARD_RATES = [8000, 11025, 12000, 16000, 22050, 24000, 32000, 44100, 48000, 88200,
+                  96000, 176400, 192000]
+
+
+@pytest.mark.parametrize("rate", STANDARD_RATES)
+def test_load_wav_takes_every_standard_rate(tmp_path, rate):
+    assert corpus.resample_taps(rate, corpus.CANONICAL_RATE) <= corpus.MAX_RESAMPLE_TAPS
+    path = tmp_path / "rate.wav"
+    path.write_bytes(_wav_bytes(rate, 1, 1, 16, b"\x00\x01" * 160))
+    assert corpus.load_wav(path).rate == rate
+
+
+@pytest.mark.parametrize("rate,taps", [(191999, 3839981), (44056, 110141), (8001, 320001)])
+def test_load_wav_refuses_a_rate_over_the_tap_budget(tmp_path, rate, taps):
+    # 191 999 Hz used to cost 2.1 s of CPU and a 415 MB tracemalloc peak to
+    # resample one second
+    path = tmp_path / "rate.wav"
+    path.write_bytes(_wav_bytes(rate, 1, 1, 16, b"\x00\x01" * 160))
+    with pytest.raises(UnsupportedFormatError,
+                       match=f"rate.wav: sample rate {rate} Hz needs a {taps}-tap filter"):
+        corpus.load_wav(path)
+
+
+def test_resample_refuses_a_ratio_over_the_tap_budget():
+    with pytest.raises(ValueError, match="191999 Hz to 16000 Hz needs a 3839981-tap filter"):
+        corpus.resample(AudioSignal(np.zeros(10), 191999), 16000)
+
+
+def test_resample_peak_memory_at_the_worst_accepted_rate(tmp_path):
+    # 8025 Hz is 640/321 of 16 kHz: the longest accepted lowpass, and the
+    # largest growth of the signal among the rates that need it. Resampling
+    # one second, filter included, peaks at 11.7x the bytes of the output.
+    rate = 8025
+    assert corpus.resample_taps(rate, corpus.CANONICAL_RATE) == corpus.MAX_RESAMPLE_TAPS
+    pcm = np.random.default_rng(0).integers(-2 ** 15, 2 ** 15, rate, dtype="<i2")
+    path = tmp_path / "rate.wav"
+    path.write_bytes(_wav_bytes(rate, 1, 1, 16, pcm.tobytes()))
+    sig = corpus.load_wav(path)
+    corpus._polyphase_taps.cache_clear()
+    tracemalloc.start()
+    try:
+        out = corpus.resample(sig, corpus.CANONICAL_RATE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == corpus.CANONICAL_RATE
+    assert peak < 16 * out.samples.nbytes
 
 
 def test_load_wav_malformed_header(tmp_path):

@@ -379,22 +379,13 @@ def test_crop_sums_match_time_domain_sums(n, nfft, keep):
         np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
 
 
-@pytest.mark.parametrize("seconds,bands", [(1.0, 20), (3.2, 20), (3.3, 16), (6.5, 8),
-                                           (8.0, 8), (10.0, 4), (20.0, 4), (60.0, 4)])
-def test_ncm_block_bands(seconds, bands):
-    # the largest multiple of 4 bands whose complex64 spectra, both sides, fit in 16 MiB
-    assert metrics._ncm_block_bands(int(seconds * RATE)) == bands
-
-
 def test_ncm_blocks_do_not_change_ncm(monkeypatch):
     pair = noisy_pair(make_speech_like(seed=5, duration=8.0), 5.0)
-    assert metrics._ncm_block_bands(len(pair.clean)) < metrics.NCM_BANDS
+    assert metrics.NCM_BLOCK_BANDS < metrics.NCM_BANDS
     blocked = metrics.ncm(pair)
-    monkeypatch.setattr(metrics, "NCM_BLOCK_BYTES", 0)
-    assert metrics._ncm_block_bands(len(pair.clean)) == 4
+    monkeypatch.setattr(metrics, "NCM_BLOCK_BANDS", 8)  # blocks of 8, 8 and 4 bands
     assert metrics.ncm(pair) == blocked
-    monkeypatch.setattr(metrics, "NCM_BLOCK_BYTES", 2 ** 40)
-    assert metrics._ncm_block_bands(len(pair.clean)) == metrics.NCM_BANDS
+    monkeypatch.setattr(metrics, "NCM_BLOCK_BANDS", metrics.NCM_BANDS)
     assert metrics.ncm(pair) == blocked
 
 
