@@ -131,8 +131,17 @@ def _feature_row(entry: corpus.ManifestEntry) -> tuple[tuple, tuple, tuple, tupl
     return key + tuple(err.e), key + tuple(fv_clean.x), key + tuple(fv_degraded.x), None
 
 
-def _sorted_entries(manifest: corpus.CorpusManifest) -> list[corpus.ManifestEntry]:
-    return sorted(manifest.entries, key=_entry_key)
+def _sorted_entries(path: str) -> list[corpus.ManifestEntry]:
+    """The entries of the manifest at ``path`` in key order; a key listed
+    twice is a FormatError, raised before any pair is scored."""
+    entries = corpus.parse_manifest(path).entries
+    seen: dict[tuple, int] = {}
+    for row, entry in enumerate(entries, start=1):
+        key = _entry_key(entry)
+        if key in seen:
+            raise FormatError(f"{path}: {_key_name(key)}: repeated on data rows {seen[key]} and {row}")
+        seen[key] = row
+    return sorted(entries, key=_entry_key)
 
 
 # The environment of --jobs workers: one BLAS thread each, so N workers
@@ -212,14 +221,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    manifest = corpus.parse_manifest(args.manifest)
+    entries = _sorted_entries(args.manifest)
     selected = tuple(s.strip() for s in args.metrics.split(",") if s.strip())
     if not selected:
         raise SchemaError("--metrics selected an empty metric set")
     unknown = set(selected) - set(metrics.METRIC_NAMES)
     if unknown:
         raise SchemaError(f"unknown metric(s): {sorted(unknown)}")
-    entries = _sorted_entries(manifest)
     results = _map_jobs(_metric_row, [(e, selected) for e in entries], args.jobs)
     failures = [failure for _, failure in results if failure]
     for _, msg in failures:
@@ -232,8 +240,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_features(args) -> int:
-    manifest = corpus.parse_manifest(args.manifest)
-    entries = _sorted_entries(manifest)
+    entries = _sorted_entries(args.manifest)
     results = _map_jobs(_feature_row, entries, args.jobs)
     failures = [failure for *_rows, failure in results if failure]
     for _, msg in failures:

@@ -370,12 +370,10 @@ def align(clean: AudioSignal, degraded: AudioSignal, max_lag: int) -> AlignedPai
     )
 
 
-def _parse_indicator(value: str, column: str, row_index: int) -> int:
+def _parse_indicator(value: str, column: str, where: str) -> int:
     text = (value or "").strip()
     if text not in ("0", "1"):
-        raise SchemaError(
-            f"row {row_index}: column {column} must be 0 or 1, got {value!r}"
-        )
+        raise SchemaError(f"{where}: column {column} must be 0 or 1, got {value!r}")
     return int(text)
 
 
@@ -385,6 +383,8 @@ def parse_manifest(path: str | Path) -> CorpusManifest:
     Expected header: utterance_id,clean_path,degraded_path,G,C,D,pesq
     (the pesq column may be blank, and is finite where it is not). Paths
     must not be blank and are resolved relative to the manifest's directory.
+    A bad row is a SchemaError naming the file and the row, counting data
+    rows from 1 after the header (blank lines are not rows).
     """
     path = Path(path)
     base = path.parent
@@ -396,25 +396,26 @@ def parse_manifest(path: str | Path) -> CorpusManifest:
         missing = [c for c in MANIFEST_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
-        for i, row in enumerate(reader):
+        for i, row in enumerate(reader, start=1):
+            where = f"{path}: data row {i}"
             label = ConditionLabel(
-                _parse_indicator(row["G"], "G", i),
-                _parse_indicator(row["C"], "C", i),
-                _parse_indicator(row["D"], "D", i),
+                _parse_indicator(row["G"], "G", where),
+                _parse_indicator(row["C"], "C", where),
+                _parse_indicator(row["D"], "D", where),
             )
             pesq_text = (row.get("pesq") or "").strip()
             try:
                 pesq = float(pesq_text) if pesq_text else None
             except ValueError:
                 raise SchemaError(
-                    f"row {i}: column pesq must be a number, got {row['pesq']!r}"
+                    f"{where}: column pesq must be a number, got {row['pesq']!r}"
                 ) from None
             if pesq is not None and not math.isfinite(pesq):
-                raise SchemaError(f"row {i}: column pesq must be finite, got {row['pesq']!r}")
+                raise SchemaError(f"{where}: column pesq must be finite, got {row['pesq']!r}")
             for column in ("clean_path", "degraded_path"):
                 if not (row[column] or "").strip():
                     raise SchemaError(
-                        f"row {i}: column {column} must name a file, got {row[column]!r}"
+                        f"{where}: column {column} must name a file, got {row[column]!r}"
                     )
             entries.append(
                 ManifestEntry(

@@ -31,7 +31,8 @@ LLR_ORDER = 10
 class FrameAnalysis:
     """One signal's default short-time analysis, shared by the frame metrics and the features."""
 
-    frames: np.ndarray  # (n_frames, frame_len) raw samples
+    frames: np.ndarray  # (n_frames, frame_len) raw samples, a read-only view of the signal
+    energy: np.ndarray  # (n_frames,) sum of each frame's squared samples
     spectra: np.ndarray  # (n_frames, fft_len // 2 + 1) complex rfft of the Hamming-windowed frames
     power: np.ndarray  # |spectra| ** 2
     hop: int
@@ -63,15 +64,15 @@ def default_frame_params(rate: int) -> tuple[int, int]:
 
 def frame(sig: AudioSignal, frame_len: int, hop: int) -> np.ndarray:
     """Split a signal into overlapping ``(n_frames, frame_len)`` frames; no
-    trailing zero-padding."""
+    trailing zero-padding. The frames are a read-only view that shares
+    memory with ``sig.samples``."""
     if hop <= 0 or hop > frame_len:
         raise ValueError("need 0 < hop <= frame_len")
     x = sig.samples
     if len(x) < frame_len:
         return np.zeros((0, frame_len))
     n = (len(x) - frame_len) // hop + 1
-    view = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    return np.ascontiguousarray(view[:n])
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop][:n]
 
 
 def frame_analysis(sig: AudioSignal) -> FrameAnalysis:
@@ -82,7 +83,8 @@ def frame_analysis(sig: AudioSignal) -> FrameAnalysis:
     fft_len = next_pow2(frame_len + LLR_ORDER + 1)
     frames = frame(sig, frame_len, hop)
     spectra = np.fft.rfft(frames * get_window(DEFAULT_WINDOW, frame_len), fft_len, axis=1)
-    return FrameAnalysis(frames, spectra, np.abs(spectra) ** 2, hop, fft_len)
+    return FrameAnalysis(frames, np.sum(frames ** 2, axis=1), spectra, np.abs(spectra) ** 2,
+                         hop, fft_len)
 
 
 def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:
@@ -102,6 +104,18 @@ def lpc_batch(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, n
     r_safe = np.where(valid[:, None], r, np.eye(1, order + 1, 0).ravel())
     a, err = kernels.levinson_batch(r_safe)
     return a, err, valid
+
+
+def parabolic_peak(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Offset in [-0.5, 0.5] from the middle sample, and height, of the
+    vertex of the parabola through (-1, y0), (0, y1), (1, y2); offset 0 and
+    height y1 where the samples are collinear."""
+    denom = y0 - 2.0 * y1 + y2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.where(np.abs(denom) > 1e-30, 0.5 * (y0 - y2) / denom, 0.0)
+    offset = np.clip(offset, -0.5, 0.5)
+    return offset, y1 - 0.25 * (y0 - y2) * offset
 
 
 def _hz_to_mel(f):
@@ -206,15 +220,9 @@ def acf_pitch_track(frames: np.ndarray, rate: int, fmin: float, fmax: float
     peak_idx = np.argmax(window, axis=1) + lag_lo
 
     rows = np.arange(len(frames))
-    y0 = acf[rows, peak_idx - 1]
-    y1 = acf[rows, peak_idx]
-    y2 = acf[rows, peak_idx + 1]
-    denom = y0 - 2.0 * y1 + y2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.where(np.abs(denom) > 1e-30, 0.5 * (y0 - y2) / denom, 0.0)
-    delta = np.clip(delta, -0.5, 0.5)
+    delta, peak_val = parabolic_peak(acf[rows, peak_idx - 1], acf[rows, peak_idx],
+                                     acf[rows, peak_idx + 1])
     lag = peak_idx + delta
-    peak_val = y1 - 0.25 * (y0 - y2) * delta
 
     # undo the linear taper of the biased autocorrelation estimate
     bias = np.maximum(1.0 - lag / n, 1.0 / n)

@@ -175,15 +175,8 @@ def _jitter_shimmer(x: np.ndarray, rate: int, f0_hz: float) -> tuple[float, floa
     interior = peaks[(peaks > 0) & (peaks < len(sig) - 1)]
     if len(interior) < 3:
         return 0.0, 0.0
-    y0 = sig[interior - 1]
-    y1 = sig[interior]
-    y2 = sig[interior + 1]
-    denom = y0 - 2.0 * y1 + y2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.where(np.abs(denom) > _TINY, 0.5 * (y0 - y2) / denom, 0.0)
-    delta = np.clip(delta, -0.5, 0.5)
+    delta, amps = dsp.parabolic_peak(sig[interior - 1], sig[interior], sig[interior + 1])
     positions = interior + delta
-    amps = y1 - 0.25 * (y0 - y2) * delta
 
     periods = np.diff(positions)
     ok = (periods > 0.5 * period) & (periods < 2.0 * period)
@@ -207,11 +200,10 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     rate = sig.rate
     analysis = dsp.frame_analysis(sig)
     frames, power, hop, fft_len = analysis.frames, analysis.power, analysis.hop, analysis.fft_len
+    active = analysis.energy > 0.0
     del analysis  # frees the complex spectra, which are not read here
     mags = np.sqrt(power)
     freqs = np.arange(power.shape[1]) * (rate / fft_len)
-    frame_energy = np.sum(frames ** 2, axis=1)
-    active = frame_energy > 0.0
 
     pitch_len = int(round(PITCH_FRAME_SECONDS * rate))
     pitch_frames = dsp.frame(sig, pitch_len, hop)
@@ -312,9 +304,8 @@ def _harmonic_and_formant_features(frames: np.ndarray, mags: np.ndarray,
     """Means over the voiced frames of H1-H2, H1-A3 and the formant
     frequency/bandwidth/level; the formant terms average over the frames
     with three formants."""
-    voiced_frames = frames[voiced]
-    pre = voiced_frames.copy()
-    pre[:, 1:] -= PREEMPHASIS * voiced_frames[:, :-1]
+    pre = frames[voiced]  # a copy, since ``frames`` is a read-only view
+    pre[:, 1:] -= PREEMPHASIS * pre[:, :-1]
     w = dsp.get_window(dsp.DEFAULT_WINDOW, frames.shape[1])
     a_rows, _, lpc_valid = dsp.lpc_batch(pre * w, FORMANT_LPC_ORDER)
     f_hz = np.full((len(a_rows), 3), np.nan)

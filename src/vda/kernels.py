@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# mark_periods seeks each next peak between these multiples of the period
+# away from the last one.
+PERIOD_LO_FRAC = 0.7
+PERIOD_HI_FRAC = 1.4
+
 
 def backend_name() -> str:
     return "numpy"
@@ -42,21 +47,20 @@ def levinson_batch(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, np.maximum(e, 0.0)
 
 
-def mark_periods(x: np.ndarray, start: int, period: float,
-                 lo_frac: float = 0.7, hi_frac: float = 1.4) -> np.ndarray:
+def mark_periods(x: np.ndarray, start: int, period: float) -> np.ndarray:
     """Mark successive waveform peaks roughly one ``period`` apart.
 
     Scans backward and forward from the anchor peak at ``start``; each next
     peak is the maximum sample (the first on ties) in the window
-    ``[lo_frac, hi_frac] * period`` away from the previous one. Returns
-    sorted integer peak positions including ``start``.
+    ``[PERIOD_LO_FRAC, PERIOD_HI_FRAC] * period`` away from the previous
+    one. Returns sorted integer peak positions including ``start``.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if not 0 <= start < n:
         raise ValueError("anchor peak outside the signal")
-    near, far = int(period * lo_frac), int(period * hi_frac)
-    cap = int(n / max(period * lo_frac, 1.0)) + 2
+    near, far = int(period * PERIOD_LO_FRAC), int(period * PERIOD_HI_FRAC)
+    cap = int(n / max(period * PERIOD_LO_FRAC, 1.0)) + 2
     fwd: list[int] = []
     pos = start
     while len(fwd) < cap and pos + far < n:

@@ -80,25 +80,19 @@ def _analyze_pair(pair: AlignedPair) -> tuple[dsp.FrameAnalysis, dsp.FrameAnalys
     return clean, dsp.frame_analysis(pair.degraded)
 
 
-def _active_mask(frames: np.ndarray) -> np.ndarray:
-    """Frames carrying any energy; shared by both segmental metrics and wss."""
-    return np.sum(frames ** 2, axis=1) > 0.0
-
-
-def _trimmed_mean(values: np.ndarray, fraction: float = TRIM_FRACTION) -> float:
+def _trimmed_mean(values: np.ndarray) -> float:
     ordered = np.sort(values)
-    keep = max(1, int(round(fraction * len(ordered))))
+    keep = max(1, int(round(TRIM_FRACTION * len(ordered))))
     return float(np.mean(ordered[:keep]))
 
 
 def _snr_seg(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
-    mask = _active_mask(c.frames)
+    mask = c.energy > 0.0
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
-    energy = np.sum(c.frames ** 2, axis=1)
     error = np.sum((c.frames - d.frames) ** 2, axis=1)
     with np.errstate(divide="ignore"):
-        ratio = 10.0 * np.log10(np.where(error > 0.0, energy / np.where(error > 0.0, error, 1.0), np.inf))
+        ratio = 10.0 * np.log10(np.where(error > 0.0, c.energy / np.where(error > 0.0, error, 1.0), np.inf))
     ratio = np.clip(ratio, SEG_SNR_FLOOR_DB, SEG_SNR_CEIL_DB)
     return float(np.mean(ratio[mask]))
 
@@ -109,7 +103,7 @@ def snr_seg(pair: AlignedPair) -> float:
 
 
 def _fw_snr_seg(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
-    mask = _active_mask(c.frames)
+    mask = c.energy > 0.0
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
     bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, CSII_BANDS, 50.0)
@@ -176,7 +170,7 @@ def llr(pair: AlignedPair) -> float:
 def _wss(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
     n_bands = 36
     kmax, klocmax = 20.0, 1.0
-    valid = _active_mask(c.frames) & _active_mask(d.frames)
+    valid = (c.energy > 0.0) & (d.energy > 0.0)
     if not np.any(valid):
         raise DegenerateInputError("no frame carries energy on both sides")
     bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, n_bands, 50.0)
@@ -241,7 +235,7 @@ def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
 
 def _csii(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis
           ) -> tuple[float | None, float | None, float | None]:
-    rms = np.sqrt(np.mean(c.frames ** 2, axis=1))
+    rms = np.sqrt(c.energy / c.frames.shape[1])
     overall = pair.clean.rms()
     if overall <= 0.0:
         raise DegenerateInputError("clean signal is silent")
@@ -464,17 +458,17 @@ def stoi(pair: AlignedPair) -> float:
         )
     c10 = corpus.resample(pair.clean, STOI_RATE)
     d10 = corpus.resample(pair.degraded, STOI_RATE)
-    fc = dsp.frame(c10, STOI_FRAME, STOI_HOP)
-    fd = dsp.frame(d10, STOI_FRAME, STOI_HOP)
     w = dsp.get_window("hann", STOI_FRAME)
-    energies = 20.0 * np.log10(np.linalg.norm(fc * w, axis=1) + _EPS)
+    fc = dsp.frame(c10, STOI_FRAME, STOI_HOP) * w
+    fd = dsp.frame(d10, STOI_FRAME, STOI_HOP) * w
+    energies = 20.0 * np.log10(np.linalg.norm(fc, axis=1) + _EPS)
     mask = energies > energies.max() - STOI_SILENCE_RANGE_DB
     if np.count_nonzero(mask) < STOI_SEGMENT:
         raise DegenerateInputError("fewer than 30 speech-active frames")
 
     bank = dsp.make_filterbank("third_octave", STOI_RATE, STOI_FFT, STOI_BANDS, STOI_FMIN)
-    pc = np.abs(np.fft.rfft(fc[mask] * w, STOI_FFT, axis=1)) ** 2
-    pd = np.abs(np.fft.rfft(fd[mask] * w, STOI_FFT, axis=1)) ** 2
+    pc = np.abs(np.fft.rfft(fc[mask], STOI_FFT, axis=1)) ** 2
+    pd = np.abs(np.fft.rfft(fd[mask], STOI_FFT, axis=1)) ** 2
     env_c = np.sqrt(pc @ bank.weights.T).T  # (bands, frames)
     env_d = np.sqrt(pd @ bank.weights.T).T
 
@@ -575,16 +569,7 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
         except Exception as exc:
             raise MetricError(f"{name}: {exc}") from exc
         _require_finite(name, values[name])
-    report = MetricReport(
-        stoi=values["stoi"],
-        snr_seg=values["snr_seg"],
-        fw_snr_seg=values["fw_snr_seg"],
-        llr=values["llr"],
-        wss=values["wss"],
-        csii=values["csii"],
-        ncm=values["ncm"],
-        pesq=external_pesq,
-    )
+    report = MetricReport(**values, pesq=external_pesq)
     if external_pesq is not None and "composite" in chosen:
         try:
             triple = composite(report.llr, report.wss, report.snr_seg, external_pesq)

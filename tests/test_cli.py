@@ -150,8 +150,8 @@ def test_validate_malformed_schema(tmp_path):
 
 
 @pytest.mark.parametrize("row,message", [
-    ("u1,wav/c.wav,wav/d.wav,0,0,0,nan", "row 0: column pesq must be finite, got 'nan'"),
-    ("u1,wav/c.wav,,0,0,0,", "row 0: column degraded_path must name a file, got ''"),
+    ("u1,wav/c.wav,wav/d.wav,0,0,0,nan", "m.csv: data row 1: column pesq must be finite, got 'nan'"),
+    ("u1,wav/c.wav,,0,0,0,", "m.csv: data row 1: column degraded_path must name a file, got ''"),
 ], ids=["pesq-nan", "blank-degraded-path"])
 def test_validate_rejects_unusable_manifest_row(small_corpus, tmp_path, capsys, row, message):
     wav_dir = tmp_path / "wav"
@@ -162,6 +162,22 @@ def test_validate_rejects_unusable_manifest_row(small_corpus, tmp_path, capsys, 
     path.write_text("utterance_id,clean_path,degraded_path,G,C,D,pesq\n" + row + "\n")
     assert main(["validate", "--manifest", str(path)]) == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["metrics", "features"])
+def test_repeated_manifest_key_is_data_error(small_corpus, tmp_path, capsys, stage):
+    # a pair listed twice is refused before any pair is scored: no table is written
+    entries = corpus.parse_manifest(small_corpus / "manifest.csv").entries
+    path = tmp_path / "m.csv"
+    corpus.write_manifest(path, corpus.CorpusManifest(entries[:3] + entries[1:2]))
+    label = entries[1].label
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main([stage, "--manifest", str(path), "--out", str(out)]) == EXIT_DATA
+    assert (f"{path}: {entries[1].utterance_id} G{label.g}C{label.c}D{label.d}: "
+            "repeated on data rows 2 and 4") in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_metrics_csv_shape(pipeline_out):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -404,21 +405,21 @@ def test_parse_manifest_blank_pesq(tmp_path):
 def test_parse_manifest_nonbinary_indicator(tmp_path):
     path = tmp_path / "m.csv"
     _write_manifest_csv(path, ["u1,a.wav,b.wav,0,0,0,", "u2,a.wav,b.wav,2,0,0,"])
-    with pytest.raises(SchemaError, match="row 1"):
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: data row 2: column G must be 0 or 1, got '2'")):
         corpus.parse_manifest(path)
 
 
 def test_parse_manifest_malformed_pesq_names_row(tmp_path):
     path = tmp_path / "m.csv"
     for row, message in (
-        ("u2,a.wav,b.wav,0,0,1,abc", "row 1: column pesq must be a number, got 'abc'"),
-        ("u2,a.wav,b.wav,0,0,1,nan", "row 1: column pesq must be finite, got 'nan'"),
-        ("u2,a.wav,b.wav,0,0,1,-inf", "row 1: column pesq must be finite, got '-inf'"),
-        ("u2,,b.wav,0,0,1,2.5", "row 1: column clean_path must name a file, got ''"),
-        ("u2,a.wav, ,0,0,1,", "row 1: column degraded_path must name a file, got ' '"),
+        ("u2,a.wav,b.wav,0,0,1,abc", "data row 2: column pesq must be a number, got 'abc'"),
+        ("u2,a.wav,b.wav,0,0,1,nan", "data row 2: column pesq must be finite, got 'nan'"),
+        ("u2,a.wav,b.wav,0,0,1,-inf", "data row 2: column pesq must be finite, got '-inf'"),
+        ("u2,,b.wav,0,0,1,2.5", "data row 2: column clean_path must name a file, got ''"),
+        ("u2,a.wav, ,0,0,1,", "data row 2: column degraded_path must name a file, got ' '"),
     ):
         _write_manifest_csv(path, ["u1,a.wav,b.wav,0,0,0,2.5", row])
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
             corpus.parse_manifest(path)
 
 

@@ -21,6 +21,38 @@ def test_frame_contents_match_slices():
         np.testing.assert_array_equal(frames[i], x[i * 160:i * 160 + 400])
 
 
+def test_frame_is_read_only_view_and_analysis_energy_matches():
+    x = np.random.default_rng(3).standard_normal(RATE // 4)
+    sig = AudioSignal(x, RATE)
+    frames = dsp.frame(sig, 400, 160)
+    assert not frames.flags.writeable
+    assert np.shares_memory(frames, sig.samples)
+    analysis = dsp.frame_analysis(sig)
+    assert np.shares_memory(analysis.frames, sig.samples)
+    np.testing.assert_array_equal(analysis.energy, np.sum(frames ** 2, axis=1))
+
+
+def test_parabolic_peak_recovers_vertex():
+    x = np.array([-1.0, 0.0, 1.0])
+    for a, c in ((-2.0, 3.0), (0.5, -1.0)):
+        for x0 in np.linspace(-0.5, 0.5, 11):
+            y = a * (x - x0) ** 2 + c
+            offset, height = dsp.parabolic_peak(*y)
+            assert abs(offset - x0) < 1e-12
+            assert abs(height - c) < 1e-12
+
+
+def test_parabolic_peak_collinear_and_clipped():
+    offset, height = dsp.parabolic_peak(np.array([1.0, 0.0]), np.array([2.0, 0.0]),
+                                        np.array([3.0, 0.0]))
+    np.testing.assert_array_equal(offset, [0.0, 0.0])
+    np.testing.assert_array_equal(height, [2.0, 0.0])
+    # the vertices of these parabolas lie at +-1.5
+    x = np.array([-1.0, 0.0, 1.0])
+    offset, _ = dsp.parabolic_peak(*np.stack([-(x - 1.5) ** 2, -(x + 1.5) ** 2], axis=1))
+    np.testing.assert_array_equal(offset, [0.5, -0.5])
+
+
 def test_frame_rejects_bad_hop():
     with pytest.raises(ValueError):
         dsp.frame(AudioSignal(np.zeros(800), RATE), 400, 0)

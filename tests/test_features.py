@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from vda.corpus import AudioSignal
 from vda.errors import PreconditionError
 from vda.features import ErrorVector, FeatureVector, extract_features, feature_error
 
-from conftest import make_tone, make_vowel
+from conftest import make_speech_like, make_tone, make_vowel
 
 RATE = 16000
 
@@ -316,3 +318,17 @@ def test_mfcc_basis_matches_scipy_dct():
     np.testing.assert_allclose(log_mel @ features._MFCC_BASIS,
                                dct(log_mel, type=2, norm="ortho", axis=1)[:, 1:5],
                                rtol=0.0, atol=1e-12)
+
+
+def test_extract_features_peak_memory_is_bounded():
+    # With the 25 ms and 40 ms frame matrices copied out of the signal, one
+    # side's features peaked at 32.9x the bytes of its samples on this 20 s
+    # signal; with the frames as views of the samples they take 26.4x.
+    sig = make_speech_like(seed=5, duration=20.0)
+    tracemalloc.start()
+    try:
+        extract_features(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 29.0 * sig.samples.nbytes

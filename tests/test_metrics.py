@@ -120,8 +120,7 @@ def test_frame_exclusion_masks_shared():
     x = np.concatenate([np.zeros(RATE // 2), 0.3 * rng.standard_normal(RATE // 2)])
     d = x + 0.01 * rng.standard_normal(RATE)
     pair = AlignedPair(AudioSignal(x, RATE), AudioSignal(d, RATE), 0, 1.0)
-    fc = dsp.frame(pair.clean, 400, 160)
-    mask = metrics._active_mask(fc)
+    mask = dsp.frame_analysis(pair.clean).energy > 0.0
     assert 0 < mask.sum() < len(mask)
     # both run without error and respect the same active frame set
     assert np.isfinite(metrics.snr_seg(pair))
@@ -403,6 +402,21 @@ def test_ncm_peak_memory_is_bounded():
     assert peak < 82.8 / 3 * pair.clean.samples.nbytes
 
 
+def test_frame_metrics_peak_memory_is_bounded():
+    # With every frame matrix copied out of the signal, evaluate_pair without
+    # ncm peaked at 24.4x the bytes of one side's samples on this 20 s pair;
+    # with the frames as views of the samples it takes 19.4x.
+    pair = noisy_pair(make_speech_like(seed=5, duration=20.0), 0.0)
+    selected = tuple(m for m in metrics.METRIC_NAMES if m != "ncm")
+    tracemalloc.start()
+    try:
+        metrics.evaluate_pair(pair, selected=selected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22.0 * pair.clean.samples.nbytes
+
+
 def test_ncm_too_short_errors():
     short = AudioSignal(np.ones(2000), RATE)
     with pytest.raises(PreconditionError):
@@ -501,7 +515,7 @@ def test_evaluate_pair_fields_equal_individual_ops(sweep):
     d = x + 0.1 * rng.standard_normal(RATE)
     d[4000:9000] = 0.0
     gapped = AlignedPair(AudioSignal(x, RATE), AudioSignal(d, RATE), 0, 1.0)
-    assert not metrics._active_mask(dsp.frame(gapped.degraded, 400, 160)).all()
+    assert not (dsp.frame_analysis(gapped.degraded).energy > 0.0).all()
     assert metrics.csii(gapped)[2] is None
     for pair in (noisy_pair(sweep, 10.0), gapped):
         rep = metrics.evaluate_pair(pair, external_pesq=2.0)
