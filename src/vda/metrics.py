@@ -9,6 +9,7 @@ classical constructions over critical bands.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,31 +288,31 @@ def _envelope_lowpass(nfft: int, rate: int) -> np.ndarray:
     return lowpass[:int(np.flatnonzero(lowpass)[-1]) + 1]
 
 
-def _band_envelopes(spectra: np.ndarray, nfft: int, rate: int, bank_weights: np.ndarray,
-                    lowpass: np.ndarray) -> np.ndarray:
-    """Lowpassed band envelopes of both sides as spectra, complex128 of shape
-    (2, bands, len(lowpass)): clean, then degraded.
+class _EnvelopeGrid(NamedTuple):
+    """The per-pair constants of _band_envelopes. The spectrum bins
+    los[b] .. his[b] - 1 are band b's non-zero run, idx maps each spectrum
+    bin to its bank bin, and the envelope's nfft = p q samples are taken as
+    p rows of q, row a holding the samples a, a + p, a + 2 p, ...; forward
+    is (p, widest band) of w^(j a) and backward (p, keep) of w^(-k a), for
+    w = exp(2 pi i / nfft)."""
 
-    The envelope is the magnitude of the spectral-masked analytic band
-    signal, lowpassed. Coefficient k of a band holds its envelope as
-    env[t] = Re sum_k a_k exp(2 pi i k t / nfft), that is a_0 = X_0 / nfft
-    and a_k = 2 X_k / nfft for the lowpassed envelope FFT X; _crop_sums
-    reduces the envelopes over their first n samples from these alone. The
-    analytic band signal comes straight from `spectra` (see
-    _analytic_spectra), filled only over each band's non-zero bins, and
-    every band of both sides is inverse-FFT'd in one call, which halves the
-    calls and the work buffers that pocketfft allocates per call. The band
-    inverse FFT and the envelope FFT run in single precision, which moves
-    ncm by well under 1e-6. They go through scipy.fft, which runs them in
-    about half the time of np.fft at this precision; it is imported here so
-    that only a process that computes ncm loads it.
-    """
-    from scipy import fft as sp_fft
+    idx: np.ndarray
+    los: np.ndarray
+    his: np.ndarray
+    p: int
+    q: int
+    forward: np.ndarray
+    backward: np.ndarray
 
-    n_bands, n_bank = bank_weights.shape
+
+def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) -> _EnvelopeGrid:
+    """The bin map and the polyphase split of one pair's envelopes: q is the
+    smallest divisor of nfft that holds the widest band's run and 2 keep
+    envelope bins (q = nfft, p = 1 when none smaller does)."""
+    n_bank = bank_weights.shape[1]
     bin_hz_bank = (rate / 2.0) / (n_bank - 1)
     # the bank bin of each spectrum bin, in the smallest integer type because
-    # it is alive while the block's transforms set ncm's peak memory
+    # it is alive while the blocks' transforms set ncm's peak memory
     idx = np.clip(np.round(np.fft.rfftfreq(nfft, 1.0 / rate) / bin_hz_bank), 0, n_bank - 1
                   ).astype(np.min_scalar_type(n_bank - 1))
     # idx is non-decreasing, so each band's non-zero bank bins map to one
@@ -321,17 +322,69 @@ def _band_envelopes(spectra: np.ndarray, nfft: int, rate: int, bank_weights: np.
     last = n_bank - 1 - np.argmax(nonzero[:, ::-1], axis=1)
     los = np.searchsorted(idx, first, side="left")
     his = np.searchsorted(idx, last, side="right")
-    analytic_spec = np.zeros((2 * n_bands, nfft), dtype=np.complex64)
-    for side, spec in enumerate(spectra):
-        for band, (weights, lo, hi) in enumerate(zip(bank_weights, los, his)):
-            analytic_spec[side * n_bands + band, lo:hi] = spec[lo:hi] * weights[idx[lo:hi]]
-    env = np.abs(sp_fft.ifft(analytic_spec, axis=1, overwrite_x=True))
+    width = int(np.max(his - los))
+    need = min(nfft, max(width, 2 * keep))
+    p = next(p for p in range(nfft // need, 0, -1) if nfft % p == 0)
+
+    def twiddles(cols: int, sign: float) -> np.ndarray:
+        # w^(sign j a): row a is row a - 1 times w^(sign j), which costs
+        # p (a few) ulps of float64, far below the complex64 transforms
+        angle = sign * 2.0 * np.pi / nfft * np.arange(cols)
+        step = np.cos(angle) + 1j * np.sin(angle)
+        table = np.ones((p, cols), dtype=np.complex128)
+        for a in range(1, p):
+            np.multiply(table[a - 1], step, out=table[a])
+        return table
+
+    return _EnvelopeGrid(idx, los, his, p, nfft // p, twiddles(width, 1.0).astype(np.complex64),
+                         twiddles(keep, -1.0))
+
+
+def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.ndarray,
+                    bands: slice, lowpass: np.ndarray) -> np.ndarray:
+    """Lowpassed envelopes of the bank's `bands`, both sides, as spectra,
+    complex128 of shape (2, bands, len(lowpass)): clean, then degraded.
+
+    The envelope is the magnitude of the spectral-masked analytic band
+    signal, lowpassed. Coefficient k of a band holds its envelope as
+    env[t] = Re sum_k a_k exp(2 pi i k t / nfft), that is a_0 = X_0 / nfft
+    and a_k = 2 X_k / nfft for the lowpassed envelope FFT X; _crop_sums
+    reduces the envelopes over their first n samples from these alone. The
+    analytic band signal comes straight from `spectra` (see
+    _analytic_spectra), which is non-zero only over the band's run of W <= q
+    bins lo .. lo + W - 1. Its nfft-point inverse FFT at t = a + p b is
+    therefore w^(lo t) / p times the q-point inverse FFT of
+    S[lo + j] w^(j a) (the first step of a four-step FFT reduces to the
+    twiddles), and the phase drops out of the envelope. The envelope FFT is
+    put back together from the rows' q-point FFTs as
+    X_k = sum_a w^(-k a) RFFT_q(row a)[k], k < keep <= q / 2. So every one of
+    the nfft envelope samples is computed, by transforms of length q; with
+    p = 1 the route is a pair of nfft-point transforms. Every band of both
+    sides goes through one call per transform, which halves the calls and
+    the work buffers that pocketfft allocates per call. The transforms run
+    in single precision, which moves ncm by well under 1e-6. They go through
+    scipy.fft, which runs them in about half the time of np.fft at this
+    precision; it is imported here so that only a process that computes ncm
+    loads it.
+    """
+    from scipy import fft as sp_fft
+
+    weights = bank_weights[bands]
+    analytic_spec = np.zeros((2, len(weights), grid.p, grid.q), dtype=np.complex64)
+    for band, (w, lo, hi) in enumerate(zip(weights, grid.los[bands], grid.his[bands])):
+        gain = w[grid.idx[lo:hi]]
+        for side, spec in enumerate(spectra):
+            np.multiply(grid.forward[:, :hi - lo], (spec[lo:hi] * gain).astype(np.complex64),
+                        out=analytic_spec[side, band, :, :hi - lo])
+    env = np.abs(sp_fft.ifft(analytic_spec, axis=-1, overwrite_x=True))
     del analytic_spec  # each full-size array is freed before the next is made
     keep = len(lowpass)
-    coeffs = (sp_fft.rfft(env, axis=1)[:, :keep] * lowpass).astype(np.complex128)
-    coeffs *= 2.0 / nfft
-    coeffs[:, 0] /= 2.0
-    return coeffs.reshape(2, n_bands, keep)
+    rows = sp_fft.rfft(env, axis=-1)[..., :keep]
+    del env
+    coeffs = np.einsum("sbak,ak->sbk", rows, grid.backward) * lowpass
+    coeffs *= 2.0 / (grid.p * grid.q * grid.p)  # 2 / nfft, over the p of each row's |ifft|
+    coeffs[..., 0] /= 2.0
+    return coeffs
 
 
 def _dirichlet(m: np.ndarray, n: int, nfft: int) -> np.ndarray:
@@ -414,11 +467,12 @@ def ncm(pair: AlignedPair) -> float:
     nfft = corpus.next_fast_len(n)
     spectra = _analytic_spectra(pair, nfft)
     lowpass = _envelope_lowpass(nfft, pair.rate)
+    grid = _envelope_grid(nfft, pair.rate, bank.weights, len(lowpass))
     kernel = _crop_kernel(n, nfft, len(lowpass))
     sums = np.empty((5, NCM_BANDS))
-    for lo in range(0, NCM_BANDS, NCM_BLOCK_BANDS):
-        block = slice(lo, lo + NCM_BLOCK_BANDS)
-        env_c, env_d = _band_envelopes(spectra, nfft, pair.rate, bank.weights[block], lowpass)
+    for first in range(0, NCM_BANDS, NCM_BLOCK_BANDS):
+        block = slice(first, first + NCM_BLOCK_BANDS)
+        env_c, env_d = _band_envelopes(spectra, grid, bank.weights, block, lowpass)
         sums[:, block] = _crop_sums(env_c, env_d, kernel)
     sum_c, sum_d, energy, energy_d, prod = sums
     # centred sums; the autos are sums of squares, which rounding must not

@@ -368,6 +368,58 @@ def test_align_matches_direct_correlation(planted):
         assert pair.applied_gain == pytest.approx(oracle_gain, rel=1e-12)
 
 
+def _align_oracle(c, d, max_lag):
+    """The lag, the overlap and the gain by the np.correlate "full" rule:
+    index k is tau = len(d) - 1 - k, and the first of equal maxima in that
+    order is the largest lag."""
+    full = np.correlate(c, d, "full")
+    taus = np.arange(len(d) - 1, -len(c), -1)
+    window = np.flatnonzero(np.abs(taus) <= max_lag)
+    lag = int(taus[window[np.argmax(full[window])]])
+    c_al, d_al = (c, d[lag:]) if lag >= 0 else (c[-lag:], d)
+    n = min(len(c_al), len(d_al))
+    c_al, d_al = c_al[:n], d_al[:n]
+    rms_d = float(np.sqrt(np.mean(d_al ** 2)))
+    gain = float(np.sqrt(np.mean(c_al ** 2))) / rms_d if rms_d > 0.0 else 1.0
+    return lag, c_al, d_al, gain
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 80),
+       st.sampled_from([None, "clean", "degraded"]), st.integers(0, 2 ** 32 - 1))
+def test_align_matches_correlate_oracle_over_clamped_windows(len_c, len_d, max_lag, silent, seed):
+    # max_lag up to 80 against sides of 1-64 samples clamps the window on
+    # either side; a silent side makes every lag tie, and the largest must win.
+    # At 40 Hz the shortest accepted overlap is one sample.
+    rng = np.random.default_rng(seed)
+    c = np.zeros(len_c) if silent == "clean" else rng.standard_normal(len_c)
+    d = np.zeros(len_d) if silent == "degraded" else rng.standard_normal(len_d)
+    lag, c_al, d_al, gain = _align_oracle(c, d, max_lag)
+    pair = corpus.align(AudioSignal(c, 40), AudioSignal(d, 40), max_lag)
+    assert pair.applied_lag == lag
+    assert pair.applied_gain == gain
+    np.testing.assert_array_equal(pair.clean.samples, c_al)
+    np.testing.assert_array_equal(pair.degraded.samples, d_al * gain)
+
+
+def test_align_peak_memory_is_bounded():
+    # Correlating over all len(c) + len(d) - 1 lags peaked at 6.3x the bytes
+    # of one side on this 20 s pair; the lag window alone needs under 4x,
+    # the two outputs included.
+    rng = np.random.default_rng(8)
+    x = 0.2 * rng.standard_normal(20 * 16000)
+    d = np.concatenate([np.zeros(123), x[:-123]]) + 0.01 * rng.standard_normal(len(x))
+    clean, degraded = AudioSignal(x, 16000), AudioSignal(d, 16000)
+    tracemalloc.start()
+    try:
+        pair = corpus.align(clean, degraded, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.applied_lag == 123
+    assert peak < 4.0 * x.nbytes
+
+
 def test_align_short_overlap_errors():
     x = 0.2 * np.random.default_rng(5).standard_normal(450)
     d = np.concatenate([np.zeros(420), x])[:450]

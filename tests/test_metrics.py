@@ -378,6 +378,44 @@ def test_crop_sums_match_time_domain_sums(n, nfft, keep):
         np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
 
 
+def _band_envelopes_full_length(spectra, grid, bank_weights, bands, lowpass):
+    """The full-length route to _band_envelopes' coefficients: each band's
+    analytic spectrum filled over its run of bins, one nfft-point complex64
+    inverse FFT, |.|, the rfft, and its first keep bins lowpassed and
+    scaled."""
+    from scipy import fft as sp_fft
+
+    nfft = grid.p * grid.q
+    weights = bank_weights[bands]
+    spec = np.zeros((2, len(weights), nfft), dtype=np.complex64)
+    for band, (w, lo, hi) in enumerate(zip(weights, grid.los[bands], grid.his[bands])):
+        spec[:, band, lo:hi] = spectra[:, lo:hi] * w[grid.idx[lo:hi]]
+    env = np.abs(sp_fft.ifft(spec, axis=-1))
+    coeffs = sp_fft.rfft(env, axis=-1)[..., :len(lowpass)] * lowpass * (2.0 / nfft)
+    coeffs[..., 0] /= 2.0
+    return coeffs
+
+
+@pytest.mark.parametrize("nfft,p", [(320_000, 5), (15_972, 6), (11 ** 4, 1)])
+def test_polyphase_envelopes_match_full_length_route(nfft, p):
+    # 320 000 = 5 rows of 64 000 (a 20 s pair), 15 972 = 2^2 3 11^3 = 6 rows
+    # of 2662; no divisor of 11^4 below it holds the widest band, so q = nfft
+    sig = make_speech_like(seed=5, duration=nfft / RATE)
+    pair = noisy_pair(sig, 5.0)
+    frame_len, _ = dsp.default_frame_params(RATE)
+    bank = dsp.make_filterbank("critical_band", RATE, dsp.next_pow2(frame_len),
+                               metrics.NCM_BANDS, 150.0)
+    spectra = metrics._analytic_spectra(pair, nfft)
+    lowpass = metrics._envelope_lowpass(nfft, RATE)
+    grid = metrics._envelope_grid(nfft, RATE, bank.weights, len(lowpass))
+    assert (grid.p, grid.p * grid.q) == (p, nfft)
+    for first in range(0, metrics.NCM_BANDS, metrics.NCM_BLOCK_BANDS):
+        bands = slice(first, first + metrics.NCM_BLOCK_BANDS)
+        got = metrics._band_envelopes(spectra, grid, bank.weights, bands, lowpass)
+        want = _band_envelopes_full_length(spectra, grid, bank.weights, bands, lowpass)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5 * np.abs(want).max())
+
+
 def test_ncm_blocks_do_not_change_ncm(monkeypatch):
     pair = noisy_pair(make_speech_like(seed=5, duration=8.0), 5.0)
     assert metrics.NCM_BLOCK_BANDS < metrics.NCM_BANDS
