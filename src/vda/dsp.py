@@ -25,6 +25,9 @@ VOICING_THRESHOLD = 0.45
 # LPC order of the log-likelihood ratio metric, which reads its
 # autocorrelation from the frame analysis's spectra.
 LLR_ORDER = 10
+# acf_pitch_track works on this many frames at a time, so its transforms
+# stay a fixed size however long the signal is.
+PITCH_BLOCK_FRAMES = 512
 
 
 @dataclass(frozen=True)
@@ -198,21 +201,10 @@ def make_filterbank(kind: str, rate: int, fft_len: int, n_bands: int,
     return Filterbank(kind, weights, np.asarray(centers, dtype=np.float64))
 
 
-def acf_pitch_track(frames: np.ndarray, rate: int, fmin: float, fmax: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Autocorrelation F0 and normalized peak per frame row.
-
-    Returns (f0, peak): f0 is NaN where the frame is unvoiced (normalized
-    peak below VOICING_THRESHOLD) or silent. The peak lag is refined by
-    parabolic interpolation.
-    """
-    if not 0 < fmin < fmax <= rate / 2:
-        raise ValueError("need 0 < fmin < fmax <= rate/2")
+def _acf_pitch_block(frames: np.ndarray, rate: int, lag_lo: int, lag_hi: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """acf_pitch_track's (f0, peak) of one block of frame rows."""
     n = frames.shape[1]
-    lag_lo = max(int(rate / fmax), 2)
-    lag_hi = min(int(round(rate / fmin)), n - 2)
-    if lag_hi <= lag_lo:
-        raise ValueError("frame too short for the requested pitch range")
     centered = frames - frames.mean(axis=1, keepdims=True)
     acf = autocorrelate(centered, lag_hi + 1)
     r0 = acf[:, 0]
@@ -233,3 +225,27 @@ def acf_pitch_track(frames: np.ndarray, rate: int, fmin: float, fmax: float
     f0 = np.where(voiced, rate / lag, np.nan)
     return f0, norm_peak
 
+
+def acf_pitch_track(frames: np.ndarray, rate: int, fmin: float, fmax: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Autocorrelation F0 and normalized peak per frame row.
+
+    Returns (f0, peak): f0 is NaN where the frame is unvoiced (normalized
+    peak below VOICING_THRESHOLD) or silent. The peak lag is refined by
+    parabolic interpolation. The rows are taken PITCH_BLOCK_FRAMES at a
+    time; each row's result depends on that row alone, so the blocks do
+    not change it.
+    """
+    if not 0 < fmin < fmax <= rate / 2:
+        raise ValueError("need 0 < fmin < fmax <= rate/2")
+    n = frames.shape[1]
+    lag_lo = max(int(rate / fmax), 2)
+    lag_hi = min(int(round(rate / fmin)), n - 2)
+    if lag_hi <= lag_lo:
+        raise ValueError("frame too short for the requested pitch range")
+    f0 = np.empty(len(frames))
+    peak = np.empty(len(frames))
+    for first in range(0, len(frames), PITCH_BLOCK_FRAMES):
+        block = slice(first, first + PITCH_BLOCK_FRAMES)
+        f0[block], peak[block] = _acf_pitch_block(frames[block], rate, lag_lo, lag_hi)
+    return f0, peak

@@ -362,13 +362,11 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
     p = 1 the route is a pair of nfft-point transforms. Every band of both
     sides goes through one call per transform, which halves the calls and
     the work buffers that pocketfft allocates per call. The transforms run
-    in single precision, which moves ncm by well under 1e-6. They go through
-    scipy.fft, which runs them in about half the time of np.fft at this
-    precision; it is imported here so that only a process that computes ncm
-    loads it.
+    in single precision, which moves ncm by well under 1e-6: the inverse
+    FFT in place, and the rfft at norm="forward", the scale at which NumPy
+    keeps float32 input in its float32 loop (at the default norm it
+    transforms in float64, about three times slower).
     """
-    from scipy import fft as sp_fft
-
     weights = bank_weights[bands]
     analytic_spec = np.zeros((2, len(weights), grid.p, grid.q), dtype=np.complex64)
     for band, (w, lo, hi) in enumerate(zip(weights, grid.los[bands], grid.his[bands])):
@@ -376,13 +374,13 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
         for side, spec in enumerate(spectra):
             np.multiply(grid.forward[:, :hi - lo], (spec[lo:hi] * gain).astype(np.complex64),
                         out=analytic_spec[side, band, :, :hi - lo])
-    env = np.abs(sp_fft.ifft(analytic_spec, axis=-1, overwrite_x=True))
+    env = np.abs(np.fft.ifft(analytic_spec, axis=-1, out=analytic_spec))
     del analytic_spec  # each full-size array is freed before the next is made
     keep = len(lowpass)
-    rows = sp_fft.rfft(env, axis=-1)[..., :keep]
+    rows = np.fft.rfft(env, axis=-1, norm="forward")[..., :keep]  # scaled by 1 / q
     del env
     coeffs = np.einsum("sbak,ak->sbk", rows, grid.backward) * lowpass
-    coeffs *= 2.0 / (grid.p * grid.q * grid.p)  # 2 / nfft, over the p of each row's |ifft|
+    coeffs *= 2.0 / (grid.p * grid.p)  # 2 / nfft, over the p of each row's |ifft|
     coeffs[..., 0] /= 2.0
     return coeffs
 

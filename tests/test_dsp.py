@@ -203,3 +203,22 @@ def test_pitch_silence_unvoiced():
 def test_pitch_rejects_bad_range():
     with pytest.raises(ValueError):
         dsp.acf_pitch_track(np.zeros((1, 640)), RATE, 500.0, 100.0)
+
+
+def test_pitch_blocks_do_not_change_the_track(monkeypatch):
+    # a 150 Hz tone with a glide, then noise, then silence: voiced,
+    # unvoiced and silent rows in 23 frames, so blocks of 7 leave 2 over
+    rng = np.random.default_rng(8)
+    t = np.arange(RATE // 4) / RATE
+    x = np.concatenate((np.sin(2 * np.pi * (150.0 + 200.0 * t) * t), rng.standard_normal(RATE // 8),
+                        np.zeros(RATE // 16)))
+    frames = dsp.frame(AudioSignal(x, RATE), 640, 280)
+    assert len(frames) == 23
+    monkeypatch.setattr(dsp, "PITCH_BLOCK_FRAMES", len(frames))
+    f0, peak = dsp.acf_pitch_track(frames, RATE, 55.0, 1000.0)
+    assert np.any(np.isfinite(f0)) and np.any(np.isnan(f0))
+    for block in (7, 1):
+        monkeypatch.setattr(dsp, "PITCH_BLOCK_FRAMES", block)
+        f0_blocked, peak_blocked = dsp.acf_pitch_track(frames, RATE, 55.0, 1000.0)
+        np.testing.assert_array_equal(f0_blocked, f0)
+        np.testing.assert_array_equal(peak_blocked, peak)

@@ -10,6 +10,15 @@ with the frozen tables column by column; the model tests rerun ``fit`` and
 states for the same column. ``comparison.{csv,json,md}`` are what ``report``
 wrote from the frozen ``metrics.csv`` and the variant ``_shifted_variant``
 makes of it; the report test asserts the same bytes.
+
+The long-pair tests score one 20 s pair, utt000 in cell G0C0D0 of
+``vda synth --seed 7 --utterances 1 --duration 20``, whose two WAVs are
+those of perfbench's long-utterance input at seed 7, and compare it with
+that pair's row of ``perfbench/reference/long-utterance/seed7.json`` at
+the same tolerances. A 20 s pair runs ncm on polyphase rows (p = 5) and
+the pitch track over several blocks of frames, which 1 s pairs do not.
+That pair's ncm is 1.0, at saturation, so ncm below saturation on long
+pairs is left to perfbench's references.
 """
 import csv
 import json
@@ -21,6 +30,8 @@ import pytest
 from vda.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "seed7"
+LONG_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+                  / "long-utterance" / "seed7.json")
 
 # (rtol, atol, scale): |value - ref| <= rtol*|ref| + atol + scale*max|column|,
 # FIT_TOLERANCE and DECOMPOSITION_TOLERANCE of perfbench/checks.py.
@@ -49,6 +60,18 @@ def _assert_close(values, refs, label):
     assert not bad, f"{label}: {len(bad)} value(s) outside {MODEL_TOLERANCE}, first {bad[0]}"
 
 
+def _assert_audio_close(cells, refs, table, col):
+    """CSV cells against reference values, None for a blank cell, at the
+    column's audio tolerance."""
+    rtol, atol = AUDIO_TOLERANCES.get(col, AUDIO_TOLERANCE)
+    assert [c == "" for c in cells] == [r is None for r in refs], f"{table} {col}: blank cells differ"
+    bad = [
+        (i, c, r) for i, (c, r) in enumerate(zip(cells, refs))
+        if r is not None and not abs(float(c) - r) <= rtol * abs(r) + atol
+    ]
+    assert not bad, f"{table} {col}: {len(bad)} value(s) outside ({rtol}, {atol}), first {bad[0]}"
+
+
 @pytest.fixture(scope="module")
 def audio_run(tmp_path_factory):
     corpus_dir = tmp_path_factory.mktemp("golden_corpus")
@@ -69,14 +92,32 @@ def test_golden_audio_stage(audio_run, table):
     ]
     assert list(got[0]) == list(ref[0])
     for col in (c for c in ref[0] if c not in KEY_COLUMNS):
-        rtol, atol = AUDIO_TOLERANCES.get(col, AUDIO_TOLERANCE)
-        blank = [g[col] == "" for g in got]
-        assert blank == [r[col] == "" for r in ref], f"{table} {col}: blank cells differ"
-        bad = [
-            (i, g[col], r[col]) for i, (g, r) in enumerate(zip(got, ref))
-            if r[col] != "" and not abs(float(g[col]) - float(r[col])) <= rtol * abs(float(r[col])) + atol
-        ]
-        assert not bad, f"{table} {col}: {len(bad)} value(s) outside ({rtol}, {atol}), first {bad[0]}"
+        _assert_audio_close([g[col] for g in got], [float(r[col]) if r[col] != "" else None for r in ref],
+                            table, col)
+
+
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    corpus_dir = tmp_path_factory.mktemp("long_corpus")
+    out = tmp_path_factory.mktemp("long_audio")
+    assert main(["synth", "--out", str(corpus_dir), "--seed", "7", "--utterances", "1",
+                 "--duration", "20"]) == EXIT_OK
+    manifest = corpus_dir / "manifest.csv"
+    header, first = manifest.read_text(encoding="utf-8").splitlines()[:2]  # cell G0C0D0
+    manifest.write_text(f"{header}\n{first}\n", encoding="utf-8")
+    assert main(["metrics", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("table", ["metrics.csv", "errors.csv"])
+def test_golden_long_pair(long_run, table):
+    (got,) = _read_csv(long_run / table)
+    ref = json.loads(LONG_REFERENCE.read_text(encoding="utf-8"))[table.removesuffix(".csv")]
+    row = ref["key"].index(f"{got['utterance_id']}/{got['G']}{got['C']}{got['D']}")
+    assert list(got) == [*KEY_COLUMNS, *(c for c in ref if c != "key")]
+    for col in (c for c in ref if c != "key"):
+        _assert_audio_close([got[col]], [ref[col][row]], table, col)
 
 
 @pytest.fixture(scope="module")
