@@ -44,6 +44,15 @@ def pipeline_out(small_corpus):
     return out
 
 
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, vda.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _scipy_modules(args):
     """Run ``python -c`` with ``args`` and vda on the path; return the scipy
     modules the process had loaded when it ended."""
