@@ -25,9 +25,11 @@ VOICING_THRESHOLD = 0.45
 # LPC order of the log-likelihood ratio metric, which reads its
 # autocorrelation from the frame analysis's spectra.
 LLR_ORDER = 10
-# acf_pitch_track works on this many frames at a time, so its transforms
-# stay a fixed size however long the signal is.
-PITCH_BLOCK_FRAMES = 512
+# The per-frame work of acf_pitch_track, the llr autocorrelation, the csii
+# cross-spectrum and the stoi segment statistics runs over this many rows
+# (frames or segments) at a time, so its temporaries stay a fixed size
+# however long the signal is.
+BLOCK_FRAMES = 512
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,7 @@ def acf_pitch_track(frames: np.ndarray, rate: int, fmin: float, fmax: float
 
     Returns (f0, peak): f0 is NaN where the frame is unvoiced (normalized
     peak below VOICING_THRESHOLD) or silent. The peak lag is refined by
-    parabolic interpolation. The rows are taken PITCH_BLOCK_FRAMES at a
+    parabolic interpolation. The rows are taken BLOCK_FRAMES at a
     time; each row's result depends on that row alone, so the blocks do
     not change it.
     """
@@ -245,7 +247,7 @@ def acf_pitch_track(frames: np.ndarray, rate: int, fmin: float, fmax: float
         raise ValueError("frame too short for the requested pitch range")
     f0 = np.empty(len(frames))
     peak = np.empty(len(frames))
-    for first in range(0, len(frames), PITCH_BLOCK_FRAMES):
-        block = slice(first, first + PITCH_BLOCK_FRAMES)
+    for first in range(0, len(frames), BLOCK_FRAMES):
+        block = slice(first, first + BLOCK_FRAMES)
         f0[block], peak[block] = _acf_pitch_block(frames[block], rate, lag_lo, lag_hi)
     return f0, peak

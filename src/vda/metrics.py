@@ -37,13 +37,16 @@ NCM_BANDS = 20
 NCM_ENV_LOWPASS_HZ = 25.0
 SDR_CLIP_DB = 15.0
 # Bands per ncm envelope block. A block's complex64 band spectra, both sides,
-# take 16 bytes per band and FFT bin, 20 MB for a 20 s pair at 16 kHz; it
-# divides NCM_BANDS, so no block is left with one band alone.
-NCM_BLOCK_BANDS = 4
+# take 16 bytes per band and FFT bin, 10 MB for a 20 s pair at 16 kHz; it
+# divides NCM_BANDS, so every block has the same shapes.
+NCM_BLOCK_BANDS = 2
 
 MIN_ENVELOPE_SECONDS = 0.384
 
 _EPS = np.finfo(np.float64).eps
+# The size from which numpy computes `x * f(y)` into the temporary f(y)
+# (NPY_MIN_ELIDE_BYTES), with the operands swapped; see _autocorrelation.
+_ELIDE_BYTES = 256 * 1024
 
 
 # The value columns of metrics.csv, in file order: see MetricReport.cells.
@@ -134,8 +137,24 @@ def fw_snr_seg(pair: AlignedPair) -> float:
 
 def _autocorrelation(a: dsp.FrameAnalysis) -> np.ndarray:
     """r[0..LLR_ORDER] of each windowed frame, from the analysis's spectra;
-    exact because fft_len >= frame_len + LLR_ORDER + 1 (see dsp.frame_analysis)."""
-    return np.fft.irfft(a.spectra * np.conj(a.spectra), a.fft_len, axis=1)[:, :LLR_ORDER + 1]
+    exact because fft_len >= frame_len + LLR_ORDER + 1 (see dsp.frame_analysis).
+    The inverse FFTs run dsp.BLOCK_FRAMES rows at a time and keep only those
+    lags; each row's transform depends on that row alone.
+
+    Each block's power s conj(s) takes its operands in the order that
+    `s * np.conj(s)` takes over all the rows (as dsp.autocorrelate does):
+    numpy computes a product of _ELIDE_BYTES or more into the conj
+    temporary, as conj(s) s, and with fused multiply-adds the order sets
+    the last bits of the imaginary part."""
+    swapped = a.spectra.nbytes >= _ELIDE_BYTES
+    r = np.empty((len(a.spectra), LLR_ORDER + 1))
+    for first in range(0, len(r), dsp.BLOCK_FRAMES):
+        spec = a.spectra[first:first + dsp.BLOCK_FRAMES]
+        power = np.conj(spec)
+        operands = (power, spec) if swapped else (spec, power)
+        np.multiply(*operands, out=power)
+        r[first:first + len(spec)] = np.fft.irfft(power, a.fft_len, axis=1)[:, :LLR_ORDER + 1]
+    return r
 
 
 def _llr(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
@@ -208,10 +227,28 @@ def wss(pair: AlignedPair) -> float:
     return _wss(pair, *_analyze_pair(pair))
 
 
+def _cross_spectrum(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, rows: np.ndarray) -> np.ndarray:
+    """The sum over `rows` of c.spectra * conj(d.spectra), dsp.BLOCK_FRAMES
+    rows at a time into two buffers (np.take buffers its `out` again unless
+    mode is not "raise"). Row 0 of one carries the running total into each
+    block's sum over axis 0, which numpy takes row after row, so every bin
+    is summed in the order of one np.sum over all the rows."""
+    buf = np.zeros((min(dsp.BLOCK_FRAMES, len(rows)) + 1, c.spectra.shape[1]), dtype=complex)
+    clean = np.empty_like(buf[1:])
+    for first in range(0, len(rows), dsp.BLOCK_FRAMES):
+        block = rows[first:first + dsp.BLOCK_FRAMES]
+        prod = buf[1:len(block) + 1]
+        np.conjugate(np.take(d.spectra, block, axis=0, out=prod, mode="clip"), out=prod)
+        np.multiply(np.take(c.spectra, block, axis=0, out=clean[:len(block)], mode="clip"), prod,
+                    out=prod)
+        buf[0] = np.sum(buf[:len(block) + 1], axis=0)
+    return buf[0]
+
+
 def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
                  weights: np.ndarray) -> float:
     """Coherence-based index over one level region (>= 2 frames)."""
-    cross = np.sum(c.spectra[region] * np.conj(d.spectra[region]), axis=0)
+    cross = _cross_spectrum(c, d, np.flatnonzero(region))
     pc = c.power[region]
     pd = d.power[region]
     denom = np.sum(pc, axis=0) * np.sum(pd, axis=0)
@@ -526,6 +563,20 @@ def stoi(pair: AlignedPair) -> float:
 
     seg_c = np.lib.stride_tricks.sliding_window_view(env_c, STOI_SEGMENT, axis=1)
     seg_d = np.lib.stride_tricks.sliding_window_view(env_d, STOI_SEGMENT, axis=1)
+    # (bands, segments) with the bands adjacent in memory, the layout numpy
+    # gives the segment statistics of these views; it sets np.mean's
+    # summation order
+    corr = np.empty(seg_c.shape[1::-1]).T
+    for first in range(0, seg_c.shape[1], dsp.BLOCK_FRAMES):
+        block = slice(first, first + dsp.BLOCK_FRAMES)
+        corr[:, block] = _stoi_correlations(seg_c[:, block], seg_d[:, block])
+    return float(np.mean(corr))
+
+
+def _stoi_correlations(seg_c: np.ndarray, seg_d: np.ndarray) -> np.ndarray:
+    """stoi's (bands, segments) correlations of the clean envelope segments
+    with the normalized, clipped degraded ones; each depends on its own
+    segment alone."""
     norm_c = np.linalg.norm(seg_c, axis=2, keepdims=True)
     norm_d = np.linalg.norm(seg_d, axis=2, keepdims=True)
     alpha = norm_c / np.maximum(norm_d, _EPS)
@@ -535,8 +586,7 @@ def stoi(pair: AlignedPair) -> float:
     xc = seg_c - seg_c.mean(axis=2, keepdims=True)
     yc = y - y.mean(axis=2, keepdims=True)
     denom = np.linalg.norm(xc, axis=2) * np.linalg.norm(yc, axis=2)
-    corr = np.sum(xc * yc, axis=2) / np.maximum(denom, _EPS)
-    return float(np.mean(corr))
+    return np.sum(xc * yc, axis=2) / np.maximum(denom, _EPS)
 
 
 def composite(llr_value: float, wss_value: float, snr_seg_value: float,

@@ -53,15 +53,17 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert out.stdout.strip() == "[]"
 
 
-def _scipy_modules(args):
+def _heavy_modules(args):
     """Run ``python -c`` with ``args`` and vda on the path; return the scipy
-    modules the process had loaded when it ended."""
+    and ``numpy.ma`` modules the process had loaded when it ended."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     probe = ("import json, sys\n"
              "from vda.cli import main\n"
              "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+             "heavy = [m for m in sys.modules\n"
+             "         if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']]\n"
+             "print(json.dumps(sorted(heavy)))\n"
              "sys.exit(code)\n")
     out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                          capture_output=True, text=True)
@@ -70,14 +72,14 @@ def _scipy_modules(args):
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules([]) == []
+    assert _heavy_modules([]) == []
 
 
 def test_stages_load_only_the_scipy_they_run(small_corpus, tmp_path):
     manifest = str(small_corpus / "manifest.csv")
     out = str(tmp_path / "out")
     loaded = {
-        stage: _scipy_modules([stage, *args, "--out", out])
+        stage: _heavy_modules([stage, *args, "--out", out])
         for stage, args in (("metrics", ["--manifest", manifest]),
                             ("features", ["--manifest", manifest]),
                             ("fit", []), ("decompose", []), ("report", []))

@@ -214,11 +214,11 @@ def test_pitch_blocks_do_not_change_the_track(monkeypatch):
                         np.zeros(RATE // 16)))
     frames = dsp.frame(AudioSignal(x, RATE), 640, 280)
     assert len(frames) == 23
-    monkeypatch.setattr(dsp, "PITCH_BLOCK_FRAMES", len(frames))
+    monkeypatch.setattr(dsp, "BLOCK_FRAMES", len(frames))
     f0, peak = dsp.acf_pitch_track(frames, RATE, 55.0, 1000.0)
     assert np.any(np.isfinite(f0)) and np.any(np.isnan(f0))
     for block in (7, 1):
-        monkeypatch.setattr(dsp, "PITCH_BLOCK_FRAMES", block)
+        monkeypatch.setattr(dsp, "BLOCK_FRAMES", block)
         f0_blocked, peak_blocked = dsp.acf_pitch_track(frames, RATE, 55.0, 1000.0)
         np.testing.assert_array_equal(f0_blocked, f0)
         np.testing.assert_array_equal(peak_blocked, peak)

@@ -309,6 +309,20 @@ def test_voiced_run_jitter_shimmer_takes_first_longest_run(speech_like):
                                                    pitch_len) == expected
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=100, deadline=None)
+@given(half=st.integers(1, 30), data=st.data())
+def test_median_is_numpy_median(parity, half, data):
+    n = 2 * half - 1 + parity  # odd lengths from 1, even from 2
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    got, want = features._median(values), np.median(values)
+    # bitwise, but for the sign of a zero: sorting and partitioning may place
+    # 0.0 and -0.0 in either order
+    assert got == want
+    assert got == 0.0 or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_mfcc_basis_matches_scipy_dct():
     from scipy.fft import dct
 

@@ -426,33 +426,74 @@ def test_ncm_blocks_do_not_change_ncm(monkeypatch):
     assert metrics.ncm(pair) == blocked
 
 
-def test_ncm_peak_memory_is_bounded():
-    # Built for all 20 bands at once, the envelopes of both sides peaked at
-    # 82.8x the bytes of one side's samples (318 MB on this 30 s pair); the
-    # blocked route must stay under a third of that.
-    pair = noisy_pair(make_speech_like(seed=5, duration=30.0), 0.0)
+def _peak_memory(op, pair) -> float:
+    """The tracemalloc peak of op(pair), in multiples of one side's sample bytes."""
     tracemalloc.start()
     try:
-        metrics.ncm(pair)
+        op(pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 82.8 / 3 * pair.clean.samples.nbytes
+    return peak / pair.clean.samples.nbytes
+
+
+def test_ncm_peak_memory_is_bounded():
+    # Built for all 20 bands at once, the envelopes of both sides peaked at
+    # 82.8x the bytes of one side's samples (318 MB on this 30 s pair); in
+    # blocks of 4 bands they took 15.4x, in blocks of 2 they take 9.4x.
+    pair = noisy_pair(make_speech_like(seed=5, duration=30.0), 0.0)
+    assert _peak_memory(metrics.ncm, pair) < 11.0
 
 
 def test_frame_metrics_peak_memory_is_bounded():
     # With every frame matrix copied out of the signal, evaluate_pair without
     # ncm peaked at 24.4x the bytes of one side's samples on this 20 s pair;
-    # with the frames as views of the samples it takes 19.4x.
+    # with the frames as views of the samples 19.4x, and with the llr
+    # autocorrelation and the csii cross-spectrum taken in blocks of frames
+    # 12.8x. Both sides' frame analyses alone hold 9.6x.
     pair = noisy_pair(make_speech_like(seed=5, duration=20.0), 0.0)
     selected = tuple(m for m in metrics.METRIC_NAMES if m != "ncm")
-    tracemalloc.start()
-    try:
-        metrics.evaluate_pair(pair, selected=selected)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 22.0 * pair.clean.samples.nbytes
+    assert _peak_memory(lambda p: metrics.evaluate_pair(p, selected=selected), pair) < 14.0
+
+
+def test_stoi_peak_memory_is_bounded():
+    # With the statistics of all the envelope segments at once, stoi peaked
+    # at 15.5x the bytes of one side's samples on this 20 s pair; in blocks
+    # of segments it takes 9.5x.
+    pair = noisy_pair(make_speech_like(seed=5, duration=20.0), 0.0)
+    assert _peak_memory(metrics.stoi, pair) < 11.0
+
+
+def test_frame_blocks_do_not_change_llr_csii_and_stoi(monkeypatch):
+    # 1.5 s: 148 frames and 87 stoi segments, so blocks of 7 leave some over;
+    # at this SNR the mean of the correlations depends on their layout
+    pair = noisy_pair(make_speech_like(seed=5, duration=1.5), 0.0)
+    clean, degraded = metrics._analyze_pair(pair)
+    # 63 and 64 frames lie on either side of the size from which numpy
+    # swaps the operands of the unblocked product (see _autocorrelation)
+    analyses = [clean, *(dsp.frame_analysis(AudioSignal(pair.clean.samples[:400 + 160 * (n - 1)], RATE))
+                         for n in (63, 64))]
+    unblocked = [np.fft.irfft(a.spectra * np.conj(a.spectra), a.fft_len, axis=1)[:, :metrics.LLR_ORDER + 1]
+                 for a in analyses]
+    rows = np.flatnonzero(clean.energy > np.median(clean.energy))  # a level region
+    cross = np.sum(clean.spectra[rows] * np.conj(degraded.spectra[rows]), axis=0)
+    correlations = []
+    stoi_correlations = metrics._stoi_correlations
+    monkeypatch.setattr(metrics, "_stoi_correlations",
+                        lambda *segs: correlations.append(stoi_correlations(*segs)) or correlations[-1])
+    monkeypatch.setattr(dsp, "BLOCK_FRAMES", len(clean.frames))
+    csii = metrics._csii(pair, clean, degraded)
+    stoi = metrics.stoi(pair)
+    (corr,) = correlations  # one block: all the segments at once, as one mean
+    assert corr.shape == (metrics.STOI_BANDS, 87)
+    assert stoi == float(np.mean(corr))
+    for block in (len(clean.frames), 7, 1):
+        monkeypatch.setattr(dsp, "BLOCK_FRAMES", block)
+        for analysis, r in zip(analyses, unblocked):
+            np.testing.assert_array_equal(metrics._autocorrelation(analysis), r)
+        np.testing.assert_array_equal(metrics._cross_spectrum(clean, degraded, rows), cross)
+        assert metrics._csii(pair, clean, degraded) == csii
+        assert metrics.stoi(pair) == stoi
 
 
 def test_ncm_too_short_errors():
