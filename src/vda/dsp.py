@@ -2,8 +2,8 @@
 
 Defaults follow common speech-analysis practice: 25 ms frames, 10 ms hop,
 Hamming window. The FFT length is the next power of two >= frame length +
-LLR_ORDER + 1, so that the spectra also give the frames' autocorrelation up
-to lag LLR_ORDER without circular wrap.
+LLR_ORDER + 1, so that the power spectra also give the frames'
+autocorrelation up to lag LLR_ORDER without circular wrap.
 """
 from __future__ import annotations
 
@@ -23,13 +23,13 @@ DEFAULT_WINDOW = "hamming"
 # Normalized-autocorrelation peak below this is treated as unvoiced.
 VOICING_THRESHOLD = 0.45
 # LPC order of the log-likelihood ratio metric, which reads its
-# autocorrelation from the frame analysis's spectra.
+# autocorrelation from the frame analysis's power spectra.
 LLR_ORDER = 10
-# The per-frame work of acf_pitch_track, the llr autocorrelation, the csii
-# cross-spectrum and the stoi segment statistics runs over this many rows
-# (frames or segments) at a time, so its temporaries stay a fixed size
-# however long the signal is.
-BLOCK_FRAMES = 512
+# The per-frame work of frame_analysis, acf_pitch_track, the voiced-frame
+# features and the frame metrics runs over this many rows (frames or
+# segments) at a time, so its temporaries stay a fixed size however long
+# the signal is.
+BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class FrameAnalysis:
 
     frames: np.ndarray  # (n_frames, frame_len) raw samples, a read-only view of the signal
     energy: np.ndarray  # (n_frames,) sum of each frame's squared samples
-    spectra: np.ndarray  # (n_frames, fft_len // 2 + 1) complex rfft of the Hamming-windowed frames
-    power: np.ndarray  # |spectra| ** 2
+    power: np.ndarray  # (n_frames, fft_len // 2 + 1) |rfft| ** 2 of the Hamming-windowed frames
     hop: int
     fft_len: int
 
@@ -49,6 +48,11 @@ class Filterbank:
     kind: str  # third_octave | critical_band | mel
     weights: np.ndarray  # (n_bands, n_bins), non-negative
     center_hz: np.ndarray  # (n_bands,), strictly increasing
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of BLOCK_FRAMES consecutive rows, in order, that cover rows 0 .. n - 1."""
+    return [slice(first, first + BLOCK_FRAMES) for first in range(0, n, BLOCK_FRAMES)]
 
 
 def next_pow2(n: int) -> int:
@@ -81,24 +85,45 @@ def frame(sig: AudioSignal, frame_len: int, hop: int) -> np.ndarray:
 
 
 def frame_analysis(sig: AudioSignal) -> FrameAnalysis:
-    """Default frames of a signal, Hamming-windowed and zero-padded to a
+    """Default frames of a signal and their power spectra (see frame_analyses)."""
+    (analysis,) = frame_analyses(sig)
+    return analysis
+
+
+def frame_analyses(*signals: AudioSignal, visit=None) -> tuple[FrameAnalysis, ...]:
+    """The frame analyses of signals of one rate and length, built in one pass
+    of blocks: default frames and their power spectra, zero-padded to a
     power-of-two rfft of at least frame_len + LLR_ORDER + 1 points; a
-    signal shorter than one frame gives zero rows."""
-    frame_len, hop = default_frame_params(sig.rate)
+    signal shorter than one frame gives zero rows. The frames are windowed
+    and transformed BLOCK_FRAMES rows at a time, so no complex spectrum of
+    a whole signal is held. visit(block, energies, spectra), if given, is
+    called after each block with its slice of rows and, per signal, their
+    energies and complex spectra."""
+    frame_len, hop = default_frame_params(signals[0].rate)
     fft_len = next_pow2(frame_len + LLR_ORDER + 1)
-    frames = frame(sig, frame_len, hop)
-    spectra = np.fft.rfft(frames * get_window(DEFAULT_WINDOW, frame_len), fft_len, axis=1)
-    return FrameAnalysis(frames, np.sum(frames ** 2, axis=1), spectra, np.abs(spectra) ** 2,
-                         hop, fft_len)
+    window = get_window(DEFAULT_WINDOW, frame_len)
+    frames = [frame(sig, frame_len, hop) for sig in signals]
+    energy = [np.empty(len(f)) for f in frames]
+    power = [np.empty((len(f), fft_len // 2 + 1)) for f in frames]
+    for block in row_blocks(len(frames[0])):
+        spectra = [np.fft.rfft(f[block] * window, fft_len, axis=1) for f in frames]
+        for f, e, p, spec in zip(frames, energy, power, spectra):
+            e[block] = np.sum(f[block] ** 2, axis=1)
+            p[block] = np.abs(spec) ** 2
+        if visit is not None:
+            visit(block, [e[block] for e in energy], spectra)
+    return tuple(FrameAnalysis(f, e, p, hop, fft_len) for f, e, p in zip(frames, energy, power))
 
 
 def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation r[0..max_lag] per frame row, via FFT."""
+    """Biased autocorrelation r[0..max_lag] per frame row, via FFT. The power
+    is |spec| ** 2, as in frame_analysis, so each row's result depends on
+    that row alone, whatever the rows beside it."""
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[1]
     fft_len = next_pow2(n + max_lag + 1)
     spec = np.fft.rfft(frames, fft_len, axis=1)
-    acf = np.fft.irfft(spec * np.conj(spec), fft_len, axis=1)
+    acf = np.fft.irfft(np.abs(spec) ** 2, fft_len, axis=1)
     return acf[:, : max_lag + 1]
 
 
@@ -247,7 +272,6 @@ def acf_pitch_track(frames: np.ndarray, rate: int, fmin: float, fmax: float
         raise ValueError("frame too short for the requested pitch range")
     f0 = np.empty(len(frames))
     peak = np.empty(len(frames))
-    for first in range(0, len(frames), BLOCK_FRAMES):
-        block = slice(first, first + BLOCK_FRAMES)
+    for block in row_blocks(len(frames)):
         f0[block], peak[block] = _acf_pitch_block(frames[block], rate, lag_lo, lag_hi)
     return f0, peak

@@ -198,16 +198,18 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
             f"utterance must last at least {MIN_DURATION_SECONDS * 1000:.0f} ms"
         )
     rate = sig.rate
-    analysis = dsp.frame_analysis(sig)
-    frames, power, hop, fft_len = analysis.frames, analysis.power, analysis.hop, analysis.fft_len
-    active = analysis.energy > 0.0
-    del analysis  # frees the complex spectra, which are not read here
-    mags = np.sqrt(power)
-    freqs = np.arange(power.shape[1]) * (rate / fft_len)
-
+    # the pitch track first, so that its blocks' transients are not alive
+    # together with the full-size power and magnitudes
+    _, hop = dsp.default_frame_params(rate)
     pitch_len = int(round(PITCH_FRAME_SECONDS * rate))
     pitch_frames = dsp.frame(sig, pitch_len, hop)
     f0_track, acf_peak = dsp.acf_pitch_track(pitch_frames, rate, PITCH_FMIN, PITCH_FMAX)
+
+    analysis = dsp.frame_analysis(sig)
+    frames, power, fft_len = analysis.frames, analysis.power, analysis.fft_len
+    active = analysis.energy > 0.0
+    mags = np.sqrt(power)
+    freqs = np.arange(power.shape[1]) * (rate / fft_len)
 
     n_common = min(len(frames), len(pitch_frames))
     frames = frames[:n_common]
@@ -314,21 +316,17 @@ def _harmonic_and_formant_features(frames: np.ndarray, mags: np.ndarray,
                                    ) -> tuple[float, float, np.ndarray]:
     """Means over the voiced frames of H1-H2, H1-A3 and the formant
     frequency/bandwidth/level; the formant terms average over the frames
-    with three formants."""
-    pre = frames[voiced]  # a copy, since ``frames`` is a read-only view
-    pre[:, 1:] -= PREEMPHASIS * pre[:, :-1]
-    w = dsp.get_window(dsp.DEFAULT_WINDOW, frames.shape[1])
-    a_rows, _, lpc_valid = dsp.lpc_batch(pre * w, FORMANT_LPC_ORDER)
-    f_hz = np.full((len(a_rows), 3), np.nan)
-    bw_hz = f_hz.copy()
-    f_hz[lpc_valid], bw_hz[lpc_valid] = _formants(a_rows[lpc_valid], rate)
+    with three formants. The voiced rows are taken dsp.BLOCK_FRAMES at a
+    time (see _voiced_frame_terms), and only their per-frame terms are kept
+    for the means."""
+    rows = np.flatnonzero(voiced)
+    peaks = np.empty((len(rows), 5))
+    f_hz = np.empty((len(rows), 3))
+    bw_hz = np.empty((len(rows), 3))
+    for block in dsp.row_blocks(len(rows)):
+        peaks[block], f_hz[block], bw_hz[block] = _voiced_frame_terms(
+            frames, mags, freqs, f0_track, rows[block], rate)
     has_formants = ~np.isnan(f_hz[:, 0])
-
-    # H1, H2 and the harmonic nearest each formant, +-half around its target
-    f0 = f0_track[voiced][:, None]
-    half = np.maximum(0.25 * f0, 2.0 * freqs[1])
-    targets = np.hstack([f0, 2.0 * f0, np.maximum(1.0, np.rint(f_hz / f0)) * f0])
-    peaks = _band_peaks(mags[voiced][:, None, :], freqs, targets - half, targets + half)
     h1, h2, amps = peaks[:, 0], peaks[:, 1], peaks[:, 2:]
     a3 = amps[:, 2]
 
@@ -337,6 +335,26 @@ def _harmonic_and_formant_features(frames: np.ndarray, mags: np.ndarray,
         h1a3 = _masked_mean(20.0 * np.log10(h1 / a3), has_formants & (h1 > 0.0) & (a3 > 0.0))
         level = np.where((amps > 0.0) & (h1[:, None] > 0.0),
                          20.0 * np.log10(amps / h1[:, None]), 0.0)
-    rows = np.stack([f_hz, bw_hz, level], axis=-1).reshape(len(f_hz), 9)[has_formants]
-    stats = np.mean(rows, axis=0) if len(rows) else np.zeros(9)
-    return h1h2, h1a3, stats
+    stats = np.stack([f_hz, bw_hz, level], axis=-1).reshape(len(f_hz), 9)[has_formants]
+    return h1h2, h1a3, np.mean(stats, axis=0) if len(stats) else np.zeros(9)
+
+
+def _voiced_frame_terms(frames: np.ndarray, mags: np.ndarray, freqs: np.ndarray,
+                        f0_track: np.ndarray, rows: np.ndarray, rate: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per frame of ``rows``: the harmonic peaks H1, H2 and the harmonic
+    nearest each formant, +-half around its target (rows, 5), and the three
+    formant frequencies and bandwidths (rows, 3), NaN without three
+    formants. Each frame's terms depend on that frame alone."""
+    pre = frames[rows]  # a copy, since ``frames`` is a read-only view
+    pre[:, 1:] -= PREEMPHASIS * pre[:, :-1]
+    w = dsp.get_window(dsp.DEFAULT_WINDOW, frames.shape[1])
+    a_rows, _, lpc_valid = dsp.lpc_batch(pre * w, FORMANT_LPC_ORDER)
+    f_hz = np.full((len(a_rows), 3), np.nan)
+    bw_hz = f_hz.copy()
+    f_hz[lpc_valid], bw_hz[lpc_valid] = _formants(a_rows[lpc_valid], rate)
+
+    f0 = f0_track[rows][:, None]
+    half = np.maximum(0.25 * f0, 2.0 * freqs[1])
+    targets = np.hstack([f0, 2.0 * f0, np.maximum(1.0, np.rint(f_hz / f0)) * f0])
+    return _band_peaks(mags[rows][:, None, :], freqs, targets - half, targets + half), f_hz, bw_hz

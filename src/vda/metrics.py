@@ -44,9 +44,6 @@ NCM_BLOCK_BANDS = 2
 MIN_ENVELOPE_SECONDS = 0.384
 
 _EPS = np.finfo(np.float64).eps
-# The size from which numpy computes `x * f(y)` into the temporary f(y)
-# (NPY_MIN_ELIDE_BYTES), with the operands swapped; see _autocorrelation.
-_ELIDE_BYTES = 256 * 1024
 
 
 # The value columns of metrics.csv, in file order: see MetricReport.cells.
@@ -76,12 +73,53 @@ class MetricReport:
                 self.ncm, self.pesq, *(self.composite or (None, None, None)))
 
 
-def _analyze_pair(pair: AlignedPair) -> tuple[dsp.FrameAnalysis, dsp.FrameAnalysis]:
-    """The frame analyses of both sides, read by snr_seg, fw_snr_seg, llr, wss and csii."""
-    clean = dsp.frame_analysis(pair.clean)
+class _PairAnalysis(NamedTuple):
+    """What snr_seg, fw_snr_seg, llr, wss and csii read of a pair: both
+    sides' frame analyses, and csii's cross-spectrum sum over each level
+    region (see _csii_regions), 0.0 for a region with no frame."""
+
+    clean: dsp.FrameAnalysis
+    degraded: dsp.FrameAnalysis
+    cross: list
+
+
+def _csii_regions(energy: np.ndarray, frame_len: int, overall: float) -> tuple[np.ndarray, ...]:
+    """csii's high, mid and low level regions of the frames with these
+    clean energies: frame RMS >= 0 dB, in [-10, 0) dB and in [-30, -10) dB
+    relative to the clean signal's overall RMS."""
+    rms = np.sqrt(energy / frame_len)
+    return (
+        rms >= overall,
+        (rms < overall) & (rms >= overall * 10.0 ** (-10.0 / 20.0)),
+        (rms < overall * 10.0 ** (-10.0 / 20.0)) & (rms >= overall * 10.0 ** (-30.0 / 20.0)),
+    )
+
+
+def _analyze_pair(pair: AlignedPair) -> _PairAnalysis:
+    """Both sides' frame analyses, and csii's cross-spectra from the same
+    transforms, in one pass of blocks (dsp.frame_analyses). Each region's
+    products of a block go to rows 1.. of a buffer whose row 0 carries the
+    running total into the block's sum over axis 0, which numpy takes row
+    after row, so every bin is summed in the order of one np.sum over all
+    the region's rows."""
+    frame_len, _ = dsp.default_frame_params(pair.rate)
+    overall = pair.clean.rms()
+    cross = [0.0, 0.0, 0.0]
+
+    def add_cross(block: slice, energies: list, spectra: list) -> None:
+        spec_c, spec_d = spectra
+        for r, region in enumerate(_csii_regions(energies[0], frame_len, overall)):
+            rows = np.flatnonzero(region)
+            if len(rows):
+                buf = np.empty((len(rows) + 1, spec_c.shape[1]), dtype=complex)
+                buf[0] = cross[r]
+                np.multiply(spec_c[rows], np.conj(spec_d[rows]), out=buf[1:])
+                cross[r] = np.sum(buf, axis=0)
+
+    clean, degraded = dsp.frame_analyses(pair.clean, pair.degraded, visit=add_cross)
     if len(clean.frames) == 0:
         raise PreconditionError("pair shorter than one analysis frame")
-    return clean, dsp.frame_analysis(pair.degraded)
+    return _PairAnalysis(clean, degraded, cross)
 
 
 def _trimmed_mean(values: np.ndarray) -> float:
@@ -90,11 +128,14 @@ def _trimmed_mean(values: np.ndarray) -> float:
     return float(np.mean(ordered[:keep]))
 
 
-def _snr_seg(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
+def _snr_seg(pair: AlignedPair, a: _PairAnalysis) -> float:
+    c, d = a.clean, a.degraded
     mask = c.energy > 0.0
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
-    error = np.sum((c.frames - d.frames) ** 2, axis=1)
+    error = np.empty(len(c.frames))
+    for block in dsp.row_blocks(len(error)):
+        error[block] = np.sum((c.frames[block] - d.frames[block]) ** 2, axis=1)
     with np.errstate(divide="ignore"):
         ratio = 10.0 * np.log10(np.where(error > 0.0, c.energy / np.where(error > 0.0, error, 1.0), np.inf))
     ratio = np.clip(ratio, SEG_SNR_FLOOR_DB, SEG_SNR_CEIL_DB)
@@ -103,10 +144,11 @@ def _snr_seg(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> f
 
 def snr_seg(pair: AlignedPair) -> float:
     """Frame-averaged clamped signal-to-error ratio in dB."""
-    return _snr_seg(pair, *_analyze_pair(pair))
+    return _snr_seg(pair, _analyze_pair(pair))
 
 
-def _fw_snr_seg(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
+def _fw_snr_seg(pair: AlignedPair, a: _PairAnalysis) -> float:
+    c, d = a.clean, a.degraded
     mask = c.energy > 0.0
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
@@ -132,32 +174,24 @@ def _fw_snr_seg(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -
 
 def fw_snr_seg(pair: AlignedPair) -> float:
     """Critical-band SNR, weighted per frame by clean band magnitude^0.2."""
-    return _fw_snr_seg(pair, *_analyze_pair(pair))
+    return _fw_snr_seg(pair, _analyze_pair(pair))
 
 
 def _autocorrelation(a: dsp.FrameAnalysis) -> np.ndarray:
-    """r[0..LLR_ORDER] of each windowed frame, from the analysis's spectra;
-    exact because fft_len >= frame_len + LLR_ORDER + 1 (see dsp.frame_analysis).
-    The inverse FFTs run dsp.BLOCK_FRAMES rows at a time and keep only those
-    lags; each row's transform depends on that row alone.
-
-    Each block's power s conj(s) takes its operands in the order that
-    `s * np.conj(s)` takes over all the rows (as dsp.autocorrelate does):
-    numpy computes a product of _ELIDE_BYTES or more into the conj
-    temporary, as conj(s) s, and with fused multiply-adds the order sets
-    the last bits of the imaginary part."""
-    swapped = a.spectra.nbytes >= _ELIDE_BYTES
-    r = np.empty((len(a.spectra), LLR_ORDER + 1))
-    for first in range(0, len(r), dsp.BLOCK_FRAMES):
-        spec = a.spectra[first:first + dsp.BLOCK_FRAMES]
-        power = np.conj(spec)
-        operands = (power, spec) if swapped else (spec, power)
-        np.multiply(*operands, out=power)
-        r[first:first + len(spec)] = np.fft.irfft(power, a.fft_len, axis=1)[:, :LLR_ORDER + 1]
+    """r[0..LLR_ORDER] of each windowed frame, the inverse FFT of the
+    analysis's power; exact because fft_len >= frame_len + LLR_ORDER + 1
+    (see dsp.frame_analyses), and the bits of dsp.autocorrelate, which takes
+    the same |spec| ** 2. The inverse FFTs run dsp.BLOCK_FRAMES rows at a
+    time and keep only those lags; each row's transform depends on that
+    row alone."""
+    r = np.empty((len(a.power), LLR_ORDER + 1))
+    for block in dsp.row_blocks(len(r)):
+        r[block] = np.fft.irfft(a.power[block], a.fft_len, axis=1)[:, :LLR_ORDER + 1]
     return r
 
 
-def _llr(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
+def _llr(pair: AlignedPair, a: _PairAnalysis) -> float:
+    c, d = a.clean, a.degraded
     rc = _autocorrelation(c)
     rd = _autocorrelation(d)
     valid = (rc[:, 0] > 0.0) & (rd[:, 0] > 0.0)
@@ -184,18 +218,13 @@ def llr(pair: AlignedPair) -> float:
     windowed frame and R_c the clean autocorrelation matrix; the mean is
     taken over the smallest 95% of frame values.
     """
-    return _llr(pair, *_analyze_pair(pair))
+    return _llr(pair, _analyze_pair(pair))
 
 
-def _wss(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float:
-    n_bands = 36
+def _wss_frames(pc: np.ndarray, pd: np.ndarray) -> np.ndarray:
+    """wss's value of each frame row from its clean and degraded band powers;
+    each row's value depends on that row alone."""
     kmax, klocmax = 20.0, 1.0
-    valid = (c.energy > 0.0) & (d.energy > 0.0)
-    if not np.any(valid):
-        raise DegenerateInputError("no frame carries energy on both sides")
-    bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, n_bands, 50.0)
-    pc = c.power[valid] @ bank.weights.T
-    pd = d.power[valid] @ bank.weights.T
     # relative floor keeps the dB spectra finite and gain-invariant
     pc = np.maximum(pc, pc.max(axis=1, keepdims=True) * 1e-10)
     pd = np.maximum(pd, pd.max(axis=1, keepdims=True) * 1e-10)
@@ -212,7 +241,22 @@ def _wss(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis) -> float
         klocmax / (klocmax + peak_d - dbd[:, :-1])
     )
     weights = 0.5 * (wc + wd)
-    frame_vals = np.sum(weights * (slope_c - slope_d) ** 2, axis=1) / np.sum(weights, axis=1)
+    return np.sum(weights * (slope_c - slope_d) ** 2, axis=1) / np.sum(weights, axis=1)
+
+
+def _wss(pair: AlignedPair, a: _PairAnalysis) -> float:
+    c, d = a.clean, a.degraded
+    valid = np.flatnonzero((c.energy > 0.0) & (d.energy > 0.0))
+    if len(valid) == 0:
+        raise DegenerateInputError("no frame carries energy on both sides")
+    bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, 36, 50.0)
+    # the band sums of every frame in one product each, so no rows of the
+    # power are copied; the frame values then run in blocks of valid rows
+    pc = c.power @ bank.weights.T
+    pd = d.power @ bank.weights.T
+    frame_vals = np.empty(len(valid))
+    for block in dsp.row_blocks(len(valid)):
+        frame_vals[block] = _wss_frames(pc[valid[block]], pd[valid[block]])
     return _trimmed_mean(frame_vals)
 
 
@@ -224,31 +268,13 @@ def wss(pair: AlignedPair) -> float:
     over the clean and degraded weightings), normalized by the weight sum;
     the mean is over the smallest 95% of frames.
     """
-    return _wss(pair, *_analyze_pair(pair))
-
-
-def _cross_spectrum(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, rows: np.ndarray) -> np.ndarray:
-    """The sum over `rows` of c.spectra * conj(d.spectra), dsp.BLOCK_FRAMES
-    rows at a time into two buffers (np.take buffers its `out` again unless
-    mode is not "raise"). Row 0 of one carries the running total into each
-    block's sum over axis 0, which numpy takes row after row, so every bin
-    is summed in the order of one np.sum over all the rows."""
-    buf = np.zeros((min(dsp.BLOCK_FRAMES, len(rows)) + 1, c.spectra.shape[1]), dtype=complex)
-    clean = np.empty_like(buf[1:])
-    for first in range(0, len(rows), dsp.BLOCK_FRAMES):
-        block = rows[first:first + dsp.BLOCK_FRAMES]
-        prod = buf[1:len(block) + 1]
-        np.conjugate(np.take(d.spectra, block, axis=0, out=prod, mode="clip"), out=prod)
-        np.multiply(np.take(c.spectra, block, axis=0, out=clean[:len(block)], mode="clip"), prod,
-                    out=prod)
-        buf[0] = np.sum(buf[:len(block) + 1], axis=0)
-    return buf[0]
+    return _wss(pair, _analyze_pair(pair))
 
 
 def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
-                 weights: np.ndarray) -> float:
-    """Coherence-based index over one level region (>= 2 frames)."""
-    cross = _cross_spectrum(c, d, np.flatnonzero(region))
+                 cross: np.ndarray, weights: np.ndarray) -> float:
+    """Coherence-based index over one level region (>= 2 frames), whose
+    cross-spectrum sum is ``cross``."""
     pc = c.power[region]
     pd = d.power[region]
     denom = np.sum(pc, axis=0) * np.sum(pd, axis=0)
@@ -271,24 +297,18 @@ def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
     return float(np.sum(importance * transfer) / total)
 
 
-def _csii(pair: AlignedPair, c: dsp.FrameAnalysis, d: dsp.FrameAnalysis
-          ) -> tuple[float | None, float | None, float | None]:
-    rms = np.sqrt(c.energy / c.frames.shape[1])
+def _csii(pair: AlignedPair, a: _PairAnalysis) -> tuple[float | None, float | None, float | None]:
+    c, d = a.clean, a.degraded
     overall = pair.clean.rms()
     if overall <= 0.0:
         raise DegenerateInputError("clean signal is silent")
     bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, CSII_BANDS, 50.0)
-    bounds = (
-        rms >= overall,
-        (rms < overall) & (rms >= overall * 10.0 ** (-10.0 / 20.0)),
-        (rms < overall * 10.0 ** (-10.0 / 20.0)) & (rms >= overall * 10.0 ** (-30.0 / 20.0)),
-    )
     out: list[float | None] = []
-    for region in bounds:
+    for region, cross in zip(_csii_regions(c.energy, c.frames.shape[1], overall), a.cross):
         if np.count_nonzero(region) < 2:
             out.append(None)
         else:
-            out.append(_csii_region(c, d, region, bank.weights))
+            out.append(_csii_region(c, d, region, cross, bank.weights))
     if all(v is None for v in out):
         raise DegenerateInputError("no level region holds at least two frames")
     return (out[0], out[1], out[2])
@@ -301,7 +321,7 @@ def csii(pair: AlignedPair) -> tuple[float | None, float | None, float | None]:
     high >= 0 dB, mid [-10, 0) dB, low [-30, -10) dB. A region with fewer
     than two frames yields None (coherence needs averaging).
     """
-    return _csii(pair, *_analyze_pair(pair))
+    return _csii(pair, _analyze_pair(pair))
 
 
 def _analytic_spectra(pair: AlignedPair, nfft: int) -> np.ndarray:
@@ -545,21 +565,20 @@ def stoi(pair: AlignedPair) -> float:
         raise PreconditionError(
             f"pair must last at least {MIN_ENVELOPE_SECONDS * 1000:.0f} ms"
         )
-    c10 = corpus.resample(pair.clean, STOI_RATE)
-    d10 = corpus.resample(pair.degraded, STOI_RATE)
     w = dsp.get_window("hann", STOI_FRAME)
-    fc = dsp.frame(c10, STOI_FRAME, STOI_HOP) * w
-    fd = dsp.frame(d10, STOI_FRAME, STOI_HOP) * w
-    energies = 20.0 * np.log10(np.linalg.norm(fc, axis=1) + _EPS)
-    mask = energies > energies.max() - STOI_SILENCE_RANGE_DB
-    if np.count_nonzero(mask) < STOI_SEGMENT:
+    fc = dsp.frame(corpus.resample(pair.clean, STOI_RATE), STOI_FRAME, STOI_HOP)
+    fd = dsp.frame(corpus.resample(pair.degraded, STOI_RATE), STOI_FRAME, STOI_HOP)
+    norms = np.empty(len(fc))
+    for block in dsp.row_blocks(len(fc)):
+        norms[block] = np.linalg.norm(fc[block] * w, axis=1)
+    energies = 20.0 * np.log10(norms + _EPS)
+    active = np.flatnonzero(energies > energies.max() - STOI_SILENCE_RANGE_DB)
+    if len(active) < STOI_SEGMENT:
         raise DegenerateInputError("fewer than 30 speech-active frames")
 
     bank = dsp.make_filterbank("third_octave", STOI_RATE, STOI_FFT, STOI_BANDS, STOI_FMIN)
-    pc = np.abs(np.fft.rfft(fc[mask], STOI_FFT, axis=1)) ** 2
-    pd = np.abs(np.fft.rfft(fd[mask], STOI_FFT, axis=1)) ** 2
-    env_c = np.sqrt(pc @ bank.weights.T).T  # (bands, frames)
-    env_d = np.sqrt(pd @ bank.weights.T).T
+    env_c = _stoi_envelopes(fc, active, w, bank.weights)
+    env_d = _stoi_envelopes(fd, active, w, bank.weights)
 
     seg_c = np.lib.stride_tricks.sliding_window_view(env_c, STOI_SEGMENT, axis=1)
     seg_d = np.lib.stride_tricks.sliding_window_view(env_d, STOI_SEGMENT, axis=1)
@@ -567,10 +586,22 @@ def stoi(pair: AlignedPair) -> float:
     # gives the segment statistics of these views; it sets np.mean's
     # summation order
     corr = np.empty(seg_c.shape[1::-1]).T
-    for first in range(0, seg_c.shape[1], dsp.BLOCK_FRAMES):
-        block = slice(first, first + dsp.BLOCK_FRAMES)
+    for block in dsp.row_blocks(seg_c.shape[1]):
         corr[:, block] = _stoi_correlations(seg_c[:, block], seg_d[:, block])
     return float(np.mean(corr))
+
+
+def _stoi_envelopes(frames: np.ndarray, rows: np.ndarray, window: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """stoi's (bands, len(rows)) band envelopes of the windowed frame rows,
+    the transpose of a (rows, bands) array. The power is transformed
+    dsp.BLOCK_FRAMES rows at a time; the band sums are one product over all
+    the rows, because a product over fewer rows can take another BLAS
+    kernel (OpenBLAS's small-matrix or vector route) and other last bits."""
+    power = np.empty((len(rows), STOI_FFT // 2 + 1))
+    for block in dsp.row_blocks(len(rows)):
+        power[block] = np.abs(np.fft.rfft(frames[rows[block]] * window, STOI_FFT, axis=1)) ** 2
+    return np.sqrt(power @ weights.T).T
 
 
 def _stoi_correlations(seg_c: np.ndarray, seg_d: np.ndarray) -> np.ndarray:
@@ -611,7 +642,7 @@ _METRIC_OPS = (
     ("ncm", ncm),
 )
 
-# The metrics that read the pair's frame analyses, as (pair, clean, degraded) bodies.
+# The metrics that read the pair's frame analyses, as (pair, _analyze_pair(pair)) bodies.
 _FRAME_BODIES = {"snr_seg": _snr_seg, "fw_snr_seg": _fw_snr_seg, "llr": _llr, "wss": _wss,
                  "csii": _csii}
 
@@ -664,7 +695,7 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
         try:
             if name in _FRAME_BODIES:
                 analyses = analyses or _analyze_pair(pair)
-                values[name] = _FRAME_BODIES[name](pair, *analyses)
+                values[name] = _FRAME_BODIES[name](pair, analyses)
             else:
                 analyses = ()  # freed before ncm, so that their memory and ncm's do not add up
                 values[name] = op(pair)

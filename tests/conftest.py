@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -36,6 +38,15 @@ def make_speech_like(seed=7, duration=1.0, rate=RATE, level_sweep_db=26.0):
     t = np.arange(len(sig.samples)) / rate
     env = 10.0 ** (-level_sweep_db * t / t[-1] / 20.0)
     return AudioSignal(sig.samples * env, rate)
+
+
+def peak_memory(op, *args):
+    """op(*args) and the tracemalloc peak, in bytes, of what it allocated."""
+    tracemalloc.start()
+    try:
+        return op(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def identity_pair(sig):

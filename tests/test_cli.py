@@ -7,7 +7,6 @@ import platform
 import struct
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from vda import cli, corpus, metrics
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from vda.errors import FormatError, SchemaError, VdaError
 
-from conftest import make_speech_like, noisy_pair
+from conftest import make_speech_like, noisy_pair, peak_memory
 from test_corpus import _DATA_START, _FMT_FIELDS, _SIZE_FIELDS, _wav_bytes
 from test_golden import GOLDEN
 
@@ -755,12 +754,7 @@ def test_reader_peak_memory_is_bounded(tmp_path):
     path = tmp_path / "errors.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(_errors_table(20000))
-    tracemalloc.start()
-    try:
-        _, _, values = cli._read_table(path, cli.ERROR_COLUMNS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, _, values), peak = peak_memory(cli._read_table, path, cli.ERROR_COLUMNS)
     assert values.shape == (20000, 26)
     assert peak < 6 * values.nbytes, peak / values.nbytes
 

@@ -1,7 +1,6 @@
 import math
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 from vda import corpus
 from vda.corpus import AudioSignal, ConditionLabel
 from vda.errors import AlignmentError, FormatError, SchemaError, UnsupportedFormatError
+
+from conftest import peak_memory
 
 
 def _wav_bytes(rate, channels, fmt_tag, bits, frames: bytes) -> bytes:
@@ -112,12 +113,7 @@ def test_resample_peak_memory_at_the_worst_accepted_rate(tmp_path):
     path.write_bytes(_wav_bytes(rate, 1, 1, 16, pcm.tobytes()))
     sig = corpus.load_wav(path)
     corpus._polyphase_taps.cache_clear()
-    tracemalloc.start()
-    try:
-        out = corpus.resample(sig, corpus.CANONICAL_RATE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = peak_memory(corpus.resample, sig, corpus.CANONICAL_RATE)
     assert len(out) == corpus.CANONICAL_RATE
     assert peak < 16 * out.samples.nbytes
 
@@ -410,12 +406,7 @@ def test_align_peak_memory_is_bounded():
     x = 0.2 * rng.standard_normal(20 * 16000)
     d = np.concatenate([np.zeros(123), x[:-123]]) + 0.01 * rng.standard_normal(len(x))
     clean, degraded = AudioSignal(x, 16000), AudioSignal(d, 16000)
-    tracemalloc.start()
-    try:
-        pair = corpus.align(clean, degraded, 4000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pair, peak = peak_memory(corpus.align, clean, degraded, 4000)
     assert pair.applied_lag == 123
     assert peak < 4.0 * x.nbytes
 

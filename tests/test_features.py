@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,7 @@ from vda.corpus import AudioSignal
 from vda.errors import PreconditionError
 from vda.features import ErrorVector, FeatureVector, extract_features, feature_error
 
-from conftest import make_speech_like, make_tone, make_vowel
+from conftest import make_speech_like, make_tone, make_vowel, peak_memory
 
 RATE = 16000
 
@@ -336,14 +334,15 @@ def test_mfcc_basis_matches_scipy_dct():
 
 def test_extract_features_peak_memory_is_bounded():
     # With the 25 ms and 40 ms frame matrices copied out of the signal, one
-    # side's features peaked at 32.9x the bytes of its samples on this 20 s
-    # signal; with the frames as views of the samples they take 26.4x, and
-    # with the pitch track taken in blocks of frames 9.5x.
-    sig = make_speech_like(seed=5, duration=20.0)
-    tracemalloc.start()
-    try:
-        extract_features(sig)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 11.0 * sig.samples.nbytes
+    # side's features peaked at 32.9x the bytes of its samples on the 20 s
+    # speech-like signal; with the frames as views of the samples they took
+    # 26.4x, and with the pitch track taken in blocks of frames 9.5x. With
+    # every voiced frame's formant and harmonic terms at once, the fully
+    # voiced 20 s tone took 18.3x. In blocks of frames, with no complex
+    # spectra kept, each takes 5.1x.
+    t = np.arange(20 * RATE) / RATE
+    tone = AudioSignal(sum(0.3 / k * np.sin(2.0 * np.pi * 150.0 * k * t) for k in range(1, 9)),
+                       RATE)
+    for sig in (make_speech_like(seed=5, duration=20.0), tone):
+        _, peak = peak_memory(extract_features, sig)
+        assert peak < 5.8 * sig.samples.nbytes

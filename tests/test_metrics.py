@@ -1,6 +1,5 @@
 import dataclasses
 import importlib.util
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from vda import corpus, dsp, metrics
 from vda.corpus import AlignedPair, AudioSignal
 from vda.errors import DegenerateInputError, MetricError, PreconditionError
 
-from conftest import identity_pair, make_speech_like, noisy_pair
+from conftest import identity_pair, make_speech_like, noisy_pair, peak_memory
 
 RATE = 16000
 
@@ -170,7 +169,8 @@ def _llr_oracle(x, d):
 
 @pytest.mark.parametrize("rate", [8000, 10000, 16000, 44100])
 def test_llr_autocorrelation_reads_the_shared_spectra(rate):
-    # exact at every rate, 10 kHz included, where a 256-point FFT would wrap
+    # from the analysis's power spectra, exact at every rate, 10 kHz
+    # included, where a 256-point FFT would wrap
     rng = np.random.default_rng(3)
     analysis = dsp.frame_analysis(AudioSignal(rng.uniform(-1, 1, rate // 10), rate))
     windowed = analysis.frames * np.hamming(analysis.frames.shape[1])
@@ -428,13 +428,7 @@ def test_ncm_blocks_do_not_change_ncm(monkeypatch):
 
 def _peak_memory(op, pair) -> float:
     """The tracemalloc peak of op(pair), in multiples of one side's sample bytes."""
-    tracemalloc.start()
-    try:
-        op(pair)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / pair.clean.samples.nbytes
+    return peak_memory(op, pair)[1] / pair.clean.samples.nbytes
 
 
 def test_ncm_peak_memory_is_bounded():
@@ -450,50 +444,81 @@ def test_frame_metrics_peak_memory_is_bounded():
     # ncm peaked at 24.4x the bytes of one side's samples on this 20 s pair;
     # with the frames as views of the samples 19.4x, and with the llr
     # autocorrelation and the csii cross-spectrum taken in blocks of frames
-    # 12.8x. Both sides' frame analyses alone hold 9.6x.
+    # 12.8x, of which both sides' frame analyses held 9.6x. With no complex
+    # spectra kept, the analyses hold 3.2x (their power), snr_seg and wss
+    # run in blocks of frames, and the whole takes 5.4x.
     pair = noisy_pair(make_speech_like(seed=5, duration=20.0), 0.0)
     selected = tuple(m for m in metrics.METRIC_NAMES if m != "ncm")
-    assert _peak_memory(lambda p: metrics.evaluate_pair(p, selected=selected), pair) < 14.0
+    assert _peak_memory(lambda p: metrics.evaluate_pair(p, selected=selected), pair) < 6.2
 
 
 def test_stoi_peak_memory_is_bounded():
     # With the statistics of all the envelope segments at once, stoi peaked
     # at 15.5x the bytes of one side's samples on this 20 s pair; in blocks
-    # of segments it takes 9.5x.
+    # of segments it took 9.5x, and with the frames, their transforms and
+    # power in blocks as well 2.9x.
     pair = noisy_pair(make_speech_like(seed=5, duration=20.0), 0.0)
-    assert _peak_memory(metrics.stoi, pair) < 11.0
+    assert _peak_memory(metrics.stoi, pair) < 3.4
+
+
+def _unblocked_spectra(analysis, rows):
+    """The windowed rfft of an analysis's frame rows, all in one call."""
+    return np.fft.rfft(analysis.frames[rows] * np.hamming(analysis.frames.shape[1]),
+                       analysis.fft_len, axis=1)
 
 
 def test_frame_blocks_do_not_change_llr_csii_and_stoi(monkeypatch):
     # 1.5 s: 148 frames and 87 stoi segments, so blocks of 7 leave some over;
     # at this SNR the mean of the correlations depends on their layout
     pair = noisy_pair(make_speech_like(seed=5, duration=1.5), 0.0)
-    clean, degraded = metrics._analyze_pair(pair)
-    # 63 and 64 frames lie on either side of the size from which numpy
-    # swaps the operands of the unblocked product (see _autocorrelation)
-    analyses = [clean, *(dsp.frame_analysis(AudioSignal(pair.clean.samples[:400 + 160 * (n - 1)], RATE))
-                         for n in (63, 64))]
-    unblocked = [np.fft.irfft(a.spectra * np.conj(a.spectra), a.fft_len, axis=1)[:, :metrics.LLR_ORDER + 1]
-                 for a in analyses]
-    rows = np.flatnonzero(clean.energy > np.median(clean.energy))  # a level region
-    cross = np.sum(clean.spectra[rows] * np.conj(degraded.spectra[rows]), axis=0)
+    monkeypatch.setattr(dsp, "BLOCK_FRAMES", 10 ** 6)
+    analyses = metrics._analyze_pair(pair)
+    clean, degraded = analyses.clean, analyses.degraded
+    every = np.arange(len(clean.frames))
+    power = [np.abs(_unblocked_spectra(a, every)) ** 2 for a in (clean, degraded)]
+    energy = np.sum(clean.frames ** 2, axis=1)
+    autocorrelation = np.fft.irfft(power[0], clean.fft_len, axis=1)[:, :metrics.LLR_ORDER + 1]
+    regions = metrics._csii_regions(energy, clean.frames.shape[1], pair.clean.rms())
+    assert all(np.count_nonzero(region) > 7 for region in regions)
+    cross = [np.sum(_unblocked_spectra(clean, region) * np.conj(_unblocked_spectra(degraded, region)),
+                    axis=0) for region in regions]
     correlations = []
     stoi_correlations = metrics._stoi_correlations
     monkeypatch.setattr(metrics, "_stoi_correlations",
                         lambda *segs: correlations.append(stoi_correlations(*segs)) or correlations[-1])
-    monkeypatch.setattr(dsp, "BLOCK_FRAMES", len(clean.frames))
-    csii = metrics._csii(pair, clean, degraded)
+    csii = metrics._csii(pair, analyses)
     stoi = metrics.stoi(pair)
     (corr,) = correlations  # one block: all the segments at once, as one mean
     assert corr.shape == (metrics.STOI_BANDS, 87)
     assert stoi == float(np.mean(corr))
     for block in (len(clean.frames), 7, 1):
         monkeypatch.setattr(dsp, "BLOCK_FRAMES", block)
-        for analysis, r in zip(analyses, unblocked):
-            np.testing.assert_array_equal(metrics._autocorrelation(analysis), r)
-        np.testing.assert_array_equal(metrics._cross_spectrum(clean, degraded, rows), cross)
-        assert metrics._csii(pair, clean, degraded) == csii
+        a = metrics._analyze_pair(pair)
+        np.testing.assert_array_equal(a.clean.energy, energy)
+        np.testing.assert_array_equal(a.clean.power, power[0])
+        np.testing.assert_array_equal(a.degraded.power, power[1])
+        np.testing.assert_array_equal(metrics._autocorrelation(a.clean), autocorrelation)
+        for got, want in zip(a.cross, cross):
+            np.testing.assert_array_equal(got, want)
+        assert metrics._csii(pair, a) == csii
         assert metrics.stoi(pair) == stoi
+
+
+def test_frame_blocks_do_not_change_snr_seg_and_wss(monkeypatch):
+    # 148 frames, a few of them silent on the degraded side, so wss's valid
+    # rows are not all the frames
+    pair = noisy_pair(make_speech_like(seed=5, duration=1.5), 0.0)
+    degraded = pair.degraded.samples.copy()
+    degraded[2000:2800] = 0.0
+    pair = AlignedPair(pair.clean, AudioSignal(degraded, RATE), 0, 1.0)
+    analyses = metrics._analyze_pair(pair)
+    assert not (analyses.degraded.energy > 0.0).all()
+    monkeypatch.setattr(dsp, "BLOCK_FRAMES", len(analyses.clean.frames))
+    snr, distance = metrics._snr_seg(pair, analyses), metrics._wss(pair, analyses)
+    for block in (7, 1):
+        monkeypatch.setattr(dsp, "BLOCK_FRAMES", block)
+        assert metrics._snr_seg(pair, analyses) == snr
+        assert metrics._wss(pair, analyses) == distance
 
 
 def test_ncm_too_short_errors():
