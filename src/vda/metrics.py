@@ -36,10 +36,10 @@ CSII_BANDS = 25
 NCM_BANDS = 20
 NCM_ENV_LOWPASS_HZ = 25.0
 SDR_CLIP_DB = 15.0
-# Bands per ncm envelope block. A block's complex64 band spectra, both sides,
-# take 16 bytes per band and FFT bin, 10 MB for a 20 s pair at 16 kHz; it
-# divides NCM_BANDS, so every block has the same shapes.
-NCM_BLOCK_BANDS = 2
+# Bytes of ncm's complex64 row buffer: it holds the largest multiple of 4
+# polyphase rows that fits, and at least 4 (see _group_rows): 20 rows of
+# 3200 points on a 1 s pair at 16 kHz, 4 rows of 64 000 (2 MB) on a 20 s pair.
+NCM_GROUP_BYTES = 512 * 1024
 
 MIN_ENVELOPE_SECONDS = 0.384
 
@@ -369,7 +369,7 @@ def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) ->
     n_bank = bank_weights.shape[1]
     bin_hz_bank = (rate / 2.0) / (n_bank - 1)
     # the bank bin of each spectrum bin, in the smallest integer type because
-    # it is alive while the blocks' transforms set ncm's peak memory
+    # it is alive while the row groups' transforms set ncm's peak memory
     idx = np.clip(np.round(np.fft.rfftfreq(nfft, 1.0 / rate) / bin_hz_bank), 0, n_bank - 1
                   ).astype(np.min_scalar_type(n_bank - 1))
     # idx is non-decreasing, so each band's non-zero bank bins map to one
@@ -397,9 +397,17 @@ def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) ->
                          twiddles(keep, -1.0))
 
 
+def _group_rows(q: int) -> int:
+    """Rows of q points per group of ncm's row buffer: the largest multiple
+    of 4 whose complex64 rows fit NCM_GROUP_BYTES, and at least 4. numpy's
+    pocketfft transforms the rows of one call in batches, so a call of 4
+    rows runs each at well under the cost of a lone one."""
+    return max(4, NCM_GROUP_BYTES // (8 * q) // 4 * 4)
+
+
 def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.ndarray,
-                    bands: slice, lowpass: np.ndarray) -> np.ndarray:
-    """Lowpassed envelopes of the bank's `bands`, both sides, as spectra,
+                    lowpass: np.ndarray) -> np.ndarray:
+    """Lowpassed envelopes of every band of the bank, both sides, as spectra,
     complex128 of shape (2, bands, len(lowpass)): clean, then degraded.
 
     The envelope is the magnitude of the spectral-masked analytic band
@@ -416,28 +424,47 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
     put back together from the rows' q-point FFTs as
     X_k = sum_a w^(-k a) RFFT_q(row a)[k], k < keep <= q / 2. So every one of
     the nfft envelope samples is computed, by transforms of length q; with
-    p = 1 the route is a pair of nfft-point transforms. Every band of both
-    sides goes through one call per transform, which halves the calls and
-    the work buffers that pocketfft allocates per call. The transforms run
-    in single precision, which moves ncm by well under 1e-6: the inverse
-    FFT in place, and the rfft at norm="forward", the scale at which NumPy
-    keeps float32 input in its float32 loop (at the default norm it
-    transforms in float64, about three times slower).
+    p = 1 the route is a pair of nfft-point transforms.
+
+    The rows, in the order (band, side, a), go through one buffer of
+    _group_rows(q) rows, reused for the whole call: each (band, side) run
+    of p rows is filled by one product of its forward twiddles and its
+    masked spectrum, which is kept until the run ends, as a run may span
+    two groups. Only the first keep bins of each row's envelope FFT are
+    kept. The transforms run in single precision, which moves ncm by well
+    under 1e-6: the inverse FFT in place, and the rfft at norm="forward",
+    the scale at which NumPy keeps float32 input in its float32 loop (at
+    the default norm it transforms in float64, about three times slower).
+    Every row's transforms and every band's sum over its rows depend on
+    that row or band alone, so the result does not depend on the group size.
     """
-    weights = bank_weights[bands]
-    analytic_spec = np.zeros((2, len(weights), grid.p, grid.q), dtype=np.complex64)
-    for band, (w, lo, hi) in enumerate(zip(weights, grid.los[bands], grid.his[bands])):
-        gain = w[grid.idx[lo:hi]]
-        for side, spec in enumerate(spectra):
-            np.multiply(grid.forward[:, :hi - lo], (spec[lo:hi] * gain).astype(np.complex64),
-                        out=analytic_spec[side, band, :, :hi - lo])
-    env = np.abs(np.fft.ifft(analytic_spec, axis=-1, out=analytic_spec))
-    del analytic_spec  # each full-size array is freed before the next is made
-    keep = len(lowpass)
-    rows = np.fft.rfft(env, axis=-1, norm="forward")[..., :keep]  # scaled by 1 / q
-    del env
-    coeffs = np.einsum("sbak,ak->sbk", rows, grid.backward) * lowpass
-    coeffs *= 2.0 / (grid.p * grid.p)  # 2 / nfft, over the p of each row's |ifft|
+    p, q, keep = grid.p, grid.q, len(lowpass)
+    stash = np.empty((len(bank_weights), 2, p, keep), dtype=np.complex64)
+    kept = stash.reshape(-1, keep)  # one row per (band, side, a)
+    group = min(_group_rows(q), len(kept))
+    buffer = np.empty((group, q), dtype=np.complex64)
+    for start in range(0, len(kept), group):
+        stop = min(start + group, len(kept))
+        row = start
+        while row < stop:
+            run, a = divmod(row, p)
+            band, side = divmod(run, 2)
+            lo, hi = grid.los[band], grid.his[band]
+            if a == 0:
+                product = (spectra[side, lo:hi] * bank_weights[band, grid.idx[lo:hi]]
+                           ).astype(np.complex64)
+            end = min(stop, row - a + p)
+            rows = buffer[row - start:end - start]
+            np.multiply(grid.forward[a:a + end - row, :hi - lo], product, out=rows[:, :hi - lo])
+            rows[:, hi - lo:] = 0.0
+            row = end
+        rows = buffer[:stop - start]
+        np.fft.ifft(rows, axis=-1, out=rows)
+        # scaled by 1 / q
+        kept[start:stop] = np.fft.rfft(np.abs(rows), axis=-1, norm="forward")[:, :keep]
+    del buffer, rows  # freed before the sums over every band are made
+    coeffs = np.einsum("bsak,ak->sbk", stash, grid.backward) * lowpass
+    coeffs *= 2.0 / (p * p)  # 2 / nfft, over the p of each row's |ifft|
     coeffs[..., 0] /= 2.0
     return coeffs
 
@@ -505,11 +532,10 @@ def ncm(pair: AlignedPair) -> float:
     """Normalized covariance metric: band-envelope correlations mapped
     through an apparent-SNR transfer and importance-weighted into [0, 1].
 
-    The envelopes are built NCM_BLOCK_BANDS bands at a time and reduced
-    from their lowpassed spectra to per-band sums over the pair's n samples
-    (see _crop_sums), so no band spectrum outlives its block and no
-    envelope is brought back to n samples. Each band's sums are the same
-    whatever the block size, so ncm does not depend on it.
+    The envelopes are built a few polyphase rows at a time (see
+    _band_envelopes) and reduced from their lowpassed spectra to per-band
+    sums over the pair's n samples (see _crop_sums), so no band spectrum
+    outlives its row group and no envelope is brought back to n samples.
     """
     if pair.clean.duration < MIN_ENVELOPE_SECONDS:
         raise PreconditionError(
@@ -524,12 +550,8 @@ def ncm(pair: AlignedPair) -> float:
     lowpass = _envelope_lowpass(nfft, pair.rate)
     grid = _envelope_grid(nfft, pair.rate, bank.weights, len(lowpass))
     kernel = _crop_kernel(n, nfft, len(lowpass))
-    sums = np.empty((5, NCM_BANDS))
-    for first in range(0, NCM_BANDS, NCM_BLOCK_BANDS):
-        block = slice(first, first + NCM_BLOCK_BANDS)
-        env_c, env_d = _band_envelopes(spectra, grid, bank.weights, block, lowpass)
-        sums[:, block] = _crop_sums(env_c, env_d, kernel)
-    sum_c, sum_d, energy, energy_d, prod = sums
+    env_c, env_d = _band_envelopes(spectra, grid, bank.weights, lowpass)
+    sum_c, sum_d, energy, energy_d, prod = _crop_sums(env_c, env_d, kernel)
     # centred sums; the autos are sums of squares, which rounding must not
     # take below zero
     cross = prod - sum_c * sum_d / n

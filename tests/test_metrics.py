@@ -318,7 +318,7 @@ def _ncm_pairs():
         sig = make_speech_like(seed=5, duration=duration)
         for snr in (20.0, 10.0, 0.0, -10.0):
             yield f"{duration}s/{snr:+.0f}dB", noisy_pair(sig, snr)
-    # long enough to split the bands into blocks (8 + 8 + 4)
+    # long enough that ncm's row groups hold 4 rows (of q = 25 600)
     yield "8.0s/+0dB", noisy_pair(make_speech_like(seed=5, duration=8.0), 0.0)
     # 16011 samples is not 5-smooth, so nfft > n and ncm sums its envelopes
     # over a crop of the transform, not over the whole circle
@@ -396,34 +396,56 @@ def _band_envelopes_full_length(spectra, grid, bank_weights, bands, lowpass):
     return coeffs
 
 
+def _ncm_bank():
+    frame_len, _ = dsp.default_frame_params(RATE)
+    return dsp.make_filterbank("critical_band", RATE, dsp.next_pow2(frame_len),
+                               metrics.NCM_BANDS, 150.0)
+
+
 @pytest.mark.parametrize("nfft,p", [(320_000, 5), (15_972, 6), (11 ** 4, 1)])
 def test_polyphase_envelopes_match_full_length_route(nfft, p):
     # 320 000 = 5 rows of 64 000 (a 20 s pair), 15 972 = 2^2 3 11^3 = 6 rows
     # of 2662; no divisor of 11^4 below it holds the widest band, so q = nfft
     sig = make_speech_like(seed=5, duration=nfft / RATE)
     pair = noisy_pair(sig, 5.0)
-    frame_len, _ = dsp.default_frame_params(RATE)
-    bank = dsp.make_filterbank("critical_band", RATE, dsp.next_pow2(frame_len),
-                               metrics.NCM_BANDS, 150.0)
+    bank = _ncm_bank()
     spectra = metrics._analytic_spectra(pair, nfft)
     lowpass = metrics._envelope_lowpass(nfft, RATE)
     grid = metrics._envelope_grid(nfft, RATE, bank.weights, len(lowpass))
     assert (grid.p, grid.p * grid.q) == (p, nfft)
-    for first in range(0, metrics.NCM_BANDS, metrics.NCM_BLOCK_BANDS):
-        bands = slice(first, first + metrics.NCM_BLOCK_BANDS)
-        got = metrics._band_envelopes(spectra, grid, bank.weights, bands, lowpass)
+    got = metrics._band_envelopes(spectra, grid, bank.weights, lowpass)
+    assert got.shape == (2, metrics.NCM_BANDS, len(lowpass))
+    for first in range(0, metrics.NCM_BANDS, 2):  # the reference in 2-band blocks
+        bands = slice(first, first + 2)
         want = _band_envelopes_full_length(spectra, grid, bank.weights, bands, lowpass)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5 * np.abs(want).max())
+        np.testing.assert_allclose(got[:, bands], want, rtol=0.0, atol=1e-5 * np.abs(want).max())
 
 
-def test_ncm_blocks_do_not_change_ncm(monkeypatch):
-    pair = noisy_pair(make_speech_like(seed=5, duration=8.0), 5.0)
-    assert metrics.NCM_BLOCK_BANDS < metrics.NCM_BANDS
-    blocked = metrics.ncm(pair)
-    monkeypatch.setattr(metrics, "NCM_BLOCK_BANDS", 8)  # blocks of 8, 8 and 4 bands
-    assert metrics.ncm(pair) == blocked
-    monkeypatch.setattr(metrics, "NCM_BLOCK_BANDS", metrics.NCM_BANDS)
-    assert metrics.ncm(pair) == blocked
+@pytest.mark.parametrize("nfft,q,rows", [(16_000, 3200, 20), (32_000, 6400, 8),
+                                         (320_000, 64_000, 4), (11 ** 4, 11 ** 4, 4)])
+def test_ncm_group_rows(nfft, q, rows):
+    # a 1 s pair; a 2 s pair, whose budget holds 10 rows; a 20 s pair, where
+    # 4 rows exceed it; and the full-length route (p = 1)
+    bank = _ncm_bank()
+    grid = metrics._envelope_grid(nfft, RATE, bank.weights, len(metrics._envelope_lowpass(nfft, RATE)))
+    assert grid.q == q
+    group = metrics._group_rows(grid.q)
+    assert group == rows
+    assert group % 4 == 0 and group >= 4
+    row_bytes = np.dtype(np.complex64).itemsize * grid.q
+    assert group * row_bytes <= metrics.NCM_GROUP_BYTES or group == 4
+    assert (group + 4) * row_bytes > metrics.NCM_GROUP_BYTES
+
+
+def test_ncm_row_groups_do_not_change_ncm(monkeypatch):
+    # groups of 4 and 8 rows split runs of p = 5 rows across two groups; one
+    # group holds every row. The default is 20 rows at 1 s, 4 at 8 and 20 s.
+    pairs = [noisy_pair(make_speech_like(seed=5, duration=duration), 5.0)
+             for duration in (1.0, 8.0, 20.0)]
+    default = [metrics.ncm(pair) for pair in pairs]
+    for group in (4, 8, 10 ** 6):
+        monkeypatch.setattr(metrics, "_group_rows", lambda q: group)
+        assert [metrics.ncm(pair) for pair in pairs] == default, group
 
 
 def _peak_memory(op, pair) -> float:
@@ -434,9 +456,10 @@ def _peak_memory(op, pair) -> float:
 def test_ncm_peak_memory_is_bounded():
     # Built for all 20 bands at once, the envelopes of both sides peaked at
     # 82.8x the bytes of one side's samples (318 MB on this 30 s pair); in
-    # blocks of 4 bands they took 15.4x, in blocks of 2 they take 9.4x.
+    # blocks of 4 bands they took 15.4x, in blocks of 2 9.4x, and through
+    # one buffer of 4 polyphase rows they take 5.4x.
     pair = noisy_pair(make_speech_like(seed=5, duration=30.0), 0.0)
-    assert _peak_memory(metrics.ncm, pair) < 11.0
+    assert _peak_memory(metrics.ncm, pair) < 6.2
 
 
 def test_frame_metrics_peak_memory_is_bounded():
