@@ -135,13 +135,16 @@ def _sorted_entries(path: str) -> list[corpus.ManifestEntry]:
     """The entries of the manifest at ``path`` in key order; a key listed
     twice is a FormatError, raised before any pair is scored."""
     entries = corpus.parse_manifest(path).entries
-    seen: dict[tuple, int] = {}
-    for row, entry in enumerate(entries, start=1):
-        key = _entry_key(entry)
-        if key in seen:
-            raise FormatError(f"{path}: {_key_name(key)}: repeated on data rows {seen[key]} and {row}")
-        seen[key] = row
+    _check_unique_keys(path, map(_entry_key, entries))
     return sorted(entries, key=_entry_key)
+
+
+def _check_unique_keys(path, keys) -> None:
+    """A FormatError on the first key that ``keys``, the data rows of ``path``, repeats."""
+    seen: dict[tuple, int] = {}
+    for row, key in enumerate(keys, start=1):
+        if seen.setdefault(key, row) != row:
+            raise FormatError(f"{path}: {_key_name(key)}: repeated on data rows {seen[key]} and {row}")
 
 
 # The environment of --jobs workers: one BLAS thread each, so N workers
@@ -335,11 +338,7 @@ def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.n
         i = int(np.argmax(condition < 0))
         j = next(j for j in (1, 2, 3) if keys[i][j] not in ("0", "1"))
         raise bad(i, KEY_COLUMNS[j], "G/C/D indicators must be 0 or 1")
-    if len(set(keys)) != len(keys):
-        seen = {}
-        for row, key in enumerate(keys, start=1):
-            if seen.setdefault(key, row) != row:
-                raise FormatError(f"{path}: {_key_name(key)}: repeated on data rows {seen[key]} and {row}")
+    _check_unique_keys(path, keys)
     for i, j, reason in (refused + nonfinite)[:1]:  # a refused cell before a non-finite one
         raise bad(i, columns[j], reason)
     return keys, _CONDITION_LABELS[condition], np.concatenate(blocks)
@@ -425,6 +424,23 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _duration(text: str) -> float:
+    """An argparse type: finite seconds that give synth at least one sample."""
+    value = float(text)
+    if not (np.isfinite(value) and round(value * synth.RATE) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and give at least one sample at {synth.RATE} Hz, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -436,21 +452,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--utterances", type=int, default=16)
-    p.add_argument("--duration", type=float, default=1.0)
+    p.add_argument("--utterances", type=_count, default=16)
+    p.add_argument("--duration", type=_duration, default=1.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("metrics", help="score every manifest pair")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=",".join(metrics.METRIC_NAMES))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("features", help="extract feature errors per pair")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("fit", help="fit the interaction regression")

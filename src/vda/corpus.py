@@ -308,10 +308,8 @@ def resample(sig: AudioSignal, target_rate: int) -> AudioSignal:
                          f"filter, over the {MAX_RESAMPLE_TAPS}-tap budget")
     g = math.gcd(sig.rate, int(target_rate))
     up, down = target_rate // g, sig.rate // g
-    out = _resample_poly(sig.samples, up, down)
+    out = _resample_poly(sig.samples, up, down)  # ceil(len * up / down) samples, never too few
     n_out = int(round(len(sig.samples) * target_rate / sig.rate))
-    if len(out) < n_out:
-        out = np.concatenate([out, np.zeros(n_out - len(out))])
     return AudioSignal(out[:n_out], int(target_rate))
 
 

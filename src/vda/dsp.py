@@ -39,15 +39,7 @@ class FrameAnalysis:
     frames: np.ndarray  # (n_frames, frame_len) raw samples, a read-only view of the signal
     energy: np.ndarray  # (n_frames,) sum of each frame's squared samples
     power: np.ndarray  # (n_frames, fft_len // 2 + 1) |rfft| ** 2 of the Hamming-windowed frames
-    hop: int
     fft_len: int
-
-
-@dataclass(frozen=True)
-class Filterbank:
-    kind: str  # third_octave | critical_band | mel
-    weights: np.ndarray  # (n_bands, n_bins), non-negative
-    center_hz: np.ndarray  # (n_bands,), strictly increasing
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -112,7 +104,7 @@ def frame_analyses(*signals: AudioSignal, visit=None) -> tuple[FrameAnalysis, ..
             p[block] = np.abs(spec) ** 2
         if visit is not None:
             visit(block, [e[block] for e in energy], spectra)
-    return tuple(FrameAnalysis(f, e, p, hop, fft_len) for f, e, p in zip(frames, energy, power))
+    return tuple(FrameAnalysis(f, e, p, fft_len) for f, e, p in zip(frames, energy, power))
 
 
 def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:
@@ -127,13 +119,13 @@ def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:
     return acf[:, : max_lag + 1]
 
 
-def lpc_batch(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LPC per frame row; returns (a, gain, valid mask of nonzero-energy rows)."""
+def lpc_batch(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """LPC per frame row; returns (a, valid mask of nonzero-energy rows)."""
     r = autocorrelate(frames, order)
     valid = r[:, 0] > 0.0
     r_safe = np.where(valid[:, None], r, np.eye(1, order + 1, 0).ravel())
-    a, err = kernels.levinson_batch(r_safe)
-    return a, err, valid
+    a, _ = kernels.levinson_batch(r_safe)
+    return a, valid
 
 
 def parabolic_peak(y0: np.ndarray, y1: np.ndarray, y2: np.ndarray
@@ -181,8 +173,9 @@ def _triangular_weights(edges_hz: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def make_filterbank(kind: str, rate: int, fft_len: int, n_bands: int,
-                    fmin: float) -> Filterbank:
-    """Build a spectral filterbank over rfft bins.
+                    fmin: float) -> np.ndarray:
+    """The read-only ``(n_bands, fft_len // 2 + 1)`` non-negative weights of a
+    spectral filterbank over rfft bins, one row per band in rising frequency.
 
     third_octave: rectangular 1/3-octave bands centered at fmin * 2^(k/3).
     critical_band / mel: triangular overlapping bands spaced on the Bark and
@@ -215,7 +208,6 @@ def make_filterbank(kind: str, rate: int, fft_len: int, n_bands: int,
         if edges[-1] >= nyquist:
             raise ConfigurationError("band edge reaches Nyquist")
         weights = _triangular_weights(edges, freqs)
-        centers = edges[1:-1]
     else:
         raise ConfigurationError(f"unknown filterbank kind {kind!r}")
 
@@ -225,7 +217,8 @@ def make_filterbank(kind: str, rate: int, fft_len: int, n_bands: int,
             f"band(s) {np.flatnonzero(empty).tolist()} cover no FFT bin; "
             "increase fft_len or adjust the band layout"
         )
-    return Filterbank(kind, weights, np.asarray(centers, dtype=np.float64))
+    weights.flags.writeable = False
+    return weights
 
 
 def _acf_pitch_block(frames: np.ndarray, rate: int, lag_lo: int, lag_hi: int

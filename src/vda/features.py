@@ -206,26 +206,18 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     f0_track, acf_peak = dsp.acf_pitch_track(pitch_frames, rate, PITCH_FMIN, PITCH_FMAX)
 
     analysis = dsp.frame_analysis(sig)
-    frames, power, fft_len = analysis.frames, analysis.power, analysis.fft_len
-    active = analysis.energy > 0.0
+    n = len(pitch_frames)  # the longer pitch frames, on the same hop, are never more numerous
+    frames, power, active = analysis.frames[:n], analysis.power[:n], analysis.energy[:n] > 0.0
     mags = np.sqrt(power)
-    freqs = np.arange(power.shape[1]) * (rate / fft_len)
-
-    n_common = min(len(frames), len(pitch_frames))
-    frames = frames[:n_common]
-    power = power[:n_common]
-    mags = mags[:n_common]
-    active = active[:n_common]
-    f0_track = f0_track[:n_common]
-    acf_peak = acf_peak[:n_common]
+    freqs = np.arange(power.shape[1]) * (rate / analysis.fft_len)
     voiced = np.isfinite(f0_track)
 
     x = np.zeros(N_FEATURES)
     x[0] = 1.0
 
     # loudness: compressed auditory band powers summed per frame
-    mel_bank = dsp.make_filterbank("mel", rate, fft_len, N_AUDITORY_BANDS, 50.0)
-    band_power = power @ mel_bank.weights.T
+    mel_bank = dsp.make_filterbank("mel", rate, analysis.fft_len, N_AUDITORY_BANDS, 50.0)
+    band_power = power @ mel_bank.T
     x[1] = float(np.mean(np.sum(band_power ** 0.3, axis=1)))
 
     # alpha ratio: 50-1000 Hz vs 1-5 kHz energy in dB
@@ -349,7 +341,7 @@ def _voiced_frame_terms(frames: np.ndarray, mags: np.ndarray, freqs: np.ndarray,
     pre = frames[rows]  # a copy, since ``frames`` is a read-only view
     pre[:, 1:] -= PREEMPHASIS * pre[:, :-1]
     w = dsp.get_window(dsp.DEFAULT_WINDOW, frames.shape[1])
-    a_rows, _, lpc_valid = dsp.lpc_batch(pre * w, FORMANT_LPC_ORDER)
+    a_rows, lpc_valid = dsp.lpc_batch(pre * w, FORMANT_LPC_ORDER)
     f_hz = np.full((len(a_rows), 3), np.nan)
     bw_hz = f_hz.copy()
     f_hz[lpc_valid], bw_hz[lpc_valid] = _formants(a_rows[lpc_valid], rate)

@@ -153,8 +153,8 @@ def _fw_snr_seg(pair: AlignedPair, a: _PairAnalysis) -> float:
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
     bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, CSII_BANDS, 50.0)
-    bc = np.sqrt(c.power @ bank.weights.T)
-    bd = np.sqrt(d.power @ bank.weights.T)
+    bc = np.sqrt(c.power @ bank.T)
+    bd = np.sqrt(d.power @ bank.T)
     diff2 = (bc - bd) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         band_snr = 10.0 * np.log10(
@@ -252,8 +252,8 @@ def _wss(pair: AlignedPair, a: _PairAnalysis) -> float:
     bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, 36, 50.0)
     # the band sums of every frame in one product each, so no rows of the
     # power are copied; the frame values then run in blocks of valid rows
-    pc = c.power @ bank.weights.T
-    pd = d.power @ bank.weights.T
+    pc = c.power @ bank.T
+    pd = d.power @ bank.T
     frame_vals = np.empty(len(valid))
     for block in dsp.row_blocks(len(valid)):
         frame_vals[block] = _wss_frames(pc[valid[block]], pd[valid[block]])
@@ -308,7 +308,7 @@ def _csii(pair: AlignedPair, a: _PairAnalysis) -> tuple[float | None, float | No
         if np.count_nonzero(region) < 2:
             out.append(None)
         else:
-            out.append(_csii_region(c, d, region, cross, bank.weights))
+            out.append(_csii_region(c, d, region, cross, bank))
     if all(v is None for v in out):
         raise DegenerateInputError("no level region holds at least two frames")
     return (out[0], out[1], out[2])
@@ -548,9 +548,9 @@ def ncm(pair: AlignedPair) -> float:
     nfft = corpus.next_fast_len(n)
     spectra = _analytic_spectra(pair, nfft)
     lowpass = _envelope_lowpass(nfft, pair.rate)
-    grid = _envelope_grid(nfft, pair.rate, bank.weights, len(lowpass))
+    grid = _envelope_grid(nfft, pair.rate, bank, len(lowpass))
     kernel = _crop_kernel(n, nfft, len(lowpass))
-    env_c, env_d = _band_envelopes(spectra, grid, bank.weights, lowpass)
+    env_c, env_d = _band_envelopes(spectra, grid, bank, lowpass)
     sum_c, sum_d, energy, energy_d, prod = _crop_sums(env_c, env_d, kernel)
     # centred sums; the autos are sums of squares, which rounding must not
     # take below zero
@@ -599,8 +599,8 @@ def stoi(pair: AlignedPair) -> float:
         raise DegenerateInputError("fewer than 30 speech-active frames")
 
     bank = dsp.make_filterbank("third_octave", STOI_RATE, STOI_FFT, STOI_BANDS, STOI_FMIN)
-    env_c = _stoi_envelopes(fc, active, w, bank.weights)
-    env_d = _stoi_envelopes(fd, active, w, bank.weights)
+    env_c = _stoi_envelopes(fc, active, w, bank)
+    env_d = _stoi_envelopes(fd, active, w, bank)
 
     seg_c = np.lib.stride_tricks.sliding_window_view(env_c, STOI_SEGMENT, axis=1)
     seg_d = np.lib.stride_tricks.sliding_window_view(env_d, STOI_SEGMENT, axis=1)

@@ -1,9 +1,11 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from vda.cli import EXIT_OK, main
 from vda.corpus import AlignedPair, AudioSignal
 
 RATE = 16000
@@ -74,3 +76,26 @@ def vowel():
 @pytest.fixture(scope="session")
 def tone440():
     return make_tone()
+
+
+def run_seed7_pipeline(root):
+    """Every stage on ``vda synth --seed 7`` under ``root``: the --out
+    directory and the wall seconds the whole run took."""
+    start = time.perf_counter()
+    out = root / "out"
+    manifest = str(root / "manifest.csv")
+    assert main(["synth", "--out", str(root), "--seed", "7"]) == EXIT_OK
+    assert main(["validate", "--manifest", manifest]) == EXIT_OK
+    assert main(["metrics", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
+    assert main(["features", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
+    assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
+    assert main(["decompose", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+    return out, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def seed7_run(tmp_path_factory):
+    """One run_seed7_pipeline per pytest run, which the golden audio tests
+    read and acceptance criterion 9 reruns; tests must not write into it."""
+    return run_seed7_pipeline(tmp_path_factory.mktemp("seed7"))

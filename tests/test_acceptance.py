@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +24,8 @@ from vda.model import (
     three_fold,
 )
 
-from conftest import identity_pair, make_speech_like, make_tone, make_vowel, noisy_pair
+from conftest import (identity_pair, make_speech_like, make_tone, make_vowel, noisy_pair,
+                      run_seed7_pipeline)
 
 RATE = 16000
 
@@ -203,33 +203,16 @@ def test_criterion_8_design_matrix_law():
     _passed(8, "208 labeled columns; label (1,0,1) eligible groups {1, G, D, G*D}")
 
 
-def _run_pipeline(root: Path):
-    out = root / "out"
-    manifest = str(root / "manifest.csv")
-    assert main(["synth", "--out", str(root), "--seed", "7"]) == EXIT_OK
-    assert main(["validate", "--manifest", manifest]) == EXIT_OK
-    assert main(["metrics", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
-    assert main(["features", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
-    assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
-    assert main(["decompose", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
-    assert main(["report", "--out", str(out)]) == EXIT_OK
-    return out
-
-
-def test_criterion_9_end_to_end_determinism(tmp_path):
-    elapsed = []
-    outs = []
-    for name in ("run_a", "run_b"):
-        start = time.perf_counter()
-        outs.append(_run_pipeline(tmp_path / name))
-        elapsed.append(time.perf_counter() - start)
-        assert elapsed[-1] < 60.0
-    files_a = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+def test_criterion_9_end_to_end_determinism(seed7_run, tmp_path):
+    first, first_s = seed7_run
+    second, second_s = run_seed7_pipeline(tmp_path)
+    assert first_s < 60.0 and second_s < 60.0
+    files_a = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
     assert files_a == files_b and files_a
     for rel in files_a:
-        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
-    _passed(9, f"two pipeline runs byte-identical; {elapsed[0]:.1f} s and {elapsed[1]:.1f} s")
+        assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+    _passed(9, f"two pipeline runs byte-identical; {first_s:.1f} s and {second_s:.1f} s")
 
 
 def test_criterion_10_significance_band_boundaries():

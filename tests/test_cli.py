@@ -932,3 +932,31 @@ def test_pipeline_stage_reruns_idempotent(small_corpus, pipeline_out, tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["fit"]) == EXIT_USAGE  # missing required --out
+
+
+def _no_rows(*_args):
+    raise AssertionError("a rejected argument let the stage score its rows")
+
+
+@pytest.mark.parametrize("args", [
+    "metrics --jobs 0", "metrics --jobs -5", "features --jobs 0", "features --jobs -5",
+    "synth --utterances 0", "synth --utterances -2",
+    "synth --duration 0", "synth --duration -1", "synth --duration nan",
+    "synth --duration 0.00003",  # 0.48 of a sample at 16 kHz
+])
+def test_non_positive_count_is_usage_error(small_corpus, tmp_path, capsys, monkeypatch, args):
+    monkeypatch.setattr(cli, "_map_jobs", _no_rows)
+    command, flag, value = args.split()
+    out = tmp_path / "out"
+    argv = [command, flag, value, "--out", str(out)]
+    if command != "synth":
+        argv += ["--manifest", str(small_corpus / "manifest.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_sample_duration_is_accepted(tmp_path):
+    # 0.64 of a sample at 16 kHz rounds to one
+    assert main(["synth", "--out", str(tmp_path), "--utterances", "1", "--duration", "0.00004"]) == EXIT_OK
+    assert corpus.load_wav(tmp_path / "wav" / "utt000_clean.wav").samples.shape == (1,)

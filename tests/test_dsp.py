@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vda import dsp
+from vda import dsp, kernels
 from vda.corpus import AudioSignal
 from vda.errors import ConfigurationError
 
@@ -82,7 +82,7 @@ def test_spectrum_matches_naive_dft():
         analysis = dsp.frame_analysis(AudioSignal(x, rate))
         frame_len, hop = dsp.default_frame_params(rate)
         fft_len = dsp.next_pow2(frame_len + dsp.LLR_ORDER + 1)
-        assert (analysis.hop, analysis.fft_len) == (hop, fft_len)
+        assert analysis.fft_len == fft_len
         for i, row in enumerate(analysis.power):
             oracle = _naive_dft_mags(x[i * hop:i * hop + frame_len] * np.hamming(frame_len),
                                      analysis.fft_len)
@@ -97,10 +97,11 @@ def test_lpc_ar1_recovery():
     x[0] = e[0]
     for i in range(1, n):
         x[i] = 0.9 * x[i - 1] + e[i]
-    a, gain, valid = dsp.lpc_batch(x[None, :], 1)
-    r = dsp.autocorrelate(x[None, :], 1)[0]
+    a, valid = dsp.lpc_batch(x[None, :], 1)
+    r = dsp.autocorrelate(x[None, :], 1)
+    _, gain = kernels.levinson_batch(r)
     assert valid[0]
-    assert a[0, 1] == pytest.approx(-r[1] / r[0], abs=1e-12)  # order-1 identity
+    assert a[0, 1] == pytest.approx(-r[0, 1] / r[0, 0], abs=1e-12)  # order-1 identity
     assert a[0, 1] == pytest.approx(-0.9, abs=0.02)
     assert gain[0] >= 0.0
 
@@ -108,7 +109,7 @@ def test_lpc_ar1_recovery():
 def test_lpc_white_noise_order2_matches_normal_equations():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4096)
-    a, _, _ = dsp.lpc_batch(x[None, :], 2)
+    a, _ = dsp.lpc_batch(x[None, :], 2)
     r = dsp.autocorrelate(x[None, :], 2)[0]
     oracle = -np.linalg.solve(np.array([[r[0], r[1]], [r[1], r[0]]]), np.array([r[1], r[2]]))
     np.testing.assert_allclose(a[0, 1:], oracle, atol=1e-10)
@@ -116,26 +117,37 @@ def test_lpc_white_noise_order2_matches_normal_equations():
 
 
 def test_lpc_zero_frame_degenerate():
-    _, _, valid = dsp.lpc_batch(np.zeros((1, 256)), 4)
+    _, valid = dsp.lpc_batch(np.zeros((1, 256)), 4)
     assert not valid[0]
 
 
 def test_lpc_scale_covariant():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(2048)
-    base_a, base_gain, _ = dsp.lpc_batch(x[None, :], 8)
+    base_a, _ = dsp.lpc_batch(x[None, :], 8)
+    _, base_gain = kernels.levinson_batch(dsp.autocorrelate(x[None, :], 8))
     for alpha in (0.25, 3.0):
-        a, gain, _ = dsp.lpc_batch(alpha * x[None, :], 8)
+        a, _ = dsp.lpc_batch(alpha * x[None, :], 8)
+        _, gain = kernels.levinson_batch(dsp.autocorrelate(alpha * x[None, :], 8))
         np.testing.assert_allclose(a, base_a, atol=1e-9)
         assert gain[0] == pytest.approx(alpha ** 2 * base_gain[0], rel=1e-9)
 
 
+def _assert_third_octave_placement(bank, rate, fft_len, fmin):
+    """Band k's non-zero bins lie in [fmin 2^(k/3) 2^(-1/6), fmin 2^(k/3) 2^(1/6))."""
+    freqs = np.arange(fft_len // 2 + 1) * rate / fft_len
+    for k, row in enumerate(bank):
+        center = fmin * 2.0 ** (k / 3.0)
+        claimed = freqs[row > 0]
+        assert len(claimed) > 0
+        assert np.all((claimed >= center * 2 ** (-1 / 6)) & (claimed < center * 2 ** (1 / 6)))
+
+
 def test_third_octave_centers_and_disjointness():
     bank = dsp.make_filterbank("third_octave", 10000, 512, 15, 150.0)
-    np.testing.assert_allclose(bank.center_hz, 150.0 * 2.0 ** (np.arange(15) / 3.0))
-    assert np.all(np.diff(bank.center_hz) > 0)
+    _assert_third_octave_placement(bank, 10000, 512, 150.0)
     # rectangular bands are disjoint: no bin claimed twice
-    claimed = (bank.weights > 0).sum(axis=0)
+    claimed = (bank > 0).sum(axis=0)
     assert claimed.max() <= 1
 
 
@@ -145,13 +157,25 @@ def test_filterbank_coverage(kind, n_bands):
     bank = dsp.make_filterbank(kind, rate, fft_len, n_bands, fmin)
     freqs = np.arange(fft_len // 2 + 1) * rate / fft_len
     if kind == "third_octave":
-        hi_edge = bank.center_hz[-1] * 2 ** (1 / 6)
+        _assert_third_octave_placement(bank, rate, fft_len, fmin)
+        hi_edge = fmin * 2.0 ** ((n_bands - 1) / 3.0) * 2 ** (1 / 6)
         inside = (freqs >= fmin) & (freqs < hi_edge)
     else:
         inside = (freqs > fmin * 1.05) & (freqs < (rate / 2 - rate / fft_len) * 0.95)
-    covered = np.any(bank.weights > 0, axis=0)
+    assert bank.shape == (n_bands, fft_len // 2 + 1)
+    covered = np.any(bank > 0, axis=0)
     assert np.all(covered[inside])
-    assert np.all(bank.weights >= 0)
+    assert np.all(bank >= 0)
+
+
+@pytest.mark.parametrize("kind", ["third_octave", "critical_band", "mel"])
+def test_filterbank_weights_are_read_only(kind):
+    bank = dsp.make_filterbank(kind, 10000, 512, 15, 150.0)
+    assert not bank.flags.writeable
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0
+    # every call of a process shares the one cached array
+    assert dsp.make_filterbank(kind, 10000, 512, 15, 150.0) is bank
 
 
 def test_mel_band0_weights_match_hand_integration():
@@ -168,7 +192,7 @@ def test_mel_band0_weights_match_hand_integration():
             expected += (f - edges[0]) / (edges[1] - edges[0])
         elif edges[1] <= f <= edges[2]:
             expected += (edges[2] - f) / (edges[2] - edges[1])
-    assert np.sum(bank.weights[0]) == pytest.approx(expected, abs=1e-9)
+    assert np.sum(bank[0]) == pytest.approx(expected, abs=1e-9)
 
 
 def test_filterbank_edge_at_nyquist_rejected():

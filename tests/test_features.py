@@ -192,8 +192,8 @@ def _harmonic_and_formant_reference(sig):
         return np.zeros(11)
     pre = frames[voiced_idx].copy()
     pre[:, 1:] -= features.PREEMPHASIS * frames[voiced_idx][:, :-1]
-    a_rows, _, lpc_valid = dsp.lpc_batch(pre * np.hamming(frames.shape[1]),
-                                         features.FORMANT_LPC_ORDER)
+    a_rows, lpc_valid = dsp.lpc_batch(pre * np.hamming(frames.shape[1]),
+                                      features.FORMANT_LPC_ORDER)
     h1h2_vals, h1a3_vals, formant_rows = [], [], []
     for j, t in enumerate(voiced_idx):
         f0 = f0_track[t]

@@ -3,8 +3,9 @@
 ``tests/golden/seed7`` holds ``metrics.csv`` and ``errors.csv`` of
 ``vda synth --seed 7`` (16 utterances x 8 cells) and the ``regression_*.csv``
 and ``decomposition_*.json`` that ``fit`` and ``decompose`` wrote from them.
-The audio tests rerun ``synth``, ``metrics`` and ``features`` and compare
-with the frozen tables column by column; the model tests rerun ``fit`` and
+The audio tests read the tables of the one seed-7 pipeline run of a pytest
+run (``seed7_run`` in ``conftest.py``) and compare them with the frozen
+ones column by column; the model tests rerun ``fit`` and
 ``decompose`` on a copy of the frozen tables: the retained columns and
 ``dof`` must be equal. Every tolerance is the one ``perfbench/checks.py``
 states for the same column. ``comparison.{csv,json,md}`` are what ``report``
@@ -78,20 +79,9 @@ def _assert_audio_close(cells, refs, table, col):
     assert not bad, f"{table} {col}: {len(bad)} value(s) outside ({rtol}, {atol}), first {bad[0]}"
 
 
-@pytest.fixture(scope="module")
-def audio_run(tmp_path_factory):
-    corpus_dir = tmp_path_factory.mktemp("golden_corpus")
-    out = tmp_path_factory.mktemp("golden_audio")
-    assert main(["synth", "--out", str(corpus_dir), "--seed", "7"]) == EXIT_OK
-    manifest = str(corpus_dir / "manifest.csv")
-    assert main(["metrics", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
-    assert main(["features", "--manifest", manifest, "--out", str(out)]) == EXIT_OK
-    return out
-
-
 @pytest.mark.parametrize("table", ["metrics.csv", "errors.csv"])
-def test_golden_audio_stage(audio_run, table):
-    got = _read_csv(audio_run / table)
+def test_golden_audio_stage(seed7_run, table):
+    got = _read_csv(seed7_run[0] / table)
     ref = _read_csv(GOLDEN / table)
     assert [tuple(r[k] for k in KEY_COLUMNS) for r in got] == [
         tuple(r[k] for k in KEY_COLUMNS) for r in ref

@@ -101,8 +101,8 @@ def test_fw_snr_seg_single_frame_matches_band_oracle():
 
     bank = dsp.make_filterbank("critical_band", RATE, 512, 25, 50.0)
     w = np.hamming(400)
-    bc = np.sqrt((np.abs(np.fft.rfft(x * w, 512)) ** 2) @ bank.weights.T)
-    bd = np.sqrt((np.abs(np.fft.rfft(d * w, 512)) ** 2) @ bank.weights.T)
+    bc = np.sqrt((np.abs(np.fft.rfft(x * w, 512)) ** 2) @ bank.T)
+    bd = np.sqrt((np.abs(np.fft.rfft(d * w, 512)) ** 2) @ bank.T)
     snrs = np.empty(25)
     for k in range(25):
         diff2 = (bc[k] - bd[k]) ** 2
@@ -213,7 +213,7 @@ def _wss_single_frame_oracle(x, d):
     w = np.hamming(400)
 
     def band_db(sig):
-        p = (np.abs(np.fft.rfft(sig * w, 512)) ** 2) @ bank.weights.T
+        p = (np.abs(np.fft.rfft(sig * w, 512)) ** 2) @ bank.T
         p = np.maximum(p, p.max() * 1e-10)
         return 10 * np.log10(p)
 
@@ -337,7 +337,7 @@ def _ncm_reference(pair):
     frame_len, _ = dsp.default_frame_params(pair.rate)
     bank = dsp.make_filterbank("critical_band", pair.rate, dsp.next_pow2(frame_len),
                                metrics.NCM_BANDS, 150.0)
-    env_c, env_d = (_band_envelopes_reference(sig, bank.weights) for sig in (pair.clean, pair.degraded))
+    env_c, env_d = (_band_envelopes_reference(sig, bank) for sig in (pair.clean, pair.degraded))
     importance = np.sqrt(np.mean(env_c ** 2, axis=1))
     env_c = env_c - env_c.mean(axis=1, keepdims=True)
     env_d = env_d - env_d.mean(axis=1, keepdims=True)
@@ -411,13 +411,13 @@ def test_polyphase_envelopes_match_full_length_route(nfft, p):
     bank = _ncm_bank()
     spectra = metrics._analytic_spectra(pair, nfft)
     lowpass = metrics._envelope_lowpass(nfft, RATE)
-    grid = metrics._envelope_grid(nfft, RATE, bank.weights, len(lowpass))
+    grid = metrics._envelope_grid(nfft, RATE, bank, len(lowpass))
     assert (grid.p, grid.p * grid.q) == (p, nfft)
-    got = metrics._band_envelopes(spectra, grid, bank.weights, lowpass)
+    got = metrics._band_envelopes(spectra, grid, bank, lowpass)
     assert got.shape == (2, metrics.NCM_BANDS, len(lowpass))
     for first in range(0, metrics.NCM_BANDS, 2):  # the reference in 2-band blocks
         bands = slice(first, first + 2)
-        want = _band_envelopes_full_length(spectra, grid, bank.weights, bands, lowpass)
+        want = _band_envelopes_full_length(spectra, grid, bank, bands, lowpass)
         np.testing.assert_allclose(got[:, bands], want, rtol=0.0, atol=1e-5 * np.abs(want).max())
 
 
@@ -427,7 +427,7 @@ def test_ncm_group_rows(nfft, q, rows):
     # a 1 s pair; a 2 s pair, whose budget holds 10 rows; a 20 s pair, where
     # 4 rows exceed it; and the full-length route (p = 1)
     bank = _ncm_bank()
-    grid = metrics._envelope_grid(nfft, RATE, bank.weights, len(metrics._envelope_lowpass(nfft, RATE)))
+    grid = metrics._envelope_grid(nfft, RATE, bank, len(metrics._envelope_lowpass(nfft, RATE)))
     assert grid.q == q
     group = metrics._group_rows(grid.q)
     assert group == rows
