@@ -147,32 +147,39 @@ def _check_unique_keys(path, keys) -> None:
             raise FormatError(f"{path}: {_key_name(key)}: repeated on data rows {seen[key]} and {row}")
 
 
-# The environment of --jobs workers: one BLAS thread each, so N workers
-# share N cores instead of each driving a BLAS pool of its own.
-_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+# The variables OpenBLAS reads its thread count from; one that is set is the user's choice.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _keep_freed_arrays() -> None:
-    """Let glibc keep freed arrays in the process heap for reuse.
+def _set_process_policy() -> None:
+    """Keep freed arrays in the heap and, unless one of _BLAS_THREAD_VARS is
+    set, run the OpenBLAS that numpy loaded on one thread.
 
-    By default glibc maps every block over its dynamic mmap threshold (at
-    most 32 MiB) on its own and unmaps it on free, and trims the heap top,
-    so each FFT work buffer and temporary array of a long recording is
-    faulted in again page by page. Both settings are needed: setting either
-    alone turns off the dynamic threshold, and the other then still returns
-    the memory. Freed memory stays with the process until it exits. main
-    and each --jobs worker call this; library use of vda does not. It has
-    no effect where the C library lacks or ignores mallopt (macOS, Windows,
-    musl).
+    glibc otherwise unmaps each block over its mmap threshold on free and
+    trims the heap top, so every FFT buffer of a long recording is faulted
+    in again page by page; setting either threshold alone turns off the
+    dynamic one, and the other default still returns the memory. OpenBLAS
+    otherwise keeps a thread per core spinning beside a stage that gains
+    nothing from it, and it reads the environment only when numpy loads, so
+    its own setter is called. main and the --jobs workers' initializer call
+    this; library use of vda does not. Each part does nothing where its
+    library is missing: mallopt outside glibc (macOS, Windows, musl), the
+    setter under another BLAS (MKL, Accelerate).
     """
     import ctypes
 
     try:
         mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 * 2 ** 20)  # M_MMAP_THRESHOLD, at its 64-bit maximum
+        mallopt(-1, 2 ** 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB free at the heap top
     except (AttributeError, OSError, TypeError):
-        return
-    mallopt(-3, 32 * 2 ** 20)  # M_MMAP_THRESHOLD, at its 64-bit maximum
-    mallopt(-1, 2 ** 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB free at the heap top
+        pass
+    if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(blas, name):
+                getattr(blas, name)(1)
+                break
 
 
 def _map_jobs(func, items, jobs: int):
@@ -181,19 +188,8 @@ def _map_jobs(func, items, jobs: int):
     import multiprocessing  # kept off the --jobs 1 start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    # spawned workers read their BLAS thread count from the environment
-    # when they import numpy, before the initializer runs
-    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
-    os.environ.update(_WORKER_ENV)
-    try:
-        with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn"), _keep_freed_arrays) as pool:
-            return list(pool.map(func, items))
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
+    with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn"), _set_process_policy) as pool:
+        return list(pool.map(func, items))
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -494,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    _keep_freed_arrays()
+    _set_process_policy()
     try:
         return args.func(args)
     except Exception as exc:

@@ -186,7 +186,8 @@ def load_wav(path: str | Path) -> AudioSignal:
     if audio_format == 1 and bits == 16:
         width = 2 * channels
         usable = len(data) // width * width
-        x = np.frombuffer(data[:usable], dtype="<i2").astype(np.float64) / 32768.0
+        x = np.frombuffer(data[:usable], dtype="<i2").astype(np.float64)
+        x /= 32768.0
     elif audio_format == 3 and bits == 32:
         width = 4 * channels
         usable = len(data) // width * width

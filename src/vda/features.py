@@ -208,7 +208,6 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     analysis = dsp.frame_analysis(sig)
     n = len(pitch_frames)  # the longer pitch frames, on the same hop, are never more numerous
     frames, power, active = analysis.frames[:n], analysis.power[:n], analysis.energy[:n] > 0.0
-    mags = np.sqrt(power)
     freqs = np.arange(power.shape[1]) * (rate / analysis.fft_len)
     voiced = np.isfinite(f0_track)
 
@@ -229,6 +228,9 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     ratio_db = np.zeros(len(power))
     ratio_db[both] = 10.0 * np.log10(e_low[both] / e_high[both])
     x[2] = _masked_mean(ratio_db, both)
+
+    # the magnitudes take the power's place: nothing below reads the power
+    mags = np.sqrt(power, out=power)
 
     # hammarberg index: strongest peak 0-2 kHz vs 2-5 kHz in dB
     p_lo = _band_peaks(mags, freqs, 0.0, 2000.0)

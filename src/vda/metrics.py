@@ -274,23 +274,34 @@ def wss(pair: AlignedPair) -> float:
 def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
                  cross: np.ndarray, weights: np.ndarray) -> float:
     """Coherence-based index over one level region (>= 2 frames), whose
-    cross-spectrum sum is ``cross``."""
-    pc = c.power[region]
-    pd = d.power[region]
-    denom = np.sum(pc, axis=0) * np.sum(pd, axis=0)
+    cross-spectrum sum is ``cross``. Each side's power rows of the region
+    are gathered, in turn, into one reused buffer; every band product runs
+    over all of them at once, because a product over fewer rows can take
+    another BLAS kernel (OpenBLAS's small-matrix or vector route) and other
+    last bits."""
+    index = np.flatnonzero(region)
+    rows = np.empty((len(index), c.power.shape[1]))
+
+    def gather(a: dsp.FrameAnalysis) -> np.ndarray:
+        # mode="clip" lets np.take write into rows without a buffer of its own
+        return np.take(a.power, index, axis=0, out=rows, mode="clip")
+
+    sum_c = np.sum(gather(c), axis=0)
+    band_c = rows @ weights.T
+    denom = sum_c * np.sum(gather(d), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         msc = np.where(denom > 0.0, np.abs(cross) ** 2 / np.where(denom > 0.0, denom, 1.0), 0.0)
     msc = np.clip(msc, 0.0, 1.0)
 
-    sig = (pd * msc) @ weights.T
-    dist = (pd * (1.0 - msc)) @ weights.T
+    sig = np.multiply(rows, msc, out=rows) @ weights.T
+    dist = np.multiply(gather(d), 1.0 - msc, out=rows) @ weights.T
     with np.errstate(divide="ignore", invalid="ignore"):
         sdr = 10.0 * np.log10(np.where(dist > 0.0, sig / np.where(dist > 0.0, dist, 1.0), np.inf))
         sdr = np.where(sig > 0.0, sdr, -SDR_CLIP_DB)
     sdr = np.clip(sdr, -SDR_CLIP_DB, SDR_CLIP_DB)
     transfer = (sdr + SDR_CLIP_DB) / (2.0 * SDR_CLIP_DB)
 
-    importance = np.sqrt(pc @ weights.T)
+    importance = np.sqrt(band_c)
     total = np.sum(importance)
     if total <= 0.0:
         return 0.0

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -87,9 +88,20 @@ def test_stages_load_only_the_scipy_they_run(small_corpus, tmp_path):
         assert modules == [], stage
 
 
-def _refaulted_pages(_item=None) -> tuple[float, str | None]:
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy loaded, None under another BLAS."""
+    import ctypes
+
+    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(blas, name):
+            return getattr(blas, name)()
+    return None
+
+
+def _refaulted_pages(_item=None) -> tuple[float, int | None]:
     """The minor faults of a second allocate-touch-free of a 16 MiB array,
-    per page of it, and this process's OPENBLAS_NUM_THREADS."""
+    per page of it, and this process's OpenBLAS thread count."""
     import resource
 
     n_bytes = 16 * 2 ** 20
@@ -97,25 +109,55 @@ def _refaulted_pages(_item=None) -> tuple[float, str | None]:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         np.ones(n_bytes // 8)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    return faults / (n_bytes / resource.getpagesize()), os.environ.get("OPENBLAS_NUM_THREADS")
+    return faults / (n_bytes / resource.getpagesize()), _blas_threads()
 
 
 glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+openblas_only = pytest.mark.skipif(_blas_threads() is None, reason="numpy did not load OpenBLAS")
 
 
 @glibc_only
 def test_freed_arrays_stay_in_the_heap():
-    cli._keep_freed_arrays()
+    cli._set_process_policy()
     assert _refaulted_pages()[0] < 0.01
 
 
 @glibc_only
-def test_jobs_workers_keep_freed_arrays_and_one_blas_thread():
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+@openblas_only
+def test_jobs_workers_keep_freed_arrays_and_one_blas_thread(monkeypatch):
+    for name in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    environ = dict(os.environ)
     for refaulted, worker_blas_threads in cli._map_jobs(_refaulted_pages, [0, 1], 2):
         assert refaulted < 0.01
-        assert worker_blas_threads == "1"
-    assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
+        assert worker_blas_threads == 1
+    assert dict(os.environ) == environ
+
+
+@openblas_only
+@pytest.mark.parametrize("blas_env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_stage_blas_threads(small_corpus, tmp_path, blas_env, threads):
+    # a fresh interpreter runs the features stage through main with none of
+    # the variables OpenBLAS reads set but blas_env: one thread, unless the
+    # user set a count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
+    env.update(blas_env, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys\n"
+             "import numpy as np\n"
+             "from vda.cli import main\n"
+             + inspect.getsource(_blas_threads) +
+             "before = _blas_threads()\n"
+             "code = main(sys.argv[1:])\n"
+             "print(before, _blas_threads())\n"
+             "sys.exit(code)\n")
+    args = ["features", "--manifest", str(small_corpus / "manifest.csv"), "--out", str(tmp_path / "out")]
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True)
+    assert out.returncode == EXIT_OK, out.stderr
+    before, after = map(int, out.stdout.split()[-2:])
+    if before < threads:
+        pytest.skip(f"OpenBLAS started with {before} thread(s) on this host")
+    assert after == threads
 
 
 def test_synth_deterministic(tmp_path):
