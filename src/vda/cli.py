@@ -84,10 +84,13 @@ def _max_lag(rate: int) -> int:
     return int(round(DEFAULT_MAX_LAG_SECONDS * rate))
 
 
+def _load_signal(path) -> corpus.AudioSignal:
+    return corpus.resample(corpus.load_wav(path), corpus.CANONICAL_RATE)
+
+
 def _load_pair(entry: corpus.ManifestEntry) -> corpus.AlignedPair:
-    clean = corpus.resample(corpus.load_wav(entry.clean_path), corpus.CANONICAL_RATE)
-    degraded = corpus.resample(corpus.load_wav(entry.degraded_path), corpus.CANONICAL_RATE)
-    return corpus.align(clean, degraded, _max_lag(corpus.CANONICAL_RATE))
+    return corpus.align(_load_signal(entry.clean_path), _load_signal(entry.degraded_path),
+                        _max_lag(corpus.CANONICAL_RATE))
 
 
 def _entry_key(entry: corpus.ManifestEntry) -> tuple:
@@ -118,13 +121,39 @@ def _metric_row(args: tuple) -> tuple[tuple, tuple[int, str] | None]:
     return key + rep.cells(), None
 
 
-def _feature_row(entry: corpus.ManifestEntry) -> tuple[tuple, tuple, tuple, tuple[int, str] | None]:
-    """The errors.csv, features_clean.csv and features_degraded.csv rows of one pair."""
+def _feature_rows(entries: list[corpus.ManifestEntry]) -> list[tuple]:
+    """The _feature_row results of ``entries``, which share one clean file.
+
+    The clean file is loaded once, and its frame terms are taken once per
+    start offset of the pairs' clean crops, on the clean signal from that
+    offset on; a crop's features are then the means over its own frames.
+    A clean file that fails to load fails every row.
+    """
+    try:
+        source = _load_signal(entries[0].clean_path)
+    except Exception as exc:
+        return [(key, key, key, _row_failure(key, exc)) for key in map(_entry_key, entries)]
+    terms: dict[int, features.FrameTerms] = {}
+    return [_feature_row(entry, source, terms) for entry in entries]
+
+
+def _feature_row(entry: corpus.ManifestEntry, source: corpus.AudioSignal,
+                 terms: dict[int, features.FrameTerms]
+                 ) -> tuple[tuple, tuple, tuple, tuple[int, str] | None]:
+    """The errors.csv, features_clean.csv and features_degraded.csv rows of
+    one pair, whose clean side is ``source``; ``terms`` holds the frame
+    terms of ``source`` by start offset, and gains the offset this pair needs."""
     key = _entry_key(entry)
     try:
-        pair = _load_pair(entry)
-        fv_clean = features.extract_features(pair.clean)
-        fv_degraded = features.extract_features(pair.degraded)
+        pair = corpus.align(source, _load_signal(entry.degraded_path), _max_lag(corpus.CANONICAL_RATE))
+        # the clean crop as a view of the source, so that align's copy of it is freed
+        start, degraded = max(0, -pair.applied_lag), pair.degraded
+        clean = corpus.AudioSignal(source.samples[start:start + len(degraded)], source.rate)
+        del pair
+        if start not in terms:
+            terms[start] = features.frame_terms(corpus.AudioSignal(source.samples[start:], source.rate))
+        fv_clean = features.utterance_means(terms[start], clean)
+        fv_degraded = features.extract_features(degraded)
         err = features.feature_error(fv_clean, fv_degraded)
     except Exception as exc:
         return key, key, key, _row_failure(key, exc)
@@ -240,7 +269,8 @@ def cmd_metrics(args) -> int:
 
 def cmd_features(args) -> int:
     entries = _sorted_entries(args.manifest)
-    results = _map_jobs(_feature_row, entries, args.jobs)
+    groups = [list(group) for _, group in itertools.groupby(entries, lambda e: e.clean_path)]
+    results = [row for rows in _map_jobs(_feature_rows, groups, args.jobs) for row in rows]
     failures = [failure for *_rows, failure in results if failure]
     for _, msg in failures:
         log.error("features failed for %s", msg)

@@ -4,6 +4,12 @@ Twenty-five descriptors plus a constant intercept are extracted from 25 ms /
 10 ms frames and aggregated to utterance means; voicing-dependent entries
 (indices 11-25) average over voiced frames only and default to 0 when the
 utterance is fully unvoiced.
+
+The extraction runs in two steps: ``frame_terms`` takes each frame's terms,
+and ``utterance_means`` averages those of a signal's own frames. A frame's
+terms do not depend on the frames after it, so the terms of one signal
+serve every prefix of it: the features stage analyses each clean reference
+once per crop start and takes each crop's means from the shared terms.
 """
 from __future__ import annotations
 
@@ -112,6 +118,21 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
     return float(np.mean(values[mask]))
 
 
+def _row_products(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``rows @ weights``, taken dsp.BLOCK_FRAMES rows at a time through one
+    zero-padded buffer. BLAS rounds a row's product differently with the
+    number of rows beside it; a product of one shape gives each frame the
+    same bits in a signal and in any prefix of it."""
+    out = np.empty((len(rows),) + weights.shape[1:])
+    buf = np.zeros((dsp.BLOCK_FRAMES, rows.shape[1]))
+    for block in dsp.row_blocks(len(rows)):
+        part = rows[block]
+        buf[:len(part)] = part
+        buf[len(part):] = 0.0
+        out[block] = (buf @ weights)[:len(part)]
+    return out
+
+
 def _band_peaks(mags: np.ndarray, freqs: np.ndarray, lo, hi) -> np.ndarray:
     """Largest magnitude with frequency in [lo, hi] Hz per row of ``mags``.
 
@@ -134,7 +155,7 @@ def _spectral_slopes(mags: np.ndarray, freqs: np.ndarray, lo: float, hi: float) 
     db = 20.0 * np.log10(np.maximum(sub, floor))
     fc = f - f.mean()
     denom = np.sum(fc ** 2)
-    slopes = (db @ fc) / denom
+    slopes = _row_products(db, fc) / denom
     return slopes, valid
 
 
@@ -191,43 +212,71 @@ def _jitter_shimmer(x: np.ndarray, rate: int, f0_hz: float) -> tuple[float, floa
     return jitter, shimmer
 
 
-def extract_features(sig: AudioSignal) -> FeatureVector:
-    """Extract the 26-entry descriptor vector for one utterance."""
+@dataclass(frozen=True)
+class FrameTerms:
+    """The per-frame terms of one signal that its utterance means read; no spectra.
+
+    Row i of ``f0``, ``acf_peak``, ``values`` and ``valid`` depends on the
+    signal's analysis frame i alone (the flux on frames i - 1 and i), and
+    ``voiced`` holds one row per voiced frame in frame order, so the first
+    rows of a signal's terms are also those of any prefix of it.
+    """
+
+    f0: np.ndarray  # (n_frames,) pitch in Hz, NaN where unvoiced
+    acf_peak: np.ndarray  # (n_frames,) normalized autocorrelation peak
+    values: np.ndarray  # (n_frames, 10) per-frame values of features 1-10
+    valid: np.ndarray  # (n_frames, 10) the frames each of those means takes
+    voiced: np.ndarray  # (n_voiced, 11) H1, H2, the formant harmonics' peaks, F1-F3, their bandwidths
+
+
+def _check_duration(sig: AudioSignal) -> None:
     if sig.duration < MIN_DURATION_SECONDS:
         raise PreconditionError(
             f"utterance must last at least {MIN_DURATION_SECONDS * 1000:.0f} ms"
         )
+
+
+def _pitch_frames(sig: AudioSignal) -> tuple[np.ndarray, int, int]:
+    """The pitch frames of ``sig``, their hop and their length."""
+    _, hop = dsp.default_frame_params(sig.rate)
+    pitch_len = int(round(PITCH_FRAME_SECONDS * sig.rate))
+    return dsp.frame(sig, pitch_len, hop), hop, pitch_len
+
+
+def extract_features(sig: AudioSignal) -> FeatureVector:
+    """Extract the 26-entry descriptor vector for one utterance."""
+    return utterance_means(frame_terms(sig), sig)
+
+
+def frame_terms(sig: AudioSignal) -> FrameTerms:
+    """The per-frame terms of one utterance (see FrameTerms)."""
+    _check_duration(sig)
     rate = sig.rate
     # the pitch track first, so that its blocks' transients are not alive
     # together with the full-size power and magnitudes
-    _, hop = dsp.default_frame_params(rate)
-    pitch_len = int(round(PITCH_FRAME_SECONDS * rate))
-    pitch_frames = dsp.frame(sig, pitch_len, hop)
+    pitch_frames, _, _ = _pitch_frames(sig)
     f0_track, acf_peak = dsp.acf_pitch_track(pitch_frames, rate, PITCH_FMIN, PITCH_FMAX)
 
     analysis = dsp.frame_analysis(sig)
     n = len(pitch_frames)  # the longer pitch frames, on the same hop, are never more numerous
     frames, power, active = analysis.frames[:n], analysis.power[:n], analysis.energy[:n] > 0.0
     freqs = np.arange(power.shape[1]) * (rate / analysis.fft_len)
-    voiced = np.isfinite(f0_track)
-
-    x = np.zeros(N_FEATURES)
-    x[0] = 1.0
+    # column j holds the terms of feature j + 1; a value outside ``valid`` stays 0
+    values = np.zeros((n, 10))
+    valid = np.ones((n, 10), dtype=bool)
 
     # loudness: compressed auditory band powers summed per frame
     mel_bank = dsp.make_filterbank("mel", rate, analysis.fft_len, N_AUDITORY_BANDS, 50.0)
-    band_power = power @ mel_bank.T
-    x[1] = float(np.mean(np.sum(band_power ** 0.3, axis=1)))
+    band_power = _row_products(power, mel_bank.T)
+    values[:, 0] = np.sum(band_power ** 0.3, axis=1)
 
     # alpha ratio: 50-1000 Hz vs 1-5 kHz energy in dB
     low = (freqs >= 50.0) & (freqs <= 1000.0)
     high = (freqs > 1000.0) & (freqs <= 5000.0)
     e_low = power[:, low].sum(axis=1)
     e_high = power[:, high].sum(axis=1)
-    both = (e_low > 0.0) & (e_high > 0.0)
-    ratio_db = np.zeros(len(power))
-    ratio_db[both] = 10.0 * np.log10(e_low[both] / e_high[both])
-    x[2] = _masked_mean(ratio_db, both)
+    valid[:, 1] = both = (e_low > 0.0) & (e_high > 0.0)
+    values[both, 1] = 10.0 * np.log10(e_low[both] / e_high[both])
 
     # the magnitudes take the power's place: nothing below reads the power
     mags = np.sqrt(power, out=power)
@@ -235,42 +284,62 @@ def extract_features(sig: AudioSignal) -> FeatureVector:
     # hammarberg index: strongest peak 0-2 kHz vs 2-5 kHz in dB
     p_lo = _band_peaks(mags, freqs, 0.0, 2000.0)
     p_hi = _band_peaks(mags, freqs, 2000.0, 5000.0)
-    both = (p_lo > 0.0) & (p_hi > 0.0)
-    hamm = np.zeros(len(mags))
-    hamm[both] = 20.0 * np.log10(p_lo[both] / p_hi[both])
-    x[3] = _masked_mean(hamm, both)
+    valid[:, 2] = both = (p_lo > 0.0) & (p_hi > 0.0)
+    values[both, 2] = 20.0 * np.log10(p_lo[both] / p_hi[both])
 
     # spectral slopes of the dB spectrum
-    s1, v1 = _spectral_slopes(mags, freqs, 0.0, 500.0)
-    s2, v2 = _spectral_slopes(mags, freqs, 500.0, 1500.0)
-    x[4] = _masked_mean(s1, v1 & active)
-    x[5] = _masked_mean(s2, v2 & active)
+    for j, (lo, hi) in ((3, (0.0, 500.0)), (4, (500.0, 1500.0))):
+        values[:, j], slope_valid = _spectral_slopes(mags, freqs, lo, hi)
+        valid[:, j] = slope_valid & active
 
-    # spectral flux: mean squared frame-to-frame magnitude difference
-    if len(mags) >= 2:
-        x[6] = float(np.mean((mags[1:] - mags[:-1]) ** 2))
+    # spectral flux: the mean squared magnitude step from the frame before,
+    # in blocks so that no (frames, bins) difference is held
+    valid[0, 5] = False
+    for first in range(1, n, dsp.BLOCK_FRAMES):
+        stop = min(first + dsp.BLOCK_FRAMES, n)
+        values[first:stop, 5] = np.mean((mags[first:stop] - mags[first - 1:stop - 1]) ** 2, axis=1)
 
     # mel cepstra 1..4
     log_mel = np.log(band_power + np.maximum(band_power.max(axis=1, keepdims=True) * 1e-10, _TINY))
-    cep = log_mel @ _MFCC_BASIS
-    for k in range(4):
-        x[7 + k] = _masked_mean(cep[:, k], active)
+    values[:, 6:10] = _row_products(log_mel, _MFCC_BASIS)
+    valid[:, 6:10] = active[:, None]
+
+    # the harmonic and formant terms of the voiced frames, dsp.BLOCK_FRAMES
+    # voiced rows at a time
+    rows = np.flatnonzero(np.isfinite(f0_track))
+    voiced = np.empty((len(rows), 11))
+    for block in dsp.row_blocks(len(rows)):
+        voiced[block, :5], voiced[block, 5:8], voiced[block, 8:] = _voiced_frame_terms(
+            frames, mags, freqs, f0_track, rows[block], rate)
+    return FrameTerms(f0_track, acf_peak, values, valid, voiced)
+
+
+def utterance_means(terms: FrameTerms, sig: AudioSignal) -> FeatureVector:
+    """The 26-entry descriptor vector of ``sig`` from ``terms``, the frame
+    terms of ``sig`` or of a longer signal of its rate that begins with its
+    samples: the means take the rows of ``sig``'s own frames."""
+    _check_duration(sig)
+    pitch_frames, hop, pitch_len = _pitch_frames(sig)
+    k = len(pitch_frames)
+    if len(terms.f0) < k:
+        raise ValueError(f"the frame terms hold {len(terms.f0)} frames, the signal {k}")
+    f0_track = terms.f0[:k]
+    voiced = np.isfinite(f0_track)
+
+    x = np.zeros(N_FEATURES)
+    x[0] = 1.0
+    for j in range(10):
+        x[1 + j] = _masked_mean(terms.values[:k, j], terms.valid[:k, j])
 
     if np.any(voiced):
         f0v = f0_track[voiced]
         x[11] = float(np.mean(12.0 * np.log2(f0v / SEMITONE_REF_HZ)))
 
-        r = np.clip(acf_peak[voiced], _TINY, 1.0 - 1e-7)
+        r = np.clip(terms.acf_peak[:k][voiced], _TINY, 1.0 - 1e-7)
         x[14] = float(np.mean(10.0 * np.log10(r / (1.0 - r))))
 
         x[12], x[13] = _voiced_run_jitter_shimmer(sig, voiced, f0_track, hop, pitch_len)
-
-        h1h2, h1a3, formant_stats = _harmonic_and_formant_features(
-            frames, mags, freqs, f0_track, voiced, rate
-        )
-        x[15] = h1h2
-        x[16] = h1a3
-        x[17:26] = formant_stats
+        x[15], x[16], x[17:26] = _harmonic_and_formant_means(terms.voiced[:np.count_nonzero(voiced)])
 
     return FeatureVector(x, voiced=bool(np.any(voiced)))
 
@@ -304,24 +373,13 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[half - 1] + ordered[half]) / 2.0)
 
 
-def _harmonic_and_formant_features(frames: np.ndarray, mags: np.ndarray,
-                                   freqs: np.ndarray, f0_track: np.ndarray,
-                                   voiced: np.ndarray, rate: int
-                                   ) -> tuple[float, float, np.ndarray]:
-    """Means over the voiced frames of H1-H2, H1-A3 and the formant
-    frequency/bandwidth/level; the formant terms average over the frames
-    with three formants. The voiced rows are taken dsp.BLOCK_FRAMES at a
-    time (see _voiced_frame_terms), and only their per-frame terms are kept
-    for the means."""
-    rows = np.flatnonzero(voiced)
-    peaks = np.empty((len(rows), 5))
-    f_hz = np.empty((len(rows), 3))
-    bw_hz = np.empty((len(rows), 3))
-    for block in dsp.row_blocks(len(rows)):
-        peaks[block], f_hz[block], bw_hz[block] = _voiced_frame_terms(
-            frames, mags, freqs, f0_track, rows[block], rate)
+def _harmonic_and_formant_means(voiced: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Means over the rows of ``voiced`` (see FrameTerms) of H1-H2, H1-A3
+    and the formant frequency/bandwidth/level; the formant terms average
+    over the frames with three formants."""
+    h1, h2, amps = voiced[:, 0], voiced[:, 1], voiced[:, 2:5]
+    f_hz, bw_hz = voiced[:, 5:8], voiced[:, 8:]
     has_formants = ~np.isnan(f_hz[:, 0])
-    h1, h2, amps = peaks[:, 0], peaks[:, 1], peaks[:, 2:]
     a3 = amps[:, 2]
 
     with np.errstate(divide="ignore", invalid="ignore"):

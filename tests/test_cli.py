@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vda import cli, corpus, metrics
+from vda import cli, corpus, features, metrics
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from vda.errors import FormatError, SchemaError, VdaError
 
@@ -339,6 +340,132 @@ def test_features_corrupt_wav_is_data_error(small_corpus, tmp_path):
     assert not rows[0]["e0"]
     for name in ("errors.csv", "features_clean.csv", "features_degraded.csv"):
         _assert_failed_row_blank(out / name, ["u1", "0", "0", "0"])
+
+
+FEATURE_OUTPUTS = ("errors.csv", "features_clean.csv", "features_degraded.csv")
+
+
+def test_features_analyse_each_clean_file_once(seed7_run, tmp_path, monkeypatch):
+    # 16 clean references, each with 8 degraded recordings: one frame-terms
+    # pass per reference (every seed-7 lag is positive, so every crop starts
+    # at 0) and one per degraded side, against 256 full extractions before
+    out, _ = seed7_run
+    manifest = str(out.parent / "manifest.csv")
+    calls = {"frame_terms": 0, "extract_features": 0}
+
+    def counted(name):
+        original = getattr(features, name)
+
+        def wrapper(sig):
+            calls[name] += 1
+            return original(sig)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(features, name, counted(name))
+    one = tmp_path / "one"
+    assert main(["features", "--manifest", manifest, "--out", str(one)]) == EXIT_OK
+    assert calls == {"frame_terms": 16 + 128, "extract_features": 128}
+    monkeypatch.undo()
+    two = tmp_path / "two"
+    assert main(["features", "--manifest", manifest, "--out", str(two), "--jobs", "2"]) == EXIT_OK
+    for name in FEATURE_OUTPUTS:
+        assert (two / name).read_bytes() == (one / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_feature_rows_equal_the_per_pair_extraction_at_any_lag(small_corpus, tmp_path):
+    # four pairs share one clean file; a degraded side cut at its start
+    # aligns at a negative lag, so its clean crop starts inside the clean
+    # file. Each row is bitwise the extraction of its own aligned pair.
+    wav = tmp_path / "wav"
+    wav.mkdir()
+    shutil.copy(small_corpus / "wav" / "utt000_clean.wav", wav / "c.wav")
+    degraded = corpus.load_wav(small_corpus / "wav" / "utt000_g1c0d1.wav")
+    cuts = [slice(None), slice(300, None), slice(1000, None), slice(None, -500)]
+    lines = ["utterance_id,clean_path,degraded_path,G,C,D,pesq"]
+    for i, cut in enumerate(cuts):
+        corpus.write_wav(wav / f"d{i}.wav", corpus.AudioSignal(degraded.samples[cut], degraded.rate))
+        lines.append(f"utt000,wav/c.wav,wav/d{i}.wav,0,{i // 2},{i % 2},")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+    tables = {name: [list(map(float, row[4:])) for row in csv.reader(_lines(out / name)[1:])]
+              for name in FEATURE_OUTPUTS}
+    lags = []
+    for i in range(len(cuts)):
+        pair = corpus.align(cli._load_signal(wav / "c.wav"), cli._load_signal(wav / f"d{i}.wav"),
+                            cli._max_lag(corpus.CANONICAL_RATE))
+        lags.append(pair.applied_lag)
+        fv_clean = features.extract_features(pair.clean)
+        fv_degraded = features.extract_features(pair.degraded)
+        assert tables["features_clean.csv"][i] == fv_clean.x.tolist()
+        assert tables["features_degraded.csv"][i] == fv_degraded.x.tolist()
+        assert tables["errors.csv"][i] == features.feature_error(fv_clean, fv_degraded).e.tolist()
+    assert len({max(0, -lag) for lag in lags}) == 3  # three crop starts, two of them inside
+
+
+def _corpus_copy(small_corpus, root):
+    shutil.copytree(small_corpus / "wav", root / "wav")
+    shutil.copy(small_corpus / "manifest.csv", root / "manifest.csv")
+    return root / "manifest.csv"
+
+
+def _lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("name,failed_cells", [
+    ("utt000_clean.wav", [(g, c, d) for g in (0, 1) for c in (0, 1) for d in (0, 1)]),
+    ("utt000_g0c1d0.wav", [(0, 1, 0)]),
+])
+def test_corrupt_wav_fails_the_rows_that_read_it(small_corpus, pipeline_out, tmp_path, caplog,
+                                                 name, failed_cells):
+    # a clean file shared by 8 cells fails those 8 rows, each with the
+    # message of its own load; a degraded file fails its row alone
+    manifest = _corpus_copy(small_corpus, tmp_path)
+    bad = tmp_path / "wav" / name
+    bad.write_bytes(b"RIFF\x04\x00\x00\x00junk")
+    with pytest.raises(FormatError) as load_error:
+        corpus.load_wav(bad)
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA
+    failed = [f"utt000 G{g}C{c}D{d}" for g, c, d in failed_cells]
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        f"features failed for {row}: {load_error.value}" for row in failed]
+    for output in FEATURE_OUTPUTS:
+        got, want = _lines(out / output), _lines(pipeline_out / output)
+        assert len(got) == len(want) == 17
+        for got_row, want_row in zip(got[1:], want[1:]):
+            key = want_row.split(",")[:4]
+            if " ".join([key[0], "G{}C{}D{}".format(*key[1:])]) in failed:
+                assert got_row == ",".join(key) + "," * features.N_FEATURES
+            else:
+                assert got_row == want_row
+
+
+def test_short_crop_fails_its_row_alone(small_corpus, pipeline_out, tmp_path, caplog):
+    # two pairs share one clean file: the first pair's degraded side lasts
+    # 75 ms, so its crop is too short for the features; the second pair,
+    # which uses the frame terms the first one took, is unchanged
+    wav = tmp_path / "wav"
+    wav.mkdir()
+    shutil.copy(small_corpus / "wav" / "utt000_clean.wav", wav / "c.wav")
+    shutil.copy(small_corpus / "wav" / "utt000_g0c0d0.wav", wav / "d.wav")
+    degraded = corpus.load_wav(small_corpus / "wav" / "utt000_g0c0d1.wav")
+    corpus.write_wav(wav / "short.wav", corpus.AudioSignal(degraded.samples[:1200], degraded.rate))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
+                        "utt000,wav/c.wav,wav/short.wav,0,0,0,\n"
+                        "utt000,wav/c.wav,wav/d.wav,1,1,1,\n")
+    out = tmp_path / "out"
+    assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == EXIT_NUMERIC
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "features failed for utt000 G0C0D0: utterance must last at least 100 ms"]
+    for output in FEATURE_OUTPUTS:
+        got, want = _lines(out / output), _lines(pipeline_out / output)
+        assert got[1] == "utt000,0,0,0" + "," * features.N_FEATURES
+        assert got[2].split(",")[4:] == want[1].split(",")[4:]  # utt000 G0C0D0 of the corpus
 
 
 @pytest.mark.parametrize("stage,outputs", [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from vda import dsp, features, kernels
 from vda.corpus import AudioSignal
 from vda.errors import PreconditionError
-from vda.features import ErrorVector, FeatureVector, extract_features, feature_error
+from vda.features import (ErrorVector, FeatureVector, extract_features, feature_error, frame_terms,
+                          utterance_means)
 
 from conftest import make_speech_like, make_tone, make_vowel, peak_memory
 
@@ -332,6 +335,60 @@ def test_mfcc_basis_matches_scipy_dct():
                                rtol=0.0, atol=1e-12)
 
 
+def _prefix_sources():
+    rng = np.random.default_rng(12)
+    return [make_speech_like(seed=5, duration=2.0), AudioSignal(0.1 * rng.standard_normal(2 * RATE), RATE)]
+
+
+@pytest.mark.parametrize("start", [0, 1, 159, 160, 4000])
+def test_means_of_shared_frame_terms_equal_the_crop_features(start):
+    # the features stage takes each clean crop's means from the frame terms
+    # of its reference from the crop's start on; every entry, the flux
+    # included, has the bits of the crop's own extraction. The crop lengths
+    # give frame counts on both sides of a BLAS row group of 4.
+    lengths = [int(features.MIN_DURATION_SECONDS * RATE), 1601, 1759, 1920, 2080, 9000, 12000]
+    voicing = []
+    for source in _prefix_sources():
+        tail = AudioSignal(source.samples[start:], RATE)
+        terms = frame_terms(tail)
+        for n in lengths + [len(tail)]:
+            crop = AudioSignal(source.samples[start:start + n], RATE)
+            shared, own = utterance_means(terms, crop), extract_features(crop)
+            np.testing.assert_array_equal(shared.x, own.x, err_msg=f"{n} samples")
+            assert shared.voiced == own.voiced
+            voicing.append(own.voiced)
+    assert any(voicing) and not all(voicing)
+
+
+def test_flux_is_the_mean_squared_step_of_the_magnitudes(vowel, tone440, speech_like):
+    # x6 is now the mean of the per-frame row means, not one mean over the
+    # (frames - 1, bins) step matrix: the two agree to 1e-13 relative
+    for sig in _reference_signals(vowel, tone440, speech_like):
+        _, mags, _, _ = _reference_frames(sig)
+        expected = float(np.mean((mags[1:] - mags[:-1]) ** 2)) if len(mags) >= 2 else 0.0
+        assert extract_features(sig).x[6] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_means_refuse_terms_of_a_shorter_signal(speech_like):
+    terms = frame_terms(AudioSignal(speech_like.samples[:RATE // 2], RATE))
+    with pytest.raises(ValueError, match="frame terms hold"):
+        utterance_means(terms, speech_like)
+    with pytest.raises(PreconditionError):
+        utterance_means(terms, AudioSignal(speech_like.samples[:800], RATE))
+
+
+def test_frame_terms_are_small_beside_the_samples():
+    # the shared terms keep no spectra: about 0.08x the sample bytes per
+    # frame, plus 0.07x for each voiced one
+    t = np.arange(20 * RATE) / RATE
+    tone = AudioSignal(sum(0.3 / k * np.sin(2.0 * np.pi * 150.0 * k * t) for k in range(1, 9)),
+                       RATE)
+    for sig in (make_speech_like(seed=5, duration=20.0), tone):
+        terms = frame_terms(sig)
+        size = sum(getattr(terms, field.name).nbytes for field in dataclasses.fields(terms))
+        assert size < 0.25 * sig.samples.nbytes
+
+
 def test_extract_features_peak_memory_is_bounded():
     # With the 25 ms and 40 ms frame matrices copied out of the signal, one
     # side's features peaked at 32.9x the bytes of its samples on the 20 s
@@ -339,8 +396,8 @@ def test_extract_features_peak_memory_is_bounded():
     # 26.4x, and with the pitch track taken in blocks of frames 9.5x. With
     # every voiced frame's formant and harmonic terms at once, the fully
     # voiced 20 s tone took 18.3x. In blocks of frames, with no complex
-    # spectra kept, each took 5.1x, and with the magnitudes written over
-    # the power 3.5x.
+    # spectra kept, each took 5.1x, with the magnitudes written over the
+    # power 3.5x, and with the flux taken in blocks 3.1x and 3.2x.
     t = np.arange(20 * RATE) / RATE
     tone = AudioSignal(sum(0.3 / k * np.sin(2.0 * np.pi * 150.0 * k * t) for k in range(1, 9)),
                        RATE)
