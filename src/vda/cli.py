@@ -7,7 +7,9 @@ codes: 0 success, 1 usage/schema, 2 data, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import gc
 import itertools
 import json
 import logging
@@ -15,6 +17,7 @@ import os
 import re
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -181,8 +184,9 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 
 
 def _set_process_policy() -> None:
-    """Keep freed arrays in the heap and, unless one of _BLAS_THREAD_VARS is
-    set, run the OpenBLAS that numpy loaded on one thread.
+    """Keep freed arrays in the heap, unless one of _BLAS_THREAD_VARS is set
+    run the OpenBLAS that numpy loaded on one thread, and freeze the heap
+    that start-up made.
 
     glibc otherwise unmaps each block over its mmap threshold on free and
     trims the heap top, so every FFT buffer of a long recording is faulted
@@ -190,8 +194,10 @@ def _set_process_policy() -> None:
     dynamic one, and the other default still returns the memory. OpenBLAS
     otherwise keeps a thread per core spinning beside a stage that gains
     nothing from it, and it reads the environment only when numpy loads, so
-    its own setter is called. main and the --jobs workers' initializer call
-    this; library use of vda does not. Each part does nothing where its
+    its own setter is called. gc.freeze moves the objects of the imports out
+    of the collector's generations, so neither the collections of a run nor
+    those at exit walk them again. main and the --jobs workers' initializer
+    call this; library use of vda does not. Each part does nothing where its
     library is missing: mallopt outside glibc (macOS, Windows, musl), the
     setter under another BLAS (MKL, Accelerate).
     """
@@ -209,6 +215,7 @@ def _set_process_policy() -> None:
             if hasattr(blas, name):
                 getattr(blas, name)(1)
                 break
+    gc.freeze()
 
 
 def _map_jobs(func, items, jobs: int):
@@ -311,9 +318,143 @@ def _cell_values(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool, tupl
         raise
 
 
-def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+_Table = tuple[list[tuple], np.ndarray, np.ndarray]  # keys, labels, values, as _read_table returns them
+
+# The tag that leads what a parsed copy's key hashes; a change to the copy's
+# layout or to what _parse_table returns needs a new one.
+_COPY_FORMAT = "vda parsed table 1"
+_HASH_CHUNK_BYTES = 2 ** 20
+# The G/C/D cell texts of a key, by its 0/1 label.
+_LABEL_TEXTS = np.array(["0", "1"], dtype=object)
+
+
+def _read_table(path: Path, columns: tuple[str, ...], copies: list | None = None) -> _Table:
     """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns)) values
     of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
+
+    They come from the parsed copy of ``path`` (``_copy_path``) when its key
+    is ``_table_digest(path, columns)``, and from ``_parse_table`` otherwise;
+    a missing, stale or unreadable copy is parsed around. With ``copies``
+    (see ``_parsed_copies``), a parse also writes the table's copy.
+    """
+    if not path.exists():
+        raise DependencyError(f"required upstream artifact missing: {path}")
+    try:
+        before = path.stat()
+        digest = _table_digest(path, columns)
+    except OSError:  # the parse raises it again
+        digest = None
+    table = _load_copy(path, digest) if digest else None
+    if table is None:
+        table = _parse_table(path, columns)
+        after = path.stat()  # a table rewritten since it was hashed gets no copy
+        unchanged = (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        if copies is not None and digest and unchanged:
+            _write_copy(path, digest, table, copies)
+    return table
+
+
+def _copy_path(path: Path) -> Path:
+    """The parsed copy of the table ``path``: a dotfile beside it, which no
+    ``metrics_*.csv`` glob matches."""
+    return path.with_name(f".{path.name}.npy")
+
+
+def _table_digest(path: Path, columns: tuple[str, ...]) -> bytes:
+    """The key of a parsed copy: the blake2b digest of ``_COPY_FORMAT``,
+    ``columns`` and the bytes of ``path``, read in chunks."""
+    # hashlib's blake2b from its own module: importing hashlib also loads
+    # OpenSSL, 3.6 MB of RSS at a stage's peak
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+    digest = blake2b(json.dumps([_COPY_FORMAT, list(columns)]).encode())
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _checksum(arrays) -> np.ndarray:
+    """The CRC-32 of the bytes of ``arrays``, which ends a parsed copy."""
+    crc = 0
+    for array in arrays:
+        crc = zlib.crc32(np.ascontiguousarray(array), crc)
+    return np.array(crc, np.int64)
+
+
+def _load_copy(path: Path, digest: bytes) -> _Table | None:
+    """The table in the parsed copy of ``path`` if its key is ``digest`` and
+    its checksum holds, else None."""
+    copy = _copy_path(path)
+    try:
+        with open(copy, "rb") as fh:
+            if np.load(fh).tobytes() != digest:
+                return None
+            arrays = [np.load(fh) for _ in range(4)]
+            if np.load(fh) != _checksum(arrays) or fh.read(1):
+                return None
+        ids, lengths, labels, values = arrays
+        text = ids.tobytes().decode("utf-8")
+        ends = np.cumsum(lengths).tolist()
+        keys = list(zip([text[a:b] for a, b in zip([0] + ends, ends)], *_LABEL_TEXTS[labels].T.tolist()))
+    # any failure is parsed around: besides OSError, np.load of a damaged
+    # header raises ValueError, EOFError, tokenize's TokenError or MemoryError
+    except Exception as exc:
+        log.debug("%s: parsed copy not used: %r", copy, exc)
+        return None
+    return keys, labels, values
+
+
+def _write_copy(path: Path, digest: bytes, table: _Table, copies: list) -> None:
+    """Write the parsed copy of ``path``, keyed ``digest``, to a temp file
+    beside it, and add the temp file and the copy's path to ``copies``. A
+    copy that cannot be written is skipped.
+
+    The copy is .npy arrays in a row: the key, the UTF-8 bytes of the
+    utterance ids, their lengths in characters, the labels, the values and
+    the checksum of the four before it. A key's G/C/D cells are its labels'
+    digits.
+    """
+    target = _copy_path(path)
+    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    keys, labels, values = table
+    ids = [key[0] for key in keys]
+    arrays = (np.frombuffer("".join(ids).encode("utf-8"), np.uint8),
+              np.fromiter(map(len, ids), np.int64, len(ids)), labels, values)
+    try:
+        with open(temp, "wb") as fh:
+            for array in (np.frombuffer(digest, np.uint8), *arrays, _checksum(arrays)):
+                np.save(fh, array, allow_pickle=False)
+    except OSError as exc:
+        log.debug("%s: parsed copy not written: %s", target, exc)
+        with contextlib.suppress(OSError):
+            temp.unlink(missing_ok=True)
+    else:
+        copies.append((temp, target))
+
+
+@contextlib.contextmanager
+def _parsed_copies():
+    """A list for the ``copies`` of _read_table. The copies written into it
+    replace those beside their tables if the block ends without an error,
+    after a stage's outputs, and are removed otherwise; one that cannot be
+    moved is removed too."""
+    copies: list[tuple[Path, Path]] = []
+    try:
+        yield copies
+        for temp, target in copies:
+            with contextlib.suppress(OSError):
+                os.replace(temp, target)
+    finally:
+        for temp, _ in copies:
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
+
+
+def _parse_table(path: Path, columns: tuple[str, ...]) -> _Table:
+    """``_read_table`` of ``path`` by parsing it.
 
     csv.reader reads the header; numpy's tokenizer reads the rows as text,
     ``_TABLE_BLOCK_ROWS`` at a time, and float() reads each value cell. A
@@ -324,8 +465,6 @@ def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.n
     cell that float() refuses and a written cell that is not finite; these
     also name the row, and the column of a bad cell.
     """
-    if not path.exists():
-        raise DependencyError(f"required upstream artifact missing: {path}")
     keys, blocks, refused, nonfinite = [], [], [], []  # the last two: (row, column, reason)
     try:
         with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
@@ -370,11 +509,14 @@ def _read_table(path: Path, columns: tuple[str, ...]) -> tuple[list[tuple], np.n
     return keys, _CONDITION_LABELS[condition], np.concatenate(blocks)
 
 
-def _observations(out_dir: Path, outcome: str) -> model.Observations:
-    """The model input: each metrics.csv row joined to its errors.csv row."""
+def _observations(out_dir: Path, outcome: str, copies: list | None = None) -> model.Observations:
+    """The model input: each metrics.csv row joined to its errors.csv row;
+    ``copies`` as for _read_table."""
     m_path, e_path = out_dir / "metrics.csv", out_dir / "errors.csv"
-    keys, labels, outcomes = _read_table(m_path, ("stoi", outcome))
-    e_keys, _, e = _read_table(e_path, ERROR_COLUMNS)
+    columns = tuple(dict.fromkeys(("stoi", outcome)))  # stoi once under --outcome stoi
+    keys, labels, values = _read_table(m_path, columns, copies)
+    outcomes = values[:, [0, columns.index(outcome)]]  # stoi, outcome
+    e_keys, _, e = _read_table(e_path, ERROR_COLUMNS, copies)
     e_row = dict(zip(e_keys, range(len(e_keys))))
     # a key without an errors.csv row points one past its last row
     at = np.fromiter(map(e_row.get, keys, itertools.repeat(len(e_keys))), np.intp, len(keys))
@@ -400,52 +542,56 @@ def _observations(out_dir: Path, outcome: str) -> model.Observations:
 
 def cmd_fit(args) -> int:
     out_dir = Path(args.out)
-    obs = _observations(out_dir, args.outcome)
-    fit = model.fit_interactions(obs)
-    # every table is rendered before any is written, so a fit that cannot be
-    # rendered leaves no files
-    texts = {f"fit_{args.outcome}.json": report.render_regression_table(fit, "json"),
-             f"regression_{args.outcome}.csv": report.render_regression_table(fit, "csv"),
-             f"regression_{args.outcome}.md": report.render_regression_table(fit, "markdown")}
-    for name, text in texts.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+    with _parsed_copies() as copies:
+        obs = _observations(out_dir, args.outcome, copies)
+        fit = model.fit_interactions(obs)
+        # every table is rendered before any is written, so a fit that cannot be
+        # rendered leaves no files
+        texts = {f"fit_{args.outcome}.json": report.render_regression_table(fit, "json"),
+                 f"regression_{args.outcome}.csv": report.render_regression_table(fit, "csv"),
+                 f"regression_{args.outcome}.md": report.render_regression_table(fit, "markdown")}
+        for name, text in texts.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
     print(out_dir / f"fit_{args.outcome}.json")
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     out_dir = Path(args.out)
-    obs = _observations(out_dir, args.outcome)
-    table = model.decomposition_table(obs, reference=args.reference)
-    payload = {
-        "outcome": args.outcome,
-        "reference": args.reference,
-        "rows": report.decomposition_records(table),
-    }
-    stem = out_dir / f"decomposition_{args.outcome}"
-    for suffix, text in ((".json", json.dumps(payload, indent=2, sort_keys=True)),
-                         (".csv", report.render_decomposition_table(table, "csv")),
-                         (".md", report.render_decomposition_table(table, "markdown"))):
-        stem.with_suffix(suffix).write_text(text, encoding="utf-8")
+    with _parsed_copies() as copies:
+        obs = _observations(out_dir, args.outcome, copies)
+        table = model.decomposition_table(obs, reference=args.reference)
+        payload = {
+            "outcome": args.outcome,
+            "reference": args.reference,
+            "rows": report.decomposition_records(table),
+        }
+        stem = out_dir / f"decomposition_{args.outcome}"
+        for suffix, text in ((".json", json.dumps(payload, indent=2, sort_keys=True)),
+                             (".csv", report.render_decomposition_table(table, "csv")),
+                             (".md", report.render_decomposition_table(table, "markdown"))):
+            stem.with_suffix(suffix).write_text(text, encoding="utf-8")
     print(stem.with_suffix(".csv"))
     return EXIT_OK
 
 
-def _metric_csv_aggregates(path: Path) -> dict:
-    """Cell means of the metric columns of ``metrics.csv`` or a variant file."""
-    return report.cell_means(*_read_table(path, metrics.COLUMNS)[1:])
+def _metric_csv_aggregates(path: Path, copies: list | None = None) -> dict:
+    """Cell means of the metric columns of ``metrics.csv`` or a variant file;
+    ``copies`` as for _read_table."""
+    return report.cell_means(*_read_table(path, metrics.COLUMNS, copies)[1:])
 
 
 def cmd_report(args) -> int:
     out_dir = Path(args.out)
-    baseline = _metric_csv_aggregates(out_dir / "metrics.csv")
-    variants = {}
-    for path in sorted(out_dir.glob("metrics_*.csv")):
-        name = path.stem[len("metrics_"):]
-        variants[name] = _metric_csv_aggregates(path)
-    for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("markdown", ".md")):
-        text = report.render_comparison_table(baseline, variants, fmt)
-        (out_dir / f"comparison{suffix}").write_text(text, encoding="utf-8")
+    with _parsed_copies() as copies:
+        baseline = _metric_csv_aggregates(out_dir / "metrics.csv", copies)
+        variants = {}
+        for path in sorted(out_dir.glob("metrics_*.csv")):
+            name = path.stem[len("metrics_"):]
+            variants[name] = _metric_csv_aggregates(path, copies)
+        for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("markdown", ".md")):
+            text = report.render_comparison_table(baseline, variants, fmt)
+            (out_dir / f"comparison{suffix}").write_text(text, encoding="utf-8")
     print(out_dir / "comparison.csv")
     return EXIT_OK
 

@@ -135,6 +135,23 @@ def test_jobs_workers_keep_freed_arrays_and_one_blas_thread(monkeypatch):
     assert dict(os.environ) == environ
 
 
+def test_main_freezes_the_start_up_heap(small_corpus):
+    # importing vda.cli freezes nothing; main's process policy freezes what start-up made
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import gc, sys\n"
+             "from vda.cli import main\n"
+             "before = gc.get_freeze_count()\n"
+             "code = main(sys.argv[1:])\n"
+             "print(before, gc.get_freeze_count())\n"
+             "sys.exit(code)\n")
+    args = ["validate", "--manifest", str(small_corpus / "manifest.csv")]
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True)
+    assert out.returncode == EXIT_OK, out.stderr
+    before, after = map(int, out.stdout.split()[-2:])
+    assert before == 0 and after > 0
+
+
 @openblas_only
 @pytest.mark.parametrize("blas_env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
 def test_stage_blas_threads(small_corpus, tmp_path, blas_env, threads):
@@ -945,6 +962,150 @@ def test_long_data_cell_is_read(tmp_path):
         csv.writer(fh, lineterminator="\n").writerows(rows)
     keys, _, values = cli._read_table(path, cli.ERROR_COLUMNS)
     assert keys[1][0] == "u" * 140_000 and values.shape == (3, 26)
+
+
+# the column sets that fit, decompose and report read, by table
+_STAGE_COLUMNS = {"metrics.csv": (("stoi",), ("stoi", "pesq"), metrics.COLUMNS),
+                  "errors.csv": (cli.ERROR_COLUMNS,)}
+
+
+def _write_golden_tables(out, blank_and_failed=False):
+    """The golden seed-7 tables in ``out``; ``blank_and_failed`` blanks a
+    cell, fails a row (its key alone) and gives two rows ids that need
+    quoting or are not ASCII."""
+    out.mkdir()
+    for name, table in _GOLDEN_TABLES.items():
+        rows = [list(r) for r in table]
+        if blank_and_failed:
+            rows[2][len(cli.KEY_COLUMNS):] = [""] * (len(rows[0]) - len(cli.KEY_COLUMNS))
+            rows[5][rows[0].index("stoi" if name == "metrics.csv" else "e7")] = ""
+            rows[7][0], rows[9][0] = 'a,\r"b', "ü€𝄞"
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return out
+
+
+def _table_bits(table):
+    keys, labels, values = table
+    return keys, [(a.dtype, a.shape, a.tobytes()) for a in (labels, values)]
+
+
+def _count_parses(monkeypatch):
+    """A list that gains the file name and columns of each _parse_table call."""
+    parses, parse = [], cli._parse_table
+    monkeypatch.setattr(cli, "_parse_table", lambda path, columns: parses.append((path.name, columns))
+                        or parse(path, columns))
+    return parses
+
+
+def _save_copy(path, columns):
+    """Read ``path``, which must parse, and write its parsed copy; return what the read gave."""
+    with cli._parsed_copies() as copies:
+        table = cli._read_table(path, columns, copies)
+        assert [target for _, target in copies] == [cli._copy_path(path)]
+    assert cli._copy_path(path).exists()
+    return table
+
+
+@pytest.mark.parametrize("blank_and_failed", [False, True])
+def test_warm_read_is_the_parse_bitwise(tmp_path, monkeypatch, blank_and_failed):
+    out = _write_golden_tables(tmp_path / "out", blank_and_failed)
+    for name, column_sets in _STAGE_COLUMNS.items():
+        for columns in column_sets:
+            cold = _save_copy(out / name, columns)
+            assert _table_bits(cold) == _table_bits(cli._parse_table(out / name, columns))
+            parses = _count_parses(monkeypatch)
+            assert _table_bits(cli._read_table(out / name, columns)) == _table_bits(cold)
+            assert parses == []
+            monkeypatch.undo()
+
+
+def _edit_table(text):
+    return lambda out, copy: _set_cells(out / "errors.csv", 3, {"e4": text})
+
+
+def _edit_copy(edit):
+    return lambda out, copy: copy.write_bytes(edit(copy.read_bytes()))
+
+
+def _flip(data, at):
+    return data[:at] + bytes([data[at] ^ 0x55]) + data[at + 1:]
+
+
+def _take_name(out, copy):
+    copy.unlink()
+    copy.mkdir()
+
+
+# each: a change to errors.csv or to its parsed copy after the copy is written
+_COPY_DAMAGE = {
+    "edited-cell": _edit_table("0.25"),
+    "refused-cell": _edit_table("abc"),
+    "truncated": _edit_copy(lambda data: data[:len(data) // 2]),
+    "empty": _edit_copy(lambda data: b""),
+    "trailing-byte": _edit_copy(lambda data: data + b"\0"),
+    "garbled-magic": _edit_copy(lambda data: _flip(data, 3)),
+    "garbled-shape": _edit_copy(lambda data: data.replace(b"(64,)", b"(65,)", 1)),  # the key's shape
+    "garbled-key": _edit_copy(lambda data: _flip(data, 140)),  # the key's data follows a 128-byte header
+    "garbled-values": _edit_copy(lambda data: _flip(data, len(data) - 300)),
+    "garbled-checksum": _edit_copy(lambda data: _flip(data, len(data) - 3)),
+    "name-taken": _take_name,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_COPY_DAMAGE))
+def test_stale_or_damaged_copy_is_parsed_around(tmp_path, monkeypatch, damage):
+    out = _write_golden_tables(tmp_path / "out")
+    path = out / "errors.csv"
+    _save_copy(path, cli.ERROR_COLUMNS)
+    _COPY_DAMAGE[damage](out, cli._copy_path(path))
+    parses = _count_parses(monkeypatch)
+    _assert_reads_as_the_oracle(path, cli.ERROR_COLUMNS)
+    assert parses == [("errors.csv", cli.ERROR_COLUMNS)]
+
+
+@pytest.mark.parametrize("refusal", ["read-only-out", "name-taken", "open-refused"])
+def test_stage_that_cannot_write_a_copy_exits_0(pipeline_out, tmp_path, monkeypatch, refusal):
+    want = _copy_stage_inputs(pipeline_out, tmp_path / "want")
+    assert main(["fit", "--out", str(want)]) == EXIT_OK
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    if refusal == "read-only-out":  # the outputs exist, so only the copies are new files
+        if os.geteuid() == 0:
+            pytest.skip("root writes in a read-only directory")
+        assert main(["fit", "--out", str(out)]) == EXIT_OK
+        for copy in out.glob(".*.npy"):
+            copy.unlink()
+        out.chmod(0o555)
+    elif refusal == "name-taken":
+        cli._copy_path(out / "errors.csv").mkdir()
+    else:  # every file that vda.cli opens for writing is refused
+        def refusing_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+    try:
+        assert main(["fit", "--out", str(out)]) == EXIT_OK
+    finally:
+        out.chmod(0o755)
+    assert not list(out.glob("*.tmp"))
+    for name in ("fit_stoi.json", "regression_stoi.csv", "regression_stoi.md"):
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_stages_parse_each_table_once(pipeline_out, tmp_path, monkeypatch):
+    # fit, decompose and report on one --out parse each table once per
+    # column set they read it for, and errors.csv once in all: the other
+    # reads load the parsed copy that the first one left
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    parses = _count_parses(monkeypatch)
+    for outcome in cli.OUTCOMES:
+        for stage in ("fit", "decompose"):
+            assert main([stage, "--out", str(out), "--outcome", outcome]) == EXIT_OK
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+    assert [p for p in parses if p[0] == "errors.csv"] == [("errors.csv", cli.ERROR_COLUMNS)]
+    assert sorted(parses) == sorted((name, columns) for name, sets in _STAGE_COLUMNS.items()
+                                    for columns in sets)
 
 
 @pytest.mark.parametrize("stage,name", [("fit", "errors.csv"), ("decompose", "errors.csv"),
