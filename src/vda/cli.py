@@ -228,10 +228,19 @@ def _map_jobs(func, items, jobs: int):
         return list(pool.map(func, items))
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    """Write ``rows`` under ``header``; a short row (a failed one) ends in blank cells."""
-    padded = [row + (None,) * (len(header) - len(row)) for row in rows]
-    path.write_text(report.csv_text(header, padded), encoding="utf-8")
+def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
+    """``rows`` under ``header`` as CSV; a short row (a failed one) ends in blank cells."""
+    return report.csv_text(header, [row + (None,) * (len(header) - len(row)) for row in rows])
+
+
+def _write_outputs(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write each of ``texts`` to its file name in ``out_dir`` and print the
+    first one's path. A stage renders every text before it calls this, so
+    one that cannot render a table leaves no files."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    print(out_dir / next(iter(texts)))
 
 
 def cmd_validate(args) -> int:
@@ -267,10 +276,8 @@ def cmd_metrics(args) -> int:
     failures = [failure for _, failure in results if failure]
     for _, msg in failures:
         log.error("metrics failed for %s", msg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "metrics.csv", KEY_COLUMNS + metrics.COLUMNS, [row for row, _ in results])
-    print(out_dir / "metrics.csv")
+    _write_outputs(Path(args.out), {"metrics.csv": _csv_text(KEY_COLUMNS + metrics.COLUMNS,
+                                                             [row for row, _ in results])})
     return failures[0][0] if failures else EXIT_OK
 
 
@@ -281,12 +288,10 @@ def cmd_features(args) -> int:
     failures = [failure for *_rows, failure in results if failure]
     for _, msg in failures:
         log.error("features failed for %s", msg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "errors.csv", KEY_COLUMNS + ERROR_COLUMNS, [r[0] for r in results])
-    _write_csv(out_dir / "features_clean.csv", KEY_COLUMNS + FEATURE_COLUMNS, [r[1] for r in results])
-    _write_csv(out_dir / "features_degraded.csv", KEY_COLUMNS + FEATURE_COLUMNS, [r[2] for r in results])
-    print(out_dir / "errors.csv")
+    _write_outputs(Path(args.out), {
+        "errors.csv": _csv_text(KEY_COLUMNS + ERROR_COLUMNS, [r[0] for r in results]),
+        "features_clean.csv": _csv_text(KEY_COLUMNS + FEATURE_COLUMNS, [r[1] for r in results]),
+        "features_degraded.csv": _csv_text(KEY_COLUMNS + FEATURE_COLUMNS, [r[2] for r in results])})
     return failures[0][0] if failures else EXIT_OK
 
 
@@ -307,14 +312,16 @@ def _cell_values(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool, tupl
         return texts.astype(np.float64), True, None
     except ValueError:  # a blank cell, or one that float() refuses
         written = texts != ""
+    values = np.full(texts.shape, np.nan)
     try:
-        return np.where(written, texts, "nan").astype(np.float64), written, None
+        values[written] = texts[written].astype(np.float64)
+        return values, written, None
     except ValueError:
         for (i, j), text in np.ndenumerate(texts):
             try:
                 float(text or "nan")
             except ValueError as exc:
-                return np.full(texts.shape, np.nan), written, (i, j, str(exc))
+                return values, written, (i, j, str(exc))
         raise
 
 
@@ -440,7 +447,8 @@ def _parsed_copies():
     """A list for the ``copies`` of _read_table. The copies written into it
     replace those beside their tables if the block ends without an error,
     after a stage's outputs, and are removed otherwise; one that cannot be
-    moved is removed too."""
+    moved is removed too, as is any temp file of those copies that a killed
+    stage left (a live stage's move then fails, and its copy is not written)."""
     copies: list[tuple[Path, Path]] = []
     try:
         yield copies
@@ -448,9 +456,12 @@ def _parsed_copies():
             with contextlib.suppress(OSError):
                 os.replace(temp, target)
     finally:
-        for temp, _ in copies:
-            with contextlib.suppress(OSError):
-                temp.unlink(missing_ok=True)
+        import glob  # not at module level: it raised the audio stages' peak RSS by 0.1 MB
+
+        for _, target in copies:
+            for temp in target.parent.glob(f"{glob.escape(target.name)}.*.tmp"):
+                with contextlib.suppress(OSError):
+                    temp.unlink()
 
 
 def _parse_table(path: Path, columns: tuple[str, ...]) -> _Table:
@@ -511,17 +522,17 @@ def _parse_table(path: Path, columns: tuple[str, ...]) -> _Table:
 
 def _observations(out_dir: Path, outcome: str, copies: list | None = None) -> model.Observations:
     """The model input: each metrics.csv row joined to its errors.csv row;
-    ``copies`` as for _read_table."""
+    ``copies`` as for _read_table. metrics.csv is read for every outcome,
+    so that the stages of either outcome share its parsed copy."""
     m_path, e_path = out_dir / "metrics.csv", out_dir / "errors.csv"
-    columns = tuple(dict.fromkeys(("stoi", outcome)))  # stoi once under --outcome stoi
-    keys, labels, values = _read_table(m_path, columns, copies)
-    outcomes = values[:, [0, columns.index(outcome)]]  # stoi, outcome
+    keys, labels, outcomes = _read_table(m_path, OUTCOMES, copies)
+    y = outcomes[:, OUTCOMES.index(outcome)]
     e_keys, _, e = _read_table(e_path, ERROR_COLUMNS, copies)
     e_row = dict(zip(e_keys, range(len(e_keys))))
     # a key without an errors.csv row points one past its last row
     at = np.fromiter(map(e_row.get, keys, itertools.repeat(len(e_keys))), np.intp, len(keys))
     no_errors = np.append(np.isnan(e).any(axis=1), True)[at]
-    skipped = no_errors | np.isnan(outcomes[:, 0])
+    skipped = no_errors | np.isnan(outcomes[:, 0])  # stoi leads OUTCOMES
     for i in np.flatnonzero(skipped):
         path, reason = (e_path, "no feature errors") if no_errors[i] else (m_path, "no stoi value")
         log.warning("%s: %s: %s; row skipped", path, _key_name(keys[i]), reason)
@@ -529,13 +540,13 @@ def _observations(out_dir: Path, outcome: str, copies: list | None = None) -> mo
     if not len(kept):
         raise DependencyError("no joinable rows between metrics.csv and errors.csv")
     # a blank pesq: rows without stoi are skipped above
-    no_pesq = kept[np.isnan(outcomes[kept, 1])]
+    no_pesq = kept[np.isnan(y[kept])]
     if len(no_pesq):
         first = no_pesq[0]
         raise DependencyError(f"{len(no_pesq)} row(s) lack an external pesq value "
                               f"(first {_key_name(keys[first])}, metrics.csv data row {first + 1})")
     try:
-        return model.Observations(e[at[kept]], labels[kept], outcomes[kept, 1])
+        return model.Observations(e[at[kept]], labels[kept], y[kept])
     except model.ObservationError as exc:  # only e can fail: _read_table checked the labels and y
         raise FormatError(f"{e_path}: {_key_name(keys[kept[exc.row]])}: {exc.reason}") from None
 
@@ -545,14 +556,10 @@ def cmd_fit(args) -> int:
     with _parsed_copies() as copies:
         obs = _observations(out_dir, args.outcome, copies)
         fit = model.fit_interactions(obs)
-        # every table is rendered before any is written, so a fit that cannot be
-        # rendered leaves no files
-        texts = {f"fit_{args.outcome}.json": report.render_regression_table(fit, "json"),
-                 f"regression_{args.outcome}.csv": report.render_regression_table(fit, "csv"),
-                 f"regression_{args.outcome}.md": report.render_regression_table(fit, "markdown")}
-        for name, text in texts.items():
-            (out_dir / name).write_text(text, encoding="utf-8")
-    print(out_dir / f"fit_{args.outcome}.json")
+        _write_outputs(out_dir, {
+            f"fit_{args.outcome}.json": report.render_regression_table(fit, "json"),
+            f"regression_{args.outcome}.csv": report.render_regression_table(fit, "csv"),
+            f"regression_{args.outcome}.md": report.render_regression_table(fit, "markdown")})
     return EXIT_OK
 
 
@@ -561,38 +568,29 @@ def cmd_decompose(args) -> int:
     with _parsed_copies() as copies:
         obs = _observations(out_dir, args.outcome, copies)
         table = model.decomposition_table(obs, reference=args.reference)
-        payload = {
-            "outcome": args.outcome,
-            "reference": args.reference,
-            "rows": report.decomposition_records(table),
-        }
-        stem = out_dir / f"decomposition_{args.outcome}"
-        for suffix, text in ((".json", json.dumps(payload, indent=2, sort_keys=True)),
-                             (".csv", report.render_decomposition_table(table, "csv")),
-                             (".md", report.render_decomposition_table(table, "markdown"))):
-            stem.with_suffix(suffix).write_text(text, encoding="utf-8")
-    print(stem.with_suffix(".csv"))
+        payload = {"outcome": args.outcome, "reference": args.reference,
+                   "rows": report.decomposition_records(table)}
+        stem = f"decomposition_{args.outcome}"
+        _write_outputs(out_dir, {
+            f"{stem}.csv": report.render_decomposition_table(table, "csv"),
+            f"{stem}.json": json.dumps(payload, indent=2, sort_keys=True),
+            f"{stem}.md": report.render_decomposition_table(table, "markdown")})
     return EXIT_OK
 
 
-def _metric_csv_aggregates(path: Path, copies: list | None = None) -> dict:
-    """Cell means of the metric columns of ``metrics.csv`` or a variant file;
-    ``copies`` as for _read_table."""
-    return report.cell_means(*_read_table(path, metrics.COLUMNS, copies)[1:])
+def _metric_csv_aggregates(path: Path) -> dict:
+    """Cell means of the metric columns of ``metrics.csv`` or a variant file."""
+    return report.cell_means(*_read_table(path, metrics.COLUMNS)[1:])
 
 
 def cmd_report(args) -> int:
+    # report writes no parsed copy: no other stage reads its column set
     out_dir = Path(args.out)
-    with _parsed_copies() as copies:
-        baseline = _metric_csv_aggregates(out_dir / "metrics.csv", copies)
-        variants = {}
-        for path in sorted(out_dir.glob("metrics_*.csv")):
-            name = path.stem[len("metrics_"):]
-            variants[name] = _metric_csv_aggregates(path, copies)
-        for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("markdown", ".md")):
-            text = report.render_comparison_table(baseline, variants, fmt)
-            (out_dir / f"comparison{suffix}").write_text(text, encoding="utf-8")
-    print(out_dir / "comparison.csv")
+    baseline = _metric_csv_aggregates(out_dir / "metrics.csv")
+    variants = {path.stem[len("metrics_"):]: _metric_csv_aggregates(path)
+                for path in sorted(out_dir.glob("metrics_*.csv"))}
+    _write_outputs(out_dir, {f"comparison{suffix}": report.render_comparison_table(baseline, variants, fmt)
+                             for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("markdown", ".md"))})
     return EXIT_OK
 
 

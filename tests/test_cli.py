@@ -54,22 +54,26 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert out.stdout.strip() == "[]"
 
 
-def _heavy_modules(args):
-    """Run ``python -c`` with ``args`` and vda on the path; return the scipy
-    and ``numpy.ma`` modules the process had loaded when it ended."""
+def _loaded_modules(args):
+    """Run ``python -c`` with ``args`` and vda on the path; return the
+    modules the process had loaded when it ended."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     probe = ("import json, sys\n"
              "from vda.cli import main\n"
              "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-             "heavy = [m for m in sys.modules\n"
-             "         if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']]\n"
-             "print(json.dumps(sorted(heavy)))\n"
+             "print(json.dumps(sorted(sys.modules)))\n"
              "sys.exit(code)\n")
     out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                          capture_output=True, text=True)
     assert out.returncode == EXIT_OK, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _heavy_modules(args):
+    """The scipy and ``numpy.ma`` modules of ``_loaded_modules(args)``."""
+    return [m for m in _loaded_modules(args)
+            if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]]
 
 
 def test_cli_import_loads_no_scipy():
@@ -87,6 +91,15 @@ def test_stages_load_only_the_scipy_they_run(small_corpus, tmp_path):
     }
     for stage, modules in loaded.items():
         assert modules == [], stage
+
+
+def test_model_stages_leave_out_openssl(pipeline_out, tmp_path):
+    # importing hashlib loads OpenSSL's _hashlib, 3.6 MB of a model stage's
+    # peak RSS; the parsed copies' key takes blake2b from _blake2 instead
+    assert not {"_blake2", "hashlib", "_hashlib"} & set(_loaded_modules([]))
+    out = str(_copy_stage_inputs(pipeline_out, tmp_path / "out"))
+    for stage in ("fit", "decompose", "report"):
+        assert "_hashlib" not in _loaded_modules([stage, "--out", out]), stage
 
 
 def _blas_threads() -> int | None:
@@ -965,7 +978,7 @@ def test_long_data_cell_is_read(tmp_path):
 
 
 # the column sets that fit, decompose and report read, by table
-_STAGE_COLUMNS = {"metrics.csv": (("stoi",), ("stoi", "pesq"), metrics.COLUMNS),
+_STAGE_COLUMNS = {"metrics.csv": (("stoi", "pesq"), metrics.COLUMNS),
                   "errors.csv": (cli.ERROR_COLUMNS,)}
 
 
@@ -1098,14 +1111,52 @@ def test_stages_parse_each_table_once(pipeline_out, tmp_path, monkeypatch):
     # column set they read it for, and errors.csv once in all: the other
     # reads load the parsed copy that the first one left
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    (out / "metrics_variant.csv").write_bytes((out / "metrics.csv").read_bytes())
     parses = _count_parses(monkeypatch)
     for outcome in cli.OUTCOMES:
         for stage in ("fit", "decompose"):
             assert main([stage, "--out", str(out), "--outcome", outcome]) == EXIT_OK
     assert main(["report", "--out", str(out)]) == EXIT_OK
     assert [p for p in parses if p[0] == "errors.csv"] == [("errors.csv", cli.ERROR_COLUMNS)]
-    assert sorted(parses) == sorted((name, columns) for name, sets in _STAGE_COLUMNS.items()
-                                    for columns in sets)
+    assert sorted(parses) == sorted([(name, columns) for name, sets in _STAGE_COLUMNS.items()
+                                     for columns in sets] + [("metrics_variant.csv", metrics.COLUMNS)])
+    # report reads without writing a copy, so it leaves the model stages' copies in place
+    parses.clear()
+    assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
+    assert parses == []
+    assert sorted(p.name for p in out.glob(".*")) == [".errors.csv.npy", ".metrics.csv.npy"]
+
+
+def test_stage_removes_temp_copies_a_killed_stage_left(pipeline_out, tmp_path):
+    want = _copy_stage_inputs(pipeline_out, tmp_path / "want")
+    assert main(["fit", "--out", str(want)]) == EXIT_OK
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    left = [out / ".errors.csv.npy.99999999.tmp", out / ".metrics.csv.npy.99999999.tmp"]
+    for temp in left:
+        temp.write_bytes(b"\x93NUMPY")
+    assert main(["fit", "--out", str(out)]) == EXIT_OK
+    assert not any(temp.exists() for temp in left)
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("stage,render", [("decompose", "render_decomposition_table"),
+                                          ("report", "render_comparison_table")])
+def test_stage_that_cannot_render_a_table_writes_no_file(pipeline_out, tmp_path, monkeypatch,
+                                                         stage, render):
+    # the markdown table is rendered last; the JSON and CSV before it must not be written
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    original = getattr(cli.report, render)
+
+    def failing(*args):
+        if args[-1] == "markdown":
+            raise ValueError("markdown refused")
+        return original(*args)
+
+    monkeypatch.setattr(cli.report, render, failing)
+    assert main([stage, "--out", str(out)]) != EXIT_OK
+    assert not list(out.glob("decomposition_*")) and not list(out.glob("comparison.*"))
 
 
 @pytest.mark.parametrize("stage,name", [("fit", "errors.csv"), ("decompose", "errors.csv"),
