@@ -335,28 +335,26 @@ _HASH_CHUNK_BYTES = 2 ** 20
 _LABEL_TEXTS = np.array(["0", "1"], dtype=object)
 
 
-def _read_table(path: Path, columns: tuple[str, ...], copies: list | None = None) -> _Table:
+def _read_table(path: Path, columns: tuple[str, ...], copies: list) -> _Table:
     """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns)) values
     of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
 
     They come from the parsed copy of ``path`` (``_copy_path``) when its key
     is ``_table_digest(path, columns)``, and from ``_parse_table`` otherwise;
-    a missing, stale or unreadable copy is parsed around. With ``copies``
-    (see ``_parsed_copies``), a parse also writes the table's copy.
+    a missing, stale or unreadable copy is parsed around, and a parse writes
+    the table's copy into ``copies`` (see ``_parsed_copies``).
     """
-    if not path.exists():
-        raise DependencyError(f"required upstream artifact missing: {path}")
     try:
         before = path.stat()
         digest = _table_digest(path, columns)
-    except OSError:  # the parse raises it again
+    except OSError:  # the parse raises it again, or that the table is missing
         digest = None
     table = _load_copy(path, digest) if digest else None
     if table is None:
         table = _parse_table(path, columns)
         after = path.stat()  # a table rewritten since it was hashed gets no copy
         unchanged = (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-        if copies is not None and digest and unchanged:
+        if digest and unchanged:
             _write_copy(path, digest, table, copies)
     return table
 
@@ -474,8 +472,11 @@ def _parse_table(path: Path, columns: tuple[str, ...]) -> _Table:
     for a key or a requested column are FormatErrors naming the file. So are,
     in this order, a G/C/D cell other than ``0`` or ``1``, a repeated key, a
     cell that float() refuses and a written cell that is not finite; these
-    also name the row, and the column of a bad cell.
+    also name the row, and the column of a bad cell. A missing file is a
+    DependencyError.
     """
+    if not path.exists():
+        raise DependencyError(f"required upstream artifact missing: {path}")
     keys, blocks, refused, nonfinite = [], [], [], []  # the last two: (row, column, reason)
     try:
         with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
@@ -520,7 +521,7 @@ def _parse_table(path: Path, columns: tuple[str, ...]) -> _Table:
     return keys, _CONDITION_LABELS[condition], np.concatenate(blocks)
 
 
-def _observations(out_dir: Path, outcome: str, copies: list | None = None) -> model.Observations:
+def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observations:
     """The model input: each metrics.csv row joined to its errors.csv row;
     ``copies`` as for _read_table. metrics.csv is read for every outcome,
     so that the stages of either outcome share its parsed copy."""
@@ -579,12 +580,12 @@ def cmd_decompose(args) -> int:
 
 
 def _metric_csv_aggregates(path: Path) -> dict:
-    """Cell means of the metric columns of ``metrics.csv`` or a variant file."""
-    return report.cell_means(*_read_table(path, metrics.COLUMNS)[1:])
+    """Cell means of the metric columns of ``metrics.csv`` or a variant file,
+    parsed: no stage reads or writes a parsed copy of every metric column."""
+    return report.cell_means(*_parse_table(path, metrics.COLUMNS)[1:])
 
 
 def cmd_report(args) -> int:
-    # report writes no parsed copy: no other stage reads its column set
     out_dir = Path(args.out)
     baseline = _metric_csv_aggregates(out_dir / "metrics.csv")
     variants = {path.stem[len("metrics_"):]: _metric_csv_aggregates(path)

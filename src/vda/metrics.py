@@ -38,7 +38,9 @@ NCM_ENV_LOWPASS_HZ = 25.0
 SDR_CLIP_DB = 15.0
 # Bytes of ncm's complex64 row buffer: it holds the largest multiple of 4
 # polyphase rows that fits, and at least 4 (see _group_rows): 20 rows of
-# 3200 points on a 1 s pair at 16 kHz, 4 rows of 64 000 (2 MB) on a 20 s pair.
+# 3200 points on a 1 s pair at 16 kHz, 4 rows of 16 000 (500 KB) on a 20 s
+# pair, whose rows are capped so that 4 fit (see _envelope_grid). It also
+# bounds the stash of kept envelope bins (see _band_envelopes).
 NCM_GROUP_BYTES = 512 * 1024
 
 MIN_ENVELOPE_SECONDS = 0.384
@@ -361,7 +363,8 @@ class _EnvelopeGrid(NamedTuple):
     los[b] .. his[b] - 1 are band b's non-zero run, idx maps each spectrum
     bin to its bank bin, and the envelope's nfft = p q samples are taken as
     p rows of q, row a holding the samples a, a + p, a + 2 p, ...; forward
-    is (p, widest band) of w^(j a) and backward (p, keep) of w^(-k a), for
+    is (p, min(widest band, q)) of w^(j a), folds (p, widest band's folds
+    of q) of w^(q m a) and backward (p, keep) of w^(-k a), for
     w = exp(2 pi i / nfft)."""
 
     idx: np.ndarray
@@ -370,13 +373,17 @@ class _EnvelopeGrid(NamedTuple):
     p: int
     q: int
     forward: np.ndarray
+    folds: np.ndarray
     backward: np.ndarray
 
 
 def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) -> _EnvelopeGrid:
     """The bin map and the polyphase split of one pair's envelopes: q is the
-    smallest divisor of nfft that holds the widest band's run and 2 keep
-    envelope bins (q = nfft, p = 1 when none smaller does)."""
+    smallest divisor of nfft that is at least 2 keep envelope bins and at
+    least the widest band's run W, or, where W is wider, at least C, the
+    largest divisor of nfft of which 4 complex64 rows fit NCM_GROUP_BYTES
+    (q = nfft, p = 1 when no smaller divisor serves). A run wider than q is
+    folded into q (see _band_envelopes)."""
     n_bank = bank_weights.shape[1]
     bin_hz_bank = (rate / 2.0) / (n_bank - 1)
     # the bank bin of each spectrum bin, in the smallest integer type because
@@ -391,12 +398,16 @@ def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) ->
     los = np.searchsorted(idx, first, side="left")
     his = np.searchsorted(idx, last, side="right")
     width = int(np.max(his - los))
-    need = min(nfft, max(width, 2 * keep))
+    fewest = -(-nfft // (NCM_GROUP_BYTES // 32))  # p for rows of at most 16 384 points
+    cap = nfft // next(p for p in range(fewest, nfft + 1) if nfft % p == 0)
+    need = min(nfft, max(min(width, cap), 2 * keep))
     p = next(p for p in range(nfft // need, 0, -1) if nfft % p == 0)
+    q = nfft // p
 
     def twiddles(cols: int, sign: float) -> np.ndarray:
-        # w^(sign j a): row a is row a - 1 times w^(sign j), which costs
-        # p (a few) ulps of float64, far below the complex64 transforms
+        # w^(sign j a): row a is row a - 1 times w^(sign j), which costs up
+        # to p ulps of float64 (p = 20 on a 20 s pair), far below the
+        # complex64 transforms
         angle = sign * 2.0 * np.pi / nfft * np.arange(cols)
         step = np.cos(angle) + 1j * np.sin(angle)
         table = np.ones((p, cols), dtype=np.complex128)
@@ -404,8 +415,11 @@ def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) ->
             np.multiply(table[a - 1], step, out=table[a])
         return table
 
-    return _EnvelopeGrid(idx, los, his, p, nfft // p, twiddles(width, 1.0).astype(np.complex64),
-                         twiddles(keep, -1.0))
+    # w^(q m a) = exp(2 pi i m a / p), from the exact residues of m a mod p
+    turns = np.outer(np.arange(p), np.arange(-(-width // q))) % p
+    folds = np.exp(2j * np.pi / p * turns).astype(np.complex64)
+    return _EnvelopeGrid(idx, los, his, p, q, twiddles(min(width, q), 1.0).astype(np.complex64),
+                         folds, twiddles(keep, -1.0))
 
 
 def _group_rows(q: int) -> int:
@@ -427,12 +441,13 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
     and a_k = 2 X_k / nfft for the lowpassed envelope FFT X; _crop_sums
     reduces the envelopes over their first n samples from these alone. The
     analytic band signal comes straight from `spectra` (see
-    _analytic_spectra), which is non-zero only over the band's run of W <= q
+    _analytic_spectra), which is non-zero only over the band's run of W
     bins lo .. lo + W - 1. Its nfft-point inverse FFT at t = a + p b is
-    therefore w^(lo t) / p times the q-point inverse FFT of
-    S[lo + j] w^(j a) (the first step of a four-step FFT reduces to the
-    twiddles), and the phase drops out of the envelope. The envelope FFT is
-    put back together from the rows' q-point FFTs as
+    therefore w^(lo t) / p times the q-point inverse FFT of row a,
+    w^(j a) sum_m S[lo + j + q m] w^(q m a) for j < q: the first step of
+    a four-step FFT, which folds the run mod q, and for W <= q (one fold)
+    reduces to the twiddles. The phase drops out of the envelope. The
+    envelope FFT is put back together from the rows' q-point FFTs as
     X_k = sum_a w^(-k a) RFFT_q(row a)[k], k < keep <= q / 2. So every one of
     the nfft envelope samples is computed, by transforms of length q; with
     p = 1 the route is a pair of nfft-point transforms.
@@ -441,40 +456,68 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
     _group_rows(q) rows, reused for the whole call: each (band, side) run
     of p rows is filled by one product of its forward twiddles and its
     masked spectrum, which is kept until the run ends, as a run may span
-    two groups. Only the first keep bins of each row's envelope FFT are
-    kept. The transforms run in single precision, which moves ncm by well
-    under 1e-6: the inverse FFT in place, and the rfft at norm="forward",
-    the scale at which NumPy keeps float32 input in its float32 loop (at
-    the default norm it transforms in float64, about three times slower).
-    Every row's transforms and every band's sum over its rows depend on
-    that row or band alone, so the result does not depend on the group size.
+    two groups; a run wider than q is first folded by one product of the
+    fold twiddles and its (folds, q) spectrum. Only the first keep bins of
+    each row's envelope FFT are kept, in a stash of the whole bands that fit
+    NCM_GROUP_BYTES (at least one), and each stash is reduced with the
+    backward twiddles by one einsum as soon as its last run ends: on a 1 s
+    pair the stash holds every band. The transforms run in single
+    precision, which moves ncm by well under 1e-6: the inverse FFT in
+    place, and the rfft at norm="forward", the scale at which NumPy keeps
+    float32 input in its float32 loop (at the default norm it transforms in
+    float64, about three times slower). Every row's fill and transforms and
+    every band's sum over its rows depend on that row or band alone, so the
+    result does not depend on the group size.
     """
     p, q, keep = grid.p, grid.q, len(lowpass)
-    stash = np.empty((len(bank_weights), 2, p, keep), dtype=np.complex64)
+    bands = len(bank_weights)
+    # the whole bands whose kept bins (2 sides of p complex64 rows) fit NCM_GROUP_BYTES
+    stash = np.empty((min(bands, max(1, NCM_GROUP_BYTES // (16 * p * keep))), 2, p, keep),
+                     dtype=np.complex64)
     kept = stash.reshape(-1, keep)  # one row per (band, side, a)
-    group = min(_group_rows(q), len(kept))
+    coeffs = np.empty((2, bands, keep), dtype=np.complex128)
+    total = 2 * bands * p
+    group = min(_group_rows(q), total)
     buffer = np.empty((group, q), dtype=np.complex64)
-    for start in range(0, len(kept), group):
-        stop = min(start + group, len(kept))
+    for start in range(0, total, group):
+        stop = min(start + group, total)
         row = start
         while row < stop:
             run, a = divmod(row, p)
             band, side = divmod(run, 2)
             lo, hi = grid.los[band], grid.his[band]
-            if a == 0:
-                product = (spectra[side, lo:hi] * bank_weights[band, grid.idx[lo:hi]]
-                           ).astype(np.complex64)
+            if a == 0:  # the masked spectrum; a run wider than q as rows of its folds
+                shape = (-(-(hi - lo) // q), q) if hi - lo > q else hi - lo
+                product = np.zeros(shape, dtype=np.complex64)
+                np.multiply(spectra[side, lo:hi], bank_weights[band, grid.idx[lo:hi]],
+                            out=product.reshape(-1)[:hi - lo], casting="same_kind")
             end = min(stop, row - a + p)
             rows = buffer[row - start:end - start]
-            np.multiply(grid.forward[a:a + end - row, :hi - lo], product, out=rows[:, :hi - lo])
-            rows[:, hi - lo:] = 0.0
+            forward = grid.forward[a:a + end - row]
+            if product.ndim == 2:
+                np.matmul(grid.folds[a:a + end - row, :len(product)], product, out=rows)
+                rows *= forward
+            else:
+                np.multiply(forward[:, :hi - lo], product, out=rows[:, :hi - lo])
+                rows[:, hi - lo:] = 0.0
             row = end
         rows = buffer[:stop - start]
         np.fft.ifft(rows, axis=-1, out=rows)
-        # scaled by 1 / q
-        kept[start:stop] = np.fft.rfft(np.abs(rows), axis=-1, norm="forward")[:, :keep]
-    del buffer, rows  # freed before the sums over every band are made
-    coeffs = np.einsum("bsak,ak->sbk", stash, grid.backward) * lowpass
+        # scaled by 1 / q, and freed before the next group's is made
+        transformed = np.fft.rfft(np.abs(rows), axis=-1, norm="forward")
+        row = start
+        while row < stop:
+            batch, slot = divmod(row, len(kept))
+            end = min(stop, row - slot + len(kept))
+            kept[slot:slot + end - row] = transformed[row - start:end - start, :keep]
+            row = end
+            if end % len(kept) == 0 or end == total:  # the stash's last run has ended
+                first = batch * len(stash)
+                last = min(first + len(stash), bands)
+                np.einsum("bsak,ak->sbk", stash[:last - first], grid.backward,
+                          out=coeffs[:, first:last])
+        del transformed
+    coeffs *= lowpass
     coeffs *= 2.0 / (p * p)  # 2 / nfft, over the p of each row's |ifft|
     coeffs[..., 0] /= 2.0
     return coeffs

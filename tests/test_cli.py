@@ -736,7 +736,8 @@ def test_mutated_model_cell_loads_or_fails_as_usage_or_data_error(tmp_path_facto
             csv.writer(fh, lineterminator="\n").writerows(table)
     failures = {}
     try:
-        obs = cli._observations(out, outcome)
+        with cli._parsed_copies() as copies:
+            obs = cli._observations(out, outcome, copies)
     except VdaError as exc:
         failures["observations"] = exc
     else:
@@ -792,7 +793,8 @@ def _read_outcome(path, columns):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            keys, labels, values = cli._read_table(path, columns)
+            with cli._parsed_copies() as copies:
+                keys, labels, values = cli._read_table(path, columns, copies)
         except Exception as exc:  # any class: the oracle names the one it must be
             outcome = type(exc), str(exc)
         else:
@@ -953,7 +955,7 @@ def test_reader_peak_memory_is_bounded(tmp_path):
     path = tmp_path / "errors.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(_errors_table(20000))
-    (_, _, values), peak = peak_memory(cli._read_table, path, cli.ERROR_COLUMNS)
+    (_, _, values), peak = peak_memory(cli._parse_table, path, cli.ERROR_COLUMNS)
     assert values.shape == (20000, 26)
     assert peak < 6 * values.nbytes, peak / values.nbytes
 
@@ -961,7 +963,7 @@ def test_reader_peak_memory_is_bounded(tmp_path):
 def test_column_missing_from_the_header_reads_nan_on_a_long_row(tmp_path):
     path = tmp_path / "metrics.csv"
     path.write_text("utterance_id,G,C,D,stoi\nu1,0,0,0,0.5,7\n", encoding="utf-8")
-    keys, labels, values = cli._read_table(path, ("stoi", "pesq"))
+    keys, labels, values = cli._parse_table(path, ("stoi", "pesq"))
     assert keys == [("u1", "0", "0", "0")] and labels.tolist() == [[0, 0, 0]]
     assert values[0, 0] == 0.5 and np.isnan(values[0, 1])
 
@@ -973,7 +975,7 @@ def test_long_data_cell_is_read(tmp_path):
     path = tmp_path / "errors.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
-    keys, _, values = cli._read_table(path, cli.ERROR_COLUMNS)
+    keys, _, values = cli._parse_table(path, cli.ERROR_COLUMNS)
     assert keys[1][0] == "u" * 140_000 and values.shape == (3, 26)
 
 
@@ -1028,8 +1030,9 @@ def test_warm_read_is_the_parse_bitwise(tmp_path, monkeypatch, blank_and_failed)
             cold = _save_copy(out / name, columns)
             assert _table_bits(cold) == _table_bits(cli._parse_table(out / name, columns))
             parses = _count_parses(monkeypatch)
-            assert _table_bits(cli._read_table(out / name, columns)) == _table_bits(cold)
-            assert parses == []
+            with cli._parsed_copies() as copies:
+                assert _table_bits(cli._read_table(out / name, columns, copies)) == _table_bits(cold)
+            assert parses == [] and copies == []
             monkeypatch.undo()
 
 
@@ -1125,6 +1128,29 @@ def test_stages_parse_each_table_once(pipeline_out, tmp_path, monkeypatch):
     assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
     assert parses == []
     assert sorted(p.name for p in out.glob(".*")) == [".errors.csv.npy", ".metrics.csv.npy"]
+
+
+def test_report_parses_without_hashing_or_copies(pipeline_out, tmp_path, monkeypatch):
+    # report parses every table it reads: it hashes none, and a parsed copy
+    # keyed to its own column set, which a lookup would load, leaves its
+    # outputs as they are
+    want = _copy_stage_inputs(pipeline_out, tmp_path / "want")
+    assert main(["report", "--out", str(want)]) == EXIT_OK
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    path = out / "metrics.csv"
+    keys, labels, values = cli._parse_table(path, metrics.COLUMNS)
+    doctored = keys, labels, values + 1.0
+    with cli._parsed_copies() as copies:
+        cli._write_copy(path, cli._table_digest(path, metrics.COLUMNS), doctored, copies)
+    with cli._parsed_copies() as copies:
+        assert _table_bits(cli._read_table(path, metrics.COLUMNS, copies)) == _table_bits(doctored)
+    hashed = []
+    monkeypatch.setattr(cli, "_table_digest", lambda *args: hashed.append(args) or b"")
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+    assert hashed == []
+    for suffix in (".csv", ".json", ".md"):
+        name = f"comparison{suffix}"
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_stage_removes_temp_copies_a_killed_stage_left(pipeline_out, tmp_path):

@@ -17,8 +17,9 @@ The long-pair tests score two 20 s pairs of
 and utt001 in cell G0C0D1, whose WAVs are those of perfbench's
 long-utterance input at seed 7, and compare them with their rows of
 ``perfbench/reference/long-utterance/seed7.json`` at the same tolerances.
-A 20 s pair runs ncm on polyphase rows (p = 5) and the frame metrics, stoi
-and the pitch track over several blocks of frames, which 1 s pairs do not.
+A 20 s pair runs ncm on polyphase rows (p = 20, with the widest bands
+folded into them) and the frame metrics, stoi and the pitch track over
+several blocks of frames, which 1 s pairs do not.
 The first pair's ncm is 1.0, at saturation; the second's is 0.78.
 """
 import csv

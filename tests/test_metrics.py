@@ -402,10 +402,7 @@ def _ncm_bank():
                                metrics.NCM_BANDS, 150.0)
 
 
-@pytest.mark.parametrize("nfft,p", [(320_000, 5), (15_972, 6), (11 ** 4, 1)])
-def test_polyphase_envelopes_match_full_length_route(nfft, p):
-    # 320 000 = 5 rows of 64 000 (a 20 s pair), 15 972 = 2^2 3 11^3 = 6 rows
-    # of 2662; no divisor of 11^4 below it holds the widest band, so q = nfft
+def _assert_polyphase_envelopes_match_full_length_route(nfft, p):
     sig = make_speech_like(seed=5, duration=nfft / RATE)
     pair = noisy_pair(sig, 5.0)
     bank = _ncm_bank()
@@ -419,13 +416,30 @@ def test_polyphase_envelopes_match_full_length_route(nfft, p):
         bands = slice(first, first + 2)
         want = _band_envelopes_full_length(spectra, grid, bank, bands, lowpass)
         np.testing.assert_allclose(got[:, bands], want, rtol=0.0, atol=1e-5 * np.abs(want).max())
+    return grid
+
+
+@pytest.mark.parametrize("nfft,p", [(320_000, 20), (15_972, 6), (11 ** 4, 1)])
+def test_polyphase_envelopes_match_full_length_route(nfft, p):
+    # 320 000 = 20 rows of 16 000 (a 20 s pair, whose 6 widest bands fold),
+    # 15 972 = 2^2 3 11^3 = 6 rows of 2662; no divisor of 11^4 below it
+    # holds the widest band, so q = nfft
+    _assert_polyphase_envelopes_match_full_length_route(nfft, p)
+
+
+def test_polyphase_envelopes_fold_runs_wider_than_a_row(monkeypatch):
+    # a cap of 1000 points splits 15 972 into 22 rows of 726, so the 6
+    # widest bands fold their runs, the widest into 4
+    monkeypatch.setattr(metrics, "NCM_GROUP_BYTES", 32 * 1000)
+    grid = _assert_polyphase_envelopes_match_full_length_route(15_972, 22)
+    assert grid.folds.shape == (22, 4)
 
 
 @pytest.mark.parametrize("nfft,q,rows", [(16_000, 3200, 20), (32_000, 6400, 8),
-                                         (320_000, 64_000, 4), (11 ** 4, 11 ** 4, 4)])
+                                         (320_000, 16_000, 4), (11 ** 4, 11 ** 4, 4)])
 def test_ncm_group_rows(nfft, q, rows):
-    # a 1 s pair; a 2 s pair, whose budget holds 10 rows; a 20 s pair, where
-    # 4 rows exceed it; and the full-length route (p = 1)
+    # a 1 s pair; a 2 s pair, whose budget holds 10 rows; a 20 s pair, whose
+    # rows are capped so that 4 fit it; and the full-length route (p = 1)
     bank = _ncm_bank()
     grid = metrics._envelope_grid(nfft, RATE, bank, len(metrics._envelope_lowpass(nfft, RATE)))
     assert grid.q == q
@@ -456,10 +470,11 @@ def _peak_memory(op, pair) -> float:
 def test_ncm_peak_memory_is_bounded():
     # Built for all 20 bands at once, the envelopes of both sides peaked at
     # 82.8x the bytes of one side's samples (318 MB on this 30 s pair); in
-    # blocks of 4 bands they took 15.4x, in blocks of 2 9.4x, and through
-    # one buffer of 4 polyphase rows they take 5.4x.
+    # blocks of 4 bands they took 15.4x, in blocks of 2 9.4x, through one
+    # buffer of 4 polyphase rows of 64 000 5.4x, and with rows capped at
+    # 16 000 and the bands' runs folded into them they take 5.1x.
     pair = noisy_pair(make_speech_like(seed=5, duration=30.0), 0.0)
-    assert _peak_memory(metrics.ncm, pair) < 6.2
+    assert _peak_memory(metrics.ncm, pair) < 5.9
 
 
 def test_frame_metrics_peak_memory_is_bounded():
