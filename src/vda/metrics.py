@@ -37,10 +37,11 @@ NCM_BANDS = 20
 NCM_ENV_LOWPASS_HZ = 25.0
 SDR_CLIP_DB = 15.0
 # Bytes of ncm's complex64 row buffer: it holds the largest multiple of 4
-# polyphase rows that fits, and at least 4 (see _group_rows): 20 rows of
-# 3200 points on a 1 s pair at 16 kHz, 4 rows of 16 000 (500 KB) on a 20 s
-# pair, whose rows are capped so that 4 fit (see _envelope_grid). It also
-# bounds the stash of kept envelope bins (see _band_envelopes).
+# polyphase rows that fits, and at least 8 (4 for the full-length route, see
+# _group_rows): 20 rows of 3200 points on a 1 s pair at 16 kHz, 8 rows of
+# 16 000 (1 MB) on a 20 s pair, whose rows are capped so that 4 fit (see
+# _envelope_grid). It also bounds the stash of kept envelope bins (see
+# _band_envelopes).
 NCM_GROUP_BYTES = 512 * 1024
 
 MIN_ENVELOPE_SECONDS = 0.384
@@ -404,30 +405,39 @@ def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) ->
     p = next(p for p in range(nfft // need, 0, -1) if nfft % p == 0)
     q = nfft // p
 
-    def twiddles(cols: int, sign: float) -> np.ndarray:
+    def twiddles(cols: int, sign: float, dtype: type) -> np.ndarray:
         # w^(sign j a): row a is row a - 1 times w^(sign j), which costs up
         # to p ulps of float64 (p = 20 on a 20 s pair), far below the
-        # complex64 transforms
+        # complex64 transforms; each row is cast to dtype as it is made, so
+        # no complex128 table of every row is held
         angle = sign * 2.0 * np.pi / nfft * np.arange(cols)
         step = np.cos(angle) + 1j * np.sin(angle)
-        table = np.ones((p, cols), dtype=np.complex128)
+        row = np.ones(cols, dtype=np.complex128)
+        table = np.empty((p, cols), dtype=dtype)
+        table[0] = row
         for a in range(1, p):
-            np.multiply(table[a - 1], step, out=table[a])
+            row *= step
+            table[a] = row
         return table
 
     # w^(q m a) = exp(2 pi i m a / p), from the exact residues of m a mod p
     turns = np.outer(np.arange(p), np.arange(-(-width // q))) % p
     folds = np.exp(2j * np.pi / p * turns).astype(np.complex64)
-    return _EnvelopeGrid(idx, los, his, p, q, twiddles(min(width, q), 1.0).astype(np.complex64),
-                         folds, twiddles(keep, -1.0))
+    return _EnvelopeGrid(idx, los, his, p, q, twiddles(min(width, q), 1.0, np.complex64),
+                         folds, twiddles(keep, -1.0, np.complex128))
 
 
-def _group_rows(q: int) -> int:
-    """Rows of q points per group of ncm's row buffer: the largest multiple
-    of 4 whose complex64 rows fit NCM_GROUP_BYTES, and at least 4. numpy's
-    pocketfft transforms the rows of one call in batches, so a call of 4
-    rows runs each at well under the cost of a lone one."""
-    return max(4, NCM_GROUP_BYTES // (8 * q) // 4 * 4)
+def _group_rows(grid: _EnvelopeGrid) -> int:
+    """Rows per group of ncm's row buffer: the largest multiple of 4 whose
+    complex64 rows of q points fit NCM_GROUP_BYTES, and at least 4, or 8
+    where p > 1, so that polyphase rows over 8192 points overrun it (up to
+    1 MB for rows capped at 16 384). numpy's pocketfft transforms the rows
+    of one call in batches: a call of 4 rows runs each at well under the
+    cost of a lone one. Calls of 8 rather than 4 ran ncm 5 % faster on a
+    20 s pair (p = 20 rows of 16 000) but 6 % slower on the full-length
+    rows of 11^4 points (p = 1)."""
+    least = 8 if grid.p > 1 else 4
+    return max(least, NCM_GROUP_BYTES // (8 * grid.q) // 4 * 4)
 
 
 def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.ndarray,
@@ -453,12 +463,14 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
     p = 1 the route is a pair of nfft-point transforms.
 
     The rows, in the order (band, side, a), go through one buffer of
-    _group_rows(q) rows, reused for the whole call: each (band, side) run
+    _group_rows(grid) rows, reused for the whole call: each (band, side) run
     of p rows is filled by one product of its forward twiddles and its
     masked spectrum, which is kept until the run ends, as a run may span
-    two groups; a run wider than q is first folded by one product of the
-    fold twiddles and its (folds, q) spectrum. Only the first keep bins of
-    each row's envelope FFT are kept, in a stash of the whole bands that fit
+    two groups; a run wider than q is first folded, row by row, by a
+    product of the row's fold twiddles and its (folds, q) spectrum (one
+    product over a group's rows of the run gave a lone row other bits than
+    the same row among several). Only the first keep bins of each row's
+    envelope FFT are kept, in a stash of the whole bands that fit
     NCM_GROUP_BYTES (at least one), and each stash is reduced with the
     backward twiddles by one einsum as soon as its last run ends: on a 1 s
     pair the stash holds every band. The transforms run in single
@@ -477,7 +489,7 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
     kept = stash.reshape(-1, keep)  # one row per (band, side, a)
     coeffs = np.empty((2, bands, keep), dtype=np.complex128)
     total = 2 * bands * p
-    group = min(_group_rows(q), total)
+    group = min(_group_rows(grid), total)
     buffer = np.empty((group, q), dtype=np.complex64)
     for start in range(0, total, group):
         stop = min(start + group, total)
@@ -495,7 +507,8 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
             rows = buffer[row - start:end - start]
             forward = grid.forward[a:a + end - row]
             if product.ndim == 2:
-                np.matmul(grid.folds[a:a + end - row, :len(product)], product, out=rows)
+                for fold, out in zip(grid.folds[a:a + end - row, :len(product)], rows):
+                    np.matmul(fold, product, out=out)
                 rows *= forward
             else:
                 np.multiply(forward[:, :hi - lo], product, out=rows[:, :hi - lo])

@@ -788,13 +788,12 @@ def _mutated_table_text(draw, table):
 
 
 def _read_outcome(path, columns):
-    """What _read_table returns for ``path``, values as bytes, or the class
+    """What _parse_table returns for ``path``, values as bytes, or the class
     and message of what it raises; no warning may leave it."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            with cli._parsed_copies() as copies:
-                keys, labels, values = cli._read_table(path, columns, copies)
+            keys, labels, values = cli._parse_table(path, columns)
         except Exception as exc:  # any class: the oracle names the one it must be
             outcome = type(exc), str(exc)
         else:
@@ -804,7 +803,7 @@ def _read_outcome(path, columns):
 
 
 def _oracle_outcome(path, columns):
-    """What _read_table must return for ``path``, as _read_outcome gives it,
+    """What _parse_table must return for ``path``, as _read_outcome gives it,
     by csv.reader and float() cell by cell. For a row too short for a key or
     a requested column: FormatError and the text its message must hold."""
     with open(path, newline="", encoding="utf-8") as fh:

@@ -436,18 +436,21 @@ def test_polyphase_envelopes_fold_runs_wider_than_a_row(monkeypatch):
 
 
 @pytest.mark.parametrize("nfft,q,rows", [(16_000, 3200, 20), (32_000, 6400, 8),
-                                         (320_000, 16_000, 4), (11 ** 4, 11 ** 4, 4)])
+                                         (320_000, 16_000, 8), (11 ** 4, 11 ** 4, 4)])
 def test_ncm_group_rows(nfft, q, rows):
     # a 1 s pair; a 2 s pair, whose budget holds 10 rows; a 20 s pair, whose
-    # rows are capped so that 4 fit it; and the full-length route (p = 1)
+    # rows are capped so that 4 fit it and which takes 8; and the
+    # full-length route (p = 1), which takes 4
     bank = _ncm_bank()
     grid = metrics._envelope_grid(nfft, RATE, bank, len(metrics._envelope_lowpass(nfft, RATE)))
     assert grid.q == q
-    group = metrics._group_rows(grid.q)
+    group = metrics._group_rows(grid)
     assert group == rows
-    assert group % 4 == 0 and group >= 4
+    least = 8 if grid.p > 1 else 4
+    assert group % 4 == 0 and group >= least
     row_bytes = np.dtype(np.complex64).itemsize * grid.q
-    assert group * row_bytes <= metrics.NCM_GROUP_BYTES or group == 4
+    assert group * row_bytes <= metrics.NCM_GROUP_BYTES or group == least
+    assert 4 * row_bytes <= metrics.NCM_GROUP_BYTES or grid.p == 1
     assert (group + 4) * row_bytes > metrics.NCM_GROUP_BYTES
 
 
@@ -462,6 +465,17 @@ def test_ncm_row_groups_do_not_change_ncm(monkeypatch):
         assert [metrics.ncm(pair) for pair in pairs] == default, group
 
 
+def test_ncm_fold_rows_do_not_depend_on_group_cuts(monkeypatch):
+    # groups of 1 and 3 rows cut the 20 s pair's runs of p = 20 rows into
+    # pieces of one row, those of its 3-fold band among them: a lone row's
+    # fold must have the bits it has among the rows of a larger piece
+    pair = noisy_pair(make_speech_like(seed=5, duration=20.0), 5.0)
+    default = metrics.ncm(pair)
+    for group in (1, 3):
+        monkeypatch.setattr(metrics, "_group_rows", lambda grid: group)
+        assert metrics.ncm(pair) == default, group
+
+
 def _peak_memory(op, pair) -> float:
     """The tracemalloc peak of op(pair), in multiples of one side's sample bytes."""
     return peak_memory(op, pair)[1] / pair.clean.samples.nbytes
@@ -471,10 +485,12 @@ def test_ncm_peak_memory_is_bounded():
     # Built for all 20 bands at once, the envelopes of both sides peaked at
     # 82.8x the bytes of one side's samples (318 MB on this 30 s pair); in
     # blocks of 4 bands they took 15.4x, in blocks of 2 9.4x, through one
-    # buffer of 4 polyphase rows of 64 000 5.4x, and with rows capped at
-    # 16 000 and the bands' runs folded into them they take 5.1x.
+    # buffer of 4 polyphase rows of 64 000 5.4x, with rows capped at 16 000
+    # and the bands' runs folded into them 5.1x, and with the twiddle tables
+    # cast row by row as they are made, no longer held whole in complex128,
+    # they take 4.5x (in groups of 8 rows of 16 000).
     pair = noisy_pair(make_speech_like(seed=5, duration=30.0), 0.0)
-    assert _peak_memory(metrics.ncm, pair) < 5.9
+    assert _peak_memory(metrics.ncm, pair) < 5.3
 
 
 def test_frame_metrics_peak_memory_is_bounded():
