@@ -672,7 +672,6 @@ def main(argv: list[str] | None = None) -> int:
         code = _exit_code(exc)
         if code is None:
             raise
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return code
 

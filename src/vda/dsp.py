@@ -85,12 +85,13 @@ def frame_analysis(sig: AudioSignal) -> FrameAnalysis:
 def frame_analyses(*signals: AudioSignal, visit=None) -> tuple[FrameAnalysis, ...]:
     """The frame analyses of signals of one rate and length, built in one pass
     of blocks: default frames and their power spectra, zero-padded to a
-    power-of-two rfft of at least frame_len + LLR_ORDER + 1 points; a
-    signal shorter than one frame gives zero rows. The frames are windowed
-    and transformed BLOCK_FRAMES rows at a time, so no complex spectrum of
-    a whole signal is held. visit(block, energies, spectra), if given, is
-    called after each block with its slice of rows and, per signal, their
-    energies and complex spectra."""
+    power-of-two rfft of at least frame_len + LLR_ORDER + 1 points, whose
+    power_autocorrelation is exact to lag LLR_ORDER; a signal shorter than
+    one frame gives zero rows. The frames are windowed and transformed
+    BLOCK_FRAMES rows at a time, so no complex spectrum of a whole signal
+    is held. visit(block, energies, spectra), if given, is called after
+    each block with its slice of rows and, per signal, their energies and
+    complex spectra."""
     frame_len, hop = default_frame_params(signals[0].rate)
     fft_len = next_pow2(frame_len + LLR_ORDER + 1)
     window = get_window(DEFAULT_WINDOW, frame_len)
@@ -107,24 +108,32 @@ def frame_analyses(*signals: AudioSignal, visit=None) -> tuple[FrameAnalysis, ..
     return tuple(FrameAnalysis(f, e, p, fft_len) for f, e, p in zip(frames, energy, power))
 
 
+def power_autocorrelation(power: np.ndarray, fft_len: int, max_lag: int) -> np.ndarray:
+    """r[0..max_lag] of each row whose |rfft| ** 2 at fft_len points is a row
+    of ``power``, exact for rows of up to fft_len - max_lag - 1 samples. The
+    inverse FFTs run BLOCK_FRAMES rows at a time; each row's result depends
+    on that row alone."""
+    r = np.empty((len(power), max_lag + 1))
+    for block in row_blocks(len(r)):
+        r[block] = np.fft.irfft(power[block], fft_len, axis=1)[:, :max_lag + 1]
+    return r
+
+
 def autocorrelate(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation r[0..max_lag] per frame row, via FFT. The power
-    is |spec| ** 2, as in frame_analysis, so each row's result depends on
-    that row alone, whatever the rows beside it."""
+    """Biased autocorrelation r[0..max_lag] per frame row: power_autocorrelation
+    of the rows' |rfft| ** 2, zero-padded so that no lag wraps."""
     frames = np.asarray(frames, dtype=np.float64)
-    n = frames.shape[1]
-    fft_len = next_pow2(n + max_lag + 1)
-    spec = np.fft.rfft(frames, fft_len, axis=1)
-    acf = np.fft.irfft(np.abs(spec) ** 2, fft_len, axis=1)
-    return acf[:, : max_lag + 1]
+    fft_len = next_pow2(frames.shape[1] + max_lag + 1)
+    power = np.abs(np.fft.rfft(frames, fft_len, axis=1)) ** 2
+    return power_autocorrelation(power, fft_len, max_lag)
 
 
-def lpc_batch(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """LPC per frame row; returns (a, valid mask of nonzero-energy rows)."""
-    r = autocorrelate(frames, order)
+def lpc(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin LPC rows (a[:, 0] == 1) of autocorrelation rows
+    r[0..order], each from its own row, and the mask of rows with energy,
+    r[0] > 0; a row without energy gets the identity filter."""
     valid = r[:, 0] > 0.0
-    r_safe = np.where(valid[:, None], r, np.eye(1, order + 1, 0).ravel())
-    a, _ = kernels.levinson_batch(r_safe)
+    a, _ = kernels.levinson_batch(np.where(valid[:, None], r, np.eye(1, r.shape[1]).ravel()))
     return a, valid
 
 

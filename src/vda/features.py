@@ -401,7 +401,7 @@ def _voiced_frame_terms(frames: np.ndarray, mags: np.ndarray, freqs: np.ndarray,
     pre = frames[rows]  # a copy, since ``frames`` is a read-only view
     pre[:, 1:] -= PREEMPHASIS * pre[:, :-1]
     w = dsp.get_window(dsp.DEFAULT_WINDOW, frames.shape[1])
-    a_rows, lpc_valid = dsp.lpc_batch(pre * w, FORMANT_LPC_ORDER)
+    a_rows, lpc_valid = dsp.lpc(dsp.autocorrelate(pre * w, FORMANT_LPC_ORDER))
     f_hz = np.full((len(a_rows), 3), np.nan)
     bw_hz = f_hz.copy()
     f_hz[lpc_valid], bw_hz[lpc_valid] = _formants(a_rows[lpc_valid], rate)

@@ -44,7 +44,7 @@ SDR_CLIP_DB = 15.0
 # _band_envelopes).
 NCM_GROUP_BYTES = 512 * 1024
 
-MIN_ENVELOPE_SECONDS = 0.384
+MIN_ENVELOPE_SECONDS = 0.384  # one stoi segment: the shortest pair ncm and stoi take
 
 _EPS = np.finfo(np.float64).eps
 
@@ -76,10 +76,11 @@ class MetricReport:
                 self.ncm, self.pesq, *(self.composite or (None, None, None)))
 
 
-class _PairAnalysis(NamedTuple):
+class PairAnalysis(NamedTuple):
     """What snr_seg, fw_snr_seg, llr, wss and csii read of a pair: both
     sides' frame analyses, and csii's cross-spectrum sum over each level
-    region (see _csii_regions), 0.0 for a region with no frame."""
+    region (see _csii_regions), 0.0 for a region with no frame. Those
+    metrics build it when they are given none, to the same bits."""
 
     clean: dsp.FrameAnalysis
     degraded: dsp.FrameAnalysis
@@ -98,7 +99,7 @@ def _csii_regions(energy: np.ndarray, frame_len: int, overall: float) -> tuple[n
     )
 
 
-def _analyze_pair(pair: AlignedPair) -> _PairAnalysis:
+def analyze_pair(pair: AlignedPair) -> PairAnalysis:
     """Both sides' frame analyses, and csii's cross-spectra from the same
     transforms, in one pass of blocks (dsp.frame_analyses). Each region's
     products of a block go to rows 1.. of a buffer whose row 0 carries the
@@ -122,7 +123,7 @@ def _analyze_pair(pair: AlignedPair) -> _PairAnalysis:
     clean, degraded = dsp.frame_analyses(pair.clean, pair.degraded, visit=add_cross)
     if len(clean.frames) == 0:
         raise PreconditionError("pair shorter than one analysis frame")
-    return _PairAnalysis(clean, degraded, cross)
+    return PairAnalysis(clean, degraded, cross)
 
 
 def _trimmed_mean(values: np.ndarray) -> float:
@@ -131,8 +132,9 @@ def _trimmed_mean(values: np.ndarray) -> float:
     return float(np.mean(ordered[:keep]))
 
 
-def _snr_seg(pair: AlignedPair, a: _PairAnalysis) -> float:
-    c, d = a.clean, a.degraded
+def snr_seg(pair: AlignedPair, analysis: PairAnalysis | None = None) -> float:
+    """Frame-averaged clamped signal-to-error ratio in dB."""
+    c, d, _ = analysis or analyze_pair(pair)
     mask = c.energy > 0.0
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
@@ -145,13 +147,9 @@ def _snr_seg(pair: AlignedPair, a: _PairAnalysis) -> float:
     return float(np.mean(ratio[mask]))
 
 
-def snr_seg(pair: AlignedPair) -> float:
-    """Frame-averaged clamped signal-to-error ratio in dB."""
-    return _snr_seg(pair, _analyze_pair(pair))
-
-
-def _fw_snr_seg(pair: AlignedPair, a: _PairAnalysis) -> float:
-    c, d = a.clean, a.degraded
+def fw_snr_seg(pair: AlignedPair, analysis: PairAnalysis | None = None) -> float:
+    """Critical-band SNR, weighted per frame by clean band magnitude^0.2."""
+    c, d, _ = analysis or analyze_pair(pair)
     mask = c.energy > 0.0
     if not np.any(mask):
         raise DegenerateInputError("every frame of the clean signal is silent")
@@ -175,35 +173,22 @@ def _fw_snr_seg(pair: AlignedPair, a: _PairAnalysis) -> float:
     return float(np.mean(frame_vals))
 
 
-def fw_snr_seg(pair: AlignedPair) -> float:
-    """Critical-band SNR, weighted per frame by clean band magnitude^0.2."""
-    return _fw_snr_seg(pair, _analyze_pair(pair))
+def llr(pair: AlignedPair, analysis: PairAnalysis | None = None) -> float:
+    """Log-likelihood ratio between degraded and clean all-pole fits.
 
-
-def _autocorrelation(a: dsp.FrameAnalysis) -> np.ndarray:
-    """r[0..LLR_ORDER] of each windowed frame, the inverse FFT of the
-    analysis's power; exact because fft_len >= frame_len + LLR_ORDER + 1
-    (see dsp.frame_analyses), and the bits of dsp.autocorrelate, which takes
-    the same |spec| ** 2. The inverse FFTs run dsp.BLOCK_FRAMES rows at a
-    time and keep only those lags; each row's transform depends on that
-    row alone."""
-    r = np.empty((len(a.power), LLR_ORDER + 1))
-    for block in dsp.row_blocks(len(r)):
-        r[block] = np.fft.irfft(a.power[block], a.fft_len, axis=1)[:, :LLR_ORDER + 1]
-    return r
-
-
-def _llr(pair: AlignedPair, a: _PairAnalysis) -> float:
-    c, d = a.clean, a.degraded
-    rc = _autocorrelation(c)
-    rd = _autocorrelation(d)
-    valid = (rc[:, 0] > 0.0) & (rd[:, 0] > 0.0)
+    Per frame, log((a_d R_c a_d') / (a_c R_c a_c')) with order-10 LPC on the
+    windowed frame and R_c the clean autocorrelation matrix; the mean is
+    taken over the smallest 95% of frame values.
+    """
+    c, d, _ = analysis or analyze_pair(pair)
+    rc = dsp.power_autocorrelation(c.power, c.fft_len, LLR_ORDER)
+    rd = dsp.power_autocorrelation(d.power, d.fft_len, LLR_ORDER)
+    ac, c_ok = dsp.lpc(rc)
+    ad, d_ok = dsp.lpc(rd)
+    valid = c_ok & d_ok
     if not np.any(valid):
         raise DegenerateInputError("no frame supports an LPC fit")
-    rc = rc[valid]
-    rd = rd[valid]
-    ac, _ = kernels.levinson_batch(rc)
-    ad, _ = kernels.levinson_batch(rd)
+    ac, ad, rc = ac[valid], ad[valid], rc[valid]
     idx = np.abs(np.arange(LLR_ORDER + 1)[:, None] - np.arange(LLR_ORDER + 1)[None, :])
     toeplitz_c = rc[:, idx]
     num = np.einsum("mj,mjk,mk->m", ad, toeplitz_c, ad)
@@ -212,16 +197,6 @@ def _llr(pair: AlignedPair, a: _PairAnalysis) -> float:
     if not np.any(ok):
         raise DegenerateInputError("all frames degenerate for the likelihood ratio")
     return _trimmed_mean(np.log(num[ok] / den[ok]))
-
-
-def llr(pair: AlignedPair) -> float:
-    """Log-likelihood ratio between degraded and clean all-pole fits.
-
-    Per frame, log((a_d R_c a_d') / (a_c R_c a_c')) with order-10 LPC on the
-    windowed frame and R_c the clean autocorrelation matrix; the mean is
-    taken over the smallest 95% of frame values.
-    """
-    return _llr(pair, _analyze_pair(pair))
 
 
 def _wss_frames(pc: np.ndarray, pd: np.ndarray) -> np.ndarray:
@@ -247,8 +222,15 @@ def _wss_frames(pc: np.ndarray, pd: np.ndarray) -> np.ndarray:
     return np.sum(weights * (slope_c - slope_d) ** 2, axis=1) / np.sum(weights, axis=1)
 
 
-def _wss(pair: AlignedPair, a: _PairAnalysis) -> float:
-    c, d = a.clean, a.degraded
+def wss(pair: AlignedPair, analysis: PairAnalysis | None = None) -> float:
+    """Weighted spectral slope distance over 36 critical bands.
+
+    Per frame, squared differences of adjacent-band dB slopes are weighted
+    by proximity to the global and nearest local spectral maxima (averaged
+    over the clean and degraded weightings), normalized by the weight sum;
+    the mean is over the smallest 95% of frames.
+    """
+    c, d, _ = analysis or analyze_pair(pair)
     valid = np.flatnonzero((c.energy > 0.0) & (d.energy > 0.0))
     if len(valid) == 0:
         raise DegenerateInputError("no frame carries energy on both sides")
@@ -261,17 +243,6 @@ def _wss(pair: AlignedPair, a: _PairAnalysis) -> float:
     for block in dsp.row_blocks(len(valid)):
         frame_vals[block] = _wss_frames(pc[valid[block]], pd[valid[block]])
     return _trimmed_mean(frame_vals)
-
-
-def wss(pair: AlignedPair) -> float:
-    """Weighted spectral slope distance over 36 critical bands.
-
-    Per frame, squared differences of adjacent-band dB slopes are weighted
-    by proximity to the global and nearest local spectral maxima (averaged
-    over the clean and degraded weightings), normalized by the weight sum;
-    the mean is over the smallest 95% of frames.
-    """
-    return _wss(pair, _analyze_pair(pair))
 
 
 def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
@@ -311,14 +282,21 @@ def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
     return float(np.sum(importance * transfer) / total)
 
 
-def _csii(pair: AlignedPair, a: _PairAnalysis) -> tuple[float | None, float | None, float | None]:
-    c, d = a.clean, a.degraded
+def csii(pair: AlignedPair, analysis: PairAnalysis | None = None
+         ) -> tuple[float | None, float | None, float | None]:
+    """Coherence index on high/mid/low level regions of the clean signal.
+
+    Regions partition frames by clean RMS relative to the overall RMS:
+    high >= 0 dB, mid [-10, 0) dB, low [-30, -10) dB. A region with fewer
+    than two frames yields None (coherence needs averaging).
+    """
+    c, d, crosses = analysis or analyze_pair(pair)
     overall = pair.clean.rms()
     if overall <= 0.0:
         raise DegenerateInputError("clean signal is silent")
     bank = dsp.make_filterbank("critical_band", pair.rate, c.fft_len, CSII_BANDS, 50.0)
     out: list[float | None] = []
-    for region, cross in zip(_csii_regions(c.energy, c.frames.shape[1], overall), a.cross):
+    for region, cross in zip(_csii_regions(c.energy, c.frames.shape[1], overall), crosses):
         if np.count_nonzero(region) < 2:
             out.append(None)
         else:
@@ -326,16 +304,6 @@ def _csii(pair: AlignedPair, a: _PairAnalysis) -> tuple[float | None, float | No
     if all(v is None for v in out):
         raise DegenerateInputError("no level region holds at least two frames")
     return (out[0], out[1], out[2])
-
-
-def csii(pair: AlignedPair) -> tuple[float | None, float | None, float | None]:
-    """Coherence index on high/mid/low level regions of the clean signal.
-
-    Regions partition frames by clean RMS relative to the overall RMS:
-    high >= 0 dB, mid [-10, 0) dB, low [-30, -10) dB. A region with fewer
-    than two frames yields None (coherence needs averaging).
-    """
-    return _csii(pair, _analyze_pair(pair))
 
 
 def _analytic_spectra(pair: AlignedPair, nfft: int) -> np.ndarray:
@@ -595,6 +563,11 @@ def _crop_sums(a: np.ndarray, b: np.ndarray,
                      product(spec_a, spec_a), product(spec_b, spec_b), product(spec_a, spec_b)))
 
 
+def _require_envelope_length(pair: AlignedPair) -> None:
+    if pair.clean.duration < MIN_ENVELOPE_SECONDS:
+        raise PreconditionError(f"pair must last at least {MIN_ENVELOPE_SECONDS * 1000:.0f} ms")
+
+
 def ncm(pair: AlignedPair) -> float:
     """Normalized covariance metric: band-envelope correlations mapped
     through an apparent-SNR transfer and importance-weighted into [0, 1].
@@ -604,10 +577,7 @@ def ncm(pair: AlignedPair) -> float:
     sums over the pair's n samples (see _crop_sums), so no band spectrum
     outlives its row group and no envelope is brought back to n samples.
     """
-    if pair.clean.duration < MIN_ENVELOPE_SECONDS:
-        raise PreconditionError(
-            f"pair must last at least {MIN_ENVELOPE_SECONDS * 1000:.0f} ms"
-        )
+    _require_envelope_length(pair)
     frame_len, _ = dsp.default_frame_params(pair.rate)
     fft_len = dsp.next_pow2(frame_len)
     bank = dsp.make_filterbank("critical_band", pair.rate, fft_len, NCM_BANDS, 150.0)
@@ -650,10 +620,7 @@ def stoi(pair: AlignedPair) -> float:
     384 ms envelope segments of the degraded side are normalized, clipped
     at -15 dB SDR, and correlated against the clean segments.
     """
-    if pair.clean.duration < MIN_ENVELOPE_SECONDS:
-        raise PreconditionError(
-            f"pair must last at least {MIN_ENVELOPE_SECONDS * 1000:.0f} ms"
-        )
+    _require_envelope_length(pair)
     w = dsp.get_window("hann", STOI_FRAME)
     fc = dsp.frame(corpus.resample(pair.clean, STOI_RATE), STOI_FRAME, STOI_HOP)
     fd = dsp.frame(corpus.resample(pair.degraded, STOI_RATE), STOI_FRAME, STOI_HOP)
@@ -731,9 +698,8 @@ _METRIC_OPS = (
     ("ncm", ncm),
 )
 
-# The metrics that read the pair's frame analyses, as (pair, _analyze_pair(pair)) bodies.
-_FRAME_BODIES = {"snr_seg": _snr_seg, "fw_snr_seg": _fw_snr_seg, "llr": _llr, "wss": _wss,
-                 "csii": _csii}
+# The metrics that take the pair's analysis (analyze_pair) as their second argument.
+_FRAME_METRICS = {"snr_seg", "fw_snr_seg", "llr", "wss", "csii"}
 
 METRIC_NAMES = tuple(name for name, _ in _METRIC_OPS) + ("composite",)
 
@@ -776,17 +742,17 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
     if "composite" in chosen:
         chosen |= {"llr", "wss", "snr_seg"}
     values: dict[str, object] = {}
-    analyses = ()  # the pair's frame analyses, built by the first selected frame metric
+    analysis = None  # the pair's analysis, built by the first selected frame metric
     for name, op in _METRIC_OPS:
         if name not in chosen:
             values[name] = (None, None, None) if name == "csii" else float("nan")
             continue
         try:
-            if name in _FRAME_BODIES:
-                analyses = analyses or _analyze_pair(pair)
-                values[name] = _FRAME_BODIES[name](pair, analyses)
+            if name in _FRAME_METRICS:
+                analysis = analysis or analyze_pair(pair)
+                values[name] = op(pair, analysis)
             else:
-                analyses = ()  # freed before ncm, so that their memory and ncm's do not add up
+                analysis = None  # freed before ncm, so that its memory and ncm's do not add up
                 values[name] = op(pair)
         except Exception as exc:
             raise MetricError(f"{name}: {exc}") from exc

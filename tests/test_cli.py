@@ -165,6 +165,17 @@ def test_main_freezes_the_start_up_heap(small_corpus):
     assert before == 0 and after > 0
 
 
+def test_failing_stage_writes_its_error_to_stderr_once(tmp_path):
+    # a fresh interpreter, where the vda logger writes to stderr: fit on a
+    # directory without metrics.csv prints the error line and logs nothing more
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-m", "vda.cli", "fit", "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == EXIT_DATA
+    assert out.stderr == f"error: required upstream artifact missing: {tmp_path / 'metrics.csv'}\n"
+
+
 @openblas_only
 @pytest.mark.parametrize("blas_env, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
 def test_stage_blas_threads(small_corpus, tmp_path, blas_env, threads):
@@ -857,10 +868,10 @@ def _assert_reads_as_the_oracle(path, columns):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_GOLDEN_TABLES)), data=st.data())
-def test_c_reader_agrees_with_the_csv_route(tmp_path_factory, name, data):
-    # numpy's tokenizer splits the rows and float() reads the cells; every
-    # table must come out as csv.reader and float() read it, bitwise, or fail
-    # as they say it must
+def test_parse_table_agrees_with_the_csv_reader_oracle(tmp_path_factory, name, data):
+    # _parse_table: numpy's tokenizer splits the rows and float() reads the
+    # cells; every table must come out as the csv.reader oracle reads it,
+    # bitwise, or fail as it says it must
     out = tmp_path_factory.getbasetemp() / "reader"
     out.mkdir(exist_ok=True)
     for table_name, table in _GOLDEN_TABLES.items():
@@ -910,6 +921,7 @@ _READER_EDGES = {
 
 @pytest.mark.parametrize("edge", sorted(_READER_EDGES))
 def test_c_reader_edge_agrees_with_the_csv_route(tmp_path, edge):
+    # _parse_table against the csv.reader oracle on one edge of the format
     edit, newline = _READER_EDGES[edge]
     rows = [list(r) for r in _GOLDEN_TABLES["errors.csv"]]
     edit(rows)

@@ -97,8 +97,8 @@ def test_lpc_ar1_recovery():
     x[0] = e[0]
     for i in range(1, n):
         x[i] = 0.9 * x[i - 1] + e[i]
-    a, valid = dsp.lpc_batch(x[None, :], 1)
     r = dsp.autocorrelate(x[None, :], 1)
+    a, valid = dsp.lpc(r)
     _, gain = kernels.levinson_batch(r)
     assert valid[0]
     assert a[0, 1] == pytest.approx(-r[0, 1] / r[0, 0], abs=1e-12)  # order-1 identity
@@ -109,7 +109,7 @@ def test_lpc_ar1_recovery():
 def test_lpc_white_noise_order2_matches_normal_equations():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4096)
-    a, _ = dsp.lpc_batch(x[None, :], 2)
+    a, _ = dsp.lpc(dsp.autocorrelate(x[None, :], 2))
     r = dsp.autocorrelate(x[None, :], 2)[0]
     oracle = -np.linalg.solve(np.array([[r[0], r[1]], [r[1], r[0]]]), np.array([r[1], r[2]]))
     np.testing.assert_allclose(a[0, 1:], oracle, atol=1e-10)
@@ -117,18 +117,20 @@ def test_lpc_white_noise_order2_matches_normal_equations():
 
 
 def test_lpc_zero_frame_degenerate():
-    _, valid = dsp.lpc_batch(np.zeros((1, 256)), 4)
+    _, valid = dsp.lpc(dsp.autocorrelate(np.zeros((1, 256)), 4))
     assert not valid[0]
 
 
 def test_lpc_scale_covariant():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(2048)
-    base_a, _ = dsp.lpc_batch(x[None, :], 8)
-    _, base_gain = kernels.levinson_batch(dsp.autocorrelate(x[None, :], 8))
+    r = dsp.autocorrelate(x[None, :], 8)
+    base_a, _ = dsp.lpc(r)
+    _, base_gain = kernels.levinson_batch(r)
     for alpha in (0.25, 3.0):
-        a, _ = dsp.lpc_batch(alpha * x[None, :], 8)
-        _, gain = kernels.levinson_batch(dsp.autocorrelate(alpha * x[None, :], 8))
+        r = dsp.autocorrelate(alpha * x[None, :], 8)
+        a, _ = dsp.lpc(r)
+        _, gain = kernels.levinson_batch(r)
         np.testing.assert_allclose(a, base_a, atol=1e-9)
         assert gain[0] == pytest.approx(alpha ** 2 * base_gain[0], rel=1e-9)
 

@@ -174,7 +174,8 @@ def test_llr_autocorrelation_reads_the_shared_spectra(rate):
     rng = np.random.default_rng(3)
     analysis = dsp.frame_analysis(AudioSignal(rng.uniform(-1, 1, rate // 10), rate))
     windowed = analysis.frames * np.hamming(analysis.frames.shape[1])
-    assert np.array_equal(metrics._autocorrelation(analysis),
+    assert np.array_equal(dsp.power_autocorrelation(analysis.power, analysis.fft_len,
+                                                    metrics.LLR_ORDER),
                           dsp.autocorrelate(windowed, metrics.LLR_ORDER))
 
 
@@ -456,12 +457,12 @@ def test_ncm_group_rows(nfft, q, rows):
 
 def test_ncm_row_groups_do_not_change_ncm(monkeypatch):
     # groups of 4 and 8 rows split runs of p = 5 rows across two groups; one
-    # group holds every row. The default is 20 rows at 1 s, 4 at 8 and 20 s.
+    # group holds every row. The default is 20 rows at 1 s, 8 at 8 and 20 s.
     pairs = [noisy_pair(make_speech_like(seed=5, duration=duration), 5.0)
              for duration in (1.0, 8.0, 20.0)]
     default = [metrics.ncm(pair) for pair in pairs]
     for group in (4, 8, 10 ** 6):
-        monkeypatch.setattr(metrics, "_group_rows", lambda q: group)
+        monkeypatch.setattr(metrics, "_group_rows", lambda grid: group)
         assert [metrics.ncm(pair) for pair in pairs] == default, group
 
 
@@ -527,7 +528,7 @@ def test_frame_blocks_do_not_change_llr_csii_and_stoi(monkeypatch):
     # at this SNR the mean of the correlations depends on their layout
     pair = noisy_pair(make_speech_like(seed=5, duration=1.5), 0.0)
     monkeypatch.setattr(dsp, "BLOCK_FRAMES", 10 ** 6)
-    analyses = metrics._analyze_pair(pair)
+    analyses = metrics.analyze_pair(pair)
     clean, degraded = analyses.clean, analyses.degraded
     every = np.arange(len(clean.frames))
     power = [np.abs(_unblocked_spectra(a, every)) ** 2 for a in (clean, degraded)]
@@ -541,21 +542,23 @@ def test_frame_blocks_do_not_change_llr_csii_and_stoi(monkeypatch):
     stoi_correlations = metrics._stoi_correlations
     monkeypatch.setattr(metrics, "_stoi_correlations",
                         lambda *segs: correlations.append(stoi_correlations(*segs)) or correlations[-1])
-    csii = metrics._csii(pair, analyses)
+    csii = metrics.csii(pair, analyses)
     stoi = metrics.stoi(pair)
     (corr,) = correlations  # one block: all the segments at once, as one mean
     assert corr.shape == (metrics.STOI_BANDS, 87)
     assert stoi == float(np.mean(corr))
     for block in (len(clean.frames), 7, 1):
         monkeypatch.setattr(dsp, "BLOCK_FRAMES", block)
-        a = metrics._analyze_pair(pair)
+        a = metrics.analyze_pair(pair)
         np.testing.assert_array_equal(a.clean.energy, energy)
         np.testing.assert_array_equal(a.clean.power, power[0])
         np.testing.assert_array_equal(a.degraded.power, power[1])
-        np.testing.assert_array_equal(metrics._autocorrelation(a.clean), autocorrelation)
+        np.testing.assert_array_equal(
+            dsp.power_autocorrelation(a.clean.power, a.clean.fft_len, metrics.LLR_ORDER),
+            autocorrelation)
         for got, want in zip(a.cross, cross):
             np.testing.assert_array_equal(got, want)
-        assert metrics._csii(pair, a) == csii
+        assert metrics.csii(pair, a) == csii
         assert metrics.stoi(pair) == stoi
 
 
@@ -566,14 +569,14 @@ def test_frame_blocks_do_not_change_snr_seg_and_wss(monkeypatch):
     degraded = pair.degraded.samples.copy()
     degraded[2000:2800] = 0.0
     pair = AlignedPair(pair.clean, AudioSignal(degraded, RATE), 0, 1.0)
-    analyses = metrics._analyze_pair(pair)
+    analyses = metrics.analyze_pair(pair)
     assert not (analyses.degraded.energy > 0.0).all()
     monkeypatch.setattr(dsp, "BLOCK_FRAMES", len(analyses.clean.frames))
-    snr, distance = metrics._snr_seg(pair, analyses), metrics._wss(pair, analyses)
+    snr, distance = metrics.snr_seg(pair, analyses), metrics.wss(pair, analyses)
     for block in (7, 1):
         monkeypatch.setattr(dsp, "BLOCK_FRAMES", block)
-        assert metrics._snr_seg(pair, analyses) == snr
-        assert metrics._wss(pair, analyses) == distance
+        assert metrics.snr_seg(pair, analyses) == snr
+        assert metrics.wss(pair, analyses) == distance
 
 
 def test_ncm_too_short_errors():

@@ -1,11 +1,19 @@
-"""The vda names the benchmark tracer wraps must exist.
+"""The vda names the benchmark tracer wraps and probes must exist and agree.
 
 ``perfbench/tracer.py`` replaces the functions it names with timing
 wrappers and records a name it cannot find as "not found", so a renamed
-function silently reads 0 in every benchmark run.
+function silently reads 0 in every benchmark run. It also probes each of
+its PROBED_METRICS by calling ``metrics.<name>(pair)`` alone and compares
+the value with evaluate_pair's.
 """
 import importlib
 from pathlib import Path
+
+import pytest
+
+from vda import dsp, metrics
+
+from conftest import make_speech_like, noisy_pair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -19,3 +27,20 @@ def test_traced_names_resolve(monkeypatch):
                if not hasattr(importlib.import_module(f"vda.{layer}"), name)}
     # dsp.power_spectra was folded into dsp.frame_analysis; the tracer still lists it
     assert missing == {"dsp.power_spectra"}
+
+
+@pytest.mark.parametrize("duration", [1.0, 3.0])
+def test_probed_metrics_called_alone_give_evaluate_pairs_bits(monkeypatch, duration):
+    # 3 s is 298 frames, more than two blocks; repr is exact for a float, so
+    # equal reprs are equal bits. The frame metrics give the same bits from
+    # an analysis passed in as from the one they build.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    pair = noisy_pair(make_speech_like(seed=5, duration=duration), 5.0)
+    analysis = metrics.analyze_pair(pair)
+    assert duration < 2.0 or len(analysis.clean.frames) > 2 * dsp.BLOCK_FRAMES
+    report = metrics.evaluate_pair(pair)
+    for name in tracer.PROBED_METRICS:
+        assert repr(getattr(metrics, name)(pair)) == repr(getattr(report, name)), name
+    for name in ("snr_seg", "fw_snr_seg", "llr", "wss", "csii"):
+        assert repr(getattr(metrics, name)(pair, analysis)) == repr(getattr(report, name)), name
