@@ -557,10 +557,9 @@ def cmd_fit(args) -> int:
     with _parsed_copies() as copies:
         obs = _observations(out_dir, args.outcome, copies)
         fit = model.fit_interactions(obs)
-        _write_outputs(out_dir, {
-            f"fit_{args.outcome}.json": report.render_regression_table(fit, "json"),
-            f"regression_{args.outcome}.csv": report.render_regression_table(fit, "csv"),
-            f"regression_{args.outcome}.md": report.render_regression_table(fit, "markdown")})
+        texts = report.render_regression_table(fit)
+        _write_outputs(out_dir, {f"{'fit' if s == '.json' else 'regression'}_{args.outcome}{s}": text
+                                 for s, text in texts.items()})
     return EXIT_OK
 
 
@@ -569,13 +568,9 @@ def cmd_decompose(args) -> int:
     with _parsed_copies() as copies:
         obs = _observations(out_dir, args.outcome, copies)
         table = model.decomposition_table(obs, reference=args.reference)
-        payload = {"outcome": args.outcome, "reference": args.reference,
-                   "rows": report.decomposition_records(table)}
-        stem = f"decomposition_{args.outcome}"
-        _write_outputs(out_dir, {
-            f"{stem}.csv": report.render_decomposition_table(table, "csv"),
-            f"{stem}.json": json.dumps(payload, indent=2, sort_keys=True),
-            f"{stem}.md": report.render_decomposition_table(table, "markdown")})
+        texts = report.render_decomposition_table(table, args.outcome, args.reference)
+        _write_outputs(out_dir, {f"decomposition_{args.outcome}{suffix}": text
+                                 for suffix, text in texts.items()})
     return EXIT_OK
 
 
@@ -590,8 +585,8 @@ def cmd_report(args) -> int:
     baseline = _metric_csv_aggregates(out_dir / "metrics.csv")
     variants = {path.stem[len("metrics_"):]: _metric_csv_aggregates(path)
                 for path in sorted(out_dir.glob("metrics_*.csv"))}
-    _write_outputs(out_dir, {f"comparison{suffix}": report.render_comparison_table(baseline, variants, fmt)
-                             for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("markdown", ".md"))})
+    texts = report.render_comparison_table(baseline, variants)
+    _write_outputs(out_dir, {f"comparison{suffix}": text for suffix, text in texts.items()})
     return EXIT_OK
 
 

@@ -367,6 +367,7 @@ def align(clean: AudioSignal, degraded: AudioSignal, max_lag: int) -> AlignedPai
     rms_c = float(np.sqrt(np.mean(c_al ** 2)))
     gain = rms_c / rms_d if rms_d > 0.0 else 1.0
     return AlignedPair(
+        # a copy, not a view that holds all of clean: a view raised 20 s pairs' peak RSS by 2 MB
         clean=AudioSignal(c_al.copy(), clean.rate),
         degraded=AudioSignal(d_al * gain, clean.rate),
         applied_lag=lag,

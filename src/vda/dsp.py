@@ -18,7 +18,6 @@ from .errors import ConfigurationError
 
 DEFAULT_FRAME_SECONDS = 0.025
 DEFAULT_HOP_SECONDS = 0.010
-DEFAULT_WINDOW = "hamming"
 
 # Normalized-autocorrelation peak below this is treated as unvoiced.
 VOICING_THRESHOLD = 0.45
@@ -49,14 +48,6 @@ def row_blocks(n: int) -> list[slice]:
 
 def next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
-
-
-def get_window(name: str, length: int) -> np.ndarray:
-    if name == "hann":
-        return np.hanning(length)
-    if name == "hamming":
-        return np.hamming(length)
-    raise ConfigurationError(f"unknown window {name!r}")
 
 
 def default_frame_params(rate: int) -> tuple[int, int]:
@@ -94,7 +85,7 @@ def frame_analyses(*signals: AudioSignal, visit=None) -> tuple[FrameAnalysis, ..
     complex spectra."""
     frame_len, hop = default_frame_params(signals[0].rate)
     fft_len = next_pow2(frame_len + LLR_ORDER + 1)
-    window = get_window(DEFAULT_WINDOW, frame_len)
+    window = np.hamming(frame_len)
     frames = [frame(sig, frame_len, hop) for sig in signals]
     energy = [np.empty(len(f)) for f in frames]
     power = [np.empty((len(f), fft_len // 2 + 1)) for f in frames]

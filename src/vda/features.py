@@ -400,7 +400,7 @@ def _voiced_frame_terms(frames: np.ndarray, mags: np.ndarray, freqs: np.ndarray,
     formants. Each frame's terms depend on that frame alone."""
     pre = frames[rows]  # a copy, since ``frames`` is a read-only view
     pre[:, 1:] -= PREEMPHASIS * pre[:, :-1]
-    w = dsp.get_window(dsp.DEFAULT_WINDOW, frames.shape[1])
+    w = np.hamming(frames.shape[1])
     a_rows, lpc_valid = dsp.lpc(dsp.autocorrelate(pre * w, FORMANT_LPC_ORDER))
     f_hz = np.full((len(a_rows), 3), np.nan)
     bw_hz = f_hz.copy()

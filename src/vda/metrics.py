@@ -621,7 +621,7 @@ def stoi(pair: AlignedPair) -> float:
     at -15 dB SDR, and correlated against the clean segments.
     """
     _require_envelope_length(pair)
-    w = dsp.get_window("hann", STOI_FRAME)
+    w = np.hanning(STOI_FRAME)
     fc = dsp.frame(corpus.resample(pair.clean, STOI_RATE), STOI_FRAME, STOI_HOP)
     fd = dsp.frame(corpus.resample(pair.degraded, STOI_RATE), STOI_FRAME, STOI_HOP)
     norms = np.empty(len(fc))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ALL_CELLS, ConditionLabel
+from .corpus import ALL_CELLS
 from .errors import StratificationError, UnderdeterminedError
 from .features import N_FEATURES
 
@@ -48,12 +48,6 @@ def _cross(e: np.ndarray, ind: np.ndarray) -> np.ndarray:
     """Design columns (term, feature) in term-major order: ``e`` where the
     term's indicator is 1, else 0.0 (``np.where`` so no -0.0 appears)."""
     return np.where(ind[:, :, None], e[:, None, :], 0.0).reshape(len(e), ind.shape[1] * e.shape[1])
-
-
-def m_value(label: ConditionLabel, m_label: str) -> int:
-    """Evaluate one interaction indicator on a condition label."""
-    ind = _indicators(np.array([label.as_tuple()], dtype=bool))
-    return int(ind[0, M_LABELS.index(m_label)])
 
 
 class ObservationError(ValueError):

@@ -27,18 +27,11 @@ from .model import (
     significance_band,
 )
 
-FORMATS = ("csv", "json", "markdown")
-
 _BAND_MARK = {"strong": "***", "medium": "**", "weak": "*", "none": ""}
 
 
 class AlignmentKeyError(VdaError):
     """Baseline and variant aggregates do not share condition keys."""
-
-
-def _check_format(fmt: str, formats: tuple[str, ...] = FORMATS) -> None:
-    if fmt not in formats:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {formats}")
 
 
 def fmt_cell(value) -> str:
@@ -104,12 +97,20 @@ def fit_records(fit: RegressionFit) -> list[dict]:
     return records
 
 
-def render_regression_table(fit: RegressionFit, fmt: str) -> str:
-    """Interaction-by-feature coefficient table with significance banding."""
-    _check_format(fmt)
+def render_regression_table(fit: RegressionFit) -> dict[str, str]:
+    """Interaction-by-feature coefficient table with significance banding:
+    the texts of ``fit_<outcome>.json``, ``regression_<outcome>.csv`` and
+    ``regression_<outcome>.md``, keyed by suffix."""
     records = fit_records(fit)
-    if fmt == "json":
-        return json.dumps(
+    columns = ("feature_index", "interaction_label", "theta", "std_err", "t", "p", "band")
+    rows = []
+    for k, m_label in enumerate(M_LABELS):
+        term = records[k * N_FEATURES:(k + 1) * N_FEATURES]
+        rows.append([m_label] + ["—" if rec["theta"] is None
+                                 else f"{rec['theta']:.2f}{_BAND_MARK[rec['band']]}"
+                                 for rec in term])
+    return {
+        ".json": json.dumps(
             {
                 "residual_variance": fit.residual_variance,
                 "dof": fit.dof,
@@ -117,22 +118,18 @@ def render_regression_table(fit: RegressionFit, fmt: str) -> str:
             },
             indent=2,
             sort_keys=True,
-        )
-    if fmt == "csv":
-        columns = ("feature_index", "interaction_label", "theta", "std_err", "t", "p", "band")
-        return csv_text(columns, [[rec[k] for k in columns] for rec in records])
-
-    rows = []
-    for k, m_label in enumerate(M_LABELS):
-        term = records[k * N_FEATURES:(k + 1) * N_FEATURES]
-        rows.append([m_label] + ["—" if rec["theta"] is None
-                                 else f"{rec['theta']:.2f}{_BAND_MARK[rec['band']]}"
-                                 for rec in term])
-    return _markdown(["term"] + [f"X{i}" for i in range(N_FEATURES)], rows,
-                     "significance: *** p<=0.01, ** p<=0.05, * p<=0.10; — dropped column")
+        ),
+        ".csv": csv_text(columns, [[rec[k] for k in columns] for rec in records]),
+        ".md": _markdown(["term"] + [f"X{i}" for i in range(N_FEATURES)], rows,
+                         "significance: *** p<=0.01, ** p<=0.05, * p<=0.10; — dropped column"),
+    }
 
 
-def decomposition_records(table: list[OaxacaDecomposition]) -> list[dict]:
+def render_decomposition_table(table: list[OaxacaDecomposition], outcome: str,
+                               reference: str) -> dict[str, str]:
+    """Decomposition table, keyed by suffix: indicator bits plus the four
+    effect columns at three decimals in ``.csv`` and ``.md``, and in
+    ``.json`` at full precision with the outcome and reference mode."""
     records = []
     for dec in table:
         g, c, d = (int(b) for b in M_BITS[M_LABELS.index(dec.indicator)])
@@ -148,31 +145,25 @@ def decomposition_records(table: list[OaxacaDecomposition]) -> list[dict]:
                 "collective": dec.collective,
             }
         )
-    return records
-
-
-def render_decomposition_table(table: list[OaxacaDecomposition], fmt: str) -> str:
-    """Decomposition table: indicator bits plus the four effect columns, as
-    "csv" or "markdown" at three decimals. The full-precision JSON file is
-    ``decomposition_records`` with the outcome and reference mode."""
-    _check_format(fmt, ("csv", "markdown"))
-    records = decomposition_records(table)
     parts = ("endowment", "coefficient", "interaction", "collective")
     rows = [[rec["indicator"]] + [str(rec[b]) for b in "GCD"] + [f"{rec[k]:.3f}" for k in parts]
             for rec in records]
-    if fmt == "csv":
-        return csv_text(("indicator", "G", "C", "D") + parts, rows)
-    return _markdown(["term", "G", "C", "D"] + [k.capitalize() for k in parts], rows)
+    return {
+        ".csv": csv_text(("indicator", "G", "C", "D") + parts, rows),
+        ".json": json.dumps({"outcome": outcome, "reference": reference, "rows": records},
+                            indent=2, sort_keys=True),
+        ".md": _markdown(["term", "G", "C", "D"] + [k.capitalize() for k in parts], rows),
+    }
 
 
-def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str) -> str:
-    """Baseline metric means per condition plus signed per-variant deltas.
+def render_comparison_table(baseline: dict, variants: dict[str, dict]) -> dict[str, str]:
+    """Baseline metric means per condition plus signed per-variant deltas,
+    as ``.csv``, ``.json`` and ``.md`` texts keyed by suffix.
 
     ``baseline`` maps condition keys (g, c, d) to {metric: mean}; every
     variant must cover the same keys. Values render at 2 decimals; deltas
-    carry an explicit sign and polarity mark.
+    carry an explicit sign, and in markdown a polarity mark.
     """
-    _check_format(fmt)
     base_keys = sorted(baseline)
     for name, agg in variants.items():
         missing = [k for k in base_keys if k not in agg]
@@ -182,6 +173,7 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str)
                 f"variant {name!r}: missing keys {missing}, unexpected keys {extra}"
             )
 
+    names = sorted(variants)
     shown = [m for m in COLUMNS if any(_has_value(baseline[k].get(m)) for k in base_keys)]
     records = []
     for metric in shown:
@@ -195,7 +187,7 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str)
                 "baseline": float(base_val),
                 "deltas": {},
             }
-            for name in sorted(variants):
+            for name in names:
                 var_val = variants[name][key].get(metric)
                 if _has_value(var_val):
                     delta = float(var_val) - float(base_val)
@@ -203,21 +195,18 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict], fmt: str)
                                            "polarity": "positive" if delta >= 0 else "negative"}
             records.append(rec)
 
-    if fmt == "json":
-        return json.dumps({"rows": records}, indent=2, sort_keys=True)
-    names = sorted(variants)
-    marks = {"positive": " (+)", "negative": " (-)"}
-    rows = []
-    for rec in records:
-        row = [rec["metric"], rec["condition"], f"{rec['baseline']:.2f}"]
-        for n in names:
-            d = rec["deltas"].get(n)
-            mark = marks[d["polarity"]] if d and fmt == "markdown" else ""
-            row.append("" if d is None else f"{d['delta']:+.2f}{mark}")
-        rows.append(row)
-    if fmt == "csv":
-        return csv_text(["metric", "condition", "baseline"] + [f"delta_{n}" for n in names], rows)
-    return _markdown(["metric", "condition", "baseline"] + names, rows)
+    def rows(marks: dict[str, str]) -> list[list[str]]:
+        return [[rec["metric"], rec["condition"], f"{rec['baseline']:.2f}"]
+                + ["" if d is None else f"{d['delta']:+.2f}{marks[d['polarity']]}"
+                   for d in map(rec["deltas"].get, names)]
+                for rec in records]
+
+    header = ["metric", "condition", "baseline"]
+    return {
+        ".csv": csv_text(header + [f"delta_{n}" for n in names], rows({"positive": "", "negative": ""})),
+        ".json": json.dumps({"rows": records}, indent=2, sort_keys=True),
+        ".md": _markdown(header + names, rows({"positive": " (+)", "negative": " (-)"})),
+    }
 
 
 def _has_value(v) -> bool:

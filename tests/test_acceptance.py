@@ -19,7 +19,6 @@ from vda.model import (
     build_design_matrix,
     decomposition_table,
     fit_ols,
-    m_value,
     significance_band,
     three_fold,
 )
@@ -192,7 +191,8 @@ def test_criterion_8_design_matrix_law():
         assert len(COLUMN_LABELS) == 208
 
     label = ConditionLabel(1, 0, 1)
-    eligible = {m for m in M_LABELS if m_value(label, m) == 1}
+    ind = model._indicators(np.array([label.as_tuple()], dtype=bool))[0]
+    eligible = {m for m, v in zip(M_LABELS, ind) if v}
     assert eligible == {"1", "G", "D", "G*D"}
     e = np.concatenate([[1.0], rng.uniform(0.1, 2.0, 25)])
     design = build_design_matrix(Observations(e[None, :], [label.as_tuple()], [0.5]))

@@ -1181,18 +1181,16 @@ def test_stage_removes_temp_copies_a_killed_stage_left(pipeline_out, tmp_path):
 @pytest.mark.parametrize("stage,render", [("decompose", "render_decomposition_table"),
                                           ("report", "render_comparison_table")])
 def test_stage_that_cannot_render_a_table_writes_no_file(pipeline_out, tmp_path, monkeypatch,
-                                                         stage, render):
+                                                         capsys, stage, render):
     # the markdown table is rendered last; the JSON and CSV before it must not be written
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
-    original = getattr(cli.report, render)
 
-    def failing(*args):
-        if args[-1] == "markdown":
-            raise ValueError("markdown refused")
-        return original(*args)
+    def refuse(*args):
+        raise ValueError(f"markdown refused in {sys._getframe(1).f_code.co_name}")
 
-    monkeypatch.setattr(cli.report, render, failing)
+    monkeypatch.setattr(cli.report, "_markdown", refuse)
     assert main([stage, "--out", str(out)]) != EXIT_OK
+    assert f"markdown refused in {render}" in capsys.readouterr().err
     assert not list(out.glob("decomposition_*")) and not list(out.glob("comparison.*"))
 
 

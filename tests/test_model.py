@@ -19,7 +19,6 @@ from vda.model import (
     decomposition_table,
     fit_interactions,
     fit_ols,
-    m_value,
     oaxaca_decompose,
     significance_band,
     three_fold,
@@ -483,8 +482,9 @@ def test_m_value_matches_bit_product(seed):
         "1": 1, "G": g, "C": c, "D": d,
         "G*C": g * c, "G*D": g * d, "C*D": c * d, "G*C*D": g * c * d,
     }
+    ind = model._indicators(np.array([label.as_tuple()], dtype=bool))[0]
     for m, want in products.items():
-        assert m_value(label, m) == want
+        assert ind[M_LABELS.index(m)] == want
 
 
 # ------------------------------------------------------- per-cell R factors

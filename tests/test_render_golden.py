@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from vda.model import COLUMN_LABELS, OaxacaDecomposition, RegressionFit
-from vda.report import decomposition_records, render_decomposition_table, render_regression_table
+from vda.report import render_decomposition_table, render_regression_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "render"
 PARTS = ("endowment", "coefficient", "interaction", "collective")
@@ -46,24 +46,27 @@ def _golden_table():
             for r in _golden_json("decomposition_stoi.json")["rows"]]
 
 
-@pytest.mark.parametrize("name,fmt", [
-    ("fit_stoi.json", "json"), ("regression_stoi.csv", "csv"), ("regression_stoi.md", "markdown"),
+# each case is the golden file and the suffix its text is keyed by; the ids also name its format
+@pytest.mark.parametrize("name,suffix", [
+    pytest.param("fit_stoi.json", ".json", id="fit_stoi.json-json"),
+    pytest.param("regression_stoi.csv", ".csv", id="regression_stoi.csv-csv"),
+    pytest.param("regression_stoi.md", ".md", id="regression_stoi.md-markdown"),
 ])
-def test_regression_renders_golden_bytes(name, fmt):
-    got = render_regression_table(_golden_fit(), fmt)
+def test_regression_renders_golden_bytes(name, suffix):
+    got = render_regression_table(_golden_fit())[suffix]
     assert got.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name,fmt", [
-    ("decomposition_stoi.csv", "csv"), ("decomposition_stoi.md", "markdown"),
+@pytest.mark.parametrize("name,suffix", [
+    pytest.param("decomposition_stoi.csv", ".csv", id="decomposition_stoi.csv-csv"),
+    pytest.param("decomposition_stoi.md", ".md", id="decomposition_stoi.md-markdown"),
 ])
-def test_decomposition_renders_golden_bytes(name, fmt):
-    got = render_decomposition_table(_golden_table(), fmt)
+def test_decomposition_renders_golden_bytes(name, suffix):
+    got = render_decomposition_table(_golden_table(), "stoi", "stratum")[suffix]
     assert got.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 def test_decomposition_records_golden_bytes():
-    # the payload ``decompose`` writes: the records plus the outcome and reference mode
-    payload = {"outcome": "stoi", "reference": "stratum", "rows": decomposition_records(_golden_table())}
-    got = json.dumps(payload, indent=2, sort_keys=True)
+    # the JSON ``decompose`` writes: the records plus the outcome and reference mode
+    got = render_decomposition_table(_golden_table(), "stoi", "stratum")[".json"]
     assert got.encode("utf-8") == (GOLDEN / "decomposition_stoi.json").read_bytes()

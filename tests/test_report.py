@@ -17,7 +17,6 @@ from vda.model import (
 from vda.report import (
     AlignmentKeyError,
     cell_means,
-    decomposition_records,
     fit_records,
     render_comparison_table,
     render_decomposition_table,
@@ -46,14 +45,14 @@ def _fit_with(theta0=1.23, p0=0.001):
 
 def test_regression_markdown_cell_and_band():
     fit = _fit_with()
-    md = render_regression_table(fit, "markdown")
+    md = render_regression_table(fit)[".md"]
     assert "1.23***" in md  # strong band annotation
     assert "—" in md  # dropped columns render as an em dash cell
 
 
 def test_regression_json_round_trip_exact():
     fit = _fit_with()
-    parsed = json.loads(render_regression_table(fit, "json"))
+    parsed = json.loads(render_regression_table(fit)[".json"])
     by_key = {(r["feature_index"], r["interaction_label"]): r for r in parsed["coefficients"]}
     for j, key in enumerate(COLUMN_LABELS):
         if fit.retained[j]:
@@ -64,7 +63,7 @@ def test_regression_json_round_trip_exact():
 
 def test_regression_band_matches_significance_band():
     fit = _fit_with(p0=0.03)
-    parsed = json.loads(render_regression_table(fit, "json"))
+    parsed = json.loads(render_regression_table(fit)[".json"])
     for rec in parsed["coefficients"]:
         if rec["p"] is not None:
             assert rec["band"] == significance_band(rec["p"])
@@ -80,7 +79,7 @@ def test_fit_records_reject_other_widths():
 
 def test_regression_csv_parses_back():
     fit = _fit_with()
-    lines = render_regression_table(fit, "csv").splitlines()
+    lines = render_regression_table(fit)[".csv"].splitlines()
     assert lines[0].startswith("feature_index,interaction_label,theta")
     first = lines[1].split(",")
     assert float(first[2]) == fit.theta[0]
@@ -96,20 +95,20 @@ def _sample_table():
 
 
 def test_decomposition_renders_three_decimals():
-    csv_text = render_decomposition_table(_sample_table(), "csv")
-    assert "G,1,0,0,-0.364,0.062,0.050,-0.252" in csv_text
-    md = render_decomposition_table(_sample_table(), "markdown")
+    texts = render_decomposition_table(_sample_table(), "stoi", "stratum")
+    assert "G,1,0,0,-0.364,0.062,0.050,-0.252" in texts[".csv"]
+    md = texts[".md"]
     assert "| G | 1 | 0 | 0 | -0.364 | 0.062 | 0.050 | -0.252 |" in md
 
 
 def test_decomposition_zero_rows_render_zeros():
-    csv_text = render_decomposition_table(_sample_table(), "csv")
+    csv_text = render_decomposition_table(_sample_table(), "stoi", "stratum")[".csv"]
     assert "C,0,1,0,0.000,0.000,0.000,0.000" in csv_text
 
 
 def test_decomposition_csv_round_trip():
     table = _sample_table()
-    parsed = list(csv.DictReader(io.StringIO(render_decomposition_table(table, "csv"))))
+    parsed = list(csv.DictReader(io.StringIO(render_decomposition_table(table, "stoi", "stratum")[".csv"])))
     for dec, rec in zip(table, parsed):
         assert rec["indicator"] == dec.indicator
         for field in ("endowment", "coefficient", "interaction", "collective"):
@@ -118,7 +117,7 @@ def test_decomposition_csv_round_trip():
 
 def test_decomposition_json_full_precision():
     table = _sample_table()
-    parsed = json.loads(json.dumps({"rows": decomposition_records(table)}, indent=2, sort_keys=True))
+    parsed = json.loads(render_decomposition_table(table, "stoi", "stratum")[".json"])
     assert parsed["rows"][1]["endowment"] == -0.364
 
 
@@ -128,23 +127,19 @@ def _aggregates(stoi=0.92, pesq=2.25):
 
 
 def test_comparison_zero_delta_positive():
-    text = render_comparison_table(_aggregates(), {"var": _aggregates()}, "csv")
-    assert "stoi,G1C1D1,0.92,+0.00" in text
-    md = render_comparison_table(_aggregates(), {"var": _aggregates()}, "markdown")
+    texts = render_comparison_table(_aggregates(), {"var": _aggregates()})
+    assert "stoi,G1C1D1,0.92,+0.00" in texts[".csv"]
+    md = texts[".md"]
     assert "| stoi | G1C1D1 | 0.92 | +0.00 (+) |" in md
 
 
 def test_comparison_positive_delta():
-    text = render_comparison_table(
-        _aggregates(), {"var": _aggregates(pesq=2.27)}, "csv"
-    )
+    text = render_comparison_table(_aggregates(), {"var": _aggregates(pesq=2.27)})[".csv"]
     assert "pesq,G1C1D1,2.25,+0.02" in text
 
 
 def test_comparison_negative_polarity():
-    md = render_comparison_table(
-        _aggregates(), {"var": _aggregates(stoi=0.90)}, "markdown"
-    )
+    md = render_comparison_table(_aggregates(), {"var": _aggregates(stoi=0.90)})[".md"]
     assert "| stoi | G1C1D1 | 0.92 | -0.02 (-) |" in md
 
 
@@ -152,11 +147,11 @@ def test_comparison_key_mismatch_lists_keys():
     base = _aggregates()
     bad_variant = {(0, 0, 0): {"stoi": 0.5}}
     with pytest.raises(AlignmentKeyError, match=r"\(1, 1, 1\)"):
-        render_comparison_table(base, {"v": bad_variant}, "csv")
+        render_comparison_table(base, {"v": bad_variant})
 
 
 def test_comparison_without_variants():
-    text = render_comparison_table(_aggregates(), {}, "csv")
+    text = render_comparison_table(_aggregates(), {})[".csv"]
     assert "stoi,G1C1D1,0.92" in text
 
 
@@ -170,9 +165,3 @@ def test_cell_means():
     assert agg[(0, 0, 0)]["pesq"] == pytest.approx(2.0)  # absent values skipped
     assert agg[(1, 0, 0)]["stoi"] == pytest.approx(0.5)
     assert "pesq" not in agg[(1, 0, 0)]
-
-
-def test_unknown_format_rejected():
-    for fmt in ("yaml", "json"):  # decompose writes its JSON from decomposition_records
-        with pytest.raises(ValueError):
-            render_decomposition_table(_sample_table(), fmt)

@@ -5,17 +5,26 @@ wrappers and records a name it cannot find as "not found", so a renamed
 function silently reads 0 in every benchmark run. It also probes each of
 its PROBED_METRICS by calling ``metrics.<name>(pair)`` alone and compares
 the value with evaluate_pair's.
+
+The names that README.md and the docstrings of ``src/vda`` put in backticks
+must exist too, so that a removed function is not still documented.
 """
 import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import vda
 from vda import dsp, metrics
 
 from conftest import make_speech_like, noisy_pair
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+# ``metrics.csv`` and ``errors.csv`` name files, not module attributes
+FILE_SUFFIXES = {"csv", "json", "md"}
 
 
 def test_traced_names_resolve(monkeypatch):
@@ -44,3 +53,16 @@ def test_probed_metrics_called_alone_give_evaluate_pairs_bits(monkeypatch, durat
         assert repr(getattr(metrics, name)(pair)) == repr(getattr(report, name)), name
     for name in ("snr_seg", "fw_snr_seg", "llr", "wss", "csii"):
         assert repr(getattr(metrics, name)(pair, analysis)) == repr(getattr(report, name)), name
+
+
+def test_documented_names_resolve():
+    modules = [m.name for m in pkgutil.iter_modules(vda.__path__)]
+    backticked = re.compile(r"`(?:vda\.)?(" + "|".join(modules) + r")\.([A-Za-z_]\w*)")
+    docs = [ROOT / "README.md", *sorted((ROOT / "src" / "vda").glob("*.py"))]
+    named = {(path.name, module, name) for path in docs
+             for module, name in backticked.findall(path.read_text(encoding="utf-8"))
+             if name not in FILE_SUFFIXES}
+    assert len(named) > 10
+    missing = {f"{doc}: {module}.{name}" for doc, module, name in named
+               if not hasattr(importlib.import_module(f"vda.{module}"), name)}
+    assert not missing
