@@ -569,8 +569,9 @@ def cmd_decompose(args) -> int:
         obs = _observations(out_dir, args.outcome, copies)
         table = model.decomposition_table(obs, reference=args.reference)
         texts = report.render_decomposition_table(table, args.outcome, args.reference)
-        _write_outputs(out_dir, {f"decomposition_{args.outcome}{suffix}": text
-                                 for suffix, text in texts.items()})
+        # the stratum set keeps the plain name, so the two references never share a file
+        stem = f"decomposition_{args.outcome}" + ("" if args.reference == "stratum" else "_zero-error")
+        _write_outputs(out_dir, {stem + suffix: text for suffix, text in texts.items()})
     return EXIT_OK
 
 

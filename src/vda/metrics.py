@@ -37,11 +37,9 @@ NCM_BANDS = 20
 NCM_ENV_LOWPASS_HZ = 25.0
 SDR_CLIP_DB = 15.0
 # Bytes of ncm's complex64 row buffer: it holds the largest multiple of 4
-# polyphase rows that fits, and at least 8 (4 for the full-length route, see
-# _group_rows): 20 rows of 3200 points on a 1 s pair at 16 kHz, 8 rows of
-# 16 000 (1 MB) on a 20 s pair, whose rows are capped so that 4 fit (see
-# _envelope_grid). It also bounds the stash of kept envelope bins (see
-# _band_envelopes).
+# polyphase rows that fits, and at least 8 (see _group_rows), and a row is
+# capped so that 4 fit (see _envelope_grid): 20 rows of 3200 points on a 1 s
+# pair at 16 kHz, 8 rows of 16 000 (1 MB) on a 20 s pair.
 NCM_GROUP_BYTES = 512 * 1024
 
 MIN_ENVELOPE_SECONDS = 0.384  # one stoi segment: the shortest pair ncm and stoi take
@@ -245,6 +243,18 @@ def wss(pair: AlignedPair, analysis: PairAnalysis | None = None) -> float:
     return _trimmed_mean(frame_vals)
 
 
+def _transfer_mean(db: np.ndarray, importance: np.ndarray) -> float | None:
+    """The apparent-SNR transfer of csii and ncm: db clipped to
+    +-SDR_CLIP_DB and mapped onto [0, 1], then its importance-weighted mean;
+    None where the importance sums to zero."""
+    db = np.clip(db, -SDR_CLIP_DB, SDR_CLIP_DB)
+    transfer = (db + SDR_CLIP_DB) / (2.0 * SDR_CLIP_DB)
+    total = np.sum(importance)
+    if total <= 0.0:
+        return None
+    return float(np.sum(importance * transfer) / total)
+
+
 def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
                  cross: np.ndarray, weights: np.ndarray) -> float:
     """Coherence-based index over one level region (>= 2 frames), whose
@@ -272,14 +282,8 @@ def _csii_region(c: dsp.FrameAnalysis, d: dsp.FrameAnalysis, region: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         sdr = 10.0 * np.log10(np.where(dist > 0.0, sig / np.where(dist > 0.0, dist, 1.0), np.inf))
         sdr = np.where(sig > 0.0, sdr, -SDR_CLIP_DB)
-    sdr = np.clip(sdr, -SDR_CLIP_DB, SDR_CLIP_DB)
-    transfer = (sdr + SDR_CLIP_DB) / (2.0 * SDR_CLIP_DB)
-
-    importance = np.sqrt(band_c)
-    total = np.sum(importance)
-    if total <= 0.0:
-        return 0.0
-    return float(np.sum(importance * transfer) / total)
+    value = _transfer_mean(sdr, np.sqrt(band_c))
+    return 0.0 if value is None else value
 
 
 def csii(pair: AlignedPair, analysis: PairAnalysis | None = None
@@ -397,15 +401,11 @@ def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) ->
 
 def _group_rows(grid: _EnvelopeGrid) -> int:
     """Rows per group of ncm's row buffer: the largest multiple of 4 whose
-    complex64 rows of q points fit NCM_GROUP_BYTES, and at least 4, or 8
-    where p > 1, so that polyphase rows over 8192 points overrun it (up to
-    1 MB for rows capped at 16 384). numpy's pocketfft transforms the rows
-    of one call in batches: a call of 4 rows runs each at well under the
-    cost of a lone one. Calls of 8 rather than 4 ran ncm 5 % faster on a
-    20 s pair (p = 20 rows of 16 000) but 6 % slower on the full-length
-    rows of 11^4 points (p = 1)."""
-    least = 8 if grid.p > 1 else 4
-    return max(least, NCM_GROUP_BYTES // (8 * grid.q) // 4 * 4)
+    complex64 rows of q points fit NCM_GROUP_BYTES, and at least 8. numpy's
+    pocketfft transforms the rows of one call in batches: a call of 4 rows
+    runs each at well under the cost of a lone one, and calls of 8 rather
+    than 4 ran ncm 5 % faster on a 20 s pair (p = 20 rows of 16 000)."""
+    return max(8, NCM_GROUP_BYTES // (8 * grid.q) // 4 * 4)
 
 
 def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.ndarray,
@@ -438,23 +438,21 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
     product of the row's fold twiddles and its (folds, q) spectrum (one
     product over a group's rows of the run gave a lone row other bits than
     the same row among several). Only the first keep bins of each row's
-    envelope FFT are kept, in a stash of the whole bands that fit
-    NCM_GROUP_BYTES (at least one), and each stash is reduced with the
-    backward twiddles by one einsum as soon as its last run ends: on a 1 s
-    pair the stash holds every band. The transforms run in single
-    precision, which moves ncm by well under 1e-6: the inverse FFT in
-    place, and the rfft at norm="forward", the scale at which NumPy keeps
-    float32 input in its float32 loop (at the default norm it transforms in
-    float64, about three times slower). Every row's fill and transforms and
-    every band's sum over its rows depend on that row or band alone, so the
-    result does not depend on the group size.
+    envelope FFT are kept, for one band at a time, and they are reduced
+    with the backward twiddles by one einsum as soon as the band's last run
+    ends. The transforms run in single precision, which moves ncm by well
+    under 1e-6: the inverse FFT in place, and the rfft at norm="forward",
+    the scale at which NumPy keeps float32 input in its float32 loop (at
+    the default norm it transforms in float64, about three times slower).
+    Every row's fill and transforms and every band's sum over its rows
+    depend on that row or band alone, so the result does not depend on the
+    group size.
     """
     p, q, keep = grid.p, grid.q, len(lowpass)
     bands = len(bank_weights)
-    # the whole bands whose kept bins (2 sides of p complex64 rows) fit NCM_GROUP_BYTES
-    stash = np.empty((min(bands, max(1, NCM_GROUP_BYTES // (16 * p * keep))), 2, p, keep),
-                     dtype=np.complex64)
-    kept = stash.reshape(-1, keep)  # one row per (band, side, a)
+    # one band's kept bins, by (side, a); held as (2, p, keep) instead, the
+    # same bits, it raised the long-utterance metrics stage's peak RSS by 3 MB
+    kept = np.empty((2 * p, keep), dtype=np.complex64)
     coeffs = np.empty((2, bands, keep), dtype=np.complex128)
     total = 2 * bands * p
     group = min(_group_rows(grid), total)
@@ -488,15 +486,13 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
         transformed = np.fft.rfft(np.abs(rows), axis=-1, norm="forward")
         row = start
         while row < stop:
-            batch, slot = divmod(row, len(kept))
-            end = min(stop, row - slot + len(kept))
+            band, slot = divmod(row, 2 * p)
+            end = min(stop, row - slot + 2 * p)
             kept[slot:slot + end - row] = transformed[row - start:end - start, :keep]
             row = end
-            if end % len(kept) == 0 or end == total:  # the stash's last run has ended
-                first = batch * len(stash)
-                last = min(first + len(stash), bands)
-                np.einsum("bsak,ak->sbk", stash[:last - first], grid.backward,
-                          out=coeffs[:, first:last])
+            if end % (2 * p) == 0:  # the band's last run has ended
+                np.einsum("sak,ak->sk", kept.reshape(2, p, keep), grid.backward,
+                          out=coeffs[:, band])
         del transformed
     coeffs *= lowpass
     coeffs *= 2.0 / (p * p)  # 2 / nfft, over the p of each row's |ifft|
@@ -601,14 +597,10 @@ def ncm(pair: AlignedPair) -> float:
     r2 = np.clip(r ** 2, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         snr_app = 10.0 * np.log10(np.where(r2 < 1.0, r2 / np.maximum(1.0 - r2, _EPS), np.inf))
-    snr_app = np.clip(snr_app, -SDR_CLIP_DB, SDR_CLIP_DB)
-    transfer = (snr_app + SDR_CLIP_DB) / (2.0 * SDR_CLIP_DB)
-
-    importance = np.sqrt(energy / n)
-    total = np.sum(importance)
-    if total <= 0.0:
+    value = _transfer_mean(snr_app, np.sqrt(energy / n))
+    if value is None:
         raise DegenerateInputError("clean signal has no band envelope energy")
-    return float(np.sum(importance * transfer) / total)
+    return value
 
 
 def stoi(pair: AlignedPair) -> float:

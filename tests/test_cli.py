@@ -1281,6 +1281,22 @@ def test_decompose_json_metadata(pipeline_out):
         assert abs(total - rec["collective"]) <= 1e-12
 
 
+def test_zero_error_decomposition_keeps_the_stratum_files(pipeline_out, tmp_path, capsys):
+    for name in ("metrics.csv", "errors.csv"):
+        shutil.copy(pipeline_out / name, tmp_path / name)
+    assert main(["decompose", "--out", str(tmp_path), "--outcome", "stoi"]) == EXIT_OK
+    stratum = {p.name: p.read_bytes() for p in tmp_path.glob("decomposition_*")}
+    assert sorted(stratum) == [f"decomposition_stoi{s}" for s in (".csv", ".json", ".md")]
+    capsys.readouterr()
+    assert main(["decompose", "--out", str(tmp_path), "--outcome", "stoi",
+                 "--reference", "zero-error"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == str(tmp_path / "decomposition_stoi_zero-error.csv")
+    both = {p.name: p.read_bytes() for p in tmp_path.glob("decomposition_*")}
+    assert {name: both.pop(name) for name in stratum} == stratum
+    assert sorted(both) == [f"decomposition_stoi_zero-error{s}" for s in (".csv", ".json", ".md")]
+    assert json.loads(both["decomposition_stoi_zero-error.json"])["reference"] == "zero-error"
+
+
 def test_report_outputs(pipeline_out):
     assert (pipeline_out / "comparison.csv").exists()
     text = (pipeline_out / "comparison.csv").read_text()

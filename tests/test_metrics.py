@@ -272,6 +272,70 @@ def test_csii_high_above_low_under_noise(sweep):
         assert high > low
 
 
+def _csii_oracle(x, d):
+    """csii's (high, mid, low) in float64 loops, after Kates & Arehart,
+    "Coherence and the speech intelligibility index" (JASA 117(4), 2005),
+    with vda's choices: its 25 ms Hamming frames at a 10 ms hop and a
+    512-point FFT; the level regions of the clean frames' RMS against the
+    clean signal's (>= 0, [-10, 0) and [-30, -10) dB); each bin's
+    magnitude-squared coherence from the region's sums of the cross and
+    auto spectra; in each frame and band, the degraded power split by that
+    coherence into signal and distortion, their ratio in dB clipped to
+    +-15 and mapped onto [0, 1]; and the mean of those over the region's
+    frames and 25 Bark-spaced bands, weighted by the square root of the
+    clean band power. None for a region of fewer than two frames, 0.0 for
+    one with no clean band power."""
+    frame_len, hop, nfft = 400, 160, 512
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_len) / (frame_len - 1))
+    bank = dsp.make_filterbank("critical_band", RATE, nfft, metrics.CSII_BANDS, 50.0)
+    overall = np.sqrt(np.mean(x ** 2))
+    frames = []
+    for start in range(0, len(x) - frame_len + 1, hop):
+        xf, df = x[start:start + frame_len], d[start:start + frame_len]
+        frames.append((np.sqrt(np.sum(xf ** 2) / frame_len),
+                       np.fft.rfft(xf * window, nfft), np.fft.rfft(df * window, nfft)))
+    out = []
+    for lo_db, hi_db in ((0.0, None), (-10.0, 0.0), (-30.0, -10.0)):
+        region = [(cx, cy) for rms, cx, cy in frames
+                  if rms >= overall * 10.0 ** (lo_db / 20.0)
+                  and (hi_db is None or rms < overall * 10.0 ** (hi_db / 20.0))]
+        if len(region) < 2:
+            out.append(None)
+            continue
+        cross = sum(cx * np.conj(cy) for cx, cy in region)
+        auto_x = sum(np.abs(cx) ** 2 for cx, _ in region)
+        auto_y = sum(np.abs(cy) ** 2 for _, cy in region)
+        msc = np.zeros(len(cross))
+        for k in range(len(cross)):
+            if auto_x[k] * auto_y[k] > 0.0:
+                msc[k] = min(abs(cross[k]) ** 2 / (auto_x[k] * auto_y[k]), 1.0)
+        num = den = 0.0
+        for cx, cy in region:
+            for weights in bank:
+                signal = np.dot(weights, msc * np.abs(cy) ** 2)
+                distortion = np.dot(weights, (1.0 - msc) * np.abs(cy) ** 2)
+                if signal <= 0.0:
+                    sdr = -15.0
+                elif distortion <= 0.0:
+                    sdr = 15.0
+                else:
+                    sdr = min(max(10.0 * np.log10(signal / distortion), -15.0), 15.0)
+                importance = np.sqrt(np.dot(weights, np.abs(cx) ** 2))
+                num += importance * (sdr + 15.0) / 30.0
+                den += importance
+        out.append(num / den if den > 0.0 else 0.0)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("snr", [None, 20.0, 5.0, 0.0, -5.0])
+def test_csii_matches_coherence_oracle(sweep, snr):
+    pair = identity_pair(sweep) if snr is None else noisy_pair(sweep, snr)
+    want = _csii_oracle(pair.clean.samples, pair.degraded.samples)
+    got = metrics.csii(pair)
+    assert all(v is not None for v in want)
+    assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 def test_csii_all_regions_empty_errors():
     pair = AlignedPair(AudioSignal(np.zeros(RATE), RATE), AudioSignal(np.zeros(RATE), RATE), 0, 1.0)
     with pytest.raises(DegenerateInputError):
@@ -437,20 +501,19 @@ def test_polyphase_envelopes_fold_runs_wider_than_a_row(monkeypatch):
 
 
 @pytest.mark.parametrize("nfft,q,rows", [(16_000, 3200, 20), (32_000, 6400, 8),
-                                         (320_000, 16_000, 8), (11 ** 4, 11 ** 4, 4)])
+                                         (320_000, 16_000, 8), (11 ** 4, 11 ** 4, 8)])
 def test_ncm_group_rows(nfft, q, rows):
     # a 1 s pair; a 2 s pair, whose budget holds 10 rows; a 20 s pair, whose
     # rows are capped so that 4 fit it and which takes 8; and the
-    # full-length route (p = 1), which takes 4
+    # full-length route (p = 1), which takes 8 as well
     bank = _ncm_bank()
     grid = metrics._envelope_grid(nfft, RATE, bank, len(metrics._envelope_lowpass(nfft, RATE)))
     assert grid.q == q
     group = metrics._group_rows(grid)
     assert group == rows
-    least = 8 if grid.p > 1 else 4
-    assert group % 4 == 0 and group >= least
+    assert group % 4 == 0 and group >= 8
     row_bytes = np.dtype(np.complex64).itemsize * grid.q
-    assert group * row_bytes <= metrics.NCM_GROUP_BYTES or group == least
+    assert group * row_bytes <= metrics.NCM_GROUP_BYTES or group == 8
     assert 4 * row_bytes <= metrics.NCM_GROUP_BYTES or grid.p == 1
     assert (group + 4) * row_bytes > metrics.NCM_GROUP_BYTES
 

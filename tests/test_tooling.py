@@ -6,6 +6,10 @@ function silently reads 0 in every benchmark run. It also probes each of
 its PROBED_METRICS by calling ``metrics.<name>(pair)`` alone and compares
 the value with evaluate_pair's.
 
+``perfbench/run.py``'s environment probe calls ``kernels.backend_name()``
+on every run, so a refactor that removes it fails every benchmark run: that
+name must exist as well.
+
 The names that README.md and the docstrings of ``src/vda`` put in backticks
 must exist too, so that a removed function is not still documented.
 """
@@ -32,6 +36,7 @@ def test_traced_names_resolve(monkeypatch):
     tracer = importlib.import_module("tracer")
     named = [(layer, name) for layer, names in tracer.LAYER_FUNCTIONS.items() for name in names]
     named += [("cli", name) for name in tracer.ROW_FUNCTIONS]
+    named += [("kernels", "backend_name")]  # run.py's environment probe calls it
     missing = {f"{layer}.{name}" for layer, name in named
                if not hasattr(importlib.import_module(f"vda.{layer}"), name)}
     # dsp.power_spectra was folded into dsp.frame_analysis; the tracer still lists it
