@@ -8,9 +8,9 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,20 +37,43 @@ MANIFEST_COLUMNS = ("utterance_id", "clean_path", "degraded_path", "G", "C", "D"
 MIN_OVERLAP_SECONDS = 0.025
 
 
-@dataclass(frozen=True)
-class AudioSignal:
+class Frozen:
+    """Base of vda's validated types: a subclass's ``__init__`` checks its
+    arguments and passes them here in ``__slots__`` order; the instance is
+    read-only after."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class AudioSignal(Frozen):
     """Mono sample sequence with its sample rate."""
 
-    samples: np.ndarray  # float64, nominal range [-1, 1]
-    rate: int
+    __slots__ = ("samples", "rate")  # float64 samples, nominal range [-1, 1]
 
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.rate}")
-        samples = np.asarray(self.samples, dtype=np.float64)
+    def __init__(self, samples: np.ndarray, rate: int):
+        if rate <= 0:
+            raise ValueError(f"sample rate must be positive, got {rate}")
+        samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        object.__setattr__(self, "samples", samples)
+        super().__init__(samples, rate)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -65,18 +88,22 @@ class AudioSignal:
         return float(np.sqrt(np.mean(self.samples ** 2)))
 
 
-@dataclass(frozen=True, order=True)
-class ConditionLabel:
-    """Binary condition indicators: platform, receiver, sender denoising."""
-
+class _Indicators(NamedTuple):
     g: int
     c: int
     d: int
 
-    def __post_init__(self):
-        for name, value in (("G", self.g), ("C", self.c), ("D", self.d)):
+
+class ConditionLabel(_Indicators):
+    """Binary condition indicators: platform, receiver, sender denoising."""
+
+    __slots__ = ()
+
+    def __new__(cls, g: int, c: int, d: int):
+        for name, value in (("G", g), ("C", c), ("D", d)):
             if value not in (0, 1):
                 raise ValueError(f"indicator {name} must be 0 or 1, got {value!r}")
+        return super().__new__(cls, g, c, d)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.g, self.c, self.d)
@@ -87,8 +114,7 @@ ALL_CELLS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     utterance_id: str
     clean_path: Path
     degraded_path: Path
@@ -96,39 +122,38 @@ class ManifestEntry:
     external_pesq: float | None = None
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
-    entries: tuple[ManifestEntry, ...]
+class CorpusManifest(Frozen):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[ManifestEntry, ...]):
+        super().__init__(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class AlignedPair:
+class AlignedPair(Frozen):
     """Equal-length, rate-matched clean/degraded pair after lag and gain fix."""
 
-    clean: AudioSignal
-    degraded: AudioSignal
-    applied_lag: int
-    applied_gain: float
+    __slots__ = ("clean", "degraded", "applied_lag", "applied_gain")
 
-    def __post_init__(self):
-        if len(self.clean) != len(self.degraded):
+    def __init__(self, clean: AudioSignal, degraded: AudioSignal, applied_lag: int,
+                 applied_gain: float):
+        if len(clean) != len(degraded):
             raise ValueError("aligned signals must have equal length")
-        if self.clean.rate != self.degraded.rate:
+        if clean.rate != degraded.rate:
             raise ValueError("aligned signals must share one rate")
+        super().__init__(clean, degraded, applied_lag, applied_gain)
 
     @property
     def rate(self) -> int:
         return self.clean.rate
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     missing: tuple[Path, ...]
     duplicates: tuple[tuple[str, ConditionLabel], ...]
-    cell_counts: dict = field(default_factory=dict)  # ConditionLabel -> int
+    cell_counts: dict  # ConditionLabel -> int
 
     @property
     def ok(self) -> bool:

@@ -7,8 +7,8 @@ autocorrelation up to lag LLR_ORDER without circular wrap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ LLR_ORDER = 10
 BLOCK_FRAMES = 128
 
 
-@dataclass(frozen=True)
-class FrameAnalysis:
+class FrameAnalysis(NamedTuple):
     """One signal's default short-time analysis, shared by the frame metrics and the features."""
 
     frames: np.ndarray  # (n_frames, frame_len) raw samples, a read-only view of the signal

@@ -13,12 +13,12 @@ once per crop start and takes each crop's means from the shared terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dsp, kernels
-from .corpus import AudioSignal
+from .corpus import AudioSignal, Frozen
 from .errors import PreconditionError
 
 N_FEATURES = 26
@@ -71,39 +71,36 @@ _MFCC_BASIS = np.sqrt(2.0 / N_AUDITORY_BANDS) * np.cos(
 )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(Frozen):
     """26 descriptor values; x[0] is the constant intercept 1."""
 
-    x: np.ndarray
-    voiced: bool = True
+    __slots__ = ("x", "voiced")
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+    def __init__(self, x: np.ndarray, voiced: bool = True):
+        x = np.asarray(x, dtype=np.float64)
         if x.shape != (N_FEATURES,):
             raise ValueError(f"expected {N_FEATURES} feature values")
         if x[0] != 1.0:
             raise ValueError("feature index 0 must be the constant 1")
         if not np.all(np.isfinite(x)):
             raise ValueError("feature values must be finite")
-        object.__setattr__(self, "x", x)
+        super().__init__(x, voiced)
 
 
-@dataclass(frozen=True)
-class ErrorVector:
+class ErrorVector(Frozen):
     """Elementwise absolute feature differences; e[0] stays 1."""
 
-    e: np.ndarray
+    __slots__ = ("e",)
 
-    def __post_init__(self):
-        e = np.asarray(self.e, dtype=np.float64)
+    def __init__(self, e: np.ndarray):
+        e = np.asarray(e, dtype=np.float64)
         if e.shape != (N_FEATURES,):
             raise ValueError(f"expected {N_FEATURES} error values")
         if e[0] != 1.0:
             raise ValueError("error index 0 must be the constant 1")
         if (e < 0).any() or not np.isfinite(e).all():
             raise ValueError("error values must be finite and non-negative")
-        object.__setattr__(self, "e", e)
+        super().__init__(e)
 
 
 def feature_error(clean_fv: FeatureVector, degraded_fv: FeatureVector) -> ErrorVector:
@@ -212,8 +209,7 @@ def _jitter_shimmer(x: np.ndarray, rate: int, f0_hz: float) -> tuple[float, floa
     return jitter, shimmer
 
 
-@dataclass(frozen=True)
-class FrameTerms:
+class FrameTerms(NamedTuple):
     """The per-frame terms of one signal that its utterance means read; no spectra.
 
     Row i of ``f0``, ``acf_peak``, ``values`` and ``valid`` depends on the

@@ -8,7 +8,6 @@ classical constructions over critical bands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +53,7 @@ COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """One row of the evaluation suite for a single aligned pair."""
 
     stoi: float
@@ -756,5 +754,5 @@ def evaluate_pair(pair: AlignedPair, external_pesq: float | None = None,
         except Exception as exc:
             raise MetricError(f"composite: {exc}") from exc
         _require_finite("composite", triple)
-        report = replace(report, composite=triple)
+        report = report._replace(composite=triple)
     return report

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import ALL_CELLS
+from .corpus import ALL_CELLS, Frozen
 from .errors import StratificationError, UnderdeterminedError
 from .features import N_FEATURES
 
@@ -58,20 +58,17 @@ class ObservationError(ValueError):
         self.row, self.field, self.reason = row, field, reason
 
 
-@dataclass(frozen=True)
-class Observations:
+class Observations(Frozen):
     """The model's input, one row per pair: feature errors ``e`` (n, 26) with
     ``e[:, 0] == 1``, finite and non-negative; G/C/D ``labels`` (n, 3) as 0/1
     (int or bool, stored bool); and the finite outcome ``y`` (n,)."""
 
-    e: np.ndarray
-    labels: np.ndarray
-    y: np.ndarray
+    __slots__ = ("e", "labels", "y")
 
-    def __post_init__(self):
-        e = np.asarray(self.e, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        y = np.asarray(self.y, dtype=np.float64)
+    def __init__(self, e: np.ndarray, labels: np.ndarray, y: np.ndarray):
+        e = np.asarray(e, dtype=np.float64)
+        labels = np.asarray(labels)
+        y = np.asarray(y, dtype=np.float64)
         if e.ndim != 2 or e.shape[1] != N_FEATURES or labels.shape != (len(e), 3) \
                 or y.shape != (len(e),):
             raise ValueError(f"expected e (n, {N_FEATURES}), labels (n, 3) and y (n,); "
@@ -86,16 +83,13 @@ class Observations:
         ):
             if bad.any():
                 raise ObservationError(int(np.argmax(bad)), field, reason)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "labels", labels.astype(bool))
-        object.__setattr__(self, "y", y)
+        super().__init__(e, labels.astype(bool), y)
 
     def __len__(self) -> int:
         return len(self.y)
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     theta: np.ndarray
     std_err: np.ndarray  # NaN on dropped columns
     t_stat: np.ndarray
@@ -105,8 +99,7 @@ class RegressionFit:
     retained: np.ndarray  # bool per column
 
 
-@dataclass(frozen=True)
-class OaxacaDecomposition:
+class OaxacaDecomposition(NamedTuple):
     indicator: str
     endowment: float
     coefficient: float

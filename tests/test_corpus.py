@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import struct
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vda import corpus
-from vda.corpus import AudioSignal, ConditionLabel
+from vda.corpus import AlignedPair, AudioSignal, ConditionLabel
+from vda.features import ErrorVector, FeatureVector
+from vda.model import Observations
 from vda.errors import AlignmentError, FormatError, SchemaError, UnsupportedFormatError
 
 from conftest import peak_memory
@@ -526,3 +529,48 @@ def test_validate_manifest_missing_and_duplicates(tmp_path):
 def test_condition_label_rejects_nonbinary():
     with pytest.raises(ValueError):
         ConditionLabel(2, 0, 0)
+
+
+@pytest.mark.parametrize("label,message", [
+    ((0, 2, 0), "indicator C must be 0 or 1, got 2"),
+    ((0, 0, 0.5), "indicator D must be 0 or 1, got 0.5"),
+])
+def test_condition_label_names_the_bad_indicator(label, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ConditionLabel(*label)
+
+
+def test_condition_label_compares_and_hashes_as_its_indicators():
+    assert ConditionLabel(0, 1, 0) == ConditionLabel(g=0, c=1, d=0) != ConditionLabel(0, 1, 1)
+    assert hash(ConditionLabel(1, 0, 1)) == hash((1, 0, 1))
+    assert sorted(reversed(corpus.ALL_CELLS)) == list(corpus.ALL_CELLS)
+    assert ConditionLabel(0, 1, 1) < ConditionLabel(1, 0, 0)
+
+
+@pytest.mark.parametrize("make,field", [
+    pytest.param(lambda: AudioSignal(np.zeros(4), 16000), "rate", id="AudioSignal"),
+    pytest.param(lambda: ConditionLabel(0, 1, 0), "g", id="ConditionLabel"),
+    pytest.param(lambda: corpus.CorpusManifest(()), "entries", id="CorpusManifest"),
+    pytest.param(lambda: AlignedPair(AudioSignal(np.zeros(4), 16000), AudioSignal(np.ones(4), 16000),
+                                     0, 1.0), "applied_gain", id="AlignedPair"),
+    pytest.param(lambda: FeatureVector(np.ones(26)), "voiced", id="FeatureVector"),
+    pytest.param(lambda: ErrorVector(np.ones(26)), "e", id="ErrorVector"),
+    pytest.param(lambda: Observations(np.ones((2, 26)), np.zeros((2, 3)), np.zeros(2)), "y",
+                 id="Observations"),
+])
+def test_validated_types_are_read_only_and_pickle(make, field):
+    obj = make()
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert repr(pickle.loads(pickle.dumps(obj))) == repr(obj)
+
+
+@pytest.mark.parametrize("degraded,reason", [
+    (AudioSignal(np.zeros(5), 16000), "aligned signals must have equal length"),
+    (AudioSignal(np.zeros(4), 8000), "aligned signals must share one rate"),
+])
+def test_aligned_pair_refuses_mismatched_sides(degraded, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        AlignedPair(AudioSignal(np.zeros(4), 16000), degraded, 0, 1.0)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,7 +383,7 @@ def test_frame_terms_are_small_beside_the_samples():
                        RATE)
     for sig in (make_speech_like(seed=5, duration=20.0), tone):
         terms = frame_terms(sig)
-        size = sum(getattr(terms, field.name).nbytes for field in dataclasses.fields(terms))
+        size = sum(array.nbytes for array in terms)
         assert size < 0.25 * sig.samples.nbytes
 
 

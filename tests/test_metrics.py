@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -772,7 +771,7 @@ def test_evaluate_pair_deterministic(sweep):
     pair = noisy_pair(sweep, 0.0)
     a = metrics.evaluate_pair(pair, external_pesq=3.0)
     b = metrics.evaluate_pair(pair, external_pesq=3.0)
-    assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    assert a._asdict() == b._asdict()
 
 
 def test_evaluate_pair_selection(sweep_identity):
@@ -824,7 +823,8 @@ def test_evaluate_pair_rejects_a_non_finite_sample(sweep, name, side, index, val
     pair = noisy_pair(sweep, 10.0)
     samples = getattr(pair, side).samples.copy()
     samples[index] = value
-    pair = dataclasses.replace(pair, **{side: AudioSignal(samples, RATE)})
+    sides = {"clean": pair.clean, "degraded": pair.degraded, side: AudioSignal(samples, RATE)}
+    pair = AlignedPair(**sides, applied_lag=pair.applied_lag, applied_gain=pair.applied_gain)
     with pytest.raises(PreconditionError, match=f"^{side} sample {index} is not finite"):
         metrics.evaluate_pair(pair, external_pesq=3.0, selected=(name,))
 
@@ -854,7 +854,7 @@ def test_report_cells_line_up_with_columns():
         "csii_high": 0.8, "csii_mid": None, "csii_low": 0.4, "ncm": 0.7,
         "pesq": None, "csig": None, "cbak": None, "covl": None,
     }
-    scored = dataclasses.replace(rep, pesq=3.1, composite=(3.5, 2.5, 3.0))
+    scored = rep._replace(pesq=3.1, composite=(3.5, 2.5, 3.0))
     assert scored.cells()[-4:] == (3.1, 3.5, 2.5, 3.0)  # pesq, csig, cbak, covl
 
 

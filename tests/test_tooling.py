@@ -4,7 +4,8 @@
 wrappers and records a name it cannot find as "not found", so a renamed
 function silently reads 0 in every benchmark run. It also probes each of
 its PROBED_METRICS by calling ``metrics.<name>(pair)`` alone and compares
-the value with evaluate_pair's.
+the value with evaluate_pair's, and counts a ROW_COUNTED call's rows as
+``len()`` of its first argument.
 
 ``perfbench/run.py``'s environment probe calls ``kernels.backend_name()``
 on every run, so a refactor that removes it fails every benchmark run: that
@@ -18,10 +19,12 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vda
-from vda import dsp, metrics
+from vda import dsp, metrics, model
+from vda.corpus import ALL_CELLS
 
 from conftest import make_speech_like, noisy_pair
 
@@ -71,3 +74,13 @@ def test_documented_names_resolve():
     missing = {f"{doc}: {module}.{name}" for doc, module, name in named
                if not hasattr(importlib.import_module(f"vda.{module}"), name)}
     assert not missing
+
+
+def test_row_counted_observations_give_their_row_count(monkeypatch):
+    # the tracer records model.rows as len(args[0]) of ROW_COUNTED calls such
+    # as decomposition_table(obs), so Observations' len() must be its rows
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert "model.decomposition_table" in importlib.import_module("tracer").ROW_COUNTED
+    y = np.arange(5.0)
+    labels = np.array([cell.as_tuple() for cell in ALL_CELLS[:5]])
+    assert len(model.Observations(np.ones((5, 26)), labels, y)) == len(y)
