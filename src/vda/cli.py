@@ -11,18 +11,17 @@ import contextlib
 import csv
 import gc
 import itertools
-import json
-import logging
 import os
 import re
 import sys
 import warnings
 import zlib
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import corpus, features, metrics, model, report, synth
+from . import corpus
 from .errors import (
     AlignmentError,
     DegenerateInputError,
@@ -37,7 +36,11 @@ from .errors import (
     VdaError,
 )
 
-log = logging.getLogger("vda")
+# Each command imports the vda modules it runs, at its top: importing one
+# after a table or WAV is read moves the heap layout, and with it the peak RSS.
+# Here they are imported for the annotations alone.
+if TYPE_CHECKING:
+    from . import features, model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,8 +52,8 @@ DEFAULT_MAX_LAG_SECONDS = 0.25
 # The row key that leads every table; metrics.csv carries metrics.COLUMNS
 # after it, errors.csv the ERROR_COLUMNS and both features_*.csv FEATURE_COLUMNS.
 KEY_COLUMNS = ("utterance_id", "G", "C", "D")
-ERROR_COLUMNS = tuple(f"e{i}" for i in range(features.N_FEATURES))
-FEATURE_COLUMNS = tuple(f"x{i}" for i in range(features.N_FEATURES))
+ERROR_COLUMNS = tuple(f"e{i}" for i in range(corpus.N_FEATURES))
+FEATURE_COLUMNS = tuple(f"x{i}" for i in range(corpus.N_FEATURES))
 
 OUTCOMES = ("stoi", "pesq")
 
@@ -74,13 +77,24 @@ def _exit_code(exc: Exception) -> int | None:
     return next((code for classes, code in _EXIT_CODES if isinstance(exc, classes)), None)
 
 
-def _configure_logging() -> None:
-    level = os.environ.get("VDA_LOG", "WARNING").upper()
+def _log(level: str, msg: str, *args) -> None:
+    """Log ``msg % args`` at ``level`` ("debug", "warning" or "error") on the
+    "vda" logger, at the level that VDA_LOG names (WARNING if it names none).
+
+    logging is imported and configured by the first record that can be shown,
+    so a stage that logs no warning or error, run without VDA_LOG, never loads it.
+    """
+    if level == "debug" and "VDA_LOG" not in os.environ:
+        return
+    import logging
+
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log = logging.getLogger("vda")
     try:
-        log.setLevel(level)
+        log.setLevel(os.environ.get("VDA_LOG", "WARNING").upper())
     except ValueError:
         log.setLevel(logging.WARNING)
+    getattr(log, level)(msg, *args)
 
 
 def _max_lag(rate: int) -> int:
@@ -114,6 +128,8 @@ def _row_failure(key: tuple, exc: Exception) -> tuple[int, str]:
 
 def _metric_row(args: tuple) -> tuple[tuple, tuple[int, str] | None]:
     """The metrics.csv row of one pair; a failed row is its key alone."""
+    from . import metrics  # loaded by cmd_metrics, or here in a --jobs worker
+
     entry, selected = args
     key = _entry_key(entry)
     try:
@@ -146,6 +162,8 @@ def _feature_row(entry: corpus.ManifestEntry, source: corpus.AudioSignal,
     """The errors.csv, features_clean.csv and features_degraded.csv rows of
     one pair, whose clean side is ``source``; ``terms`` holds the frame
     terms of ``source`` by start offset, and gains the offset this pair needs."""
+    from . import features  # loaded by cmd_features, or here in a --jobs worker
+
     key = _entry_key(entry)
     try:
         pair = corpus.align(source, _load_signal(entry.degraded_path), _max_lag(corpus.CANONICAL_RATE))
@@ -230,6 +248,8 @@ def _map_jobs(func, items, jobs: int):
 
 def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
     """``rows`` under ``header`` as CSV; a short row (a failed one) ends in blank cells."""
+    from . import report
+
     return report.csv_text(header, [row + (None,) * (len(header) - len(row)) for row in rows])
 
 
@@ -257,6 +277,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     manifest_path = synth.generate_corpus(
         args.out, n_utterances=args.utterances, seed=args.seed, duration=args.duration
     )
@@ -265,6 +287,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from . import metrics, report  # report renders metrics.csv
+
     entries = _sorted_entries(args.manifest)
     selected = tuple(s.strip() for s in args.metrics.split(",") if s.strip())
     if not selected:
@@ -275,19 +299,21 @@ def cmd_metrics(args) -> int:
     results = _map_jobs(_metric_row, [(e, selected) for e in entries], args.jobs)
     failures = [failure for _, failure in results if failure]
     for _, msg in failures:
-        log.error("metrics failed for %s", msg)
+        _log("error", "metrics failed for %s", msg)
     _write_outputs(Path(args.out), {"metrics.csv": _csv_text(KEY_COLUMNS + metrics.COLUMNS,
                                                              [row for row, _ in results])})
     return failures[0][0] if failures else EXIT_OK
 
 
 def cmd_features(args) -> int:
+    from . import features, report  # _feature_row runs features; report renders the CSVs
+
     entries = _sorted_entries(args.manifest)
     groups = [list(group) for _, group in itertools.groupby(entries, lambda e: e.clean_path)]
     results = [row for rows in _map_jobs(_feature_rows, groups, args.jobs) for row in rows]
     failures = [failure for *_rows, failure in results if failure]
     for _, msg in failures:
-        log.error("features failed for %s", msg)
+        _log("error", "features failed for %s", msg)
     _write_outputs(Path(args.out), {
         "errors.csv": _csv_text(KEY_COLUMNS + ERROR_COLUMNS, [r[0] for r in results]),
         "features_clean.csv": _csv_text(KEY_COLUMNS + FEATURE_COLUMNS, [r[1] for r in results]),
@@ -296,7 +322,9 @@ def cmd_features(args) -> int:
 
 
 def _key_name(key: tuple[str, ...]) -> str:
-    return f"{key[0]} {report.condition_name(*key[1:])}"
+    from .report import condition_name
+
+    return f"{key[0]} {condition_name(*key[1:])}"
 
 
 # Rows per np.loadtxt call of _read_table. A block is held as one Python
@@ -368,6 +396,8 @@ def _copy_path(path: Path) -> Path:
 def _table_digest(path: Path, columns: tuple[str, ...]) -> bytes:
     """The key of a parsed copy: the blake2b digest of ``_COPY_FORMAT``,
     ``columns`` and the bytes of ``path``, read in chunks."""
+    import json
+
     # hashlib's blake2b from its own module: importing hashlib also loads
     # OpenSSL, 3.6 MB of RSS at a stage's peak
     try:
@@ -407,7 +437,7 @@ def _load_copy(path: Path, digest: bytes) -> _Table | None:
     # any failure is parsed around: besides OSError, np.load of a damaged
     # header raises ValueError, EOFError, tokenize's TokenError or MemoryError
     except Exception as exc:
-        log.debug("%s: parsed copy not used: %r", copy, exc)
+        _log("debug", "%s: parsed copy not used: %r", copy, exc)
         return None
     return keys, labels, values
 
@@ -433,7 +463,7 @@ def _write_copy(path: Path, digest: bytes, table: _Table, copies: list) -> None:
             for array in (np.frombuffer(digest, np.uint8), *arrays, _checksum(arrays)):
                 np.save(fh, array, allow_pickle=False)
     except OSError as exc:
-        log.debug("%s: parsed copy not written: %s", target, exc)
+        _log("debug", "%s: parsed copy not written: %s", target, exc)
         with contextlib.suppress(OSError):
             temp.unlink(missing_ok=True)
     else:
@@ -525,6 +555,8 @@ def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observatio
     """The model input: each metrics.csv row joined to its errors.csv row;
     ``copies`` as for _read_table. metrics.csv is read for every outcome,
     so that the stages of either outcome share its parsed copy."""
+    from . import model
+
     m_path, e_path = out_dir / "metrics.csv", out_dir / "errors.csv"
     keys, labels, outcomes = _read_table(m_path, OUTCOMES, copies)
     y = outcomes[:, OUTCOMES.index(outcome)]
@@ -536,7 +568,7 @@ def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observatio
     skipped = no_errors | np.isnan(outcomes[:, 0])  # stoi leads OUTCOMES
     for i in np.flatnonzero(skipped):
         path, reason = (e_path, "no feature errors") if no_errors[i] else (m_path, "no stoi value")
-        log.warning("%s: %s: %s; row skipped", path, _key_name(keys[i]), reason)
+        _log("warning", "%s: %s: %s; row skipped", path, _key_name(keys[i]), reason)
     kept = np.flatnonzero(~skipped)
     if not len(kept):
         raise DependencyError("no joinable rows between metrics.csv and errors.csv")
@@ -553,6 +585,8 @@ def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observatio
 
 
 def cmd_fit(args) -> int:
+    from . import model, report
+
     out_dir = Path(args.out)
     with _parsed_copies() as copies:
         obs = _observations(out_dir, args.outcome, copies)
@@ -564,6 +598,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import model, report
+
     out_dir = Path(args.out)
     with _parsed_copies() as copies:
         obs = _observations(out_dir, args.outcome, copies)
@@ -578,10 +614,14 @@ def cmd_decompose(args) -> int:
 def _metric_csv_aggregates(path: Path) -> dict:
     """Cell means of the metric columns of ``metrics.csv`` or a variant file,
     parsed: no stage reads or writes a parsed copy of every metric column."""
+    from . import metrics, report
+
     return report.cell_means(*_parse_table(path, metrics.COLUMNS)[1:])
 
 
 def cmd_report(args) -> int:
+    from . import metrics, report  # metrics for its COLUMNS
+
     out_dir = Path(args.out)
     baseline = _metric_csv_aggregates(out_dir / "metrics.csv")
     variants = {path.stem[len("metrics_"):]: _metric_csv_aggregates(path)
@@ -601,6 +641,8 @@ def _count(text: str) -> int:
 
 def _duration(text: str) -> float:
     """An argparse type: finite seconds that give synth at least one sample."""
+    from . import synth
+
     value = float(text)
     if not (np.isfinite(value) and round(value * synth.RATE) >= 1):
         raise argparse.ArgumentTypeError(
@@ -626,7 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="score every manifest pair")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--metrics", default=",".join(metrics.METRIC_NAMES))
+    # metrics.METRIC_NAMES, written out so that the parser does not load metrics
+    p.add_argument("--metrics", default="stoi,snr_seg,fw_snr_seg,llr,wss,csii,ncm,composite")
     p.add_argument("--jobs", type=_count, default=1)
     p.set_defaults(func=cmd_metrics)
 
@@ -655,7 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

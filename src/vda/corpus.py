@@ -36,6 +36,10 @@ MANIFEST_COLUMNS = ("utterance_id", "clean_path", "degraded_path", "G", "C", "D"
 # Shortest usable overlap after alignment: one default analysis frame (25 ms).
 MIN_OVERLAP_SECONDS = 0.025
 
+# Entries of a pair's feature vector: what features extracts and the model
+# regresses on, and the e/x columns of errors.csv and features_*.csv.
+N_FEATURES = 26
+
 
 class Frozen:
     """Base of vda's validated types: a subclass's ``__init__`` checks its

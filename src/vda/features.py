@@ -18,10 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dsp, kernels
-from .corpus import AudioSignal, Frozen
+from .corpus import N_FEATURES, AudioSignal, Frozen
 from .errors import PreconditionError
-
-N_FEATURES = 26
 
 FEATURE_NAMES = (
     "intercept",

@@ -22,9 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import ALL_CELLS, Frozen
+from .corpus import ALL_CELLS, N_FEATURES, Frozen
 from .errors import StratificationError, UnderdeterminedError
-from .features import N_FEATURES
 
 # Interaction set in canonical order; row m of M_BITS names the indicators
 # (G, C, D) whose product forms term m.

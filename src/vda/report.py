@@ -4,28 +4,24 @@ Markdown is the human-readable target; significance appears as ``*`` /
 ``**`` / ``***`` (weak/medium/strong) and deltas carry ``(+)`` / ``(-)``
 polarity marks. CSV and JSON renders are machine-parseable and lossless at
 their declared precision.
+
+The metrics and features stages write their CSVs with ``csv_text`` alone, so
+the renderers import ``json``, ``model`` and ``metrics`` where they use them.
 """
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .corpus import N_FEATURES
 from .errors import DegenerateInputError, VdaError
-from .features import N_FEATURES
-from .metrics import COLUMNS
-from .model import (
-    COLUMN_LABELS,
-    M_BITS,
-    M_LABELS,
-    N_COLUMNS,
-    OaxacaDecomposition,
-    RegressionFit,
-    significance_band,
-)
+
+if TYPE_CHECKING:
+    from .model import OaxacaDecomposition, RegressionFit
 
 _BAND_MARK = {"strong": "***", "medium": "**", "weak": "*", "none": ""}
 
@@ -75,6 +71,8 @@ def fit_records(fit: RegressionFit) -> list[dict]:
     A retained column whose p-value is undefined (NaN, as when theta and its
     standard error are both 0) is a DegenerateInputError naming the column.
     """
+    from .model import COLUMN_LABELS, N_COLUMNS, significance_band
+
     if len(fit.theta) != N_COLUMNS:
         raise ValueError(f"expected a fit of the {N_COLUMNS} design columns, got {len(fit.theta)}")
     records = []
@@ -101,6 +99,10 @@ def render_regression_table(fit: RegressionFit) -> dict[str, str]:
     """Interaction-by-feature coefficient table with significance banding:
     the texts of ``fit_<outcome>.json``, ``regression_<outcome>.csv`` and
     ``regression_<outcome>.md``, keyed by suffix."""
+    import json
+
+    from .model import M_LABELS
+
     records = fit_records(fit)
     columns = ("feature_index", "interaction_label", "theta", "std_err", "t", "p", "band")
     rows = []
@@ -130,6 +132,10 @@ def render_decomposition_table(table: list[OaxacaDecomposition], outcome: str,
     """Decomposition table, keyed by suffix: indicator bits plus the four
     effect columns at three decimals in ``.csv`` and ``.md``, and in
     ``.json`` at full precision with the outcome and reference mode."""
+    import json
+
+    from .model import M_BITS, M_LABELS
+
     records = []
     for dec in table:
         g, c, d = (int(b) for b in M_BITS[M_LABELS.index(dec.indicator)])
@@ -164,6 +170,10 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict]) -> dict[s
     variant must cover the same keys. Values render at 2 decimals; deltas
     carry an explicit sign, and in markdown a polarity mark.
     """
+    import json
+
+    from .metrics import COLUMNS
+
     base_keys = sorted(baseline)
     for name, agg in variants.items():
         missing = [k for k in base_keys if k not in agg]
@@ -217,10 +227,12 @@ def cell_means(labels: np.ndarray, values: np.ndarray) -> dict:
     """Mean per condition cell of every metric column.
 
     ``labels`` holds the ``(n, 3)`` G/C/D indicators of ``n`` rows and
-    ``values`` their ``(n, len(COLUMNS))`` metric values, NaN where absent.
+    ``values`` their ``(n, len(metrics.COLUMNS))`` metric values, NaN where absent.
     The result maps (g, c, d) to {metric: mean over the rows with a value};
     a metric with no value in a cell is left out of it.
     """
+    from .metrics import COLUMNS
+
     means = {}
     for key in sorted(set(map(tuple, labels.tolist()))):
         cell = values[(labels == key).all(axis=1)]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vda import cli, corpus, features, metrics
+from vda import cli, corpus, features, metrics, report
 from vda.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from vda.errors import FormatError, SchemaError, VdaError
 
@@ -54,44 +54,74 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert out.stdout.strip() == "[]"
 
 
-def _loaded_modules(args):
-    """Run ``python -c`` with ``args`` and vda on the path; return the
-    modules the process had loaded when it ended."""
+def _child_env(**env):
+    """This process's environment without VDA_LOG, plus ``env`` and vda on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    environ = {k: v for k, v in os.environ.items() if k != "VDA_LOG"}
+    environ.update(env, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return environ
+
+
+def _loaded_modules(args, entry="from vda.cli import main"):
+    """Run ``python -c`` with ``args`` in ``_child_env()``: the import
+    ``entry``, then ``main(args)`` if ``args`` is not empty; return the
+    modules the process had loaded when it ended."""
     probe = ("import json, sys\n"
-             "from vda.cli import main\n"
+             f"{entry}\n"
              "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
              "print(json.dumps(sorted(sys.modules)))\n"
              "sys.exit(code)\n")
-    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=_child_env(),
                          capture_output=True, text=True)
     assert out.returncode == EXIT_OK, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def _heavy_modules(args):
-    """The scipy, ``numpy.ma`` and ``dataclasses`` modules of ``_loaded_modules(args)``;
+def _heavy_modules(modules):
+    """The scipy, ``numpy.ma`` and ``dataclasses`` modules of ``modules``;
     vda's types write out their methods, so importing vda generates none."""
-    return [m for m in _loaded_modules(args) if m.split(".")[0] in ("scipy", "dataclasses")
+    return [m for m in modules if m.split(".")[0] in ("scipy", "dataclasses")
             or m.split(".")[:2] == ["numpy", "ma"]]
 
 
-def test_cli_import_loads_no_scipy():
-    assert _heavy_modules([]) == []
-
-
-def test_stages_load_only_the_scipy_they_run(small_corpus, tmp_path):
+@pytest.fixture(scope="module")
+def stage_modules(small_corpus, tmp_path_factory):
+    """The modules that each pipeline stage loads, run in order on a fresh --out."""
     manifest = str(small_corpus / "manifest.csv")
-    out = str(tmp_path / "out")
-    loaded = {
-        stage: _heavy_modules([stage, *args, "--out", out])
+    out = str(tmp_path_factory.mktemp("stages") / "out")
+    return {
+        stage: _loaded_modules([stage, *args, "--out", out])
         for stage, args in (("metrics", ["--manifest", manifest]),
                             ("features", ["--manifest", manifest]),
                             ("fit", []), ("decompose", []), ("report", []))
     }
+
+
+def test_cli_import_loads_no_scipy():
+    assert _heavy_modules(_loaded_modules([])) == []
+
+
+def test_stages_load_only_the_scipy_they_run(stage_modules):
+    for stage, modules in stage_modules.items():
+        assert _heavy_modules(modules) == [], stage
+
+
+# The vda modules that hold the audio stages' code: metrics, features and what they run.
+AUDIO_CODE = {"vda.metrics", "vda.features", "vda.dsp", "vda.kernels", "vda.synth"}
+
+
+def test_stages_load_only_the_vda_modules_they_run(stage_modules):
+    # each stage imports what it runs; logging loads only for a record that
+    # can be shown, and a clean run without VDA_LOG shows none
+    assert [m for m in _loaded_modules([], "import vda") if m.startswith("vda.")] == []
+    assert not ({"logging", "vda.model", "vda.report"} | AUDIO_CODE) & set(_loaded_modules([]))
+    loaded = {stage: set(modules) for stage, modules in stage_modules.items()}
+    assert not AUDIO_CODE & loaded["fit"]
+    assert not AUDIO_CODE & loaded["decompose"]
+    assert not {"vda.model", "vda.features", "vda.synth"} & loaded["metrics"]
+    assert not {"vda.model", "vda.metrics", "vda.synth"} & loaded["features"]
     for stage, modules in loaded.items():
-        assert modules == [], stage
+        assert "logging" not in modules, stage
 
 
 def test_model_stages_leave_out_openssl(pipeline_out, tmp_path):
@@ -175,6 +205,40 @@ def test_failing_stage_writes_its_error_to_stderr_once(tmp_path):
                          env=env, capture_output=True, text=True)
     assert out.returncode == EXIT_DATA
     assert out.stderr == f"error: required upstream artifact missing: {tmp_path / 'metrics.csv'}\n"
+
+
+def _stage_process(args, **env):
+    """``python -m vda.cli`` with ``args`` in a fresh interpreter, in ``_child_env(**env)``."""
+    return subprocess.run([sys.executable, "-m", "vda.cli", *args], env=_child_env(**env),
+                          capture_output=True, text=True)
+
+
+def test_vda_log_sets_the_stage_log_level(pipeline_out, tmp_path):
+    # VDA_LOG names the level of the "vda" logger, whose records go to stderr
+    # as "LEVEL vda: message"; a name logging does not know means WARNING
+    fresh = _copy_stage_inputs(pipeline_out, tmp_path / "fresh")
+    debug = _stage_process(["fit", "--out", str(fresh)], VDA_LOG="DEBUG")
+    assert debug.returncode == EXIT_OK, debug.stderr
+    copy = fresh / ".metrics.csv.npy"
+    assert f"DEBUG vda: {copy}: parsed copy not used: FileNotFoundError(" in debug.stderr
+
+    skipping = _copy_stage_inputs(pipeline_out, tmp_path / "skipping")
+    blank = _set_cells(skipping / "errors.csv", 3, dict.fromkeys(cli.ERROR_COLUMNS, ""))
+    loud = _stage_process(["fit", "--out", str(skipping)], VDA_LOG="loud")
+    assert loud.returncode == EXIT_OK, loud.stderr
+    row = f"{blank['utterance_id']} G{blank['G']}C{blank['C']}D{blank['D']}"
+    assert loud.stderr == f"WARNING vda: {skipping / 'errors.csv'}: {row}: no feature errors; row skipped\n"
+
+    failed = _stage_process(["metrics", "--manifest", str(_short_pair_manifest(tmp_path)),
+                             "--out", str(tmp_path / "out")])
+    assert failed.returncode == EXIT_NUMERIC
+    assert failed.stderr == "ERROR vda: metrics failed for u1 G1C0D1: stoi: pair must last at least 384 ms\n"
+
+
+def test_metrics_option_defaults_to_every_metric():
+    # the parser writes the default out, so that it need not load vda.metrics
+    args = cli.build_parser().parse_args(["metrics", "--manifest", "m.csv", "--out", "out"])
+    assert args.metrics == ",".join(metrics.METRIC_NAMES)
 
 
 @openblas_only
@@ -342,6 +406,18 @@ def test_metrics_failure_marks_row(tmp_path):
     _assert_failed_row_blank(out / "metrics.csv", ["u1", "0", "0", "0"])
 
 
+def _short_pair_manifest(root):
+    """A manifest under ``root`` of one pair, u1 G1C0D1, whose two sides last 50 ms."""
+    (root / "wav").mkdir()
+    short = corpus.AudioSignal(0.1 * np.random.default_rng(0).standard_normal(800), 16000)
+    corpus.write_wav(root / "wav" / "c.wav", short)
+    corpus.write_wav(root / "wav" / "d.wav", short)
+    manifest = root / "m.csv"
+    manifest.write_text("utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
+                        "u1,wav/c.wav,wav/d.wav,1,0,1,\n")
+    return manifest
+
+
 @pytest.mark.parametrize("stage,outputs,reason", [
     ("metrics", ("metrics.csv",), "stoi: pair must last at least 384 ms"),
     ("features", ("errors.csv", "features_clean.csv", "features_degraded.csv"),
@@ -350,13 +426,7 @@ def test_metrics_failure_marks_row(tmp_path):
 def test_too_short_pair_is_numeric_failure(tmp_path, caplog, stage, outputs, reason):
     # a WAV that loads but is too short to analyse is valid data that fails
     # an analysis precondition: exit 3, not 2
-    (tmp_path / "wav").mkdir()
-    short = corpus.AudioSignal(0.1 * np.random.default_rng(0).standard_normal(800), 16000)  # 50 ms
-    corpus.write_wav(tmp_path / "wav" / "c.wav", short)
-    corpus.write_wav(tmp_path / "wav" / "d.wav", short)
-    manifest = tmp_path / "m.csv"
-    manifest.write_text("utterance_id,clean_path,degraded_path,G,C,D,pesq\n"
-                        "u1,wav/c.wav,wav/d.wav,1,0,1,\n")
+    manifest = _short_pair_manifest(tmp_path)
     out = tmp_path / "out"
     assert main([stage, "--manifest", str(manifest), "--out", str(out)]) == EXIT_NUMERIC
     assert f"u1 G1C0D1: {reason}" in caplog.text
@@ -1189,7 +1259,7 @@ def test_stage_that_cannot_render_a_table_writes_no_file(pipeline_out, tmp_path,
     def refuse(*args):
         raise ValueError(f"markdown refused in {sys._getframe(1).f_code.co_name}")
 
-    monkeypatch.setattr(cli.report, "_markdown", refuse)
+    monkeypatch.setattr(report, "_markdown", refuse)
     assert main([stage, "--out", str(out)]) != EXIT_OK
     assert f"markdown refused in {render}" in capsys.readouterr().err
     assert not list(out.glob("decomposition_*")) and not list(out.glob("comparison.*"))

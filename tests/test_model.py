@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -57,6 +58,16 @@ def test_public_api_names_resolve():
     assert "ObservationRow" not in vda.__all__
     for name in vda.__all__:
         assert getattr(vda, name) is not None, name
+    # the lazy namespace hands out each home module's own object
+    for name in vda.__all__:
+        value = getattr(vda, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(vda.__all__) <= set(dir(vda))
+    star = {}
+    exec("from vda import *", star)
+    assert all(star[name] is getattr(vda, name) for name in vda.__all__)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        vda.no_such_name
 
 
 def _valid_parts(n=5):
