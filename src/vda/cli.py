@@ -49,7 +49,7 @@ EXIT_NUMERIC = 3
 
 DEFAULT_MAX_LAG_SECONDS = 0.25
 
-# The row key that leads every table; metrics.csv carries metrics.COLUMNS
+# The row key that leads every table; metrics.csv carries corpus.METRIC_COLUMNS
 # after it, errors.csv the ERROR_COLUMNS and both features_*.csv FEATURE_COLUMNS.
 KEY_COLUMNS = ("utterance_id", "G", "C", "D")
 ERROR_COLUMNS = tuple(f"e{i}" for i in range(corpus.N_FEATURES))
@@ -300,7 +300,7 @@ def cmd_metrics(args) -> int:
     failures = [failure for _, failure in results if failure]
     for _, msg in failures:
         _log("error", "metrics failed for %s", msg)
-    _write_outputs(Path(args.out), {"metrics.csv": _csv_text(KEY_COLUMNS + metrics.COLUMNS,
+    _write_outputs(Path(args.out), {"metrics.csv": _csv_text(KEY_COLUMNS + corpus.METRIC_COLUMNS,
                                                              [row for row, _ in results])})
     return failures[0][0] if failures else EXIT_OK
 
@@ -327,7 +327,7 @@ def _key_name(key: tuple[str, ...]) -> str:
     return f"{key[0]} {condition_name(*key[1:])}"
 
 
-# Rows per np.loadtxt call of _read_table. A block is held as one Python
+# Rows per np.loadtxt call of _parse_table. A block is held as one Python
 # string per cell, so its size, not the file's, sets the reader's peak memory.
 _TABLE_BLOCK_ROWS = 1024
 
@@ -353,147 +353,129 @@ def _cell_values(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool, tupl
         raise
 
 
-_Table = tuple[list[tuple], np.ndarray, np.ndarray]  # keys, labels, values, as _read_table returns them
+_Table = tuple[list[tuple], np.ndarray, np.ndarray]  # keys, labels, values, as _parse_table returns them
 
-# The tag that leads what a parsed copy's key hashes; a change to the copy's
-# layout or to what _parse_table returns needs a new one.
-_COPY_FORMAT = "vda parsed table 1"
+# The parsed copy of the model input, in --out: a dotfile, which no metrics_*.csv glob matches.
+_OBSERVATIONS_COPY = ".observations.npy"
+# The tag that leads what the copy's key hashes; a change to the copy's layout,
+# or to what _parse_table or _join returns, needs a new one.
+_OBSERVATIONS_FORMAT = b"vda observations 1"
 _HASH_CHUNK_BYTES = 2 ** 20
-# The G/C/D cell texts of a key, by its 0/1 label.
-_LABEL_TEXTS = np.array(["0", "1"], dtype=object)
+
+# The model input as _join gives it and the copy holds it: the kept rows' e
+# (n, 26), G/C/D labels (n, 3) and OUTCOMES columns (n, 2); the
+# [table, key name, reason] of each skipped row; and, if a kept row has no
+# pesq, [their count, the first one's key name, its metrics.csv data row], else [].
+_Joined = tuple[np.ndarray, np.ndarray, np.ndarray, list, list]
 
 
-def _read_table(path: Path, columns: tuple[str, ...], copies: list) -> _Table:
-    """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns)) values
-    of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
-
-    They come from the parsed copy of ``path`` (``_copy_path``) when its key
-    is ``_table_digest(path, columns)``, and from ``_parse_table`` otherwise;
-    a missing, stale or unreadable copy is parsed around, and a parse writes
-    the table's copy into ``copies`` (see ``_parsed_copies``).
-    """
-    try:
-        before = path.stat()
-        digest = _table_digest(path, columns)
-    except OSError:  # the parse raises it again, or that the table is missing
-        digest = None
-    table = _load_copy(path, digest) if digest else None
-    if table is None:
-        table = _parse_table(path, columns)
-        after = path.stat()  # a table rewritten since it was hashed gets no copy
-        unchanged = (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-        if digest and unchanged:
-            _write_copy(path, digest, table, copies)
-    return table
-
-
-def _copy_path(path: Path) -> Path:
-    """The parsed copy of the table ``path``: a dotfile beside it, which no
-    ``metrics_*.csv`` glob matches."""
-    return path.with_name(f".{path.name}.npy")
-
-
-def _table_digest(path: Path, columns: tuple[str, ...]) -> bytes:
-    """The key of a parsed copy: the blake2b digest of ``_COPY_FORMAT``,
-    ``columns`` and the bytes of ``path``, read in chunks."""
-    import json
-
+def _digest(parts) -> bytes:
+    """The blake2b digest of the byte strings ``parts``."""
     # hashlib's blake2b from its own module: importing hashlib also loads
     # OpenSSL, 3.6 MB of RSS at a stage's peak
     try:
         from _blake2 import blake2b
     except ImportError:
         from hashlib import blake2b
-    digest = blake2b(json.dumps([_COPY_FORMAT, list(columns)]).encode())
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_HASH_CHUNK_BYTES), b""):
-            digest.update(chunk)
+    digest = blake2b()
+    for part in parts:
+        digest.update(part)
     return digest.digest()
 
 
+def _table_digest(path: Path) -> bytes:
+    """The digest of the bytes of the table ``path``, read in chunks."""
+    with open(path, "rb") as fh:
+        return _digest(iter(lambda: fh.read(_HASH_CHUNK_BYTES), b""))
+
+
 def _checksum(arrays) -> np.ndarray:
-    """The CRC-32 of the bytes of ``arrays``, which ends a parsed copy."""
+    """The CRC-32 of the bytes of ``arrays``, which ends the parsed copy."""
     crc = 0
     for array in arrays:
         crc = zlib.crc32(np.ascontiguousarray(array), crc)
     return np.array(crc, np.int64)
 
 
-def _load_copy(path: Path, digest: bytes) -> _Table | None:
-    """The table in the parsed copy of ``path`` if its key is ``digest`` and
-    its checksum holds, else None."""
-    copy = _copy_path(path)
+def _load_observations(copy: Path, key: bytes) -> tuple[_Joined | None, str]:
+    """The model input in the parsed copy ``copy`` if its key is ``key`` and
+    its checksum holds, else None; and what became of the copy."""
+    import json
+
     try:
         with open(copy, "rb") as fh:
-            if np.load(fh).tobytes() != digest:
-                return None
+            if np.load(fh).tobytes() != key:
+                return None, "stale"
             arrays = [np.load(fh) for _ in range(4)]
             if np.load(fh) != _checksum(arrays) or fh.read(1):
-                return None
-        ids, lengths, labels, values = arrays
-        text = ids.tobytes().decode("utf-8")
-        ends = np.cumsum(lengths).tolist()
-        keys = list(zip([text[a:b] for a, b in zip([0] + ends, ends)], *_LABEL_TEXTS[labels].T.tolist()))
+                return None, "damaged (checksum)"
+        e, labels, outcomes, notes = arrays
+        skipped, no_pesq = json.loads(notes.tobytes())
+    except FileNotFoundError:
+        return None, "missing (FileNotFoundError)"
     # any failure is parsed around: besides OSError, np.load of a damaged
     # header raises ValueError, EOFError, tokenize's TokenError or MemoryError
     except Exception as exc:
-        _log("debug", "%s: parsed copy not used: %r", copy, exc)
-        return None
-    return keys, labels, values
+        return None, f"damaged ({type(exc).__name__})"
+    return (e, labels, outcomes, skipped, no_pesq), "loaded"
 
 
-def _write_copy(path: Path, digest: bytes, table: _Table, copies: list) -> None:
-    """Write the parsed copy of ``path``, keyed ``digest``, to a temp file
-    beside it, and add the temp file and the copy's path to ``copies``. A
-    copy that cannot be written is skipped.
+def _write_observations(copy: Path, key: bytes, joined: _Joined, copies: list, note: str) -> None:
+    """Write the parsed copy ``copy`` of ``joined``, keyed ``key``, to a temp
+    file beside it, and add the temp file, ``copy`` and ``note`` (how the
+    input was read) to ``copies``. A copy that cannot be written is skipped.
 
-    The copy is .npy arrays in a row: the key, the UTF-8 bytes of the
-    utterance ids, their lengths in characters, the labels, the values and
-    the checksum of the four before it. A key's G/C/D cells are its labels'
-    digits.
+    The copy is .npy arrays in a row: the key, ``joined``'s e, labels and
+    outcomes, the UTF-8 JSON of its notes, and the checksum of the four
+    before it.
     """
-    target = _copy_path(path)
-    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-    keys, labels, values = table
-    ids = [key[0] for key in keys]
-    arrays = (np.frombuffer("".join(ids).encode("utf-8"), np.uint8),
-              np.fromiter(map(len, ids), np.int64, len(ids)), labels, values)
+    import json
+
+    temp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
+    *arrays, skipped, no_pesq = joined
+    arrays.append(np.frombuffer(json.dumps([skipped, no_pesq]).encode("utf-8"), np.uint8))
     try:
         with open(temp, "wb") as fh:
-            for array in (np.frombuffer(digest, np.uint8), *arrays, _checksum(arrays)):
+            for array in (np.frombuffer(key, np.uint8), *arrays, _checksum(arrays)):
                 np.save(fh, array, allow_pickle=False)
     except OSError as exc:
-        _log("debug", "%s: parsed copy not written: %s", target, exc)
+        _log("debug", "%s: %s; not written: %s", copy, note, exc)
         with contextlib.suppress(OSError):
             temp.unlink(missing_ok=True)
     else:
-        copies.append((temp, target))
+        copies.append((temp, copy, note))
 
 
 @contextlib.contextmanager
 def _parsed_copies():
-    """A list for the ``copies`` of _read_table. The copies written into it
-    replace those beside their tables if the block ends without an error,
-    after a stage's outputs, and are removed otherwise; one that cannot be
-    moved is removed too, as is any temp file of those copies that a killed
-    stage left (a live stage's move then fails, and its copy is not written)."""
-    copies: list[tuple[Path, Path]] = []
+    """A list for the ``copies`` of _observations. The copies written into it
+    replace the ones in place if the block ends without an error, after a
+    stage's outputs, and are removed otherwise; one that cannot be moved is
+    removed too, as is any temp file of those copies that a killed stage
+    left (a live stage's move then fails, and its copy is not written).
+    Each move is logged at DEBUG with its copy's note."""
+    copies: list[tuple[Path, Path, str]] = []
     try:
         yield copies
-        for temp, target in copies:
-            with contextlib.suppress(OSError):
+        for temp, target, note in copies:
+            try:
                 os.replace(temp, target)
+            except OSError as exc:
+                _log("debug", "%s: %s; not written: %s", target, note, exc)
+            else:
+                _log("debug", "%s: %s; written", target, note)
     finally:
         import glob  # not at module level: it raised the audio stages' peak RSS by 0.1 MB
 
-        for _, target in copies:
+        for _, target, _ in copies:
             for temp in target.parent.glob(f"{glob.escape(target.name)}.*.tmp"):
                 with contextlib.suppress(OSError):
                     temp.unlink()
 
 
 def _parse_table(path: Path, columns: tuple[str, ...]) -> _Table:
-    """``_read_table`` of ``path`` by parsing it.
+    """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns))
+    values of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
 
     csv.reader reads the header; numpy's tokenizer reads the rows as text,
     ``_TABLE_BLOCK_ROWS`` at a time, and float() reads each value cell. A
@@ -551,37 +533,80 @@ def _parse_table(path: Path, columns: tuple[str, ...]) -> _Table:
     return keys, _CONDITION_LABELS[condition], np.concatenate(blocks)
 
 
-def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observations:
-    """The model input: each metrics.csv row joined to its errors.csv row;
-    ``copies`` as for _read_table. metrics.csv is read for every outcome,
-    so that the stages of either outcome share its parsed copy."""
-    from . import model
+def _join(m_path: Path, e_path: Path) -> tuple[_Joined, list[tuple], np.ndarray]:
+    """Parse both tables and join each metrics.csv row to its errors.csv row.
 
-    m_path, e_path = out_dir / "metrics.csv", out_dir / "errors.csv"
-    keys, labels, outcomes = _read_table(m_path, OUTCOMES, copies)
-    y = outcomes[:, OUTCOMES.index(outcome)]
-    e_keys, _, e = _read_table(e_path, ERROR_COLUMNS, copies)
+    Returns the model input, the keys of metrics.csv and the indices of the
+    kept rows among them. A row is skipped when errors.csv has no full row
+    for its key, or when its stoi is blank.
+    """
+    keys, labels, outcomes = _parse_table(m_path, OUTCOMES)
+    e_keys, _, e = _parse_table(e_path, ERROR_COLUMNS)
     e_row = dict(zip(e_keys, range(len(e_keys))))
     # a key without an errors.csv row points one past its last row
     at = np.fromiter(map(e_row.get, keys, itertools.repeat(len(e_keys))), np.intp, len(keys))
     no_errors = np.append(np.isnan(e).any(axis=1), True)[at]
     skipped = no_errors | np.isnan(outcomes[:, 0])  # stoi leads OUTCOMES
-    for i in np.flatnonzero(skipped):
-        path, reason = (e_path, "no feature errors") if no_errors[i] else (m_path, "no stoi value")
-        _log("warning", "%s: %s: %s; row skipped", path, _key_name(keys[i]), reason)
+    notes = [[e_path.name, _key_name(keys[i]), "no feature errors"] if no_errors[i]
+             else [m_path.name, _key_name(keys[i]), "no stoi value"] for i in np.flatnonzero(skipped)]
     kept = np.flatnonzero(~skipped)
-    if not len(kept):
-        raise DependencyError("no joinable rows between metrics.csv and errors.csv")
     # a blank pesq: rows without stoi are skipped above
-    no_pesq = kept[np.isnan(y[kept])]
-    if len(no_pesq):
-        first = no_pesq[0]
-        raise DependencyError(f"{len(no_pesq)} row(s) lack an external pesq value "
-                              f"(first {_key_name(keys[first])}, metrics.csv data row {first + 1})")
+    no_pesq = kept[np.isnan(outcomes[kept, OUTCOMES.index("pesq")])]
+    pesq_note = [len(no_pesq), _key_name(keys[no_pesq[0]]), int(no_pesq[0]) + 1] if len(no_pesq) else []
+    return (e[at[kept]], labels[kept], outcomes[kept], notes, pesq_note), keys, kept
+
+
+def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observations:
+    """The model input: each metrics.csv row joined to its errors.csv row.
+
+    It comes from the parsed copy in ``out_dir`` (``_OBSERVATIONS_COPY``)
+    when the copy's key is the digest of ``_OBSERVATIONS_FORMAT`` and both
+    tables' digests, and from ``_join`` otherwise; a missing, stale or
+    damaged copy is parsed around. A parse whose rows pass
+    ``model.Observations`` writes the copy into ``copies`` (see
+    ``_parsed_copies``) unless a table changed while it was read. Either
+    way the skipped rows are logged, and the same checks run. With VDA_LOG
+    at DEBUG, one line says whether the copy was loaded, or why it was
+    parsed around and whether it was written.
+    """
+    from . import model
+
+    paths = m_path, e_path = out_dir / "metrics.csv", out_dir / "errors.csv"
+    copy = out_dir / _OBSERVATIONS_COPY
     try:
-        return model.Observations(e[at[kept]], labels[kept], y[kept])
-    except model.ObservationError as exc:  # only e can fail: _read_table checked the labels and y
+        stamps = [(st.st_size, st.st_mtime_ns) for st in map(Path.stat, paths)]
+        key = _digest([_OBSERVATIONS_FORMAT, *map(_table_digest, paths)])
+    except OSError as exc:  # the parse raises it again, or that a table is missing
+        joined, state, key = None, f"not looked up ({type(exc).__name__})", None
+    else:
+        joined, state = _load_observations(copy, key)
+    parsed = joined is None
+    if parsed:
+        joined, keys, kept = _join(m_path, e_path)
+    else:
+        _log("debug", "%s: %s", copy, state)
+    e, labels, outcomes, skipped, no_pesq = joined
+    for name, key_name, reason in skipped:
+        _log("warning", "%s: %s: %s; row skipped", out_dir / name, key_name, reason)
+    if not len(e):
+        raise DependencyError("no joinable rows between metrics.csv and errors.csv")
+    if outcome == "pesq" and no_pesq:
+        count, key_name, row = no_pesq
+        raise DependencyError(f"{count} row(s) lack an external pesq value "
+                              f"(first {key_name}, metrics.csv data row {row})")
+    try:
+        obs = model.Observations(e, labels, outcomes[:, OUTCOMES.index(outcome)])
+    # only e can fail (_parse_table checked the labels and y), and only on a
+    # parse: a copy holds rows that passed
+    except model.ObservationError as exc:
         raise FormatError(f"{e_path}: {_key_name(keys[kept[exc.row]])}: {exc.reason}") from None
+    if parsed:
+        if key and stamps == [(st.st_size, st.st_mtime_ns) for st in map(Path.stat, paths)]:
+            _write_observations(copy, key, joined, copies, f"{state}, parsed around")
+        else:
+            _log("debug", "%s: %s, parsed around; not written: a table %s", copy, state,
+                 "changed while it was read" if key else "could not be hashed")
+    return obs
 
 
 def cmd_fit(args) -> int:
@@ -614,13 +639,13 @@ def cmd_decompose(args) -> int:
 def _metric_csv_aggregates(path: Path) -> dict:
     """Cell means of the metric columns of ``metrics.csv`` or a variant file,
     parsed: no stage reads or writes a parsed copy of every metric column."""
-    from . import metrics, report
+    from . import report
 
-    return report.cell_means(*_parse_table(path, metrics.COLUMNS)[1:])
+    return report.cell_means(*_parse_table(path, corpus.METRIC_COLUMNS)[1:])
 
 
 def cmd_report(args) -> int:
-    from . import metrics, report  # metrics for its COLUMNS
+    from . import report
 
     out_dir = Path(args.out)
     baseline = _metric_csv_aggregates(out_dir / "metrics.csv")

@@ -40,6 +40,13 @@ MIN_OVERLAP_SECONDS = 0.025
 # regresses on, and the e/x columns of errors.csv and features_*.csv.
 N_FEATURES = 26
 
+# The value columns of metrics.csv, in file order (see metrics.MetricReport.cells);
+# here so that the stages that read metrics.csv need not load the metric code.
+METRIC_COLUMNS = (
+    "stoi", "snr_seg", "fw_snr_seg", "llr", "wss",
+    "csii_high", "csii_mid", "csii_low", "ncm", "pesq", "csig", "cbak", "covl",
+)
+
 
 class Frozen:
     """Base of vda's validated types: a subclass's ``__init__`` checks its

@@ -47,10 +47,7 @@ _EPS = np.finfo(np.float64).eps
 
 
 # The value columns of metrics.csv, in file order: see MetricReport.cells.
-COLUMNS = (
-    "stoi", "snr_seg", "fw_snr_seg", "llr", "wss",
-    "csii_high", "csii_mid", "csii_low", "ncm", "pesq", "csig", "cbak", "covl",
-)
+COLUMNS = corpus.METRIC_COLUMNS
 
 
 class MetricReport(NamedTuple):

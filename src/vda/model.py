@@ -295,32 +295,58 @@ def _lentz(first: np.ndarray,
     raise ArithmeticError(f"incomplete beta fraction did not converge in {_LENTZ_MAX_TERMS} terms")
 
 
-def _cell_factors(obs: Observations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# The (8, 3) G/C/D labels of ALL_CELLS; a cell's code 4 G + 2 C + D is its row.
+_CELL_LABELS = np.array(ALL_CELLS, dtype=bool)
+
+
+class _Cells(NamedTuple):
+    """A model input reduced cell by cell (``_cell_factors``): the stacked R
+    factors with each stack row's indicator row, and per present cell its
+    code, indicator row, row count and column sums of ``e``."""
+
+    e: np.ndarray  # (m, 26)
+    ind: np.ndarray  # (m, 8)
+    y: np.ndarray  # (m,)
+    codes: np.ndarray  # (k,) 4 G + 2 C + D, the cell's index in ALL_CELLS
+    cell_ind: np.ndarray  # (k, 8)
+    counts: np.ndarray  # (k,)
+    sums: np.ndarray  # (k, 26)
+
+
+def _cell_factors(obs: Observations) -> _Cells:
     """``obs`` reduced cell by cell to at most 27 rows per G/C/D cell.
 
-    Each present cell's rows are replaced by the min(n_c, 27) rows of the R
-    of one QR of its ``[e, y]``; returned are their ``e`` part (m, 26), the
-    cell's indicator row (m, 8) and their ``y`` part (m,). Every design
-    column is ``e[:, j]`` times a function of the cell, so ``_cross`` on any
-    subset of cells and terms gives a stack whose ``[design, y]`` has the
-    Gram matrix of the same design built from the raw rows of those cells
-    (the tall-skinny QR reduction).
+    The rows are grouped by cell once, in a stable order. Each present
+    cell's rows are replaced by the min(n_c, 27) rows of the R of one QR of
+    its ``[e, y]``; every design column is ``e[:, j]`` times a function of
+    the cell, so ``_cross`` on any subset of cells and terms gives a stack
+    whose ``[design, y]`` has the Gram matrix of the same design built from
+    the raw rows of those cells (the tall-skinny QR reduction). A cell's
+    row count and column sums give the feature means of any set of cells.
     """
     cell = obs.labels @ np.array([4, 2, 1])
-    present, first = np.unique(cell, return_index=True)
-    r = [np.linalg.qr(np.column_stack([obs.e[cell == k], obs.y[cell == k]]), mode="r")
-         for k in present]
+    counts = np.bincount(cell, minlength=len(ALL_CELLS))
+    codes = np.flatnonzero(counts)
+    ends = np.cumsum(counts)
+    order = np.argsort(cell, kind="stable")
+    r, sums = [], np.empty((len(codes), N_FEATURES))
+    for k, total in zip(codes, sums):
+        rows = order[ends[k] - counts[k]:ends[k]]
+        block = np.column_stack([obs.e[rows], obs.y[rows]])
+        r.append(np.linalg.qr(block, mode="r"))
+        block[:, :N_FEATURES].sum(axis=0, out=total)
     stack = np.vstack([*r, np.empty((0, N_FEATURES + 1))])
-    ind = np.repeat(_indicators(obs.labels[first]), [len(b) for b in r], axis=0)
-    return stack[:, :N_FEATURES], ind, stack[:, N_FEATURES]
+    cell_ind = _indicators(_CELL_LABELS[codes])
+    return _Cells(stack[:, :N_FEATURES], np.repeat(cell_ind, [len(b) for b in r], axis=0),
+                  stack[:, N_FEATURES], codes, cell_ind, counts[codes], sums)
 
 
 def fit_interactions(obs: Observations) -> RegressionFit:
     """The interaction regression of ``obs`` over all ``N_COLUMNS`` columns:
     ``fit_ols(build_design_matrix(obs), obs.y)`` up to round-off, fitted on
     the per-cell R factors so that the (n, 208) design is never built."""
-    e, ind, y = _cell_factors(obs)
-    return fit_ols(_cross(e, ind), y, n_obs=len(obs))
+    cells = _cell_factors(obs)
+    return fit_ols(_cross(cells.e, cells.ind), cells.y, n_obs=len(obs))
 
 
 def significance_band(p: float) -> str:
@@ -367,18 +393,20 @@ def _reduced_terms(ind: np.ndarray) -> list[int]:
     return terms
 
 
-def _stratum(obs: Observations, cells, rows: np.ndarray,
-             stack_rows: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def _stratum(cells: _Cells, m: int, side: bool) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Feature means and collapsed interaction coefficients of one stratum.
 
-    ``rows`` selects the stratum in ``obs`` and ``stack_rows`` in the
-    ``_cell_factors`` stack ``cells``. Returns the (26,) means and the (26,)
+    The stratum is the cells of ``cells`` (``_cell_factors``) where term
+    ``m`` of ``M_LABELS`` is ``side``. Returns the (26,) means and the (26,)
     coefficients of each reduced term, keyed by term index in canonical order.
     """
-    e, ind, y = (part[stack_rows] for part in cells)
-    terms = _reduced_terms(ind)
-    theta = _solve(_cross(e, ind[:, terms]), y, n_obs=int(rows.sum()))[0]
-    return obs.e[rows].mean(axis=0), dict(zip(terms, theta.reshape(len(terms), N_FEATURES)))
+    in_stratum = cells.cell_ind[:, m] == side
+    rows = cells.ind[:, m] == side
+    n = int(cells.counts[in_stratum].sum())
+    terms = _reduced_terms(cells.cell_ind[in_stratum])
+    theta = _solve(_cross(cells.e[rows], cells.ind[rows][:, terms]), cells.y[rows], n_obs=n)[0]
+    means = cells.sums[in_stratum].sum(axis=0) / n
+    return means, dict(zip(terms, theta.reshape(len(terms), N_FEATURES)))
 
 
 def oaxaca_decompose(obs: Observations, indicator: str,
@@ -391,11 +419,11 @@ def oaxaca_decompose(obs: Observations, indicator: str,
     synthetic reference with zero feature error and the same coefficients,
     so the whole gap lands in the endowment component.
     """
-    return _decompose(obs, _cell_factors(obs), indicator, reference)
+    return _decompose(_cell_factors(obs), indicator, reference)
 
 
-def _decompose(obs: Observations, cells, indicator: str, reference: str) -> OaxacaDecomposition:
-    """``oaxaca_decompose`` with the ``_cell_factors`` of ``obs`` given."""
+def _decompose(cells: _Cells, indicator: str, reference: str) -> OaxacaDecomposition:
+    """``oaxaca_decompose`` of the observations that ``cells`` reduces."""
     if indicator not in M_LABELS:
         raise ValueError(f"unknown indicator {indicator!r}")
     if reference not in ("stratum", "zero-error"):
@@ -403,11 +431,10 @@ def _decompose(obs: Observations, cells, indicator: str, reference: str) -> Oaxa
     if indicator == "1" and reference == "stratum":
         raise StratificationError("the unit indicator has no 0 stratum; use zero-error")
     m = M_LABELS.index(indicator)
-    ones = _indicators(obs.labels)[:, m]
-    stack_ones = cells[1][:, m]
+    ones = cells.cell_ind[:, m]
     if not ones.any():
         raise StratificationError(f"indicator {indicator}: stratum I=1 is empty")
-    xbar1, coef1 = _stratum(obs, cells, ones, stack_ones)
+    xbar1, coef1 = _stratum(cells, m, True)
     if reference == "zero-error":
         xbar0 = np.zeros(N_FEATURES)
         xbar0[0] = 1.0
@@ -416,7 +443,7 @@ def _decompose(obs: Observations, cells, indicator: str, reference: str) -> Oaxa
 
     if ones.all():
         raise StratificationError(f"indicator {indicator}: stratum I=0 is empty")
-    xbar0, coef0 = _stratum(obs, cells, ~ones, ~stack_ones)
+    xbar0, coef0 = _stratum(cells, m, False)
     shared = [k for k in coef1 if k in coef0]
     theta_sum1 = sum(coef1[k] for k in shared)
     theta_sum0 = sum(coef0[k] for k in shared)
@@ -430,12 +457,11 @@ def decomposition_table(obs: Observations,
     The unit term always uses the zero-error reference (a stratum reference
     does not exist for it); the remaining terms use ``reference``.
     """
-    present = set(map(tuple, obs.labels.tolist()))
-    for cell in ALL_CELLS:
-        if cell.as_tuple() not in present:
+    cells = _cell_factors(obs)
+    for code, cell in enumerate(ALL_CELLS):
+        if code not in cells.codes:
             raise StratificationError(
                 f"cell (G={cell.g}, C={cell.c}, D={cell.d}) has no observations"
             )
-    cells = _cell_factors(obs)
-    return [_decompose(obs, cells, m_label, "zero-error" if m_label == "1" else reference)
+    return [_decompose(cells, m_label, "zero-error" if m_label == "1" else reference)
             for m_label in M_LABELS]

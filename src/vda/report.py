@@ -6,7 +6,7 @@ polarity marks. CSV and JSON renders are machine-parseable and lossless at
 their declared precision.
 
 The metrics and features stages write their CSVs with ``csv_text`` alone, so
-the renderers import ``json``, ``model`` and ``metrics`` where they use them.
+the renderers import ``json`` and ``model`` where they use them.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import N_FEATURES
+from .corpus import METRIC_COLUMNS, N_FEATURES
 from .errors import DegenerateInputError, VdaError
 
 if TYPE_CHECKING:
@@ -172,8 +172,6 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict]) -> dict[s
     """
     import json
 
-    from .metrics import COLUMNS
-
     base_keys = sorted(baseline)
     for name, agg in variants.items():
         missing = [k for k in base_keys if k not in agg]
@@ -184,7 +182,7 @@ def render_comparison_table(baseline: dict, variants: dict[str, dict]) -> dict[s
             )
 
     names = sorted(variants)
-    shown = [m for m in COLUMNS if any(_has_value(baseline[k].get(m)) for k in base_keys)]
+    shown = [m for m in METRIC_COLUMNS if any(_has_value(baseline[k].get(m)) for k in base_keys)]
     records = []
     for metric in shown:
         for key in base_keys:
@@ -227,16 +225,14 @@ def cell_means(labels: np.ndarray, values: np.ndarray) -> dict:
     """Mean per condition cell of every metric column.
 
     ``labels`` holds the ``(n, 3)`` G/C/D indicators of ``n`` rows and
-    ``values`` their ``(n, len(metrics.COLUMNS))`` metric values, NaN where absent.
+    ``values`` their ``(n, len(METRIC_COLUMNS))`` metric values, NaN where absent.
     The result maps (g, c, d) to {metric: mean over the rows with a value};
     a metric with no value in a cell is left out of it.
     """
-    from .metrics import COLUMNS
-
     means = {}
     for key in sorted(set(map(tuple, labels.tolist()))):
         cell = values[(labels == key).all(axis=1)]
         present = ~np.isnan(cell)
         means[key] = {metric: float(np.mean(cell[has, j]))
-                      for j, (metric, has) in enumerate(zip(COLUMNS, present.T)) if has.any()}
+                      for j, (metric, has) in enumerate(zip(METRIC_COLUMNS, present.T)) if has.any()}
     return means

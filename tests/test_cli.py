@@ -118,6 +118,7 @@ def test_stages_load_only_the_vda_modules_they_run(stage_modules):
     loaded = {stage: set(modules) for stage, modules in stage_modules.items()}
     assert not AUDIO_CODE & loaded["fit"]
     assert not AUDIO_CODE & loaded["decompose"]
+    assert not AUDIO_CODE & loaded["report"]
     assert not {"vda.model", "vda.features", "vda.synth"} & loaded["metrics"]
     assert not {"vda.model", "vda.metrics", "vda.synth"} & loaded["features"]
     for stage, modules in loaded.items():
@@ -217,17 +218,23 @@ def test_vda_log_sets_the_stage_log_level(pipeline_out, tmp_path):
     # VDA_LOG names the level of the "vda" logger, whose records go to stderr
     # as "LEVEL vda: message"; a name logging does not know means WARNING
     fresh = _copy_stage_inputs(pipeline_out, tmp_path / "fresh")
-    debug = _stage_process(["fit", "--out", str(fresh)], VDA_LOG="DEBUG")
-    assert debug.returncode == EXIT_OK, debug.stderr
-    copy = fresh / ".metrics.csv.npy"
-    assert f"DEBUG vda: {copy}: parsed copy not used: FileNotFoundError(" in debug.stderr
+    # each model stage says at DEBUG what became of the parsed copy
+    copy = fresh / ".observations.npy"
+    for stage, line in (("fit", "missing (FileNotFoundError), parsed around; written"),
+                        ("decompose", "loaded")):
+        debug = _stage_process([stage, "--out", str(fresh)], VDA_LOG="DEBUG")
+        assert debug.returncode == EXIT_OK, debug.stderr
+        assert debug.stderr == f"DEBUG vda: {copy}: {line}\n", stage
 
+    # a skipped row's warning reads the same from a parse and from the copy
     skipping = _copy_stage_inputs(pipeline_out, tmp_path / "skipping")
     blank = _set_cells(skipping / "errors.csv", 3, dict.fromkeys(cli.ERROR_COLUMNS, ""))
-    loud = _stage_process(["fit", "--out", str(skipping)], VDA_LOG="loud")
-    assert loud.returncode == EXIT_OK, loud.stderr
     row = f"{blank['utterance_id']} G{blank['G']}C{blank['C']}D{blank['D']}"
-    assert loud.stderr == f"WARNING vda: {skipping / 'errors.csv'}: {row}: no feature errors; row skipped\n"
+    for read in ("cold", "warm"):
+        assert (skipping / ".observations.npy").exists() == (read == "warm")
+        loud = _stage_process(["fit", "--out", str(skipping)], VDA_LOG="loud")
+        assert loud.returncode == EXIT_OK, loud.stderr
+        assert loud.stderr == f"WARNING vda: {skipping / 'errors.csv'}: {row}: no feature errors; row skipped\n"
 
     failed = _stage_process(["metrics", "--manifest", str(_short_pair_manifest(tmp_path)),
                              "--out", str(tmp_path / "out")])
@@ -740,6 +747,13 @@ def test_fit_and_decompose_agree_on_partial_pesq(pipeline_out, tmp_path, capsys)
     assert main(["decompose", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
     assert "1 row(s) lack an external pesq value (first utt000 G1C0D1, metrics.csv data row 6)" in fit_err
     assert capsys.readouterr().err == fit_err
+    # the same from the parsed copy that a stoi stage leaves
+    assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
+    assert (out / cli._OBSERVATIONS_COPY).exists()
+    capsys.readouterr()
+    for stage in ("fit", "decompose"):
+        assert main([stage, "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
+        assert capsys.readouterr().err == fit_err, stage
     # a blank line is not a data row
     text = (out / "metrics.csv").read_text(encoding="utf-8").replace("\n", "\n\n", 1)
     (out / "metrics.csv").write_text(text, encoding="utf-8")
@@ -1082,9 +1096,13 @@ def _write_golden_tables(out, blank_and_failed=False):
     return out
 
 
-def _table_bits(table):
-    keys, labels, values = table
-    return keys, [(a.dtype, a.shape, a.tobytes()) for a in (labels, values)]
+def _joined_bits(joined):
+    *arrays, skipped, no_pesq = joined
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], [list(note) for note in skipped], list(no_pesq)
+
+
+def _obs_bits(obs):
+    return [(a.dtype, a.shape, a.tobytes()) for a in (obs.e, obs.labels, obs.y)]
 
 
 def _count_parses(monkeypatch):
@@ -1095,31 +1113,42 @@ def _count_parses(monkeypatch):
     return parses
 
 
-def _save_copy(path, columns):
-    """Read ``path``, which must parse, and write its parsed copy; return what the read gave."""
+def _read_observations(out, outcome="stoi"):
+    """The model input in ``out``, read as a stage reads it, and the copies the read wrote."""
     with cli._parsed_copies() as copies:
-        table = cli._read_table(path, columns, copies)
-        assert [target for _, target in copies] == [cli._copy_path(path)]
-    assert cli._copy_path(path).exists()
-    return table
+        obs = cli._observations(out, outcome, copies)
+    return obs, copies
+
+
+def _save_copy(out):
+    """Read the model input in ``out``, which must parse, and write its parsed copy; return what the read gave."""
+    obs, copies = _read_observations(out)
+    assert [target for _, target, _ in copies] == [out / cli._OBSERVATIONS_COPY]
+    assert (out / cli._OBSERVATIONS_COPY).exists()
+    return obs
+
+
+def _copy_key(copy):
+    """The key that leads the parsed copy ``copy``."""
+    return np.load(copy).tobytes()
 
 
 @pytest.mark.parametrize("blank_and_failed", [False, True])
 def test_warm_read_is_the_parse_bitwise(tmp_path, monkeypatch, blank_and_failed):
     out = _write_golden_tables(tmp_path / "out", blank_and_failed)
-    for name, column_sets in _STAGE_COLUMNS.items():
-        for columns in column_sets:
-            cold = _save_copy(out / name, columns)
-            assert _table_bits(cold) == _table_bits(cli._parse_table(out / name, columns))
-            parses = _count_parses(monkeypatch)
-            with cli._parsed_copies() as copies:
-                assert _table_bits(cli._read_table(out / name, columns, copies)) == _table_bits(cold)
-            assert parses == [] and copies == []
-            monkeypatch.undo()
+    cold = _save_copy(out)
+    parsed = cli._join(out / "metrics.csv", out / "errors.csv")[0]
+    copy = out / cli._OBSERVATIONS_COPY
+    parses = _count_parses(monkeypatch)
+    loaded, state = cli._load_observations(copy, _copy_key(copy))
+    assert state == "loaded" and _joined_bits(loaded) == _joined_bits(parsed)
+    warm, copies = _read_observations(out)
+    assert _obs_bits(warm) == _obs_bits(cold)
+    assert parses == [] and copies == []
 
 
-def _edit_table(text):
-    return lambda out, copy: _set_cells(out / "errors.csv", 3, {"e4": text})
+def _edit_table(name, column, text):
+    return lambda out, copy: _set_cells(out / name, 3, {column: text})
 
 
 def _edit_copy(edit):
@@ -1135,10 +1164,11 @@ def _take_name(out, copy):
     copy.mkdir()
 
 
-# each: a change to errors.csv or to its parsed copy after the copy is written
+# each: a change to a table or to the parsed copy after the copy is written
 _COPY_DAMAGE = {
-    "edited-cell": _edit_table("0.25"),
-    "refused-cell": _edit_table("abc"),
+    "edited-cell": _edit_table("errors.csv", "e4", "0.25"),
+    "edited-metrics-cell": _edit_table("metrics.csv", "stoi", "0.25"),
+    "refused-cell": _edit_table("errors.csv", "e4", "abc"),
     "truncated": _edit_copy(lambda data: data[:len(data) // 2]),
     "empty": _edit_copy(lambda data: b""),
     "trailing-byte": _edit_copy(lambda data: data + b"\0"),
@@ -1151,15 +1181,30 @@ _COPY_DAMAGE = {
 }
 
 
+def _observations_outcome(out):
+    """The bits of the model input in ``out``, or the class and message of the VdaError its read raises."""
+    try:
+        return _obs_bits(_read_observations(out)[0])
+    except VdaError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("damage", sorted(_COPY_DAMAGE))
 def test_stale_or_damaged_copy_is_parsed_around(tmp_path, monkeypatch, damage):
+    # the read parses both tables once and gives what a read with no copy gives;
+    # only an edited table changes that
     out = _write_golden_tables(tmp_path / "out")
-    path = out / "errors.csv"
-    _save_copy(path, cli.ERROR_COLUMNS)
-    _COPY_DAMAGE[damage](out, cli._copy_path(path))
+    before = _obs_bits(_save_copy(out))
+    copy = out / cli._OBSERVATIONS_COPY
+    _COPY_DAMAGE[damage](out, copy)
     parses = _count_parses(monkeypatch)
-    _assert_reads_as_the_oracle(path, cli.ERROR_COLUMNS)
-    assert parses == [("errors.csv", cli.ERROR_COLUMNS)]
+    got = _observations_outcome(out)
+    assert parses == [("metrics.csv", cli.OUTCOMES), ("errors.csv", cli.ERROR_COLUMNS)]
+    if copy.is_dir():
+        copy.rmdir()
+    copy.unlink(missing_ok=True)
+    assert got == _observations_outcome(out)
+    assert (got != before) == damage.endswith("-cell")
 
 
 @pytest.mark.parametrize("refusal", ["read-only-out", "name-taken", "open-refused"])
@@ -1167,7 +1212,7 @@ def test_stage_that_cannot_write_a_copy_exits_0(pipeline_out, tmp_path, monkeypa
     want = _copy_stage_inputs(pipeline_out, tmp_path / "want")
     assert main(["fit", "--out", str(want)]) == EXIT_OK
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
-    if refusal == "read-only-out":  # the outputs exist, so only the copies are new files
+    if refusal == "read-only-out":  # the outputs exist, so only the copy is a new file
         if os.geteuid() == 0:
             pytest.skip("root writes in a read-only directory")
         assert main(["fit", "--out", str(out)]) == EXIT_OK
@@ -1175,7 +1220,7 @@ def test_stage_that_cannot_write_a_copy_exits_0(pipeline_out, tmp_path, monkeypa
             copy.unlink()
         out.chmod(0o555)
     elif refusal == "name-taken":
-        cli._copy_path(out / "errors.csv").mkdir()
+        (out / cli._OBSERVATIONS_COPY).mkdir()
     else:  # every file that vda.cli opens for writing is refused
         def refusing_open(file, mode="r", *args, **kwargs):
             if "w" in mode:
@@ -1193,8 +1238,8 @@ def test_stage_that_cannot_write_a_copy_exits_0(pipeline_out, tmp_path, monkeypa
 
 def test_stages_parse_each_table_once(pipeline_out, tmp_path, monkeypatch):
     # fit, decompose and report on one --out parse each table once per
-    # column set they read it for, and errors.csv once in all: the other
-    # reads load the parsed copy that the first one left
+    # column set they read it for, and errors.csv once in all: the model
+    # stages after the first load the parsed copy that it left
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
     (out / "metrics_variant.csv").write_bytes((out / "metrics.csv").read_bytes())
     parses = _count_parses(monkeypatch)
@@ -1205,27 +1250,55 @@ def test_stages_parse_each_table_once(pipeline_out, tmp_path, monkeypatch):
     assert [p for p in parses if p[0] == "errors.csv"] == [("errors.csv", cli.ERROR_COLUMNS)]
     assert sorted(parses) == sorted([(name, columns) for name, sets in _STAGE_COLUMNS.items()
                                      for columns in sets] + [("metrics_variant.csv", metrics.COLUMNS)])
-    # report reads without writing a copy, so it leaves the model stages' copies in place
+    # report reads without writing a copy, so it leaves the model stages' copy in place
     parses.clear()
     assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
     assert parses == []
-    assert sorted(p.name for p in out.glob(".*")) == [".errors.csv.npy", ".metrics.csv.npy"]
+    assert sorted(p.name for p in out.glob(".*")) == [cli._OBSERVATIONS_COPY]
+
+
+def test_warm_decompose_hashes_both_tables_and_parses_neither(pipeline_out, tmp_path, monkeypatch):
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    assert main(["fit", "--out", str(out)]) == EXIT_OK
+    parses = _count_parses(monkeypatch)
+    hashed, digest = [], cli._table_digest
+    monkeypatch.setattr(cli, "_table_digest", lambda path: hashed.append(path.name) or digest(path))
+    assert main(["decompose", "--out", str(out)]) == EXIT_OK
+    assert parses == [] and hashed == ["metrics.csv", "errors.csv"]
+
+
+@pytest.mark.parametrize("outcome", cli.OUTCOMES)
+def test_warm_model_stages_write_the_cold_files(pipeline_out, tmp_path, outcome):
+    # each stage on "cold" parses (its copy is deleted first); each on "warm"
+    # loads the copy that the fit before them left
+    cold = _copy_stage_inputs(pipeline_out, tmp_path / "cold")
+    warm = _copy_stage_inputs(pipeline_out, tmp_path / "warm")
+    assert main(["fit", "--out", str(warm), "--outcome", outcome]) == EXIT_OK
+    copy = (warm / cli._OBSERVATIONS_COPY).read_bytes()
+    for stage in (["fit"], ["decompose"], ["decompose", "--reference", "zero-error"]):
+        (cold / cli._OBSERVATIONS_COPY).unlink(missing_ok=True)
+        assert main([*stage, "--out", str(cold), "--outcome", outcome]) == EXIT_OK
+        assert main([*stage, "--out", str(warm), "--outcome", outcome]) == EXIT_OK
+    assert (warm / cli._OBSERVATIONS_COPY).read_bytes() == copy
+    names = sorted(p.name for p in cold.iterdir())
+    assert names == sorted(p.name for p in warm.iterdir())
+    for name in names:
+        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
 
 
 def test_report_parses_without_hashing_or_copies(pipeline_out, tmp_path, monkeypatch):
-    # report parses every table it reads: it hashes none, and a parsed copy
-    # keyed to its own column set, which a lookup would load, leaves its
-    # outputs as they are
+    # report parses every table it reads: it hashes none, and a doctored
+    # parsed copy, which the model stages load, leaves its outputs as they are
     want = _copy_stage_inputs(pipeline_out, tmp_path / "want")
     assert main(["report", "--out", str(want)]) == EXIT_OK
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
-    path = out / "metrics.csv"
-    keys, labels, values = cli._parse_table(path, metrics.COLUMNS)
-    doctored = keys, labels, values + 1.0
+    _save_copy(out)
+    copy = out / cli._OBSERVATIONS_COPY
+    e, labels, outcomes, skipped, no_pesq = cli._load_observations(copy, _copy_key(copy))[0]
     with cli._parsed_copies() as copies:
-        cli._write_copy(path, cli._table_digest(path, metrics.COLUMNS), doctored, copies)
-    with cli._parsed_copies() as copies:
-        assert _table_bits(cli._read_table(path, metrics.COLUMNS, copies)) == _table_bits(doctored)
+        cli._write_observations(copy, _copy_key(copy), (e, labels, outcomes + 1.0, skipped, no_pesq),
+                                copies, "doctored")
+    np.testing.assert_array_equal(_read_observations(out)[0].y, outcomes[:, 0] + 1.0)
     hashed = []
     monkeypatch.setattr(cli, "_table_digest", lambda *args: hashed.append(args) or b"")
     assert main(["report", "--out", str(out)]) == EXIT_OK
@@ -1239,11 +1312,10 @@ def test_stage_removes_temp_copies_a_killed_stage_left(pipeline_out, tmp_path):
     want = _copy_stage_inputs(pipeline_out, tmp_path / "want")
     assert main(["fit", "--out", str(want)]) == EXIT_OK
     out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
-    left = [out / ".errors.csv.npy.99999999.tmp", out / ".metrics.csv.npy.99999999.tmp"]
-    for temp in left:
-        temp.write_bytes(b"\x93NUMPY")
+    left = out / f"{cli._OBSERVATIONS_COPY}.99999999.tmp"
+    left.write_bytes(b"\x93NUMPY")
     assert main(["fit", "--out", str(out)]) == EXIT_OK
-    assert not any(temp.exists() for temp in left)
+    assert not left.exists()
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name

@@ -353,13 +353,31 @@ def test_stratum_theta_is_fit_ols_theta():
     obs_ind = model._indicators(obs.labels)
     for m in range(len(M_LABELS)):
         for side in (True, False) if m else (True,):
-            rows, stack_rows = obs_ind[:, m] == side, cells[1][:, m] == side
-            _, coef = model._stratum(obs, cells, rows, stack_rows)
-            e, ind, y = (part[stack_rows] for part in cells)
+            rows, stack_rows = obs_ind[:, m] == side, cells.ind[:, m] == side
+            _, coef = model._stratum(cells, m, side)
+            e, ind, y = (part[stack_rows] for part in cells[:3])
             terms = model._reduced_terms(ind)
             fit = fit_ols(model._cross(e, ind[:, terms]), y, n_obs=int(rows.sum()))
             assert list(coef) == terms
             np.testing.assert_array_equal(np.concatenate(list(coef.values())), fit.theta)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.one_of(st.just(0), st.integers(2, 300)), min_size=8, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_stratum_means_from_cell_sums_are_the_row_means(sizes, seed, scale):
+    # each stratum's feature means come from its cells' row counts and
+    # column sums; they must be the means over its raw rows
+    obs = _sized_obs(sizes, seed, False)
+    obs = Observations(obs.e * np.r_[1.0, np.full(25, scale)], obs.labels, obs.y)
+    cells = model._cell_factors(obs)
+    obs_ind = model._indicators(obs.labels)
+    for m in range(len(M_LABELS)):
+        for side in (True, False):
+            rows = obs_ind[:, m] == side
+            if rows.sum() >= 2:
+                np.testing.assert_allclose(model._stratum(cells, m, side)[0], obs.e[rows].mean(axis=0),
+                                           rtol=1e-12, atol=0)
 
 
 # -------------------------------------------------------------- significance
