@@ -12,8 +12,11 @@ on every run, so a refactor that removes it fails every benchmark run: that
 name must exist as well.
 
 The names that README.md and the docstrings of ``src/vda`` put in backticks
-must exist too, so that a removed function is not still documented.
+must exist too, so that a removed function is not still documented. So must
+the tests README names, and its flags, file headers and tolerance table must
+be the parser's, the writers' and ``perfbench/checks.py``'s.
 """
+import argparse
 import importlib
 import pkgutil
 import re
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 
 import vda
-from vda import dsp, metrics, model
+from vda import cli, corpus, dsp, metrics, model
 from vda.corpus import ALL_CELLS
 
 from conftest import make_speech_like, noisy_pair
@@ -32,6 +35,22 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 # ``metrics.csv`` and ``errors.csv`` name files, not module attributes
 FILE_SUFFIXES = {"csv", "json", "md"}
+
+
+def _readme_section(heading: str) -> str:
+    """README's text under ``heading`` up to the next heading of its level or
+    above; lines inside code fences are never headings."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    level = len(heading) - len(heading.lstrip("#"))
+    start = lines.index(heading) + 1
+    end, fenced = len(lines), False
+    for i in range(start, len(lines)):
+        if lines[i].startswith("```"):
+            fenced = not fenced
+        elif not fenced and re.match(rf"#{{1,{level}}} ", lines[i]):
+            end = i
+            break
+    return "\n".join(lines[start:end])
 
 
 def test_traced_names_resolve(monkeypatch):
@@ -84,3 +103,45 @@ def test_row_counted_observations_give_their_row_count(monkeypatch):
     y = np.arange(5.0)
     labels = np.array([cell.as_tuple() for cell in ALL_CELLS[:5]])
     assert len(model.Observations(np.ones((5, 26)), labels, y)) == len(y)
+
+
+def test_documented_tests_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`(tests/test_\w+\.py)::(test_\w+)`", readme))
+    assert len(named) > 10
+    missing = {f"{path}::{name}" for path, name in named
+               if not re.search(rf"^def {name}\(", (ROOT / path).read_text(encoding="utf-8"), re.M)}
+    assert not missing
+
+
+def test_documented_tolerances_are_perfbench_checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    section = _readme_section("### Benchmark tolerances")
+    rows = [(name, tuple(map(float, tol)))
+            for label, *tol in re.findall(r"^\| (.+?) \| (\S+) \| (\S+) \| (\S+) \|$", section, re.M)
+            for name in re.findall(r"`([^`]+)`", label)]
+    documented = dict(rows)
+    assert len(documented) == len(rows)
+    assert documented == {**checks.METRIC_TOLERANCES, "e<i>": checks.ERROR_TOLERANCE,
+                          "fit_stoi.json": checks.FIT_TOLERANCE,
+                          "decomposition_stoi.json": checks.DECOMPOSITION_TOLERANCE}
+    (additivity,) = re.findall(r"`ADDITIVITY_RTOL` = ([0-9.e+-]+)", section)
+    assert float(additivity) == checks.ADDITIVITY_RTOL
+
+
+def test_documented_flags_and_headers_match_the_code():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for command in commands.choices.values() for action in command._actions
+               if not isinstance(action, argparse._HelpAction) for flag in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*[a-z]", _readme_section("## Command-line pipeline"))) == options
+    formats = _readme_section("### File formats")
+    headers = re.findall(r"^```\n(.*?)\n```$", formats, re.M | re.S)
+    assert headers == [",".join(corpus.MANIFEST_COLUMNS), ",".join(cli.KEY_COLUMNS + corpus.METRIC_COLUMNS)]
+    key = ",".join(cli.KEY_COLUMNS)
+    spans = {f"{key},{columns[0]}..{columns[-1]}" for columns in (cli.ERROR_COLUMNS, cli.FEATURE_COLUMNS)}
+    assert spans <= set(re.findall(r"`([^`\n]+)`", formats))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    ranges = re.findall(r"\b([ex])0\.\.\1(\d+)\b", readme)
+    assert ranges and all(int(last) == corpus.N_FEATURES - 1 for _, last in ranges)
