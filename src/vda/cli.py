@@ -66,7 +66,7 @@ _CONDITION_LABELS = np.array([cell.as_tuple() for cell in corpus.ALL_CELLS])
 _EXIT_CODES = (
     ((SchemaError, ValueError), EXIT_USAGE),
     ((FormatError, UnsupportedFormatError, DependencyError,
-      StratificationError, FileNotFoundError), EXIT_DATA),
+      StratificationError, OSError), EXIT_DATA),
     ((DegenerateInputError, PreconditionError, UnderdeterminedError,
       AlignmentError, MetricError), EXIT_NUMERIC),
     ((VdaError,), EXIT_DATA),
@@ -420,59 +420,6 @@ def _load_observations(copy: Path, key: bytes) -> tuple[_Joined | None, str]:
     return (e, labels, outcomes, skipped, no_pesq), "loaded"
 
 
-def _write_observations(copy: Path, key: bytes, joined: _Joined, copies: list, note: str) -> None:
-    """Write the parsed copy ``copy`` of ``joined``, keyed ``key``, to a temp
-    file beside it, and add the temp file, ``copy`` and ``note`` (how the
-    input was read) to ``copies``. A copy that cannot be written is skipped.
-
-    The copy is .npy arrays in a row: the key, ``joined``'s e, labels and
-    outcomes, the UTF-8 JSON of its notes, and the checksum of the four
-    before it.
-    """
-    import json
-
-    temp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
-    *arrays, skipped, no_pesq = joined
-    arrays.append(np.frombuffer(json.dumps([skipped, no_pesq]).encode("utf-8"), np.uint8))
-    try:
-        with open(temp, "wb") as fh:
-            for array in (np.frombuffer(key, np.uint8), *arrays, _checksum(arrays)):
-                np.save(fh, array, allow_pickle=False)
-    except OSError as exc:
-        _log("debug", "%s: %s; not written: %s", copy, note, exc)
-        with contextlib.suppress(OSError):
-            temp.unlink(missing_ok=True)
-    else:
-        copies.append((temp, copy, note))
-
-
-@contextlib.contextmanager
-def _parsed_copies():
-    """A list for the ``copies`` of _observations. The copies written into it
-    replace the ones in place if the block ends without an error, after a
-    stage's outputs, and are removed otherwise; one that cannot be moved is
-    removed too, as is any temp file of those copies that a killed stage
-    left (a live stage's move then fails, and its copy is not written).
-    Each move is logged at DEBUG with its copy's note."""
-    copies: list[tuple[Path, Path, str]] = []
-    try:
-        yield copies
-        for temp, target, note in copies:
-            try:
-                os.replace(temp, target)
-            except OSError as exc:
-                _log("debug", "%s: %s; not written: %s", target, note, exc)
-            else:
-                _log("debug", "%s: %s; written", target, note)
-    finally:
-        import glob  # not at module level: it raised the audio stages' peak RSS by 0.1 MB
-
-        for _, target, _ in copies:
-            for temp in target.parent.glob(f"{glob.escape(target.name)}.*.tmp"):
-                with contextlib.suppress(OSError):
-                    temp.unlink()
-
-
 def _parse_table(path: Path, columns: tuple[str, ...]) -> _Table:
     """The keys, the (n, 3) 0/1 G/C/D labels and the (n, len(columns))
     values of the non-blank rows of ``path``, a table led by ``KEY_COLUMNS``.
@@ -556,18 +503,16 @@ def _join(m_path: Path, e_path: Path) -> tuple[_Joined, list[tuple], np.ndarray]
     return (e[at[kept]], labels[kept], outcomes[kept], notes, pesq_note), keys, kept
 
 
-def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observations:
-    """The model input: each metrics.csv row joined to its errors.csv row.
+def _observations(out_dir: Path, outcome: str) -> tuple[model.Observations, tuple | None]:
+    """The model input: each metrics.csv row joined to its errors.csv row;
+    and, after a parse, what ``_write_observations`` needs: the key (or why
+    the copy cannot be written), the joined input and how it was read.
 
-    It comes from the parsed copy in ``out_dir`` (``_OBSERVATIONS_COPY``)
+    The input comes from the parsed copy in ``out_dir`` (``_OBSERVATIONS_COPY``)
     when the copy's key is the digest of ``_OBSERVATIONS_FORMAT`` and both
-    tables' digests, and from ``_join`` otherwise; a missing, stale or
-    damaged copy is parsed around. A parse whose rows pass
-    ``model.Observations`` writes the copy into ``copies`` (see
-    ``_parsed_copies``) unless a table changed while it was read. Either
-    way the skipped rows are logged, and the same checks run. With VDA_LOG
-    at DEBUG, one line says whether the copy was loaded, or why it was
-    parsed around and whether it was written.
+    tables' digests, and from ``_join`` otherwise; a missing, stale or damaged
+    copy is parsed around. Either way the skipped rows are logged, and the
+    same checks run. With VDA_LOG at DEBUG, a load is logged here.
     """
     from . import model
 
@@ -577,12 +522,16 @@ def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observatio
         stamps = [(st.st_size, st.st_mtime_ns) for st in map(Path.stat, paths)]
         key = _digest([_OBSERVATIONS_FORMAT, *map(_table_digest, paths)])
     except OSError as exc:  # the parse raises it again, or that a table is missing
-        joined, state, key = None, f"not looked up ({type(exc).__name__})", None
+        joined, state, key = None, f"not looked up ({type(exc).__name__})", "a table could not be hashed"
     else:
         joined, state = _load_observations(copy, key)
-    parsed = joined is None
-    if parsed:
+    parse = None
+    if joined is None:
         joined, keys, kept = _join(m_path, e_path)
+        if isinstance(key, bytes) and stamps != [(st.st_size, st.st_mtime_ns)
+                                                 for st in map(Path.stat, paths)]:
+            key = "a table changed while it was read"
+        parse = key, joined, f"{state}, parsed around"
     else:
         _log("debug", "%s: %s", copy, state)
     e, labels, outcomes, skipped, no_pesq = joined
@@ -600,25 +549,58 @@ def _observations(out_dir: Path, outcome: str, copies: list) -> model.Observatio
     # parse: a copy holds rows that passed
     except model.ObservationError as exc:
         raise FormatError(f"{e_path}: {_key_name(keys[kept[exc.row]])}: {exc.reason}") from None
-    if parsed:
-        if key and stamps == [(st.st_size, st.st_mtime_ns) for st in map(Path.stat, paths)]:
-            _write_observations(copy, key, joined, copies, f"{state}, parsed around")
-        else:
-            _log("debug", "%s: %s, parsed around; not written: a table %s", copy, state,
-                 "changed while it was read" if key else "could not be hashed")
-    return obs
+    return obs, parse
+
+
+def _write_observations(out_dir: Path, parse: tuple | None) -> None:
+    """Write the parsed copy of ``parse``, as ``_observations`` returned it,
+    to ``out_dir``; the model stages call this after their outputs, so a
+    stage that fails writes no copy.
+
+    The copy is written to a temp file and moved into place. One that cannot
+    be written is skipped, and every temp file of the copy is removed, also
+    one that a killed stage left (a live stage's move then fails, and its
+    copy is not written). With VDA_LOG at DEBUG one line says how the input
+    was read and whether the copy was written. The copy is .npy arrays in a
+    row: the key, e, labels and outcomes, the UTF-8 JSON of the notes, and
+    the checksum of the four before it.
+    """
+    if parse is None:  # the copy was loaded
+        return
+    import glob  # not at module level: it raised the audio stages' peak RSS by 0.1 MB
+    import json
+
+    key, (*arrays, skipped, no_pesq), note = parse
+    copy = out_dir / _OBSERVATIONS_COPY
+    if isinstance(key, str):
+        outcome = f"not written: {key}"
+    else:
+        temp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
+        arrays.append(np.frombuffer(json.dumps([skipped, no_pesq]).encode("utf-8"), np.uint8))
+        try:
+            with open(temp, "wb") as fh:
+                for array in (np.frombuffer(key, np.uint8), *arrays, _checksum(arrays)):
+                    np.save(fh, array, allow_pickle=False)
+            os.replace(temp, copy)
+            outcome = "written"
+        except OSError as exc:
+            outcome = f"not written: {exc}"
+    for temp in out_dir.glob(f"{glob.escape(copy.name)}.*.tmp"):
+        with contextlib.suppress(OSError):
+            temp.unlink()
+    _log("debug", "%s: %s; %s", copy, note, outcome)
 
 
 def cmd_fit(args) -> int:
     from . import model, report
 
     out_dir = Path(args.out)
-    with _parsed_copies() as copies:
-        obs = _observations(out_dir, args.outcome, copies)
-        fit = model.fit_interactions(obs)
-        texts = report.render_regression_table(fit)
-        _write_outputs(out_dir, {f"{'fit' if s == '.json' else 'regression'}_{args.outcome}{s}": text
-                                 for s, text in texts.items()})
+    obs, parse = _observations(out_dir, args.outcome)
+    fit = model.fit_interactions(obs)
+    texts = report.render_regression_table(fit)
+    _write_outputs(out_dir, {f"{'fit' if s == '.json' else 'regression'}_{args.outcome}{s}": text
+                             for s, text in texts.items()})
+    _write_observations(out_dir, parse)
     return EXIT_OK
 
 
@@ -626,13 +608,13 @@ def cmd_decompose(args) -> int:
     from . import model, report
 
     out_dir = Path(args.out)
-    with _parsed_copies() as copies:
-        obs = _observations(out_dir, args.outcome, copies)
-        table = model.decomposition_table(obs, reference=args.reference)
-        texts = report.render_decomposition_table(table, args.outcome, args.reference)
-        # the stratum set keeps the plain name, so the two references never share a file
-        stem = f"decomposition_{args.outcome}" + ("" if args.reference == "stratum" else "_zero-error")
-        _write_outputs(out_dir, {stem + suffix: text for suffix, text in texts.items()})
+    obs, parse = _observations(out_dir, args.outcome)
+    table = model.decomposition_table(obs, reference=args.reference)
+    texts = report.render_decomposition_table(table, args.outcome, args.reference)
+    # the stratum set keeps the plain name, so the two references never share a file
+    stem = f"decomposition_{args.outcome}" + ("" if args.reference == "stratum" else "_zero-error")
+    _write_outputs(out_dir, {stem + suffix: text for suffix, text in texts.items()})
+    _write_observations(out_dir, parse)
     return EXIT_OK
 
 

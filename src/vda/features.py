@@ -359,7 +359,7 @@ def _voiced_run_jitter_shimmer(sig: AudioSignal, voiced: np.ndarray,
 def _median(values: np.ndarray) -> float:
     """The median of a non-empty 1-D array without NaN, the same bits as
     np.median's: the middle value, or the mean of the middle two. np.median
-    imports numpy.ma the first time it runs, about 16 ms of a process."""
+    imports numpy.ma the first time it runs (CHANGES.md line 51)."""
     ordered = np.sort(values)
     half = len(ordered) // 2
     if len(ordered) % 2:

@@ -1,10 +1,11 @@
 """Objective speech quality and intelligibility metrics over aligned pairs.
 
 Segmental metrics use 25 ms / 10 ms Hamming frames at the pair's rate and
-clamp per-frame values to [-10, 35] dB. The envelope-correlation
-intelligibility measure resamples to 10 kHz and works on one-third-octave
-band envelopes; the coherence index and the covariance metric follow their
-classical constructions over critical bands.
+clamp per-frame values to [-10, 35] dB. stoi resamples to 10 kHz and works
+on one-third-octave band envelopes; csii and ncm work over critical bands.
+All three are vda's variants of the published indices: README's "STOI/CSII/NCM
+against the published index" sections list where each departs from its
+published construction.
 """
 from __future__ import annotations
 
@@ -396,10 +397,9 @@ def _envelope_grid(nfft: int, rate: int, bank_weights: np.ndarray, keep: int) ->
 
 def _group_rows(grid: _EnvelopeGrid) -> int:
     """Rows per group of ncm's row buffer: the largest multiple of 4 whose
-    complex64 rows of q points fit NCM_GROUP_BYTES, and at least 8. numpy's
-    pocketfft transforms the rows of one call in batches: a call of 4 rows
-    runs each at well under the cost of a lone one, and calls of 8 rather
-    than 4 ran ncm 5 % faster on a 20 s pair (p = 20 rows of 16 000)."""
+    complex64 rows of q points fit NCM_GROUP_BYTES, and at least 8, as
+    numpy's pocketfft transforms the rows of one call in batches, the more
+    rows the cheaper each (CHANGES.md line 70)."""
     return max(8, NCM_GROUP_BYTES // (8 * grid.q) // 4 * 4)
 
 
@@ -438,7 +438,7 @@ def _band_envelopes(spectra: np.ndarray, grid: _EnvelopeGrid, bank_weights: np.n
     ends. The transforms run in single precision, which moves ncm by well
     under 1e-6: the inverse FFT in place, and the rfft at norm="forward",
     the scale at which NumPy keeps float32 input in its float32 loop (at
-    the default norm it transforms in float64, about three times slower).
+    the default norm it transforms in float64; CHANGES.md line 48).
     Every row's fill and transforms and every band's sum over its rows
     depend on that row or band alone, so the result does not depend on the
     group size.

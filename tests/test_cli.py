@@ -127,7 +127,7 @@ def test_stages_load_only_the_vda_modules_they_run(stage_modules):
 
 def test_model_stages_leave_out_openssl(pipeline_out, tmp_path):
     # importing hashlib loads OpenSSL's _hashlib, 3.6 MB of a model stage's
-    # peak RSS; the parsed copies' key takes blake2b from _blake2 instead
+    # peak RSS; the parsed copy's key takes blake2b from _blake2 instead
     assert not {"_blake2", "hashlib", "_hashlib"} & set(_loaded_modules([]))
     out = str(_copy_stage_inputs(pipeline_out, tmp_path / "out"))
     for stage in ("fit", "decompose", "report"):
@@ -459,6 +459,28 @@ def test_features_corrupt_wav_is_data_error(small_corpus, tmp_path):
     assert not rows[0]["e0"]
     for name in ("errors.csv", "features_clean.csv", "features_degraded.csv"):
         _assert_failed_row_blank(out / name, ["u1", "0", "0", "0"])
+
+
+@pytest.mark.parametrize("path", ["metrics-out-is-a-file", "manifest-is-a-directory",
+                                  "errors-csv-is-a-directory"])
+def test_path_that_cannot_be_read_or_written_is_data_error(small_corpus, pipeline_out, tmp_path,
+                                                           capsys, path):
+    # an OSError exits 2 with one "error:" line, not a traceback
+    if path == "metrics-out-is-a-file":
+        (tmp_path / "notadir").write_text("")
+        args = ["metrics", "--manifest", str(small_corpus / "manifest.csv"),
+                "--out", str(tmp_path / "notadir"), "--metrics", "snr_seg"]
+    elif path == "manifest-is-a-directory":
+        args = ["metrics", "--manifest", str(tmp_path), "--out", str(tmp_path / "out")]
+    else:
+        out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+        (out / "errors.csv").unlink()
+        (out / "errors.csv").mkdir()
+        args = ["fit", "--out", str(out)]
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
 
 
 FEATURE_OUTPUTS = ("errors.csv", "features_clean.csv", "features_degraded.csv")
@@ -832,8 +854,7 @@ def test_mutated_model_cell_loads_or_fails_as_usage_or_data_error(tmp_path_facto
             csv.writer(fh, lineterminator="\n").writerows(table)
     failures = {}
     try:
-        with cli._parsed_copies() as copies:
-            obs = cli._observations(out, outcome, copies)
+        obs = _read_observations(out, outcome)[0]
     except VdaError as exc:
         failures["observations"] = exc
     else:
@@ -1114,16 +1135,17 @@ def _count_parses(monkeypatch):
 
 
 def _read_observations(out, outcome="stoi"):
-    """The model input in ``out``, read as a stage reads it, and the copies the read wrote."""
-    with cli._parsed_copies() as copies:
-        obs = cli._observations(out, outcome, copies)
-    return obs, copies
+    """The model input in ``out``, read as a stage reads it, and what its
+    parse gave to write the parsed copy, which is then written (None after a load)."""
+    obs, parse = cli._observations(out, outcome)
+    cli._write_observations(out, parse)
+    return obs, parse
 
 
 def _save_copy(out):
     """Read the model input in ``out``, which must parse, and write its parsed copy; return what the read gave."""
-    obs, copies = _read_observations(out)
-    assert [target for _, target, _ in copies] == [out / cli._OBSERVATIONS_COPY]
+    obs, parse = _read_observations(out)
+    assert isinstance(parse[0], bytes)
     assert (out / cli._OBSERVATIONS_COPY).exists()
     return obs
 
@@ -1142,9 +1164,9 @@ def test_warm_read_is_the_parse_bitwise(tmp_path, monkeypatch, blank_and_failed)
     parses = _count_parses(monkeypatch)
     loaded, state = cli._load_observations(copy, _copy_key(copy))
     assert state == "loaded" and _joined_bits(loaded) == _joined_bits(parsed)
-    warm, copies = _read_observations(out)
+    warm, parse = _read_observations(out)
     assert _obs_bits(warm) == _obs_bits(cold)
-    assert parses == [] and copies == []
+    assert parses == [] and parse is None
 
 
 def _edit_table(name, column, text):
@@ -1295,9 +1317,8 @@ def test_report_parses_without_hashing_or_copies(pipeline_out, tmp_path, monkeyp
     _save_copy(out)
     copy = out / cli._OBSERVATIONS_COPY
     e, labels, outcomes, skipped, no_pesq = cli._load_observations(copy, _copy_key(copy))[0]
-    with cli._parsed_copies() as copies:
-        cli._write_observations(copy, _copy_key(copy), (e, labels, outcomes + 1.0, skipped, no_pesq),
-                                copies, "doctored")
+    doctored = (e, labels, outcomes + 1.0, skipped, no_pesq)
+    cli._write_observations(out, (_copy_key(copy), doctored, "doctored"))
     np.testing.assert_array_equal(_read_observations(out)[0].y, outcomes[:, 0] + 1.0)
     hashed = []
     monkeypatch.setattr(cli, "_table_digest", lambda *args: hashed.append(args) or b"")
@@ -1319,6 +1340,28 @@ def test_stage_removes_temp_copies_a_killed_stage_left(pipeline_out, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want.iterdir())
     for path in want.iterdir():
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_model_stage_that_fails_after_its_parse_leaves_no_copy(pipeline_out, tmp_path, monkeypatch):
+    # the copy is written only after a stage's outputs: a stage that fails in
+    # its read or after its model leaves neither the copy nor a temp file
+    out = _copy_stage_inputs(pipeline_out, tmp_path / "out")
+    _set_cells(out / "metrics.csv", 3, {"pesq": ""})
+    logged = []
+    monkeypatch.setattr(cli, "_log", lambda level, msg, *args: logged.append((level, msg % args)))
+    assert main(["fit", "--out", str(out), "--outcome", "pesq"]) == EXIT_DATA
+
+    def refuse(*args):
+        raise ValueError("markdown refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(report, "_markdown", refuse)
+        assert main(["decompose", "--out", str(out)]) == EXIT_USAGE
+    assert sorted(p.name for p in out.iterdir()) == ["errors.csv", "metrics.csv"]
+    logged.clear()
+    assert main(["fit", "--out", str(out), "--outcome", "stoi"]) == EXIT_OK
+    assert logged == [("debug", f"{out / cli._OBSERVATIONS_COPY}: "
+                                "missing (FileNotFoundError), parsed around; written")]
 
 
 @pytest.mark.parametrize("stage,render", [("decompose", "render_decomposition_table"),

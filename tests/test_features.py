@@ -388,14 +388,10 @@ def test_frame_terms_are_small_beside_the_samples():
 
 
 def test_extract_features_peak_memory_is_bounded():
-    # With the 25 ms and 40 ms frame matrices copied out of the signal, one
-    # side's features peaked at 32.9x the bytes of its samples on the 20 s
-    # speech-like signal; with the frames as views of the samples they took
-    # 26.4x, and with the pitch track taken in blocks of frames 9.5x. With
-    # every voiced frame's formant and harmonic terms at once, the fully
-    # voiced 20 s tone took 18.3x. In blocks of frames, with no complex
-    # spectra kept, each took 5.1x, with the magnitudes written over the
-    # power 3.5x, and with the flux taken in blocks 3.1x and 3.2x.
+    # The frames are views of the samples and every frame term is taken in
+    # blocks of frames, so one side's peak is a small multiple of its sample
+    # bytes, on speech and on a fully voiced tone; the former routes'
+    # multiples are in CHANGES.md lines 45, 48, 54 and 61.
     t = np.arange(20 * RATE) / RATE
     tone = AudioSignal(sum(0.3 / k * np.sin(2.0 * np.pi * 150.0 * k * t) for k in range(1, 9)),
                        RATE)

@@ -545,13 +545,9 @@ def _peak_memory(op, pair) -> float:
 
 
 def test_ncm_peak_memory_is_bounded():
-    # Built for all 20 bands at once, the envelopes of both sides peaked at
-    # 82.8x the bytes of one side's samples (318 MB on this 30 s pair); in
-    # blocks of 4 bands they took 15.4x, in blocks of 2 9.4x, through one
-    # buffer of 4 polyphase rows of 64 000 5.4x, with rows capped at 16 000
-    # and the bands' runs folded into them 5.1x, and with the twiddle tables
-    # cast row by row as they are made, no longer held whole in complex128,
-    # they take 4.5x (in groups of 8 rows of 16 000).
+    # ncm's envelopes go through one reused buffer of rows, so its peak is a
+    # small multiple of one side's sample bytes on this 30 s pair; the former
+    # routes' multiples are in CHANGES.md lines 25, 46, 51, 58 and 70.
     pair = noisy_pair(make_speech_like(seed=5, duration=30.0), 0.0)
     assert _peak_memory(metrics.ncm, pair) < 5.3
 
